@@ -186,14 +186,7 @@ def _operator(cfg, params):
     op = assemble(grid, params)
     if cache_path is not None:
         os.makedirs(cache_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-        os.close(fd)
-        try:
-            save_operator(op, tmp)
-            os.replace(tmp, cache_path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+        save_operator(op, cache_path)
     return op
 
 
@@ -314,13 +307,12 @@ def _read_profile_csv(path):
     return header, data
 
 
-def _profile_from_csv(path, op):
-    """Rebuild a RadialFunction from a profile CSV on the operator grid."""
+def _profile_from_csv(path, header, data, op):
+    """Rebuild a RadialFunction from a parsed profile CSV on the operator grid."""
     import numpy as np
 
     from .core import ParameterError, RadialFunction
 
-    header, data = _read_profile_csv(path)
     if not np.array_equal(op.grid.nodes, data["r"]):
         raise ParameterError(
             f"{path}: radial nodes do not match the configured grid "
@@ -563,7 +555,7 @@ def _cmd_classify(cfg, args):
     # embedded parameters and grid as the config baseline so the natural
     # solve-then-classify flow needs no repeated flags.  Explicit config
     # files, --set expressions and flags still override.
-    header, _ = _read_profile_csv(args.profile)
+    header, data = _read_profile_csv(args.profile)
     embedded = header.get("provenance", {}).get("config", {})
     base = {
         key: embedded[key] for key in ("params", "grid") if key in embedded
@@ -573,7 +565,7 @@ def _cmd_classify(cfg, args):
     params = _problem(cfg)
     op = _operator(cfg, params)
     prov = _provenance(cfg, params, op)
-    profile = _profile_from_csv(args.profile, op)
+    profile = _profile_from_csv(args.profile, header, data, op)
     payload = _classification_payload(
         profile, params, op, k_reference=args.k_reference
     )
@@ -583,7 +575,6 @@ def _cmd_classify(cfg, args):
     _write_json(_out(cfg, "classify.json"), payload)
     # Echo the parsed profile back under its original header: load/save is
     # an identity on canonical profile CSVs, so the copy is byte-equal.
-    header, data = _read_profile_csv(args.profile)
     _write_csv(
         _out(cfg, "classify_profile.csv"),
         header,

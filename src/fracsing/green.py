@@ -29,6 +29,7 @@ import json
 import math
 import os
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +63,15 @@ _FAR_X, _FAR_W = np.polynomial.legendre.leggauss(16)
 _SUB_SPLIT = 0.15
 _SUB_X, _SUB_W = np.polynomial.legendre.leggauss(10)
 _N_CORR_CELLS = 3
+
+# Kernel evaluations in `assemble` run on blocks of this many node pairs
+# (or near-diagonal samples), which bounds each worker's temporaries and
+# gives the thread pool independent tasks.  Keep it a multiple of 64: the
+# far-field contraction in `_sphere_integral` is a BLAS matrix-vector
+# product whose kernel rounds rows in vector-width groups differently
+# from a remainder, so each entry matches the one-flat-batch evaluation
+# only when blocks start at such a multiple.
+_BLOCK_SIZE = 4096
 
 
 def _sub_rule():
@@ -320,17 +330,20 @@ class GreenOperator:
         return (self.matrix / self.grid.weights[None, :]) * np.outer(sw, sw)
 
 
-def _lagrange_rows(pts, nodes4):
-    """Lagrange basis of the 4 cell nodes evaluated at pts: (len(pts), 4)."""
+def _lagrange_rows(pts, cell_nodes):
+    """Lagrange basis at each point of the 4 nodes of its cell: (len(pts), 4).
+
+    cell_nodes[k] holds the 4 nodes of the cell that pts[k] lies in.
+    """
     out = np.empty((pts.size, 4))
     for j in range(4):
         num = np.ones_like(pts)
-        den = 1.0
+        den = np.ones_like(pts)
         for l in range(4):
             if l == j:
                 continue
-            num *= pts - nodes4[l]
-            den *= nodes4[j] - nodes4[l]
+            num *= pts - cell_nodes[:, l]
+            den *= cell_nodes[:, j] - cell_nodes[:, l]
         out[:, j] = num / den
     return out
 
@@ -399,6 +412,39 @@ def _correction_samples(r_i, a, b, gamma, boundary_gamma=None):
     return np.concatenate(pts), np.concatenate(wts)
 
 
+def _worker_count():
+    """Usable cores, capped by OMP_NUM_THREADS (which --threads sets)."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity masks
+        cores = os.cpu_count() or 1
+    cap = os.environ.get("OMP_NUM_THREADS", "")
+    if cap.isdigit() and int(cap) > 0:
+        cores = min(cores, int(cap))
+    return cores
+
+
+def _submit_blocks(pool, total, task):
+    """Submit task(start, stop) for each _BLOCK_SIZE slice of range(total)."""
+    return [
+        pool.submit(task, start, min(start + _BLOCK_SIZE, total))
+        for start in range(0, total, _BLOCK_SIZE)
+    ]
+
+
+def _first_failure(futures):
+    """First non-None block result in submission order, else None.
+
+    Blocks cover increasing index ranges, so this is the failure with the
+    lowest index whichever block finished first.
+    """
+    for fut in futures:
+        failure = fut.result()
+        if failure is not None:
+            return failure
+    return None
+
+
 def assemble(grid, params):
     """Assemble the dense Nystrom matrix of the Green operator.
 
@@ -411,6 +457,12 @@ def assemble(grid, params):
     before applying the weights, entries are clipped at zero (the clipped
     mass is checked to be negligible), and evaluation failures are
     reported with the offending node pair.
+
+    Kernel evaluations run in fixed-size blocks on a thread pool with one
+    worker per usable core, capped by OMP_NUM_THREADS.  Every entry is
+    computed by the same operations whatever the block size or worker
+    count, so the matrix is identical bit for bit, and memory beyond the
+    n x n matrix is a fixed per-worker block.
     """
     dim, alpha = params.dim, params.alpha
     if grid.dim != dim:
@@ -422,67 +474,100 @@ def assemble(grid, params):
     nodes = grid.nodes
     w = grid.weights
     n = grid.n
-
-    iu, ju = np.triu_indices(n, k=1)
-    vals = _sphere_integral(nodes[iu], nodes[ju], dim, alpha, c_fund)
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        first = int(np.nonzero(bad)[0][0])
-        raise KernelError(
-            f"kernel evaluation failed at node pair ({iu[first]}, {ju[first]})"
-        )
     kbar = np.zeros((n, n))
-    kbar[iu, ju] = vals
-    kbar[ju, iu] = vals
-    kbar /= surf
+
+    # Node pairs i < j in row-major order; row i starts at flat index
+    # row_start[i].  Each block writes its pairs and their mirrors.
+    first_rows = np.arange(n - 1)
+    row_start = first_rows * (n - 1) - first_rows * (first_rows - 1) // 2
+
+    def kernel_block(start, stop):
+        k = np.arange(start, stop)
+        i = np.searchsorted(row_start, k, side="right") - 1
+        j = k - row_start[i] + i + 1
+        vals = _sphere_integral(nodes[i], nodes[j], dim, alpha, c_fund)
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            return int(i[bad[0]]), int(j[bad[0]])
+        vals /= surf
+        kbar[i, j] = vals
+        kbar[j, i] = vals
+        return None
 
     # Product-integration correction: replace the columns of the cells
-    # around each row's diagonal cell.  All kernel evaluations for all
-    # (row, cell) pairs are batched into one vectorized call.
+    # around each row's diagonal cell.  The samples of all (row, cell)
+    # pairs are laid end to end and evaluated in blocks like the pairs.
     q = grid.nodes_per_cell
     edges = grid.cell_edges
     n_cells = grid.n_cells
     gamma = max(3.0, 3.0 / (2.0 * alpha))
     boundary_gamma = max(2.0, 3.0 / (1.0 + alpha))
-    rows, cells, pts_list, wts_list = [], [], [], []
-    for i in range(n):
-        ci = i // q
-        for c in range(max(0, ci - _N_CORR_CELLS), min(n_cells, ci + _N_CORR_CELLS + 1)):
-            pts, wts = _correction_samples(
-                nodes[i],
-                float(edges[c]),
-                float(edges[c + 1]),
-                gamma,
-                boundary_gamma if c == n_cells - 1 else None,
-            )
-            rows.append(i)
-            cells.append(c)
-            pts_list.append(pts)
-            wts_list.append(wts)
-    lens = np.array([p.size for p in pts_list])
-    flat_pts = np.concatenate(pts_list)
-    flat_r = np.repeat(nodes[rows], lens)
-    flat_vals = (
-        _sphere_integral(flat_r, flat_pts, dim, alpha, c_fund) / surf
-    )
-    bad = ~np.isfinite(flat_vals)
-    if np.any(bad):
-        first = int(np.nonzero(bad)[0][0])
-        i_bad = int(np.repeat(rows, lens)[first])
-        raise KernelError(
-            f"kernel evaluation failed near the diagonal at row {i_bad}, "
-            f"radius {flat_pts[first]!r}"
-        )
 
-    offsets = np.concatenate([[0], np.cumsum(lens)])
+    def correction_block(start, stop):
+        vals = (
+            _sphere_integral(
+                flat_r[start:stop], flat_pts[start:stop], dim, alpha, c_fund
+            )
+            / surf
+        )
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            return start + int(bad[0])
+        flat_vals[start:stop] = vals
+        return None
+
+    pool = ThreadPoolExecutor(
+        max_workers=_worker_count(), thread_name_prefix="fracsing-assemble"
+    )
+    try:
+        kernel_jobs = _submit_blocks(pool, n * (n - 1) // 2, kernel_block)
+        # The sampling below is serial Python; it overlaps the kernel blocks.
+        rows, cells, pts_list, wts_list = [], [], [], []
+        for i in range(n):
+            ci = i // q
+            for c in range(
+                max(0, ci - _N_CORR_CELLS), min(n_cells, ci + _N_CORR_CELLS + 1)
+            ):
+                pts, wts = _correction_samples(
+                    nodes[i],
+                    float(edges[c]),
+                    float(edges[c + 1]),
+                    gamma,
+                    boundary_gamma if c == n_cells - 1 else None,
+                )
+                rows.append(i)
+                cells.append(c)
+                pts_list.append(pts)
+                wts_list.append(wts)
+        lens = np.array([p.size for p in pts_list])
+        offsets = np.concatenate([[0], np.cumsum(lens)])
+        flat_pts = np.concatenate(pts_list)
+        flat_r = np.repeat(nodes[rows], lens)
+        flat_vals = np.empty(flat_pts.size)
+        correction_jobs = _submit_blocks(pool, flat_pts.size, correction_block)
+
+        bad = _first_failure(kernel_jobs)
+        if bad is not None:
+            raise KernelError(
+                f"kernel evaluation failed at node pair ({bad[0]}, {bad[1]})"
+            )
+        bad = _first_failure(correction_jobs)
+        if bad is not None:
+            i_bad = rows[int(np.searchsorted(offsets, bad, side="right")) - 1]
+            raise KernelError(
+                f"kernel evaluation failed near the diagonal at row {i_bad}, "
+                f"radius {flat_pts[bad]!r}"
+            )
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+    lag = _lagrange_rows(
+        flat_pts, nodes.reshape(n_cells, q)[np.repeat(cells, lens)]
+    )
+    weighted = np.concatenate(wts_list) * flat_vals * surf * flat_pts ** (dim - 1)
     for blk, (i, c) in enumerate(zip(rows, cells)):
         sl = slice(offsets[blk], offsets[blk + 1])
-        pts = flat_pts[sl]
-        wts = wts_list[blk]
-        kb = flat_vals[sl]
-        cell_nodes = nodes[c * q : (c + 1) * q]
-        lag = _lagrange_rows(pts, cell_nodes)
-        contrib = (wts * kb * surf * pts ** (dim - 1)) @ lag
+        contrib = weighted[sl] @ lag[sl]
         # Store as kernel values so the later weight multiply is uniform.
         kbar[i, c * q : (c + 1) * q] = contrib / w[c * q : (c + 1) * q]
 
@@ -491,10 +576,18 @@ def assemble(grid, params):
     # own column weights are tiny: row i pays |v - kbar[i,j]| * w[j], so
     # the shared value must lean toward the entry that multiplies the
     # larger weight.  Minimizing the summed squared row errors gives a
-    # w^2-weighted average, which is still exactly symmetric.
+    # w^2-weighted average, which is still exactly symmetric.  It is done
+    # in place, a band of rows and its mirrored columns at a time: the
+    # band [a, b) reads only entries no earlier band has overwritten.
     w2 = w * w
-    pw = kbar * w2[None, :]
-    kbar = (pw + pw.T) / (w2[:, None] + w2[None, :])
+    kbar *= w2[None, :]
+    step = max(1, _BLOCK_SIZE // n)
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        band = kbar[a:b, a:] + kbar[a:, a:b].T
+        band /= w2[a:b, None] + w2[None, a:]
+        kbar[a:b, a:] = band
+        kbar[a:, a:b] = band.T
     neg = kbar < 0.0
     if np.any(neg):
         clipped = -kbar[neg].sum()
@@ -506,12 +599,12 @@ def assemble(grid, params):
             )
         kbar[neg] = 0.0
 
-    matrix = kbar * w[None, :]
+    kbar *= w[None, :]
     dirac = dirac_profile(grid, params)
-    for arr in (matrix, dirac):
+    for arr in (kbar, dirac):
         arr.setflags(write=False)
     return GreenOperator(
-        dim=dim, alpha=alpha, matrix=matrix, grid=grid, dirac_column=dirac
+        dim=dim, alpha=alpha, matrix=kbar, grid=grid, dirac_column=dirac
     )
 
 

@@ -228,6 +228,15 @@ def test_corrupt_cache_is_rebuilt(shared_cache, tmp_path, op200):
     assert victim.stat().st_size > 1000
 
 
+def test_cold_solve_leaves_one_cache_file(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("FRACSING_CACHE", str(cache))
+    assert cli.main(SOLVE_ARGS + ["-o", str(tmp_path / "out")]) == 0
+    names = os.listdir(cache)
+    assert len(names) == 1
+    assert names[0].startswith("operator-") and names[0].endswith(".bin")
+
+
 def test_exit_codes_for_user_errors(tmp_path):
     assert cli.main(["frobnicate"]) == 1
     assert cli.main(["eigen", "--set", "params.alpha"]) == 1

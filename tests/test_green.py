@@ -8,13 +8,17 @@ ball solution for the operator applied to constants.
 
 import math
 import os
+import sys
+import threading
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fracsing.core import ParameterError, ProblemParams, make_grid
+import fracsing.green as green_module
+from fracsing.core import KernelError, ParameterError, ProblemParams, make_grid
 from fracsing.green import (
     assemble,
     compose_estimate_check,
@@ -186,6 +190,115 @@ def test_apply_positivity_preserving(op400, rng):
     for _ in range(5):
         f = rng.uniform(0.0, 1.0, op400.n)
         assert np.all(op400.apply(f) >= 0.0)
+
+
+def _assemble_with(monkeypatch, params, grid, workers, block):
+    monkeypatch.setenv("OMP_NUM_THREADS", str(workers))
+    monkeypatch.setattr(green_module, "_BLOCK_SIZE", block)
+    return assemble(grid, params)
+
+
+def test_assembly_is_byte_identical_for_any_workers_and_blocks(
+    monkeypatch, params0, op200
+):
+    # One block holding every pair and sample is the flat evaluation the
+    # blocks replace.  1024 and 4096 leave a partial last block at n=200.
+    ref = _assemble_with(monkeypatch, params0, op200.grid, 1, 10**9).matrix
+    for workers in (1, 2):
+        for block in (1024, 4096):
+            got = _assemble_with(monkeypatch, params0, op200.grid, workers, block)
+            assert got.matrix.tobytes() == ref.tobytes(), (workers, block)
+    # More workers than cores, switching threads as often as possible: a
+    # lost or torn write into the shared matrix would change its bytes.
+    monkeypatch.setattr(green_module, "_worker_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _assemble_with(monkeypatch, params0, op200.grid, 8, 256)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got.matrix.tobytes() == ref.tobytes()
+
+
+def test_kernel_error_names_the_lowest_failing_pair(monkeypatch, params0, op200):
+    nodes = op200.grid.nodes
+    # Flat pair indices 1079 and 18684: blocks 1 and 18 of 1024 pairs.
+    low, high = (5, 100), (150, 160)
+    high_failed = threading.Event()
+    original = green_module._sphere_integral
+
+    def poisoned(r, s, *args):
+        vals = original(r, s, *args)
+        at_high = (r == nodes[high[0]]) & (s == nodes[high[1]])
+        at_low = (r == nodes[low[0]]) & (s == nodes[low[1]])
+        if np.any(at_high):
+            vals[at_high] = np.nan
+            high_failed.set()
+        if np.any(at_low):
+            vals[at_low] = np.inf
+            # Hold the lower block until the higher one has failed.
+            high_failed.wait(timeout=10.0)
+        return vals
+
+    monkeypatch.setattr(green_module, "_sphere_integral", poisoned)
+    with pytest.raises(KernelError, match=r"node pair \(5, 100\)"):
+        _assemble_with(monkeypatch, params0, op200.grid, 2, 1024)
+    if green_module._worker_count() >= 2:
+        assert high_failed.is_set()
+
+
+def test_failed_assembly_leaves_no_pool_thread(monkeypatch, params0, op200):
+    callers = set()
+
+    def failing(r, s, *args):
+        callers.add(threading.current_thread())
+        return np.full(np.shape(r), np.nan)
+
+    monkeypatch.setattr(green_module, "_sphere_integral", failing)
+    before = set(threading.enumerate())
+    with pytest.raises(KernelError, match=r"node pair \(0, 1\)"):
+        _assemble_with(monkeypatch, params0, op200.grid, 2, 1024)
+    assert callers and threading.main_thread() not in callers
+    assert not any(t.is_alive() for t in callers)
+    assert set(threading.enumerate()) <= before
+
+
+def test_assembly_peak_memory_is_bounded(monkeypatch, params0, op400):
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    tracemalloc.start()
+    try:
+        assemble(op400.grid, params0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # About 70 MB when every pair was evaluated in one flat batch.
+    assert peak <= 40 * 2**20
+
+
+def _lagrange_loop(pts, nodes4):
+    """Per-cell Lagrange basis with scalar denominators."""
+    out = np.empty((pts.size, 4))
+    for j in range(4):
+        num = np.ones_like(pts)
+        den = 1.0
+        for l in range(4):
+            if l == j:
+                continue
+            num *= pts - nodes4[l]
+            den *= nodes4[j] - nodes4[l]
+        out[:, j] = num / den
+    return out
+
+
+def test_lagrange_rows_match_the_per_cell_loop(op200, rng):
+    cell_nodes = op200.grid.nodes.reshape(-1, 4)
+    cells = rng.integers(0, cell_nodes.shape[0], 300)
+    pts = rng.uniform(0.0, 1.0, 300)
+    want = np.concatenate(
+        [_lagrange_loop(pts[k : k + 1], cell_nodes[c]) for k, c in enumerate(cells)]
+    )
+    got = green_module._lagrange_rows(pts, cell_nodes[cells])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_measured_c2_stable_under_refinement(params0, op400, op800):
