@@ -92,10 +92,14 @@ def standard_battery(op):
     Returns
     -------
     tuple of TestFunction
+
+    Raises
+    ------
+    ConvergenceError
+        If the symmetrized Green matrix is not positive definite.
     """
     r = op.grid.nodes
-    s_mat = op.symmetrized()
-    factor = linalg.cho_factor(0.5 * (s_mat + s_mat.T))
+    factor = op.cholesky()
     battery = []
     for outer in (0.2, 0.35, 0.5):
         inner = 0.5 * outer

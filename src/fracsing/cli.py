@@ -26,6 +26,7 @@ import json
 import os
 import sys
 import tempfile
+from typing import Callable, NamedTuple
 
 _THREAD_VARS = (
     "OMP_NUM_THREADS",
@@ -39,7 +40,7 @@ _DEFAULT_CONFIG = {
     "grid": {"n_nodes": 400, "grading": 2.0},
     "tolerances": {"picard_tol": 1e-10, "bracket_tol": 1e-3, "eig_tol": 1e-12},
     "scan": {"n_samples": 8},
-    "output": {"directory": ".", "formats": ["csv", "json"]},
+    "output": {"directory": "."},
     "seed": 0,
 }
 
@@ -236,15 +237,11 @@ def _cell(value):
     return "%.17g" % float(value)
 
 
-def _csv_text(header, columns, rows):
+def _write_csv(path, header, columns, rows):
     lines = ["# " + json.dumps(header, sort_keys=True)]
     lines.append(",".join(columns))
     lines.extend(",".join(_cell(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _write_csv(path, header, columns, rows):
-    _atomic_write(path, _csv_text(header, columns, rows))
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path, obj):
@@ -254,9 +251,7 @@ def _write_json(path, obj):
 def _write_long_csv(path, header, x_name, x_values, series):
     rows = []
     for name in sorted(series):
-        rows.extend(
-            (name, x, y) for x, y in zip(x_values, series[name])
-        )
+        rows.extend((name, x, y) for x, y in zip(x_values, series[name]))
     _write_csv(path, header, ["series", x_name, "value"], rows)
 
 
@@ -272,22 +267,11 @@ def _profile_columns(profile):
     return r, smooth + singular, smooth, singular
 
 
-def _write_profile_csv(path, provenance, profile):
-    r, total, smooth, singular = _profile_columns(profile)
-    header = {
-        "kind": "profile",
-        "singular_coeff": profile.singular_coeff,
-        "singular_exponent": profile.singular_exponent,
-        "provenance": provenance,
-    }
-    _write_csv(
-        path, header, list(_PROFILE_COLUMNS), list(zip(r, total, smooth, singular))
-    )
-
-
-def _read_profile_csv(path):
+def _read_profile(args):
+    """Parse the profile CSV; returns its config baseline and (header, data)."""
     import numpy as np
 
+    path = args.profile
     with open(path) as fh:
         lines = fh.read().splitlines()
     if len(lines) < 2 or not lines[0].startswith("# "):
@@ -304,7 +288,13 @@ def _read_profile_csv(path):
         col: np.array([float(row[i]) for row in body])
         for i, col in enumerate(columns)
     }
-    return header, data
+    # Profiles produced by this tool embed how they were built; adopt the
+    # embedded parameters and grid as the config baseline so the natural
+    # solve-then-classify flow needs no repeated flags.  Explicit config
+    # files, --set expressions and flags still override.
+    embedded = header.get("provenance", {}).get("config", {})
+    base = {key: embedded[key] for key in ("params", "grid") if key in embedded}
+    return base, (header, data)
 
 
 def _profile_from_csv(path, header, data, op):
@@ -327,10 +317,6 @@ def _profile_from_csv(path, header, data, op):
     )
 
 
-def _out(cfg, name):
-    return os.path.join(cfg["output"]["directory"], name)
-
-
 def _classification_payload(profile, params, op, k_reference=None):
     from .classify import asymptotic_fit, estimate_k
 
@@ -350,292 +336,198 @@ def _classification_payload(profile, params, op, k_reference=None):
     }
 
 
-def _cmd_solve(cfg, args):
+class _Job(NamedTuple):
+    """Inputs of a command; source is what its read hook parsed, if any."""
+
+    cfg: dict
+    args: argparse.Namespace
+    params: object
+    op: object
+    source: object = None
+
+
+class _Table(NamedTuple):
+    """One CSV file.  header keys join kind and provenance in the file's
+    header line; with kind None, header is that line verbatim."""
+
+    name: str
+    kind: str | None
+    columns: tuple
+    rows: list
+    header: dict | None = None
+
+
+class _Result(NamedTuple):
+    """A command's CSV tables, JSON payload (less command and provenance),
+    stdout lines, --emit-plots series (x name, x values, {name: y values})
+    and exit code."""
+
+    tables: list
+    payload: dict
+    lines: list
+    series: tuple | None = None
+    code: int = 0
+
+
+def _bracket(job):
+    from .picard import find_kstar
+
+    tol = float(job.cfg["tolerances"]["bracket_tol"])
+    return find_kstar(job.params, job.op, bracket_tol=tol)
+
+
+def _minimal(job, params):
     from .picard import iterate_minimal
 
-    params = _problem(cfg)
-    if params.k > 0.0:
-        _require_subcritical(
-            params, "no solution with a point mass exists (Dirac data forces k = 0)"
-        )
-    op = _operator(cfg, params)
-    prov = _provenance(cfg, params, op)
-    tol = float(cfg["tolerances"]["picard_tol"])
-    max_iter = int(cfg["tolerances"].get("picard_max_iter", 2000))
-    report = iterate_minimal(params, op, tol=tol, max_iter=max_iter)
+    tol = float(job.cfg["tolerances"]["picard_tol"])
+    return iterate_minimal(params, job.op, tol=tol, max_iter=8000)
 
-    _write_profile_csv(_out(cfg, "solve.csv"), prov, report.profile)
+
+def _solve(job):
+    from .picard import iterate_minimal
+
+    tol = job.cfg["tolerances"]
+    max_iter = int(tol.get("picard_max_iter", 2000))
+    report = iterate_minimal(job.params, job.op, float(tol["picard_tol"]), max_iter)
+    profile, converged = report.profile, report.status == "Converged"
+    lines = [
+        f"solve: {report.status} after {report.iterations} iterations, "
+        f"sup residual {report.sup_residual:.3e}, "
+        f"barrier certified: {report.barrier_certified}"
+    ]
+    classification = None
+    if converged:
+        classification = _classification_payload(profile, job.params, job.op)
+        lines.append(f"classification: {classification['verdict']}")
+    r, total, smooth, singular = _profile_columns(profile)
+    header = {
+        "singular_coeff": profile.singular_coeff,
+        "singular_exponent": profile.singular_exponent,
+    }
+    rows = list(zip(r, total, smooth, singular))
+    table = _Table("solve.csv", "profile", _PROFILE_COLUMNS, rows, header)
     payload = {
-        "command": "solve",
         "status": report.status,
         "iterations": report.iterations,
         "sup_residual": report.sup_residual,
         "barrier_certified": report.barrier_certified,
-        "classification": None,
-        "provenance": prov,
+        "classification": classification,
     }
-    if report.status == "Converged":
-        payload["classification"] = _classification_payload(
-            report.profile, params, op
-        )
-    _write_json(_out(cfg, "solve.json"), payload)
-    if args.emit_plots:
-        r, total, smooth, singular = _profile_columns(report.profile)
-        _write_long_csv(
-            _out(cfg, "solve_long.csv"),
-            {"kind": "profile-long", "provenance": prov},
-            "r",
-            r,
-            {"u_total": total, "u_smooth": smooth, "u_singular": singular},
-        )
-    print(
-        f"solve: {report.status} after {report.iterations} iterations, "
-        f"sup residual {report.sup_residual:.3e}, "
-        f"barrier certified: {report.barrier_certified}"
+    series = {"u_total": total, "u_smooth": smooth, "u_singular": singular}
+    return _Result([table], payload, lines, ("r", r, series), 0 if converged else 2)
+
+
+def _kstar(job):
+    bracket = _bracket(job)
+    k_lo, k_hi = bracket.k_lo, bracket.k_hi
+    width = (k_hi - k_lo) / k_lo
+    columns = ("k_lo", "k_hi", "relative_width")
+    return _Result(
+        [_Table("kstar.csv", "kstar", columns, [(k_lo, k_hi, width)])],
+        {"k_lo": k_lo, "k_hi": k_hi, "relative_width": width},
+        [f"kstar: bracket [{k_lo:.6g}, {k_hi:.6g}]"],
+        ("index", [0], {"k_lo": [k_lo], "k_hi": [k_hi]}),
     )
-    if payload["classification"]:
-        print(f"classification: {payload['classification']['verdict']}")
-    return 0 if report.status == "Converged" else 2
 
 
-def _cmd_kstar(cfg, args):
-    from .picard import find_kstar
-
-    params = _problem(cfg)
-    _require_subcritical(params, "the extremal source strength is undefined")
-    op = _operator(cfg, params)
-    prov = _provenance(cfg, params, op)
-    bracket = find_kstar(
-        params, op, bracket_tol=float(cfg["tolerances"]["bracket_tol"])
-    )
-    width = (bracket.k_hi - bracket.k_lo) / bracket.k_lo
-    rows = [(bracket.k_lo, bracket.k_hi, width)]
-    header = {"kind": "kstar", "provenance": prov}
-    _write_csv(
-        _out(cfg, "kstar.csv"), header, ["k_lo", "k_hi", "relative_width"], rows
-    )
-    _write_json(
-        _out(cfg, "kstar.json"),
-        {
-            "command": "kstar",
-            "k_lo": bracket.k_lo,
-            "k_hi": bracket.k_hi,
-            "relative_width": width,
-            "provenance": prov,
-        },
-    )
-    if args.emit_plots:
-        _write_long_csv(
-            _out(cfg, "kstar_long.csv"),
-            {"kind": "kstar-long", "provenance": prov},
-            "index",
-            [0],
-            {"k_lo": [bracket.k_lo], "k_hi": [bracket.k_hi]},
-        )
-    print(f"kstar: bracket [{bracket.k_lo:.6g}, {bracket.k_hi:.6g}]")
-    return 0
-
-
-def _cmd_stability(cfg, args):
-    from .picard import find_kstar
+def _stability(job):
     from .stability import stability_gap_scan
 
-    params = _problem(cfg)
-    _require_subcritical(params, "the solution branch is empty for k > 0")
-    op = _operator(cfg, params)
-    prov = _provenance(cfg, params, op)
-    bracket = find_kstar(
-        params, op, bracket_tol=float(cfg["tolerances"]["bracket_tol"])
-    )
-    scan = stability_gap_scan(
-        params, op, bracket, n_samples=int(cfg["scan"]["n_samples"])
-    )
+    bracket = _bracket(job)
+    n_samples = int(job.cfg["scan"]["n_samples"])
+    scan = stability_gap_scan(job.params, job.op, bracket, n_samples=n_samples)
     rows = scan.rows()
-    header = {"kind": "stability", "provenance": prov}
-    _write_csv(_out(cfg, "stability.csv"), header, ["k", "sigma1", "gap"], rows)
-    _write_json(
-        _out(cfg, "stability.json"),
-        {
-            "command": "stability",
-            "k_lo": bracket.k_lo,
-            "k_hi": bracket.k_hi,
-            "slope": scan.slope,
-            "rows": rows,
-            "provenance": prov,
-        },
+    return _Result(
+        [_Table("stability.csv", "stability", ("k", "sigma1", "gap"), rows)],
+        {"k_lo": bracket.k_lo, "k_hi": bracket.k_hi, "slope": scan.slope, "rows": rows},
+        [
+            f"stability: {len(rows)} samples, sigma1 from {rows[0][1]:.4f} "
+            f"down to {rows[-1][1]:.4f}, gap slope {scan.slope:.4f}"
+        ],
+        ("k", scan.ks, {"sigma1": scan.sigma1s, "gap": scan.gaps}),
     )
-    if args.emit_plots:
-        _write_long_csv(
-            _out(cfg, "stability_long.csv"),
-            {"kind": "stability-long", "provenance": prov},
-            "k",
-            scan.ks,
-            {"sigma1": scan.sigma1s, "gap": scan.gaps},
-        )
-    print(
-        f"stability: {len(rows)} samples, sigma1 from {rows[0][1]:.4f} "
-        f"down to {rows[-1][1]:.4f}, gap slope {scan.slope:.4f}"
-    )
-    return 0
 
 
-def _cmd_mountain_pass(cfg, args):
+def _mountain_pass(job):
     from .core import ConvergenceError
     from .mountainpass import build_form, find_second_solution
-    from .picard import iterate_minimal
 
-    params = _problem(cfg)
-    _require_subcritical(params, "no second solution exists")
-    op = _operator(cfg, params)
-    prov = _provenance(cfg, params, op)
-    urep = iterate_minimal(
-        params, op, tol=float(cfg["tolerances"]["picard_tol"]), max_iter=8000
-    )
+    urep = _minimal(job, job.params)
     if urep.status != "Converged":
         raise ConvergenceError(
             f"minimal solution did not converge (status {urep.status}); "
             f"is k inside the existence range?"
         )
-    form = build_form(op)
+    method, form = job.args.method, build_form(job.op)
     result = find_second_solution(
-        params, op, form, urep.profile, method=args.method, seed=int(cfg["seed"])
+        job.params, job.op, form, urep.profile, method=method, seed=int(job.cfg["seed"])
     )
-
     r, u_total, _, _ = _profile_columns(urep.profile)
     _, w_total, _, _ = _profile_columns(result.second_solution)
-    header = {"kind": "mountain-pass", "provenance": prov}
-    _write_csv(
-        _out(cfg, "mountain_pass.csv"),
-        header,
-        ["r", "u_min", "v", "second_solution"],
-        list(zip(r, u_total, result.v.values, w_total)),
-    )
-    trace_rows = [
-        (step, "nan" if e is None else e, g) for step, e, g in result.trace
+    v = result.v.values
+    series = {"u_min": u_total, "v": v, "second_solution": w_total}
+    rows = list(zip(r, u_total, v, w_total))
+    trace = [(step, "nan" if e is None else e, g) for step, e, g in result.trace]
+    trace_columns = ("step", "energy", "grad_norm")
+    tables = [
+        _Table("mountain_pass.csv", "mountain-pass", ("r", *series), rows),
+        _Table("mountain_pass_trace.csv", "mountain-pass-trace", trace_columns, trace),
     ]
-    _write_csv(
-        _out(cfg, "mountain_pass_trace.csv"),
-        {"kind": "mountain-pass-trace", "provenance": prov},
-        ["step", "energy", "grad_norm"],
-        trace_rows,
-    )
-    _write_json(
-        _out(cfg, "mountain_pass.json"),
-        {
-            "command": "mountain-pass",
-            "method": args.method,
-            "energy": result.energy,
-            "level_lower_bound": result.level_lower_bound,
-            "v_max": float(result.v.values.max()),
-            "provenance": prov,
-        },
-    )
-    if args.emit_plots:
-        _write_long_csv(
-            _out(cfg, "mountain_pass_long.csv"),
-            {"kind": "mountain-pass-long", "provenance": prov},
-            "r",
-            r,
-            {
-                "u_min": u_total,
-                "v": result.v.values,
-                "second_solution": w_total,
-            },
-        )
-    print(
-        f"mountain-pass ({args.method}): energy {result.energy:.6g} >= "
-        f"certified level {result.level_lower_bound:.6g}, "
-        f"max perturbation {result.v.values.max():.6g}"
-    )
-    return 0
-
-
-def _cmd_classify(cfg, args):
-    # Profiles produced by this tool embed how they were built; adopt the
-    # embedded parameters and grid as the config baseline so the natural
-    # solve-then-classify flow needs no repeated flags.  Explicit config
-    # files, --set expressions and flags still override.
-    header, data = _read_profile_csv(args.profile)
-    embedded = header.get("provenance", {}).get("config", {})
-    base = {
-        key: embedded[key] for key in ("params", "grid") if key in embedded
+    payload = {
+        "method": method,
+        "energy": result.energy,
+        "level_lower_bound": result.level_lower_bound,
+        "v_max": float(v.max()),
     }
-    if base:
-        cfg = _build_config(args, base=base)
-    params = _problem(cfg)
-    op = _operator(cfg, params)
-    prov = _provenance(cfg, params, op)
-    profile = _profile_from_csv(args.profile, header, data, op)
-    payload = _classification_payload(
-        profile, params, op, k_reference=args.k_reference
+    line = (
+        f"mountain-pass ({method}): energy {result.energy:.6g} >= "
+        f"certified level {result.level_lower_bound:.6g}, "
+        f"max perturbation {v.max():.6g}"
     )
-    payload.update(
-        {"command": "classify", "profile": args.profile, "provenance": prov}
-    )
-    _write_json(_out(cfg, "classify.json"), payload)
+    return _Result(tables, payload, [line], ("r", r, series))
+
+
+def _classify(job):
+    header, data = job.source
+    profile = _profile_from_csv(job.args.profile, header, data, job.op)
+    payload = _classification_payload(profile, job.params, job.op, job.args.k_reference)
+    payload["profile"] = job.args.profile
     # Echo the parsed profile back under its original header: load/save is
     # an identity on canonical profile CSVs, so the copy is byte-equal.
-    _write_csv(
-        _out(cfg, "classify_profile.csv"),
-        header,
-        list(_PROFILE_COLUMNS),
-        list(zip(*(data[c] for c in _PROFILE_COLUMNS))),
-    )
-    print(
+    rows = list(zip(*(data[c] for c in _PROFILE_COLUMNS)))
+    echo = _Table("classify_profile.csv", None, _PROFILE_COLUMNS, rows, header)
+    line = (
         f"classify: verdict {payload['verdict']}, slope "
         f"{payload['exponent_fit']:.4f}, limit ratio {payload['limit_ratio']:.4f}"
     )
-    return 0
+    return _Result([echo], payload, [line])
 
 
-def _cmd_eigen(cfg, args):
+def _eigen(job):
     from .picard import first_eigenpair
 
-    params = _problem(cfg)
-    op = _operator(cfg, params)
-    prov = _provenance(cfg, params, op)
-    pair = first_eigenpair(op, tol=float(cfg["tolerances"]["eig_tol"]))
-    phi = pair["phi1"].values
-    header = {"kind": "eigen", "lambda1": pair["lambda1"], "provenance": prov}
-    _write_csv(
-        _out(cfg, "eigen.csv"),
-        header,
-        ["r", "phi1"],
-        list(zip(op.grid.nodes, phi)),
+    pair = first_eigenpair(job.op, tol=float(job.cfg["tolerances"]["eig_tol"]))
+    lam, r, phi = pair["lambda1"], job.op.grid.nodes, pair["phi1"].values
+    rows = list(zip(r, phi))
+    return _Result(
+        [_Table("eigen.csv", "eigen", ("r", "phi1"), rows, {"lambda1": lam})],
+        {"lambda1": lam},
+        [f"eigen: lambda1 = {lam:.12g}"],
+        ("r", r, {"phi1": phi}),
     )
-    _write_json(
-        _out(cfg, "eigen.json"),
-        {"command": "eigen", "lambda1": pair["lambda1"], "provenance": prov},
-    )
-    if args.emit_plots:
-        _write_long_csv(
-            _out(cfg, "eigen_long.csv"),
-            {"kind": "eigen-long", "provenance": prov},
-            "r",
-            op.grid.nodes,
-            {"phi1": phi},
-        )
-    print(f"eigen: lambda1 = {pair['lambda1']:.12g}")
-    return 0
 
 
-def _cmd_bifurcation(cfg, args):
+def _bifurcation(job):
     import numpy as np
 
     from .core import RegimeError, SecondSolutionNotFound
     from .mountainpass import build_form, find_second_solution
-    from .picard import find_kstar, iterate_minimal
     from .stability import sigma1
 
-    params = _problem(cfg)
-    _require_subcritical(params, "the bifurcation diagram is empty for k > 0")
-    op = _operator(cfg, params)
-    prov = _provenance(cfg, params, op)
-    bracket = find_kstar(
-        params, op, bracket_tol=float(cfg["tolerances"]["bracket_tol"])
-    )
+    params, op = job.params, job.op
+    bracket = _bracket(job)
     form = build_form(op)
-    n_samples = int(cfg["scan"]["n_samples"])
+    n_samples, seed = int(job.cfg["scan"]["n_samples"]), int(job.cfg["seed"])
     ks = np.linspace(0.1, 0.95, n_samples) * bracket.k_lo
     weights = op.grid.weights
 
@@ -647,63 +539,138 @@ def _cmd_bifurcation(cfg, args):
     rows = []
     for k in ks:
         pk = params.with_k(float(k))
-        urep = iterate_minimal(
-            pk, op, tol=float(cfg["tolerances"]["picard_tol"]), max_iter=8000
-        )
+        urep = _minimal(job, pk)
         sig = sigma1(urep.profile, pk, op).sigma1
         try:
-            res = find_second_solution(
-                pk, op, form, urep.profile, seed=int(cfg["seed"])
-            )
+            res = find_second_solution(pk, op, form, urep.profile, seed=seed)
             w_norm = branch_norm(res.second_solution)
             energy = res.energy
             beta = res.level_lower_bound
         except (SecondSolutionNotFound, RegimeError):
             w_norm = energy = beta = float("nan")
         rows.append((float(k), branch_norm(urep.profile), sig, w_norm, energy, beta))
-    header = {"kind": "bifurcation", "provenance": prov}
     columns = ["k", "u_norm", "sigma1", "w_norm", "energy", "beta"]
-    _write_csv(_out(cfg, "bifurcation.csv"), header, columns, rows)
-    _write_json(
-        _out(cfg, "bifurcation.json"),
-        {
-            "command": "bifurcation",
-            "k_lo": bracket.k_lo,
-            "k_hi": bracket.k_hi,
-            "columns": columns,
-            "rows": rows,
-            "provenance": prov,
-        },
-    )
-    if args.emit_plots:
-        series = {
-            name: [row[i + 1] for row in rows]
-            for i, name in enumerate(columns[1:])
-        }
-        _write_long_csv(
-            _out(cfg, "bifurcation_long.csv"),
-            {"kind": "bifurcation-long", "provenance": prov},
-            "k",
-            [row[0] for row in rows],
-            series,
-        )
-    print(
+    series = {
+        name: [row[i + 1] for row in rows] for i, name in enumerate(columns[1:])
+    }
+    payload = dict(k_lo=bracket.k_lo, k_hi=bracket.k_hi, columns=columns, rows=rows)
+    line = (
         f"bifurcation: {n_samples} samples over k in "
         f"[{ks[0]:.6g}, {ks[-1]:.6g}], k* bracket "
         f"[{bracket.k_lo:.6g}, {bracket.k_hi:.6g}]"
     )
-    return 0
+    table = _Table("bifurcation.csv", "bifurcation", columns, rows)
+    return _Result([table], payload, [line], ("k", [row[0] for row in rows], series))
 
+
+class _Command(NamedTuple):
+    """A subcommand: its computation and what the driver does around it.
+
+    A supercritical p is rejected up front, with consequence as the reason
+    (no check if None; with point_mass, only when k > 0).  read parses the
+    input before the config is built and returns (config baseline, parsed
+    input).  flags are the command's own (flag, argparse options) pairs.
+    """
+
+    compute: Callable
+    help: str
+    consequence: str | None = None
+    flags: tuple = ()
+    point_mass: bool = False
+    read: Callable | None = None
+
+
+_BRACKET_TOL = ("--bracket-tol", dict(type=float, help="relative bracket width target"))
+_N_SAMPLES = ("--n-samples", dict(type=int, help="scan sample count"))
+_METHODS = ["MountainPassAlgorithm", "DeflatedNewton"]
+_METHOD = (
+    "--method",
+    dict(choices=_METHODS, default=_METHODS[0], help="search strategy"),
+)
 
 _COMMANDS = {
-    "solve": _cmd_solve,
-    "kstar": _cmd_kstar,
-    "stability": _cmd_stability,
-    "mountain-pass": _cmd_mountain_pass,
-    "classify": _cmd_classify,
-    "eigen": _cmd_eigen,
-    "bifurcation": _cmd_bifurcation,
+    "solve": _Command(
+        _solve,
+        "minimal solution via monotone iteration",
+        "no solution with a point mass exists (Dirac data forces k = 0)",
+        point_mass=True,
+    ),
+    "kstar": _Command(
+        _kstar,
+        "bracket the extremal source strength",
+        "the extremal source strength is undefined",
+        (_BRACKET_TOL,),
+    ),
+    "stability": _Command(
+        _stability,
+        "sigma1 scan along the minimal branch",
+        "the solution branch is empty for k > 0",
+        (_BRACKET_TOL, _N_SAMPLES),
+    ),
+    "mountain-pass": _Command(
+        _mountain_pass,
+        "second solution above the minimal one",
+        "no second solution exists",
+        (_METHOD,),
+    ),
+    "classify": _Command(
+        _classify,
+        "diagnose a stored profile CSV",
+        flags=(
+            ("profile", dict(help="profile CSV produced by the solve command")),
+            (
+                "--k-reference",
+                dict(type=float, help="calibrating point mass for the limit ratio"),
+            ),
+        ),
+        read=_read_profile,
+    ),
+    "eigen": _Command(_eigen, "principal eigenpair of the Green operator"),
+    "bifurcation": _Command(
+        _bifurcation,
+        "two-branch table over the existence range",
+        "the bifurcation diagram is empty for k > 0",
+        (_BRACKET_TOL, _N_SAMPLES),
+    ),
 }
+
+
+def _run(name, cfg, args):
+    """Run one subcommand and write its outputs; returns the exit code.
+
+    The command only computes.  Before it, the driver checks the regime,
+    loads the operator and measures the provenance.  Once it has finished,
+    the driver writes each table under a {"kind", "provenance"} header,
+    the report <stem>.json with command and provenance, and with
+    --emit-plots <stem>_long.csv of kind "<first table's kind>-long".
+    """
+    command = _COMMANDS[name]
+    source = None
+    if command.read is not None:
+        base, source = command.read(args)
+        cfg = _build_config(args, base=base)
+    params = _problem(cfg)
+    if command.consequence and (params.k > 0.0 or not command.point_mass):
+        _require_subcritical(params, command.consequence)
+    op = _operator(cfg, params)
+    prov = _provenance(cfg, params, op)
+    result = command.compute(_Job(cfg, args, params, op, source))
+
+    directory = cfg["output"]["directory"]
+    for table in result.tables:
+        header = table.header
+        if table.kind is not None:
+            header = {"kind": table.kind, **(header or {}), "provenance": prov}
+        path = os.path.join(directory, table.name)
+        _write_csv(path, header, table.columns, table.rows)
+    stem = os.path.join(directory, name.replace("-", "_"))
+    _write_json(stem + ".json", {"command": name, **result.payload, "provenance": prov})
+    if args.emit_plots and result.series is not None:
+        header = {"kind": result.tables[0].kind + "-long", "provenance": prov}
+        _write_long_csv(stem + "_long.csv", header, *result.series)
+    for line in result.lines:
+        print(line)
+    return result.code
 
 
 def _add_common(sp):
@@ -742,57 +709,11 @@ def _build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
-
-    sp = sub.add_parser("solve", help="minimal solution via monotone iteration")
-    _add_common(sp)
-
-    sp = sub.add_parser("kstar", help="bracket the extremal source strength")
-    _add_common(sp)
-    sp.add_argument(
-        "--bracket-tol",
-        type=float,
-        dest="bracket_tol",
-        help="relative bracket width target",
-    )
-
-    sp = sub.add_parser("stability", help="sigma1 scan along the minimal branch")
-    _add_common(sp)
-    sp.add_argument("--bracket-tol", type=float, dest="bracket_tol")
-    sp.add_argument(
-        "--n-samples", type=int, dest="n_samples", help="scan sample count"
-    )
-
-    sp = sub.add_parser(
-        "mountain-pass", help="second solution above the minimal one"
-    )
-    _add_common(sp)
-    sp.add_argument(
-        "--method",
-        choices=["MountainPassAlgorithm", "DeflatedNewton"],
-        default="MountainPassAlgorithm",
-        help="search strategy",
-    )
-
-    sp = sub.add_parser("classify", help="diagnose a stored profile CSV")
-    _add_common(sp)
-    sp.add_argument("profile", help="profile CSV produced by the solve command")
-    sp.add_argument(
-        "--k-reference",
-        type=float,
-        dest="k_reference",
-        help="calibrating point mass for the limit ratio",
-    )
-
-    sp = sub.add_parser("eigen", help="principal eigenpair of the Green operator")
-    _add_common(sp)
-
-    sp = sub.add_parser(
-        "bifurcation", help="two-branch table over the existence range"
-    )
-    _add_common(sp)
-    sp.add_argument("--bracket-tol", type=float, dest="bracket_tol")
-    sp.add_argument("--n-samples", type=int, dest="n_samples")
-
+    for name, command in _COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
+        _add_common(sp)
+        for flag, options in command.flags:
+            sp.add_argument(flag, **options)
     return parser
 
 
@@ -815,15 +736,10 @@ def main(argv=None):
         print(f"fracsing: configuration error: {exc}", file=sys.stderr)
         return 1
 
-    from .core import (
-        ConvergenceError,
-        KernelError,
-        ParameterError,
-        RegimeError,
-    )
+    from .core import ConvergenceError, KernelError, ParameterError, RegimeError
 
     try:
-        return _COMMANDS[args.command](cfg, args)
+        return _run(args.command, cfg, args)
     except (RegimeError, ConvergenceError) as exc:
         print(f"fracsing {args.command}: {exc}", file=sys.stderr)
         return 2

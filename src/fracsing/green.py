@@ -33,7 +33,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, linalg
 from scipy.special import betainc
 
 from .core import (
@@ -333,6 +333,22 @@ class GreenOperator:
         """
         sw = np.sqrt(self.grid.weights)
         return (self.matrix / self.grid.weights[None, :]) * np.outer(sw, sw)
+
+    def cholesky(self):
+        """Cholesky factor S = U' U of the symmetrized matrix S.
+
+        S is averaged with its transpose to exact symmetry first.  Returns
+        the (factor, lower) pair of linalg.cho_factor, whose upper triangle
+        is U.  Not cached, which would keep another n x n matrix alive.
+        Raises ConvergenceError if S is not positive definite.
+        """
+        s_mat = self.symmetrized()
+        try:
+            return linalg.cho_factor(0.5 * (s_mat + s_mat.T))
+        except linalg.LinAlgError as exc:
+            raise ConvergenceError(
+                "symmetrized Green matrix is not positive definite"
+            ) from exc
 
 
 def _lagrange_rows(pts, cell_nodes):

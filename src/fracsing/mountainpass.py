@@ -85,9 +85,7 @@ def build_form(op, cond_cap=1e12):
     ConvergenceError
         If S is numerically indefinite or too ill-conditioned.
     """
-    s_mat = op.symmetrized()
-    s_mat = 0.5 * (s_mat + s_mat.T)
-    eigs = np.linalg.eigvalsh(s_mat)
+    eigs = np.linalg.eigvalsh(op.symmetrized())
     if eigs[0] <= 0.0:
         raise ConvergenceError(
             f"symmetrized Green matrix is not positive definite "
@@ -100,8 +98,7 @@ def build_form(op, cond_cap=1e12):
             f"grid grading too aggressive for the energy form"
         )
     sqrt_w = np.sqrt(op.grid.weights)
-    factor = linalg.cho_factor(s_mat)
-    inv_sw = linalg.cho_solve(factor, np.diag(sqrt_w))
+    inv_sw = linalg.cho_solve(op.cholesky(), np.diag(sqrt_w))
     stiffness = sqrt_w[:, None] * inv_sw
     stiffness = 0.5 * (stiffness + stiffness.T)
     return DiscreteHAlphaForm(stiffness=stiffness, mass=op.grid.weights.copy())
@@ -219,8 +216,12 @@ class MountainPassResult:
     """Nontrivial critical point of the shifted energy.
 
     v is the perturbation, energy its E-level, level_lower_bound the
-    certified pass level beta, second_solution the profile u + v; trace
-    rows record (step, energy, gradient A-norm) along the search.
+    certified pass level beta, second_solution the profile u + v.  trace
+    rows record (step, energy, norm) along the search, with steps
+    numbered 0, 1, 2, ...: a path-deformation row carries the energy of
+    the path maximum and the A-norm of its gradient; a Newton row (the
+    polish after the deformation, and every row of the deflated Newton
+    search) carries None and the sup-norm of the fixed-point residual.
     """
 
     v: RadialFunction
@@ -427,9 +428,8 @@ def _run_mountain_pass(
             break
         path = _redistribute(path, form)
     v, polish_trace = _newton_polish(v, u_total, op, params, fp_tol)
-    trace.extend(
-        (len(trace) + i, None, r) for i, r in enumerate(t[1] for t in polish_trace)
-    )
+    start = len(trace)
+    trace.extend((start + i, None, r) for i, r in polish_trace)
     return v, trace
 
 
@@ -448,7 +448,7 @@ def _run_deflated_newton(u_total, op, form, params, u_start, fp_tol, max_steps):
         resid = _gradient_values(v, u_total, op, params)
         rnorm = float(np.max(np.abs(resid)))
         nv2 = float(w @ v**2)
-        trace.append((it, rnorm, np.sqrt(nv2)))
+        trace.append((it, None, rnorm))
         if rnorm <= fp_tol:
             if nv2 <= 1e-16:
                 raise SecondSolutionNotFound(

@@ -62,16 +62,13 @@ class KStarBracket:
     profile_lo: RadialFunction
 
 
-def barrier_certificate(params, op, c2_measured):
+def barrier_certificate(params, c2_measured):
     """Decide whether the closed supersolution barrier applies.
 
     Parameters
     ----------
     params : ProblemParams
         Problem data; must be subcritical.
-    op : GreenOperator
-        Assembled operator (unused beyond validation; kept so callers
-        can certify against the same discretization that measured c2).
     c2_measured : float
         Measured comparison constant sup G_alpha[g^p]/g.
 
@@ -153,7 +150,7 @@ def iterate_minimal(params, op, tol=1e-10, max_iter=2000):
     certified = False
     barrier = None
     if params.subcritical:
-        cert = barrier_certificate(params, op, measured_c2(params, op))
+        cert = barrier_certificate(params, measured_c2(params, op))
         certified = cert["certified"]
         if certified and k > 0.0:
             barrier = (
@@ -318,6 +315,23 @@ def extremal_solution(params_without_k, op, bracket, tol=1e-10, max_iter=8000):
     return report.profile
 
 
+def _power_iteration(op, weights, c, tol, max_iter):
+    """Top eigenpair (mu, x) of x -> G_alpha[c x], self-adjoint in the
+    inner product weighted by weights * c, by power iteration; None if the
+    residual has not fallen to tol * mu within max_iter steps."""
+    wc = weights * c
+    x = np.ones(op.n)
+    x /= np.sqrt(wc @ x**2)
+    for _ in range(max_iter):
+        y = op.apply(c * x)
+        mu = float(wc @ (x * y))
+        resid = float(np.sqrt(wc @ (y - mu * x) ** 2))
+        if resid <= tol * mu:
+            return mu, x
+        x = y / np.sqrt(wc @ y**2)
+    return None
+
+
 def first_eigenpair(op, tol=1e-12, max_iter=100000):
     """Principal Dirichlet eigenpair via power iteration on the Green matrix.
 
@@ -337,20 +351,12 @@ def first_eigenpair(op, tol=1e-12, max_iter=100000):
         eigenfunction with unit weighted L2 norm.
     """
     w = op.grid.weights
-    x = np.ones(op.n)
-    x /= np.sqrt(w @ x**2)
-    mu = 0.0
-    for _ in range(max_iter):
-        y = op.apply(x)
-        mu = float(w @ (x * y))
-        resid = float(np.sqrt(w @ (y - mu * x) ** 2))
-        if resid <= tol * mu:
-            break
-        x = y / np.sqrt(w @ y**2)
-    else:
+    found = _power_iteration(op, w, 1.0, tol, max_iter)
+    if found is None:
         raise ConvergenceError(
             f"power iteration did not reach tolerance {tol} in {max_iter} steps"
         )
+    mu, x = found
     if float(np.min(x)) <= 0.0:
         raise ConvergenceError("principal eigenfunction lost positivity")
     phi = RadialFunction(op.grid, x / np.sqrt(w @ x**2))

@@ -24,7 +24,7 @@ import numpy as np
 from scipy import linalg
 
 from .core import ConvergenceError, ParameterError, RadialFunction
-from .picard import iterate_minimal
+from .picard import _power_iteration, iterate_minimal
 
 
 @dataclass(frozen=True)
@@ -84,23 +84,12 @@ def sigma1(u, params, op, tol=1e-12, max_iter=200000):
             infinite=True,
         )
     w = grid.weights
-    c = _linearized_weight(u, params)
-    wc = w * c
-
-    x = np.ones(op.n)
-    x /= np.sqrt(wc @ x**2)
-    mu = 0.0
-    for _ in range(max_iter):
-        y = op.apply(c * x)
-        mu = float(wc @ (x * y))
-        resid = float(np.sqrt(wc @ (y - mu * x) ** 2))
-        if resid <= tol * mu:
-            break
-        x = y / np.sqrt(wc @ y**2)
-    else:
+    found = _power_iteration(op, w, _linearized_weight(u, params), tol, max_iter)
+    if found is None:
         raise ConvergenceError(
             f"stability power iteration did not reach {tol} in {max_iter} steps"
         )
+    mu, x = found
     if float(np.min(x)) <= 0.0:
         raise ConvergenceError("linearized principal eigenfunction lost positivity")
     eigfun = RadialFunction(grid, x / np.sqrt(w @ x**2))
@@ -147,14 +136,7 @@ def sigma1_rayleigh(u, params, op):
     q = _linearized_weight(u, params)
     if float(np.min(q)) <= 0.0:
         raise ParameterError("linearization weight vanishes at a node")
-    s_mat = op.symmetrized()
-    s_mat = 0.5 * (s_mat + s_mat.T)
-    try:
-        chol = linalg.cholesky(s_mat, lower=True)
-    except linalg.LinAlgError as exc:
-        raise ConvergenceError(
-            "symmetrized Green matrix is not positive definite"
-        ) from exc
+    chol = np.triu(op.cholesky()[0]).T
     smax = linalg.svdvals(np.sqrt(q)[:, None] * chol)[0]
     return 1.0 / float(smax) ** 2
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from fracsing import cli
+from fracsing.core import ConvergenceError
 from fracsing.picard import first_eigenpair
 
 
@@ -46,17 +47,43 @@ def _data(path):
     return np.loadtxt(path, delimiter=",", skiprows=2)
 
 
+def _check_outputs(out, command, tables, long_x=None, others=()):
+    """The run in `out` wrote exactly its files, with kind and provenance
+    in each CSV header and command and provenance in the JSON report.
+
+    tables maps CSV name to header kind, the command's main table first;
+    long_x is the x column of the --emit-plots long CSV (None: no long
+    CSV); others are files whose headers are not the driver's.
+    """
+    stem = command.replace("-", "_")
+    expected = {f"{stem}.json", *tables, *others}
+    if long_x is not None:
+        expected.add(f"{stem}_long.csv")
+        tables = {**tables, f"{stem}_long.csv": next(iter(tables.values())) + "-long"}
+        assert _columns(out / f"{stem}_long.csv") == ["series", long_x, "value"]
+    assert set(os.listdir(out)) == expected
+    report = json.loads((out / f"{stem}.json").read_text())
+    assert report["command"] == command
+    assert report["provenance"]["grid"]["n_nodes"] == 200
+    for name, kind in tables.items():
+        head = _header(out / name)
+        assert head["kind"] == kind
+        assert head["provenance"] == report["provenance"]
+    return report
+
+
 SOLVE_ARGS = ["solve", "--k", "0.05", "--n-nodes", "200"]
 
 
 @pytest.fixture(scope="module")
 def solve_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("solve")
-    assert cli.main(SOLVE_ARGS + ["-o", str(out)]) == 0
+    assert cli.main(SOLVE_ARGS + ["--emit-plots", "-o", str(out)]) == 0
     return out
 
 
 def test_solve_writes_profile_and_report(solve_dir, op200):
+    _check_outputs(solve_dir, "solve", {"solve.csv": "profile"}, long_x="r")
     head = _header(solve_dir / "solve.csv")
     assert head["kind"] == "profile"
     prov = head["provenance"]
@@ -97,10 +124,11 @@ def test_solve_reruns_are_byte_identical(solve_dir):
 
 def test_classify_round_trips_the_profile(solve_dir, tmp_path):
     rc = cli.main(
-        ["classify", str(solve_dir / "solve.csv"), "-o", str(tmp_path)]
+        ["classify", str(solve_dir / "solve.csv"), "--emit-plots", "-o", str(tmp_path)]
     )
     assert rc == 0
-    payload = json.loads((tmp_path / "classify.json").read_text())
+    # No long CSV: classify has no series to plot.
+    payload = _check_outputs(tmp_path, "classify", {}, others=["classify_profile.csv"])
     assert payload["verdict"] == "DiracSingularity"
     assert payload["k_pairing_estimate"] == pytest.approx(0.05, rel=0.02)
     # The echoed profile is byte-identical to its source.
@@ -115,8 +143,9 @@ def test_classify_missing_profile_exits_1(tmp_path):
 
 
 def test_eigen_matches_the_library_route(tmp_path, op200):
-    assert cli.main(["eigen", "--n-nodes", "200", "-o", str(tmp_path)]) == 0
-    payload = json.loads((tmp_path / "eigen.json").read_text())
+    argv = ["eigen", "--n-nodes", "200", "--emit-plots", "-o", str(tmp_path)]
+    assert cli.main(argv) == 0
+    payload = _check_outputs(tmp_path, "eigen", {"eigen.csv": "eigen"}, long_x="r")
     lam_ref = first_eigenpair(op200)["lambda1"]
     assert payload["lambda1"] == pytest.approx(lam_ref, rel=1e-12)
     assert _header(tmp_path / "eigen.csv")["lambda1"] == payload["lambda1"]
@@ -125,8 +154,9 @@ def test_eigen_matches_the_library_route(tmp_path, op200):
 
 
 def test_kstar_brackets_the_extremal_strength(tmp_path):
-    assert cli.main(["kstar", "--n-nodes", "200", "-o", str(tmp_path)]) == 0
-    payload = json.loads((tmp_path / "kstar.json").read_text())
+    argv = ["kstar", "--n-nodes", "200", "--emit-plots", "-o", str(tmp_path)]
+    assert cli.main(argv) == 0
+    payload = _check_outputs(tmp_path, "kstar", {"kstar.csv": "kstar"}, long_x="index")
     assert 0.0 < payload["k_lo"] < payload["k_hi"]
     assert payload["relative_width"] <= 1e-3
     row = _data(tmp_path / "kstar.csv")
@@ -135,10 +165,13 @@ def test_kstar_brackets_the_extremal_strength(tmp_path):
 
 def test_stability_scan_decreases(tmp_path):
     rc = cli.main(
-        ["stability", "--n-nodes", "200", "--n-samples", "4", "-o", str(tmp_path)]
+        ["stability", "--n-nodes", "200", "--n-samples", "4", "--emit-plots"]
+        + ["-o", str(tmp_path)]
     )
     assert rc == 0
-    payload = json.loads((tmp_path / "stability.json").read_text())
+    payload = _check_outputs(
+        tmp_path, "stability", {"stability.csv": "stability"}, long_x="k"
+    )
     assert payload["slope"] > 0.0
     data = _data(tmp_path / "stability.csv")
     assert data.shape == (4, 3)
@@ -147,33 +180,62 @@ def test_stability_scan_decreases(tmp_path):
 
 
 def test_mountain_pass_command(tmp_path):
-    rc = cli.main(
-        ["mountain-pass", "--k", "1.2", "--n-nodes", "200", "-o", str(tmp_path)]
-    )
-    assert rc == 0
-    payload = json.loads((tmp_path / "mountain_pass.json").read_text())
-    assert payload["energy"] >= payload["level_lower_bound"] > 0.0
-    assert payload["method"] == "MountainPassAlgorithm"
-    data = _data(tmp_path / "mountain_pass.csv")
-    assert _columns(tmp_path / "mountain_pass.csv") == [
-        "r",
-        "u_min",
-        "v",
-        "second_solution",
-    ]
-    assert np.all(data[:, 3] > data[:, 1])
-    assert np.allclose(data[:, 3], data[:, 1] + data[:, 2], rtol=1e-10, atol=1e-12)
-    trace = _data(tmp_path / "mountain_pass_trace.csv")
-    assert trace.shape[1] == 3
-    assert trace[-1, 2] <= 1e-10
+    tables = {
+        "mountain_pass.csv": "mountain-pass",
+        "mountain_pass_trace.csv": "mountain-pass-trace",
+    }
+    # The first run leaves --method at its default.
+    for method, flags in (
+        ("MountainPassAlgorithm", []),
+        ("DeflatedNewton", ["--method", "DeflatedNewton"]),
+    ):
+        out = tmp_path / method
+        rc = cli.main(
+            ["mountain-pass", "--k", "1.2", "--n-nodes", "200", "--emit-plots"]
+            + flags
+            + ["-o", str(out)]
+        )
+        assert rc == 0
+        payload = _check_outputs(out, "mountain-pass", tables, long_x="r")
+        assert payload["energy"] >= payload["level_lower_bound"] > 0.0
+        assert payload["method"] == method
+        data = _data(out / "mountain_pass.csv")
+        assert _columns(out / "mountain_pass.csv") == [
+            "r",
+            "u_min",
+            "v",
+            "second_solution",
+        ]
+        assert np.all(data[:, 3] > data[:, 1])
+        assert np.allclose(
+            data[:, 3], data[:, 1] + data[:, 2], rtol=1e-10, atol=1e-12
+        )
+        assert _columns(out / "mountain_pass_trace.csv") == [
+            "step",
+            "energy",
+            "grad_norm",
+        ]
+        trace = _data(out / "mountain_pass_trace.csv")
+        assert trace.shape[1] == 3
+        assert np.array_equal(trace[:, 0], np.arange(len(trace)))
+        assert trace[-1, 2] <= 1e-10
+        # Newton rows carry no energy; the deflated search has only those.
+        assert np.isnan(trace[-1, 1])
+        if method == "DeflatedNewton":
+            assert np.all(np.isnan(trace[:, 1]))
+        else:
+            assert np.isfinite(trace[0, 1])
 
 
 def test_bifurcation_table(tmp_path):
     rc = cli.main(
-        ["bifurcation", "--n-nodes", "200", "--n-samples", "3", "-o", str(tmp_path)]
+        ["bifurcation", "--n-nodes", "200", "--n-samples", "3", "--emit-plots"]
+        + ["-o", str(tmp_path)]
     )
     assert rc == 0
-    payload = json.loads((tmp_path / "bifurcation.json").read_text())
+    payload = _check_outputs(
+        tmp_path, "bifurcation", {"bifurcation.csv": "bifurcation"}, long_x="k"
+    )
     assert len(payload["rows"]) == 3
     data = _data(tmp_path / "bifurcation.csv")
     assert data.shape == (3, 6)
@@ -244,6 +306,19 @@ def test_exit_codes_for_user_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert cli.main(["eigen", "--config", str(bad)]) == 1
+
+
+def test_failed_solve_writes_no_file(tmp_path, monkeypatch):
+    import fracsing.classify
+
+    def fail(*args, **kwargs):
+        raise ConvergenceError("classification failed")
+
+    monkeypatch.setattr(fracsing.classify, "asymptotic_fit", fail)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert cli.main(SOLVE_ARGS + ["--emit-plots", "-o", str(out)]) == 2
+    assert os.listdir(out) == []
 
 
 def test_supercritical_source_exits_2(tmp_path):

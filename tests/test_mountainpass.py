@@ -238,7 +238,7 @@ def test_second_solution_trace_records_the_descent(second_mid):
     assert len(rows) >= 2
     assert all(len(row) == 3 for row in rows)
     steps = [row[0] for row in rows]
-    assert steps == sorted(steps)
+    assert steps == list(range(len(rows)))
     # Polish tail rows carry no energy but a shrinking residual.
     tail = [row for row in rows if row[1] is None]
     assert tail
@@ -269,6 +269,11 @@ def test_methods_agree_on_the_critical_point(
     diff = float(np.max(np.abs(other.v.values - second_mid.v.values)))
     assert diff <= 1e-6 * scale
     assert other.energy == pytest.approx(second_mid.energy, abs=1e-8)
+    # Deflated Newton rows are (step, None, sup-norm residual).
+    rows = other.trace
+    assert [row[0] for row in rows] == list(range(len(rows)))
+    assert all(len(row) == 3 and row[1] is None for row in rows)
+    assert rows[-1][2] <= 1e-10 < rows[0][2]
 
 
 def test_search_requires_a_source_and_a_known_method(

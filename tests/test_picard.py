@@ -96,13 +96,13 @@ def test_divergence_beyond_bracket(params0, op400, bracket400):
 def test_barrier_certificate_threshold(params0, op400):
     c2 = measured_c2(params0, op400)
     k_edge = 0.25 / c2  # p = 2: certified iff c2 * k <= 1/4
-    ok = barrier_certificate(params0.with_k(0.9 * k_edge), op400, c2)
+    ok = barrier_certificate(params0.with_k(0.9 * k_edge), c2)
     assert ok["certified"] and ok["t_star"] == pytest.approx(4.0)
-    bad = barrier_certificate(params0.with_k(1.1 * k_edge), op400, c2)
+    bad = barrier_certificate(params0.with_k(1.1 * k_edge), c2)
     assert not bad["certified"]
     with pytest.raises(RegimeError):
         barrier_certificate(
-            ProblemParams(dim=2, alpha=0.6, p=6.0, k=0.01), op400, c2
+            ProblemParams(dim=2, alpha=0.6, p=6.0, k=0.01), c2
         )
 
 
