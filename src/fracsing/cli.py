@@ -191,18 +191,14 @@ def _operator(cfg, params):
     return op
 
 
-def _provenance(cfg, params, op):
+def _provenance(cfg, params, op, lambda1):
     from .core import RegimeError
     from .green import measured_c2
-    from .picard import first_eigenpair
 
     try:
         c2 = float(measured_c2(params, op))
     except RegimeError:
         c2 = None
-    lam = float(
-        first_eigenpair(op, tol=float(cfg["tolerances"]["eig_tol"]))["lambda1"]
-    )
     return {
         "config": cfg,
         "config_hash": _config_hash(cfg),
@@ -213,7 +209,7 @@ def _provenance(cfg, params, op):
         },
         "versions": _versions(),
         "c2_measured": c2,
-        "lambda1": lam,
+        "lambda1": float(lambda1),
     }
 
 
@@ -268,25 +264,46 @@ def _profile_columns(profile):
 
 
 def _read_profile(args):
-    """Parse the profile CSV; returns its config baseline and (header, data)."""
+    """Parse the profile CSV; returns its config baseline and (header, data).
+
+    Raises ParameterError when the file is not a profile CSV.
+    """
     import numpy as np
+
+    from .core import ParameterError
 
     path = args.profile
     with open(path) as fh:
         lines = fh.read().splitlines()
     if len(lines) < 2 or not lines[0].startswith("# "):
-        raise ValueError(f"{path}: not a profile CSV (missing JSON header line)")
-    header = json.loads(lines[0][2:])
+        raise ParameterError(f"{path}: not a profile CSV (missing JSON header line)")
+    try:
+        header = json.loads(lines[0][2:])
+    except json.JSONDecodeError as exc:
+        raise ParameterError(f"{path}: header line is not JSON ({exc})") from exc
+    if not isinstance(header, dict):
+        raise ParameterError(f"{path}: header line is not a JSON object")
     columns = lines[1].split(",")
     if columns != list(_PROFILE_COLUMNS):
-        raise ValueError(
+        raise ParameterError(
             f"{path}: expected columns {','.join(_PROFILE_COLUMNS)}, "
             f"got {lines[1]!r}"
         )
-    body = [line.split(",") for line in lines[2:] if line]
+    rows = []
+    for lineno, line in enumerate(lines[2:], start=3):
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != len(columns):
+            raise ParameterError(
+                f"{path}, line {lineno}: {len(cells)} cells, expected {len(columns)}"
+            )
+        try:
+            rows.append([float(cell) for cell in cells])
+        except ValueError as exc:
+            raise ParameterError(f"{path}, line {lineno}: {exc}") from exc
     data = {
-        col: np.array([float(row[i]) for row in body])
-        for i, col in enumerate(columns)
+        col: np.array([row[i] for row in rows]) for i, col in enumerate(columns)
     }
     # Profiles produced by this tool embed how they were built; adopt the
     # embedded parameters and grid as the config baseline so the natural
@@ -337,12 +354,14 @@ def _classification_payload(profile, params, op, k_reference=None):
 
 
 class _Job(NamedTuple):
-    """Inputs of a command; source is what its read hook parsed, if any."""
+    """Inputs of a command.  eigenpair is first_eigenpair of op at eig_tol,
+    which the provenance records; source is what the read hook parsed."""
 
     cfg: dict
     args: argparse.Namespace
     params: object
     op: object
+    eigenpair: dict
     source: object = None
 
 
@@ -504,9 +523,7 @@ def _classify(job):
 
 
 def _eigen(job):
-    from .picard import first_eigenpair
-
-    pair = first_eigenpair(job.op, tol=float(job.cfg["tolerances"]["eig_tol"]))
+    pair = job.eigenpair
     lam, r, phi = pair["lambda1"], job.op.grid.nodes, pair["phi1"].values
     rows = list(zip(r, phi))
     return _Result(
@@ -639,11 +656,14 @@ def _run(name, cfg, args):
     """Run one subcommand and write its outputs; returns the exit code.
 
     The command only computes.  Before it, the driver checks the regime,
-    loads the operator and measures the provenance.  Once it has finished,
+    loads the operator and measures the provenance, including the first
+    eigenpair, which the command receives.  Once it has finished,
     the driver writes each table under a {"kind", "provenance"} header,
     the report <stem>.json with command and provenance, and with
     --emit-plots <stem>_long.csv of kind "<first table's kind>-long".
     """
+    from .picard import first_eigenpair
+
     command = _COMMANDS[name]
     source = None
     if command.read is not None:
@@ -653,8 +673,9 @@ def _run(name, cfg, args):
     if command.consequence and (params.k > 0.0 or not command.point_mass):
         _require_subcritical(params, command.consequence)
     op = _operator(cfg, params)
-    prov = _provenance(cfg, params, op)
-    result = command.compute(_Job(cfg, args, params, op, source))
+    eigenpair = first_eigenpair(op, tol=float(cfg["tolerances"]["eig_tol"]))
+    prov = _provenance(cfg, params, op, eigenpair["lambda1"])
+    result = command.compute(_Job(cfg, args, params, op, eigenpair, source))
 
     directory = cfg["output"]["directory"]
     for table in result.tables:

@@ -11,9 +11,14 @@ which in regularized incomplete-beta form becomes
     z = A / (A + |x-y|^2),   A = (1-|x|^2)(1-|y|^2),
 
 because kappa * B(alpha, N/2-alpha) equals the fundamental-solution
-constant c_fund.  This module evaluates the kernel pointwise, reduces it
-over spheres to a radial kernel, and assembles a dense Nystrom matrix for
-the solution operator
+constant c_fund.  Both shape parameters are fixed for a given (N, alpha),
+so I_z is evaluated from two polynomial tables built once per assembly
+(or per point_kernel / radial_kernel call) from the hypergeometric form
+of the incomplete beta (DLMF 8.17(v)): I_z = z^a P(z) for z <= 1/2, and
+I_z = -expm1(b ln w + L(w)) with w = 1 - z above, where P and L are
+smooth on [0, 1/2] and a = alpha, b = N/2 - alpha.  This module evaluates
+the kernel pointwise, reduces it over spheres to a radial kernel, and
+assembles a dense Nystrom matrix for the solution operator
 
     G_alpha[f](r) = int_0^1 K(r,s) f(s) s^(N-1) ds,
 
@@ -31,10 +36,11 @@ import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import integrate, linalg
-from scipy.special import betainc
+from scipy.special import beta, betainc
 
 from .core import (
     ConvergenceError,
@@ -47,7 +53,10 @@ from .core import (
     surface_area,
 )
 
-FORMAT_VERSION = 1
+# Version 2: kernel values come from the incomplete-beta tables below
+# instead of per-point scipy betainc, which moves matrix entries at the
+# 1e-15 level, so version-1 caches are rebuilt.
+FORMAT_VERSION = 2
 
 # Angular quadrature controls: the near-field integral is computed in a
 # sinh-transformed variable where the integrand has O(1) scale, on
@@ -87,14 +96,151 @@ def _sub_rule():
 
 _SUB_T, _SUB_TW = _sub_rule()
 
+# Incomplete-beta tables: I_z(a, b) = z^a P(z) up to _BETA_SPLIT and
+# 1 - w^b exp(L(w)), w = 1 - z, above it.  P and L are analytic except at
+# z = 1 and w = 1, so a degree-d interpolant on [0, 1/2] converges like
+# rho^-d with rho = 3 + sqrt(8), the Bernstein ellipse through that
+# singularity.  The split stays at 1/2: it gives both pieces that rate
+# on the same interval, and 1 - z is exact there (Sterbenz), so the
+# upper piece sees the argument as rounded.  Degree 18 is the lowest that
+# holds 1e-14 relative error for N = 2..12 and alpha in [0.01, 0.999]
+# (16 gives 1.2e-14 at N = 2, alpha = 0.99); 22 buys a factor rho^4 of
+# margin on the truncation term, and the error sits at its 2e-15
+# rounding floor.
+_BETA_SPLIT = 0.5
+_BETA_DEGREE = 22
+# Chebyshev points of the first kind in x = 4t - 1, t the piece's variable.
+_BETA_X = np.cos(math.pi * (np.arange(_BETA_DEGREE + 1) + 0.5) / (_BETA_DEGREE + 1))
+_BETA_VANDER = np.vander(_BETA_X, increasing=True)
+# The evaluator works through its input in chunks of this many values:
+# its temporaries (three arrays per piece, 768 kB) then fit beside the
+# kernel's own per-block arrays, and with one worker the allocation peak
+# of `assemble` equals that of per-value betainc on the benchmark cases.
+# Chunks of 16384 cost about 15% more time at n=1600 with two workers, as
+# the many small NumPy calls contend for the GIL.
+_BETA_CHUNK = 32768
 
-def _green_from_geometry(rho2, a2, dim, alpha, c_fund):
+
+def _hyp2f1_minus_one(p, q, r, t):
+    """2F1(p, q; r; t) - 1 for p, q, r > 0 and 0 <= t <= 1/2, elementwise.
+
+    Every term of the power series is positive, so the sum has no
+    cancellation; terms are added until the last is below 2^-60 of the sum.
+    """
+    n_terms = 64
+    while True:
+        k = np.arange(n_terms, dtype=float)
+        ratio = (p + k) * (q + k) / ((r + k) * (k + 1.0))
+        terms = np.cumprod(t[:, None] * ratio[None, :], axis=1)
+        total = terms.sum(axis=1)
+        if np.all(terms[:, -1] <= 2.0**-60 * total):
+            return total
+        n_terms *= 2
+
+
+def _horner(coef, x):
+    """Polynomial sum_k coef[k] x^k, elementwise, in place on one buffer."""
+    acc = coef[-1] * x
+    acc += coef[-2]
+    for c in coef[-3::-1]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _incomplete_beta(a, b):
+    """Elementwise evaluator z -> I_z(a, b) for fixed 0 < a < 1 and b > 0.
+
+    Lower piece, z <= 1/2: I_z = z^a P(z) with
+    P(z) = (1-z)^b 2F1(a+b, 1; a+1; z) / (a B(a,b)).  Upper piece: with
+    w = 1 - z, 1 - I_z = I_w(b, a) = exp(s), s = b ln w + L(w) and
+    L(w) = ln 2F1(b, 1-a; b+1; w) - ln(b B(a,b)), so I_z = -expm1(s).
+    Both terms of s are negative, so s keeps its relative accuracy, and so
+    does I_z where it is small (N = 2 with alpha near 1), where
+    1 - I_w(b, a) would cancel.  ln(b B) is taken from the lower piece's
+    value at z = 1/2, which keeps it accurate to the size of s.  P and L
+    are tabulated as interpolating polynomials in x = 4t - 1 at Chebyshev
+    points, sampled from positive-term series.
+    """
+    nodes = np.append((_BETA_X + 1.0) * (0.5 * _BETA_SPLIT), _BETA_SPLIT)
+    p_vals = (1.0 + _hyp2f1_minus_one(a + b, 1.0, a + 1.0, nodes)) / (a * beta(a, b))
+    p_vals *= np.exp(b * np.log1p(-nodes))
+    l_vals = np.log1p(_hyp2f1_minus_one(b, 1.0 - a, b + 1.0, nodes))
+    # I_{1/2}(b, a) = 1 - I_{1/2}(a, b) fixes ln(b B(a, b)).
+    ln_bb = l_vals[-1] + b * math.log(_BETA_SPLIT) - math.log1p(
+        -p_vals[-1] * _BETA_SPLIT**a
+    )
+    coef = np.linalg.solve(
+        _BETA_VANDER, np.column_stack([p_vals[:-1], l_vals[:-1] - ln_bb])
+    )
+    p_coef, l_coef = coef[:, 0].tolist(), coef[:, 1].tolist()
+    scale = 2.0 / _BETA_SPLIT
+
+    def lower(t):
+        """z^a P(z) on a gathered copy t of z, overwritten."""
+        x = t * scale
+        x -= 1.0
+        poly = _horner(p_coef, x)
+        t **= a
+        t *= poly
+        return t
+
+    def upper(w):
+        """-expm1(b ln w + L(w)) on a fresh array w = 1 - z, overwritten."""
+        x = w * scale
+        x -= 1.0
+        poly = _horner(l_coef, x)
+        with np.errstate(divide="ignore"):  # w = 0 gives s = -inf, I = 1
+            np.log(w, out=w)
+        w *= b
+        w += poly
+        np.expm1(w, out=w)
+        return np.negative(w, out=w)
+
+    def evaluate(z):
+        z = np.asarray(z, dtype=float)
+        out = np.empty(z.shape)
+        flat_z, flat_out = z.reshape(-1), out.reshape(-1)
+        for start in range(0, flat_z.size, _BETA_CHUNK):
+            chunk = slice(start, start + _BETA_CHUNK)
+            zc, oc = flat_z[chunk], flat_out[chunk]
+            low = zc <= _BETA_SPLIT
+            oc[low] = lower(zc[low])
+            high = ~low
+            oc[high] = upper(1.0 - zc[high])
+        return out
+
+    return evaluate
+
+
+class _Kernel(NamedTuple):
+    """Green kernel data of one (N, alpha): c_fund and z -> I_z(alpha, N/2-alpha)."""
+
+    dim: int
+    alpha: float
+    c_fund: float
+    ibeta: Callable
+
+
+def _kernel(dim, alpha):
+    """Build the kernel data, incomplete-beta tables included, for (N, alpha)."""
+    return _Kernel(
+        dim,
+        alpha,
+        fundamental_constant(dim, alpha),
+        _incomplete_beta(alpha, dim / 2.0 - alpha),
+    )
+
+
+def _green_from_geometry(rho2, a2, kernel):
     """Kernel value from squared distance rho2 and boundary product a2.
 
     a2 = (1-|x|^2)(1-|y|^2); vectorized over arrays.
     """
     z = a2 / (a2 + rho2)
-    return c_fund * rho2 ** (alpha - dim / 2.0) * betainc(alpha, dim / 2.0 - alpha, z)
+    return (
+        kernel.c_fund * rho2 ** (kernel.alpha - kernel.dim / 2.0) * kernel.ibeta(z)
+    )
 
 
 def point_kernel(x, y, params):
@@ -126,9 +272,8 @@ def point_kernel(x, y, params):
     rho2 = float(diff @ diff)
     if rho2 == 0.0:
         raise ParameterError("kernel is singular at coincident points")
-    c_fund = fundamental_constant(params.dim, params.alpha)
     a2 = (1.0 - nx2) * (1.0 - ny2)
-    return float(_green_from_geometry(rho2, a2, params.dim, params.alpha, c_fund))
+    return float(_green_from_geometry(rho2, a2, _kernel(params.dim, params.alpha)))
 
 
 def _near_panel_rule(n_panels):
@@ -139,7 +284,7 @@ def _near_panel_rule(n_panels):
     return u.ravel(), w.ravel()
 
 
-def _sphere_integral(r, s, dim, alpha, c_fund):
+def _sphere_integral(r, s, kernel):
     """Integral of G(r e1, s omega) over the unit sphere in omega.
 
     Vectorized over flat arrays with r != s elementwise.  Splits the polar
@@ -148,6 +293,7 @@ def _sphere_integral(r, s, dim, alpha, c_fund):
     near-singular peak over an O(1) range of v; on [pi/2, pi] the
     integrand is smooth and a single Gauss rule suffices.
     """
+    dim = kernel.dim
     r = np.asarray(r, dtype=float)
     s = np.asarray(s, dtype=float)
     d = np.abs(r - s)
@@ -172,7 +318,7 @@ def _sphere_integral(r, s, dim, alpha, c_fund):
         rho2 = ch * ch
         xhalf = m / (2.0 * sqrt_rs[idx, None])
         theta = 2.0 * np.arcsin(xhalf)
-        g = _green_from_geometry(rho2, a2[idx, None], dim, alpha, c_fund)
+        g = _green_from_geometry(rho2, a2[idx, None], kernel)
         jac = ch / (sqrt_rs[idx, None] * np.sqrt(1.0 - xhalf * xhalf))
         vals = g * jac
         if dim > 2:
@@ -183,7 +329,7 @@ def _sphere_integral(r, s, dim, alpha, c_fund):
     w_far = 0.25 * math.pi * _FAR_W
     sin_half = np.sin(0.5 * theta_far)
     rho2_far = d[:, None] ** 2 + 4.0 * rs[:, None] * sin_half[None, :] ** 2
-    g_far = _green_from_geometry(rho2_far, a2[:, None], dim, alpha, c_fund)
+    g_far = _green_from_geometry(rho2_far, a2[:, None], kernel)
     if dim > 2:
         g_far = g_far * np.sin(theta_far)[None, :] ** (dim - 2)
     out += g_far @ w_far
@@ -191,19 +337,20 @@ def _sphere_integral(r, s, dim, alpha, c_fund):
     return surface_area(dim - 1) * out
 
 
-def _diagonal_sphere_integral(r, dim, alpha, c_fund):
+def _diagonal_sphere_integral(r, kernel):
     """Sphere integral at coincident radii, finite only for alpha > 1/2.
 
     Scalar adaptive quadrature in the chord variable m, whose integrand
     carries the integrable m^(2*alpha-2) endpoint singularity.
     """
+    dim = kernel.dim
     a2 = (1.0 - r * r) ** 2
     m_top = r * math.sqrt(2.0)
 
     def near(m):
         xhalf = m / (2.0 * r)
         theta = 2.0 * math.asin(xhalf)
-        g = _green_from_geometry(m * m, a2, dim, alpha, c_fund)
+        g = _green_from_geometry(m * m, a2, kernel)
         jac = 1.0 / (r * math.sqrt(1.0 - xhalf * xhalf))
         if dim > 2:
             jac *= math.sin(theta) ** (dim - 2)
@@ -211,7 +358,7 @@ def _diagonal_sphere_integral(r, dim, alpha, c_fund):
 
     def far(theta):
         rho2 = 4.0 * r * r * math.sin(0.5 * theta) ** 2
-        g = _green_from_geometry(rho2, a2, dim, alpha, c_fund)
+        g = _green_from_geometry(rho2, a2, kernel)
         if dim > 2:
             g *= math.sin(theta) ** (dim - 2)
         return g
@@ -238,24 +385,21 @@ def radial_kernel(r, s, params):
         s_arr >= 1.0
     ):
         raise ParameterError("radii must lie strictly inside (0,1)")
-    dim, alpha = params.dim, params.alpha
-    c_fund = fundamental_constant(dim, alpha)
+    kernel = _kernel(params.dim, params.alpha)
 
     same = r_arr == s_arr
     out = np.empty(r_arr.shape)
     if np.any(same):
-        if alpha <= 0.5:
+        if params.alpha <= 0.5:
             raise KernelError(
                 "sphere-reduced kernel diverges on the diagonal for alpha <= 1/2"
             )
         out[same] = [
-            _diagonal_sphere_integral(float(rv), dim, alpha, c_fund)
+            _diagonal_sphere_integral(float(rv), kernel)
             for rv in r_arr[same]
         ]
     if np.any(~same):
-        out[~same] = _sphere_integral(
-            r_arr[~same], s_arr[~same], dim, alpha, c_fund
-        )
+        out[~same] = _sphere_integral(r_arr[~same], s_arr[~same], kernel)
     return float(out[0]) if np.isscalar(r) or np.asarray(r).ndim == 0 else out
 
 
@@ -490,7 +634,8 @@ def assemble(grid, params):
         raise ParameterError(
             f"grid dimension {grid.dim} does not match params.dim {dim}"
         )
-    c_fund = fundamental_constant(dim, alpha)
+    # The tables are built here, before any block is submitted.
+    kernel = _kernel(dim, alpha)
     surf = surface_area(dim)
     nodes = grid.nodes
     w = grid.weights
@@ -506,7 +651,7 @@ def assemble(grid, params):
         k = np.arange(start, stop)
         i = np.searchsorted(row_start, k, side="right") - 1
         j = k - row_start[i] + i + 1
-        vals = _sphere_integral(nodes[i], nodes[j], dim, alpha, c_fund)
+        vals = _sphere_integral(nodes[i], nodes[j], kernel)
         bad = np.flatnonzero(~np.isfinite(vals))
         if bad.size:
             return int(i[bad[0]]), int(j[bad[0]])
@@ -525,12 +670,7 @@ def assemble(grid, params):
     boundary_gamma = max(2.0, 3.0 / (1.0 + alpha))
 
     def correction_block(start, stop):
-        vals = (
-            _sphere_integral(
-                flat_r[start:stop], flat_pts[start:stop], dim, alpha, c_fund
-            )
-            / surf
-        )
+        vals = _sphere_integral(flat_r[start:stop], flat_pts[start:stop], kernel) / surf
         bad = np.flatnonzero(~np.isfinite(vals))
         if bad.size:
             return start + int(bad[0])
@@ -563,6 +703,7 @@ def assemble(grid, params):
         lens = np.array([p.size for p in pts_list])
         offsets = np.concatenate([[0], np.cumsum(lens)])
         flat_pts = np.concatenate(pts_list)
+        del pts_list  # 3 MB of per-cell pieces at n=1600, unused from here
         flat_r = np.repeat(nodes[rows], lens)
         flat_vals = np.empty(flat_pts.size)
         correction_jobs = _submit_blocks(pool, flat_pts.size, correction_block)

@@ -12,7 +12,8 @@ import os
 import numpy as np
 import pytest
 
-from fracsing import cli
+import fracsing.picard
+from fracsing import cli, green
 from fracsing.core import ConvergenceError
 from fracsing.picard import first_eigenpair
 
@@ -140,6 +141,45 @@ def test_classify_round_trips_the_profile(solve_dir, tmp_path):
 def test_classify_missing_profile_exits_1(tmp_path):
     rc = cli.main(["classify", str(tmp_path / "absent.csv"), "-o", str(tmp_path)])
     assert rc == 1
+
+
+_HEADER = '# {"kind": "profile"}'
+_COLUMNS = "r,u_total,u_smooth,u_singular"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "r,u\n1,2\n",
+        "# {not json\n" + _COLUMNS + "\n0.1,1,1,0\n",
+        "# [1, 2]\n" + _COLUMNS + "\n0.1,1,1,0\n",
+        _HEADER + "\nr,u\n1,2\n",
+        _HEADER + "\n" + _COLUMNS + "\n0.1,1,1,0\n0.2,1,1\n",
+        _HEADER + "\n" + _COLUMNS + "\n0.1,1,one,0\n",
+    ],
+    ids=["no-header", "bad-json", "not-object", "columns", "short-row", "non-numeric"],
+)
+def test_classify_rejects_a_malformed_profile(tmp_path, capsys, text):
+    profile = tmp_path / "bad.csv"
+    profile.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["classify", str(profile), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and str(profile) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_eigen_runs_one_power_iteration(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return first_eigenpair(*args, **kwargs)
+
+    monkeypatch.setattr(fracsing.picard, "first_eigenpair", counted)
+    assert cli.main(["eigen", "--n-nodes", "200", "-o", str(tmp_path)]) == 0
+    assert len(calls) == 1
 
 
 def test_eigen_matches_the_library_route(tmp_path, op200):
@@ -288,6 +328,19 @@ def test_corrupt_cache_is_rebuilt(shared_cache, tmp_path, op200):
     )
     # The poisoned entry was silently regenerated.
     assert victim.stat().st_size > 1000
+
+
+def test_cache_of_an_older_format_is_rebuilt(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("FRACSING_CACHE", str(cache))
+    assert cli.main(SOLVE_ARGS + ["-o", str(tmp_path / "first")]) == 0
+    (entry,) = cache.iterdir()
+    line, _, payload = entry.read_bytes().partition(b"\n")
+    header = dict(json.loads(line), format_version=1)
+    entry.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+    assert cli.main(SOLVE_ARGS + ["-o", str(tmp_path / "second")]) == 0
+    line = entry.read_bytes().partition(b"\n")[0]
+    assert json.loads(line)["format_version"] == green.FORMAT_VERSION == 2
 
 
 def test_cold_solve_leaves_one_cache_file(tmp_path, monkeypatch):

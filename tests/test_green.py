@@ -16,6 +16,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import betainc
 
 import fracsing.green as green_module
 from fracsing.core import KernelError, ParameterError, ProblemParams, make_grid
@@ -273,6 +274,94 @@ def test_assembly_peak_memory_is_bounded(monkeypatch, params0, op400):
         tracemalloc.stop()
     # About 70 MB when every pair was evaluated in one flat batch.
     assert peak <= 40 * 2**20
+
+
+def _beta_sweep():
+    """z values: log-spaced to 1e-300, uniform, around the 1/2 split, to 1 - 1e-16."""
+    split = green_module._BETA_SPLIT
+    near = split + np.concatenate([np.linspace(-1e-3, 1e-3, 41), [-1e-16, 1e-16]])
+    return np.concatenate(
+        [
+            np.logspace(-300, -1, 120),
+            np.linspace(0.0, 1.0, 401)[1:-1],
+            near,
+            [np.nextafter(split, 0.0), np.nextafter(split, 1.0)],
+            1.0 - np.logspace(-16, -1, 60),
+            [1.0 - 1.1e-16],
+        ]
+    )
+
+
+def _mp_betainc(a, b, z):
+    return float(mpmath.betainc(a, b, 0, mpmath.mpf(z), regularized=True))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_incomplete_beta_tables_match_betainc(dim):
+    z = _beta_sweep()
+    for alpha in [0.01, *np.round(np.arange(0.05, 0.951, 0.05), 2), 0.99]:
+        a, b = float(alpha), dim / 2.0 - float(alpha)
+        got = green_module._incomplete_beta(a, b)(z)
+        want = betainc(a, b, z)
+        rel = np.abs(got - want) / want
+        # Where betainc and the tables disagree, 40-digit mpmath decides;
+        # betainc itself is off by up to 3e-9 near z = 1.
+        for k in np.flatnonzero(rel > 1e-14):
+            exact = _mp_betainc(a, b, z[k])
+            assert abs(got[k] - exact) <= 1e-14 * exact, (dim, alpha, z[k])
+
+
+def test_incomplete_beta_tables_near_one_where_betainc_is_off():
+    # I_z(1/2, 1/2) = (2/pi) arcsin(sqrt z); betainc is off by 2.8e-9 here.
+    z = 1.0 - 1.1e-16
+    exact = _mp_betainc(0.5, 0.5, z)
+    assert exact == pytest.approx(float(2 / mpmath.pi * mpmath.asin(mpmath.sqrt(z))))
+    got = float(green_module._incomplete_beta(0.5, 0.5)(z))
+    assert abs(got - exact) <= 1e-16
+
+
+def test_incomplete_beta_is_independent_of_the_chunking(monkeypatch):
+    z = _beta_sweep()
+    evaluate = green_module._incomplete_beta(0.3, 0.7)
+    want = evaluate(z)
+    monkeypatch.setattr(green_module, "_BETA_CHUNK", 7)
+    assert evaluate(z).tobytes() == want.tobytes()
+    n = z.size - z.size % 5
+    assert evaluate(z[:n].reshape(-1, 5)).tobytes() == want[:n].tobytes()
+
+
+def test_incomplete_beta_tables_at_the_ends():
+    evaluate = green_module._incomplete_beta(0.75, 0.25)
+    assert evaluate(np.array([0.0, 1.0])).tolist() == [0.0, 1.0]
+    assert np.isnan(evaluate(np.nan))
+
+
+@pytest.mark.parametrize("dim, alpha", [(2, 0.75), (2, 0.3), (3, 0.4)])
+def test_assembly_matches_the_betainc_route(monkeypatch, dim, alpha):
+    params = ProblemParams(dim=dim, alpha=alpha)
+    grid = default_grid(params, n_nodes=200)
+    got = assemble(grid, params).matrix
+    monkeypatch.setattr(
+        green_module, "_incomplete_beta", lambda a, b: lambda z: betainc(a, b, z)
+    )
+    want = assemble(grid, params).matrix
+    assert np.array_equal(got == 0.0, want == 0.0)
+    nonzero = want != 0.0
+    assert np.max(np.abs(got - want)[nonzero] / np.abs(want[nonzero])) <= 1e-12
+
+
+def test_assembly_evaluates_betainc_only_for_the_source_column(monkeypatch, op200):
+    count = [0]
+
+    def counting(a, b, z):
+        count[0] += np.broadcast(a, b, z).size
+        return betainc(a, b, z)
+
+    monkeypatch.setattr(green_module, "betainc", counting)
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    assemble(op200.grid, ProblemParams(dim=2, alpha=0.75))
+    # dirac_profile's two branches over the nodes; kernel values use tables.
+    assert 0 < count[0] <= 4 * op200.n
 
 
 def _lagrange_loop(pts, nodes4):
