@@ -43,6 +43,10 @@ _DEFAULT_CONFIG = {
     "output": {"directory": "."},
     "seed": 0,
 }
+# Each default's type is the type its key must take (_check_config).
+# tolerances.picard_max_iter, read by solve alone, stays out of the
+# defaults so that the configuration echoed in every file is unchanged.
+_PICARD_MAX_ITER = 2000
 
 _PROFILE_COLUMNS = ("r", "u_total", "u_smooth", "u_singular")
 
@@ -66,12 +70,11 @@ def _deep_merge(base, update):
 
 def _set_path(cfg, path, value):
     node = cfg
-    for part in path[:-1]:
-        nxt = node.get(part)
-        if not isinstance(nxt, dict):
-            nxt = {}
-            node[part] = nxt
-        node = nxt
+    for i, part in enumerate(path[:-1]):
+        node = node.setdefault(part, {})
+        if not isinstance(node, dict):
+            name = ".".join(path[: i + 1])
+            raise ValueError(f"{name} must be a JSON object, got {node!r}")
     node[path[-1]] = value
 
 
@@ -116,7 +119,46 @@ def _build_config(args, base=None):
         value = getattr(args, flag, None)
         if value is not None:
             _set_path(cfg, path, value)
+    _check_config(cfg)
+    if "picard_max_iter" in cfg["tolerances"]:
+        _check_value(
+            "tolerances.picard_max_iter",
+            cfg["tolerances"]["picard_max_iter"],
+            _PICARD_MAX_ITER,
+        )
     return cfg
+
+
+def _check_config(cfg, defaults=_DEFAULT_CONFIG, prefix=""):
+    """Raise ValueError naming the first key whose value has the wrong type."""
+    for key, default in defaults.items():
+        name = prefix + key
+        if key not in cfg:
+            raise ValueError(f"{name} is missing")
+        value = cfg[key]
+        if not isinstance(default, dict):
+            _check_value(name, value, default)
+        elif isinstance(value, dict):
+            _check_config(value, default, name + ".")
+        else:
+            raise ValueError(f"{name} must be a JSON object, got {value!r}")
+
+
+def _check_value(name, value, default):
+    """Raise ValueError unless value has the type of default.
+
+    An int default takes integers (integral floats included), a float
+    default any real number and a str default a string.
+    """
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(default, str):
+        ok, kind = isinstance(value, str), "a string"
+    elif isinstance(default, int):
+        ok, kind = number and float(value).is_integer(), "an integer"
+    else:
+        ok, kind = number, "a number"
+    if not ok:
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 def _config_hash(cfg):
@@ -406,7 +448,7 @@ def _solve(job):
     from .picard import iterate_minimal
 
     tol = job.cfg["tolerances"]
-    max_iter = int(tol.get("picard_max_iter", 2000))
+    max_iter = int(tol.get("picard_max_iter", _PICARD_MAX_ITER))
     report = iterate_minimal(job.params, job.op, float(tol["picard_tol"]), max_iter)
     profile, converged = report.profile, report.status == "Converged"
     lines = [

@@ -60,6 +60,14 @@ class DiscreteHAlphaForm:
         """A-norm of a nodal vector."""
         return float(np.sqrt(max(a @ self.stiffness @ a, 0.0)))
 
+    def row_quads(self, block):
+        """x' A x for each row x of a (m, n) block, from one matrix product."""
+        return np.einsum("ij,ij->i", block @ self.stiffness, block)
+
+    def row_norms(self, block):
+        """A-norms of the rows of a (m, n) block."""
+        return np.sqrt(np.maximum(self.row_quads(block), 0.0))
+
 
 def build_form(op, cond_cap=1e12):
     """Invert the weighted Green matrix into a discrete energy form.
@@ -205,6 +213,18 @@ def _energy_values(vals, u_total, form, params):
     return quad - bulk
 
 
+def _energy_block(block, u_total, form, params):
+    """E at each row of a (m, n) block of perturbations.
+
+    Agrees with _energy_values to rounding, not bit for bit; single
+    points keep the vector route, whose bytes the line searches and the
+    reported energies rest on.
+    """
+    quad = 0.5 * form.row_quads(block)
+    bulk = increment_primitive(u_total, np.maximum(block, 0.0), params.p) @ form.mass
+    return quad - bulk
+
+
 def _gradient_values(vals, u_total, op, params):
     """A-gradient of E: the fixed-point residual v - G_alpha[f(u, v_+)]."""
     f = power_increment(u_total, np.maximum(vals, 0.0), params.p)
@@ -257,12 +277,10 @@ def _direction_ensemble(op, form, rng, extra=()):
     for _ in range(15):
         dirs.append(rng.standard_normal(op.n))
     dirs.extend(np.asarray(x, dtype=float) for x in extra)
-    out = []
-    for x in dirs:
-        nx = form.norm(x)
-        if nx > 0.0:
-            out.append(x / nx)
-    return out
+    block = np.array(dirs)
+    norms = form.row_norms(block)
+    keep = norms > 0.0
+    return list(block[keep] / norms[keep, None])
 
 
 def _pass_geometry(u_total, form, params, c24, dirs, e_norm):
@@ -302,10 +320,24 @@ def _pass_geometry(u_total, form, params, c24, dirs, e_norm):
     )
 
 
+def _jacobian(v, u_total, op, params):
+    """Jacobian I - G diag(f'(u, v_+)) of the fixed-point residual.
+
+    Built in one buffer: the bytes equal those of np.eye(n) - G * f'
+    (0 - x is +0.0 where x = 0, and 1 + (-x) rounds as 1 - x), without
+    the identity and product temporaries.
+    """
+    vp = np.maximum(v, 0.0)
+    fprime = params.p * (u_total + vp) ** (params.p - 1.0) * (v > 0.0)
+    jac = np.multiply(op.matrix, fprime[None, :])
+    np.subtract(0.0, jac, out=jac)
+    jac.flat[:: v.size + 1] += 1.0
+    return jac
+
+
 def _newton_polish(vals, u_total, op, params, fp_tol, budget=60):
     """Newton iteration on the fixed-point residual from a warm start."""
     v = vals.copy()
-    n = v.size
     trace = []
     for it in range(budget):
         resid = _gradient_values(v, u_total, op, params)
@@ -313,10 +345,7 @@ def _newton_polish(vals, u_total, op, params, fp_tol, budget=60):
         trace.append((it, rnorm))
         if rnorm <= fp_tol:
             return v, trace
-        vp = np.maximum(v, 0.0)
-        fprime = params.p * (u_total + vp) ** (params.p - 1.0) * (v > 0.0)
-        jac = np.eye(n) - op.matrix * fprime[None, :]
-        delta = np.linalg.solve(jac, -resid)
+        delta = np.linalg.solve(_jacobian(v, u_total, op, params), -resid)
         # Backtrack on the residual norm to stay in the basin.
         step = 1.0
         for _ in range(40):
@@ -338,7 +367,7 @@ def _newton_polish(vals, u_total, op, params, fp_tol, budget=60):
 
 
 def _redistribute(path, form):
-    """Resample a polyline to equal A-arc-length spacing.
+    """Resample a polyline, one vertex per row, to equal A-arc-length spacing.
 
     Keeps the discrete path an honest approximation of a continuous
     curve between its fixed endpoints; without this the moving maximum
@@ -346,21 +375,18 @@ def _redistribute(path, form):
     trivial critical point.
     """
     m = len(path) - 1
-    seg = np.empty(m)
-    for i in range(m):
-        seg[i] = form.norm(path[i + 1] - path[i])
+    seg = form.row_norms(np.diff(path, axis=0))
     arcs = np.concatenate(([0.0], np.cumsum(seg)))
     total = arcs[-1]
     if total <= 0.0:
         return path
     targets = np.linspace(0.0, total, m + 1)
-    new_path = [path[0]]
+    new_path = path.copy()
     for j in range(1, m):
         i = int(np.searchsorted(arcs, targets[j], side="right") - 1)
         i = min(i, m - 1)
         frac = 0.0 if seg[i] == 0.0 else (targets[j] - arcs[i]) / seg[i]
-        new_path.append(path[i] + frac * (path[i + 1] - path[i]))
-    new_path.append(path[m])
+        new_path[j] = path[i] + frac * (path[i + 1] - path[i])
     return new_path
 
 
@@ -377,24 +403,21 @@ def _negative_endpoint(u_total, op, form, params):
 
 
 def _run_mountain_pass(
-    u_total, op, form, params, fp_tol, grad_tol, m_segments, max_steps
+    u_total, op, form, params, endpoint, fp_tol, grad_tol, m_segments, max_steps
 ):
-    """Maximize-then-descend path deformation from 0 to a negative-energy
-    endpoint, followed by a Newton polish of the path maximum."""
-    e_dir, t0 = _negative_endpoint(u_total, op, form, params)
-    path = [s * t0 * e_dir for s in np.linspace(0.0, 1.0, m_segments + 1)]
+    """Maximize-then-descend path deformation from 0 to the negative-energy
+    endpoint t0 * e_dir, followed by a Newton polish of the path maximum."""
+    e_dir, t0 = endpoint
+    path = np.outer(np.linspace(0.0, 1.0, m_segments + 1) * t0, e_dir)
     trace = []
     v = path[1]
     best = np.inf
     stall = 0
     for step_idx in range(max_steps):
-        energies = [
-            _energy_values(path[j], u_total, form, params)
-            for j in range(1, m_segments)
-        ]
+        energies = _energy_block(path[1:m_segments], u_total, form, params)
         j = int(np.argmax(energies)) + 1
-        v = path[j]
-        e_here = energies[j - 1]
+        v = path[j].copy()
+        e_here = float(energies[j - 1])
         grad = _gradient_values(v, u_total, op, params)
         gnorm = form.norm(grad)
         trace.append((step_idx, e_here, gnorm))
@@ -442,7 +465,6 @@ def _run_deflated_newton(u_total, op, form, params, u_start, fp_tol, max_steps):
     """
     w = form.mass
     v = u_start.copy()
-    n = v.size
     trace = []
     for it in range(max_steps):
         resid = _gradient_values(v, u_total, op, params)
@@ -455,10 +477,7 @@ def _run_deflated_newton(u_total, op, form, params, u_start, fp_tol, max_steps):
                     "deflated iteration collapsed onto the trivial root", trace
                 )
             return v, trace
-        vp = np.maximum(v, 0.0)
-        fprime = params.p * (u_total + vp) ** (params.p - 1.0) * (v > 0.0)
-        jac = np.eye(n) - op.matrix * fprime[None, :]
-        delta = np.linalg.solve(jac, -resid)
+        delta = np.linalg.solve(_jacobian(v, u_total, op, params), -resid)
         if nv2 > 0.0:
             m_defl = 1.0 + 1.0 / nv2
             grad_m = -2.0 / nv2**2 * (w * v)
@@ -542,19 +561,21 @@ def find_second_solution(
             f"minimal solution is not strictly stable (sigma1 = "
             f"{stab.sigma1:.6g}); k is at or beyond the extremal value"
         )
+    if method not in ("MountainPassAlgorithm", "DeflatedNewton"):
+        raise ParameterError(f"unknown method {method!r}")
     c24 = 1.0 - 1.0 / stab.sigma1
     u_total = u_min.total
+    endpoint = _negative_endpoint(u_total, op, form, params)
 
     if method == "MountainPassAlgorithm":
         vals, trace = _run_mountain_pass(
-            u_total, op, form, params, fp_tol, grad_tol, m_segments, max_steps
+            u_total, op, form, params, endpoint, fp_tol, grad_tol, m_segments,
+            max_steps,
         )
-    elif method == "DeflatedNewton":
+    else:
         vals, trace = _run_deflated_newton(
             u_total, op, form, params, 10.0 * u_total, fp_tol, max_steps
         )
-    else:
-        raise ParameterError(f"unknown method {method!r}")
 
     scale = float(np.max(np.abs(vals)))
     if scale <= 1e-10:
@@ -566,10 +587,9 @@ def find_second_solution(
             f"critical point lost nonnegativity (min {np.min(vals):.3e})", trace
         )
 
-    _, t0 = _negative_endpoint(u_total, op, form, params)
     rng = np.random.default_rng(seed)
     dirs = _direction_ensemble(op, form, rng, extra=(vals,))
-    sigma0, beta = _pass_geometry(u_total, form, params, c24, dirs, t0)
+    sigma0, beta = _pass_geometry(u_total, form, params, c24, dirs, endpoint[1])
     e_val = _energy_values(vals, u_total, form, params)
     if e_val < beta * (1.0 - 1e-9):
         raise SecondSolutionNotFound(

@@ -9,8 +9,8 @@ sigma1 >= 1 semi-stable.  Equivalently 1/sigma1 is the spectral radius of
 the compact positive operator T xi = p G_alpha[u^(p-1) xi], which is
 self-adjoint in the inner product weighted by w * p u^(p-1).  Two
 routes are provided: power iteration on the compact operator (sigma1)
-and a direct singular-value computation of the Rayleigh quotient in
-energy coordinates (sigma1_rayleigh); they agree to well below 1e-6
+and a Lanczos computation of the Rayleigh quotient in factored energy
+coordinates (sigma1_rayleigh); they agree to well below 1e-6
 and cross-check each other.  A scan over source strengths k tracks the
 decay of the stability gap 1 - 1/sigma1 toward the extremal value.
 """
@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .core import ConvergenceError, ParameterError, RadialFunction
 from .picard import _power_iteration, iterate_minimal
@@ -102,21 +102,28 @@ def sigma1_rayleigh(u, params, op):
 
     Minimizes ||xi||_alpha^2 / (p int u^(p-1) xi^2) in energy
     coordinates.  The discrete energy form is the inverse of the
-    weighted-symmetrized Green matrix S, so substituting
-    xi = D^(-1/2) L y with L the Cholesky factor of S and D the
-    quadrature weights turns the energy norm into the Euclidean norm of
-    y exactly, and the whole quotient collapses to an ordinary largest
-    singular value:
+    weighted-symmetrized Green matrix S = U' U, so substituting
+    xi = D^(-1/2) U' y with D the quadrature weights turns the energy
+    norm into the Euclidean norm of y exactly, and the whole quotient
+    collapses to the largest eigenvalue of a Gram operator:
 
-        sigma1 = 1 / s_max(diag(sqrt(q)) L)^2,   q = p u^(p-1).
+        sigma1 = 1 / lambda_max(U diag(q) U'),   q = p u^(p-1).
 
-    This keeps the computation backward stable: nothing ill-conditioned
-    is inverted or handed to a generalized eigensolver as the metric
-    side.  Routes through an explicitly assembled stiffness matrix (or
-    through normal-equation pencils that square the Green matrix) carry
-    noise amplified by its condition number and cannot reliably agree
-    with the power-iteration route beyond ~1e-6; the factored quotient
-    agrees to machine precision.
+    lambda_max is found by Lanczos (ARPACK through eigsh, started from
+    the constant vector and run to machine precision) on the operator
+    y -> U (q * (U' y)): two triangular-matrix products per step in
+    place of a full singular-value decomposition.  The Gram operator is
+    built from the Cholesky factor and q, applied through the factor and
+    never assembled, and it is not the squared Green matrix.  Squaring the factor costs nothing in accuracy because
+    only the largest eigenvalue is wanted, which is as well conditioned
+    as the largest singular value; nothing ill-conditioned is inverted
+    or handed to a generalized eigensolver as the metric side.  Routes
+    through an explicitly assembled stiffness matrix, or through pencils
+    that square the Green matrix, carry noise amplified by its condition
+    number and cannot reliably agree with the power-iteration route
+    beyond ~1e-6; the factored quotient agrees to machine precision,
+    and it shares no iteration with that route, which applies the Green
+    matrix itself, so the two remain independent cross-checks.
 
     Parameters
     ----------
@@ -136,9 +143,14 @@ def sigma1_rayleigh(u, params, op):
     q = _linearized_weight(u, params)
     if float(np.min(q)) <= 0.0:
         raise ParameterError("linearization weight vanishes at a node")
-    chol = np.triu(op.cholesky()[0]).T
-    smax = linalg.svdvals(np.sqrt(q)[:, None] * chol)[0]
-    return 1.0 / float(smax) ** 2
+    upper = np.triu(op.cholesky()[0])
+    gram = LinearOperator(
+        (op.n, op.n), matvec=lambda y: upper @ (q * (upper.T @ y)), dtype=float
+    )
+    lam = eigsh(
+        gram, k=1, which="LA", tol=0, v0=np.ones(op.n), return_eigenvectors=False
+    )
+    return 1.0 / float(lam[0])
 
 
 @dataclass(frozen=True)

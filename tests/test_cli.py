@@ -361,6 +361,28 @@ def test_exit_codes_for_user_errors(tmp_path):
     assert cli.main(["eigen", "--config", str(bad)]) == 1
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--set", "params.dim=abc"], "params.dim must be an integer, got 'abc'"),
+        (["--set", "grid=3"], "grid must be a JSON object, got 3"),
+        (["--set", "grid=3", "--n-nodes", "50"], "grid must be a JSON object, got 3"),
+        (["--set", "grid={}"], "grid.n_nodes is missing"),
+        (["--set", "params.alpha=true"], "params.alpha must be a number, got True"),
+        (["--set", "params.dim=2.5"], "params.dim must be an integer, got 2.5"),
+        (
+            ["--set", "tolerances.picard_max_iter=lots"],
+            "tolerances.picard_max_iter must be an integer, got 'lots'",
+        ),
+    ],
+)
+def test_config_values_of_the_wrong_type_exit_1(tmp_path, capsys, extra, message):
+    assert cli.main(["eigen", *extra, "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"fracsing: configuration error: {message}"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_failed_solve_writes_no_file(tmp_path, monkeypatch):
     import fracsing.classify
 

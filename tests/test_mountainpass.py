@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy import linalg
 
+from fracsing import mountainpass
 from fracsing.core import (
     ConvergenceError,
     ParameterError,
@@ -22,8 +23,10 @@ from fracsing.core import (
 )
 from fracsing.mountainpass import (
     _direction_ensemble,
+    _energy_block,
     _energy_values,
     _gradient_values,
+    _jacobian,
     _negative_endpoint,
     _pass_geometry,
     build_form,
@@ -201,6 +204,62 @@ def test_ray_endpoint_has_nonpositive_energy(umin_mid, op400, form400):
     e_dir, t0 = _negative_endpoint(u_min.total, op400, form400, params)
     assert form400.norm(e_dir) == pytest.approx(1.0, rel=1e-12)
     assert _energy_values(t0 * e_dir, u_min.total, form400, params) <= 0.0
+
+
+def _probe_block(u_min, op, form, params, rng):
+    """Ray points, smoothed noise of both signs and -e_dir, as rows."""
+    e_dir, t0 = _negative_endpoint(u_min.total, op, form, params)
+    rows = [s * t0 * e_dir for s in np.linspace(0.05, 0.95, 19)]
+    rows += [op.apply(rng.standard_normal(op.n)) for _ in range(6)]
+    rows.append(-e_dir)
+    return np.array(rows)
+
+
+def test_block_energies_match_the_vector_loop(umin_mid, op400, form400, rng):
+    params, u_min = umin_mid
+    block = _probe_block(u_min, op400, form400, params, rng)
+    loop = np.array([_energy_values(x, u_min.total, form400, params) for x in block])
+    got = _energy_block(block, u_min.total, form400, params)
+    # Relative to the quadratic part: E itself crosses zero along the ray,
+    # where both evaluations carry the rounding of the cancelled terms.
+    quad = 0.5 * np.array([form400.norm(x) ** 2 for x in block])
+    assert np.all(np.abs(got - loop) <= 1e-13 * quad)
+
+
+def test_block_norms_match_the_vector_loop(umin_mid, op400, form400, rng):
+    params, u_min = umin_mid
+    block = _probe_block(u_min, op400, form400, params, rng)
+    block = np.vstack([block, np.diff(block, axis=0)])
+    loop = np.array([form400.norm(x) for x in block])
+    assert np.all(np.abs(form400.row_norms(block) - loop) <= 1e-13 * loop)
+    dirs = _direction_ensemble(op400, form400, np.random.default_rng(0))
+    assert len(dirs) == 50
+    assert all(abs(form400.norm(d) - 1.0) <= 1e-13 for d in dirs)
+
+
+def test_jacobian_buffer_equals_the_identity_difference(umin_mid, op400, second_mid):
+    params, u_min = umin_mid
+    v = second_mid.v.values.copy()
+    v[::7] = -v[::7]  # f' = 0 wherever v <= 0: those columns are unit vectors
+    v[3] = 0.0
+    fprime = params.p * (u_min.total + np.maximum(v, 0.0)) ** (params.p - 1.0) * (v > 0.0)
+    assert np.count_nonzero(fprime == 0.0) > op400.n // 8
+    expected = np.eye(op400.n) - op400.matrix * fprime[None, :]
+    assert _jacobian(v, u_min.total, op400, params).tobytes() == expected.tobytes()
+
+
+def test_mountain_pass_finds_its_endpoint_once(umin_mid, op400, form400, monkeypatch):
+    params, u_min = umin_mid
+    calls = []
+    real = mountainpass._negative_endpoint
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(mountainpass, "_negative_endpoint", counted)
+    find_second_solution(params, op400, form400, u_min, seed=0)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------- second solution

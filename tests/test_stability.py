@@ -1,11 +1,15 @@
 """Stability index of computed profiles and the branch scan."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from scipy import linalg
 
-from fracsing.core import RadialFunction
+from fracsing.core import ProblemParams, RadialFunction
+from fracsing.green import assemble, default_grid
+from fracsing.picard import find_kstar, iterate_minimal
 from fracsing.stability import (
     sigma1,
     sigma1_rayleigh,
@@ -46,6 +50,43 @@ def test_rayleigh_formulation_agrees(umin_mid, op400):
     op_value = sigma1(u, params, op400).sigma1
     ray_value = sigma1_rayleigh(u, params, op400)
     assert abs(op_value - ray_value) <= 1e-9 * op_value
+
+
+@functools.cache
+def _lanczos_operator(dim, alpha, p):
+    """n=200 operator and the lower end of its k* bracket."""
+    params = ProblemParams(dim=dim, alpha=alpha, p=p)
+    op = assemble(default_grid(params, n_nodes=200), params)
+    return params, op, find_kstar(params, op).k_lo
+
+
+def _lanczos_case(dim, alpha, p, fraction):
+    """Minimal solution at fraction * k_lo on an n=200 operator."""
+    params, op, k_lo = _lanczos_operator(dim, alpha, p)
+    pk = params.with_k(fraction * k_lo)
+    report = iterate_minimal(pk, op, tol=1e-10, max_iter=8000)
+    assert report.status == "Converged"
+    return pk, op, report.profile
+
+
+@pytest.mark.parametrize("fraction", [0.25, 0.97])
+# p = 2 is supercritical at (2, 0.3), where p must stay below 2/1.4.
+@pytest.mark.parametrize("dim, alpha, p", [(2, 0.75, 2.0), (3, 0.6, 1.5), (2, 0.3, 1.3)])
+def test_rayleigh_lanczos_matches_the_dense_singular_value(dim, alpha, p, fraction):
+    # Reference: the largest singular value of diag(sqrt(q)) U' by a
+    # full dense SVD, which the Lanczos route replaces.
+    params, op, u = _lanczos_case(dim, alpha, p, fraction)
+    q = params.p * u.total ** (params.p - 1.0)
+    factor = np.sqrt(q)[:, None] * np.triu(op.cholesky()[0]).T
+    dense = 1.0 / float(linalg.svdvals(factor)[0]) ** 2
+    assert abs(sigma1_rayleigh(u, params, op) - dense) <= 1e-12 * dense
+
+
+def test_rayleigh_route_is_deterministic(umin_mid, op400):
+    params, u = umin_mid
+    first = sigma1_rayleigh(u, params, op400)
+    again = [sigma1_rayleigh(u, params, op400) for _ in range(3)]
+    assert all(np.float64(x).tobytes() == np.float64(first).tobytes() for x in again)
 
 
 def test_index_scales_inversely_for_quadratic_nonlinearity(umin_mid, op400):
