@@ -20,6 +20,7 @@ import numpy as np
 from scipy import linalg
 
 from .core import (
+    _origin_window,
     ConvergenceError,
     KernelError,
     ParameterError,
@@ -219,21 +220,6 @@ class ClassificationReport:
     verdict: str
 
 
-def _origin_decade(grid, skip=3):
-    """Innermost fitting window: one decade starting past the skipped
-    smallest nodes (the quadrature boundary layer)."""
-    r = grid.nodes
-    if r.size < skip + 4:
-        raise ParameterError("grid too coarse to resolve the origin decade")
-    r_lo = r[skip]
-    mask = (r >= r_lo) & (r <= 10.0 * r_lo)
-    if int(mask.sum()) < 4:
-        raise ParameterError(
-            "grid does not resolve a full decade near the origin"
-        )
-    return mask
-
-
 def asymptotic_fit(u, params, k_reference=None):
     """Fit the origin asymptotics of a profile and classify it.
 
@@ -264,9 +250,9 @@ def asymptotic_fit(u, params, k_reference=None):
     """
     grid = u.grid
     consts = params.constants
-    mask = _origin_decade(grid)
-    rr = grid.nodes[mask]
-    tot = u.total[mask]
+    idx = _origin_window(grid)
+    rr = grid.nodes[idx]
+    tot = u.total[idx]
 
     if k_reference is not None:
         k_ref = float(k_reference)

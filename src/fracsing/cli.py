@@ -579,14 +579,16 @@ def _eigen(job):
 def _bifurcation(job):
     import numpy as np
 
-    from .core import RegimeError, SecondSolutionNotFound
+    from .core import ParameterError, RegimeError, SecondSolutionNotFound
     from .mountainpass import build_form, find_second_solution
     from .stability import sigma1
 
+    n_samples, seed = int(job.cfg["scan"]["n_samples"]), int(job.cfg["seed"])
+    if n_samples < 1:
+        raise ParameterError(f"scan.n_samples must be at least 1, got {n_samples}")
     params, op = job.params, job.op
     bracket = _bracket(job)
     form = build_form(op)
-    n_samples, seed = int(job.cfg["scan"]["n_samples"]), int(job.cfg["seed"])
     ks = np.linspace(0.1, 0.95, n_samples) * bracket.k_lo
     weights = op.grid.weights
 

@@ -282,6 +282,23 @@ def make_grid(n_nodes, grading=2.0, *, dim=2, boundary_grading=None):
     )
 
 
+def _origin_window(grid):
+    """Node indices of the origin fit window.
+
+    Skips the 3 innermost nodes (the quadrature boundary layer) and keeps
+    one decade of radius from the fourth node on; raises ParameterError
+    when fewer than 4 nodes fall inside.
+    """
+    r = grid.nodes
+    idx = np.nonzero((r >= r[3]) & (r <= 10.0 * r[3]))[0] if r.size > 3 else r[:0]
+    if idx.size < 4:
+        raise ParameterError(
+            "grid does not resolve a full decade near the origin; "
+            "use more nodes or grading"
+        )
+    return idx
+
+
 @dataclass(frozen=True)
 class RadialFunction:
     """Radial profile sampled on a grid plus an explicit singular part.

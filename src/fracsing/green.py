@@ -39,10 +39,11 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import integrate, linalg
+from scipy import linalg
 from scipy.special import beta, betainc
 
 from .core import (
+    _origin_window,
     ConvergenceError,
     KernelError,
     ParameterError,
@@ -337,45 +338,15 @@ def _sphere_integral(r, s, kernel):
     return surface_area(dim - 1) * out
 
 
-def _diagonal_sphere_integral(r, kernel):
-    """Sphere integral at coincident radii, finite only for alpha > 1/2.
-
-    Scalar adaptive quadrature in the chord variable m, whose integrand
-    carries the integrable m^(2*alpha-2) endpoint singularity.
-    """
-    dim = kernel.dim
-    a2 = (1.0 - r * r) ** 2
-    m_top = r * math.sqrt(2.0)
-
-    def near(m):
-        xhalf = m / (2.0 * r)
-        theta = 2.0 * math.asin(xhalf)
-        g = _green_from_geometry(m * m, a2, kernel)
-        jac = 1.0 / (r * math.sqrt(1.0 - xhalf * xhalf))
-        if dim > 2:
-            jac *= math.sin(theta) ** (dim - 2)
-        return g * jac
-
-    def far(theta):
-        rho2 = 4.0 * r * r * math.sin(0.5 * theta) ** 2
-        g = _green_from_geometry(rho2, a2, kernel)
-        if dim > 2:
-            g *= math.sin(theta) ** (dim - 2)
-        return g
-
-    near_val, _ = integrate.quad(near, 0.0, m_top, limit=200)
-    far_val, _ = integrate.quad(far, 0.5 * math.pi, math.pi, limit=200)
-    return surface_area(dim - 1) * (near_val + far_val)
-
-
 def radial_kernel(r, s, params):
     """Sphere-reduced kernel K(r,s) = int_{|w|=1} G(r e1, s w) dsigma(w).
 
     For radial densities f the operator acts as
     G_alpha[f](r) = int_0^1 K(r,s) f(s) s^(N-1) ds.  K is symmetric and
-    nonnegative, vanishes as s -> 1, and on the diagonal r = s is finite
-    only for alpha > 1/2 (evaluated by a dedicated singularity-aware
-    quadrature); for alpha <= 1/2 coincident radii are rejected.
+    nonnegative and vanishes as s -> 1.  On the diagonal r = s it is
+    finite only for alpha > 1/2, and never needed there: assembly
+    integrates the cells around the diagonal by product integration, so
+    coincident radii raise KernelError at every alpha.
     """
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
@@ -385,21 +356,9 @@ def radial_kernel(r, s, params):
         s_arr >= 1.0
     ):
         raise ParameterError("radii must lie strictly inside (0,1)")
-    kernel = _kernel(params.dim, params.alpha)
-
-    same = r_arr == s_arr
-    out = np.empty(r_arr.shape)
-    if np.any(same):
-        if params.alpha <= 0.5:
-            raise KernelError(
-                "sphere-reduced kernel diverges on the diagonal for alpha <= 1/2"
-            )
-        out[same] = [
-            _diagonal_sphere_integral(float(rv), kernel)
-            for rv in r_arr[same]
-        ]
-    if np.any(~same):
-        out[~same] = _sphere_integral(r_arr[~same], s_arr[~same], kernel)
+    if np.any(r_arr == s_arr):
+        raise KernelError("sphere-reduced kernel is not evaluated at coincident radii")
+    out = _sphere_integral(r_arr, s_arr, _kernel(params.dim, params.alpha))
     return float(out[0]) if np.isscalar(r) or np.asarray(r).ndim == 0 else out
 
 
@@ -804,19 +763,6 @@ class ComposeReport:
     stable: bool | None
 
 
-def _origin_window(grid, drop=3, decades=1.0):
-    """Node indices of the origin fit window: drop the innermost `drop`
-    nodes, keep the following `decades` decades of radius."""
-    r0 = grid.nodes[drop]
-    hi = r0 * 10.0**decades
-    idx = np.nonzero((grid.nodes >= r0) & (grid.nodes <= hi))[0]
-    if idx.size < 4:
-        raise ParameterError(
-            "grid does not resolve the origin window; use more nodes or grading"
-        )
-    return idx
-
-
 def compose_estimate_check(params, op, op_ref=None):
     """Verify the origin behavior of G_alpha[(G_alpha[delta_0])^p].
 
@@ -828,33 +774,22 @@ def compose_estimate_check(params, op, op_ref=None):
     supremum is recomputed there and a blow-up under refinement is
     signaled as a quadrature failure.
     """
-    if not params.subcritical:
-        raise RegimeError(
-            f"composition bound requires p < {params.critical_p:.6g}, got {params.p}"
-        )
-    g = op.dirac_column
-    composed = op.apply(g**params.p)
-    c2 = float(np.max(composed / g))
-
-    p_low = 2.0 * params.alpha / (params.dim - 2.0 * params.alpha)
+    c2 = measured_c2(params, op)
     idx = _origin_window(op.grid)
     r_win = op.grid.nodes[idx]
-    prof = composed[idx]
+    prof = op.apply(op.dirac_column**params.p)[idx]
+    fitted = float(np.polyfit(np.log(r_win), np.log(prof), 1)[0])
     expected = None
-    fitted = None
+    p_low = 2.0 * params.alpha / (params.dim - 2.0 * params.alpha)
     if abs(params.p - p_low) < 1e-12:
         regime = "log"
-        ratio = prof / np.abs(np.log(r_win))
-        fitted = float(np.polyfit(np.log(r_win), np.log(prof), 1)[0])
-        if not np.all(np.isfinite(ratio)):
+        if not np.all(np.isfinite(prof / np.abs(np.log(r_win)))):
             raise ConvergenceError("log-regime ratio is not finite near the origin")
     elif params.p < p_low:
         regime = "bounded"
-        fitted = float(np.polyfit(np.log(r_win), np.log(prof), 1)[0])
     else:
         regime = "power"
         expected = params.p * params.singular_exponent + 2.0 * params.alpha
-        fitted = float(np.polyfit(np.log(r_win), np.log(prof), 1)[0])
 
     c2_refined = None
     stable = None

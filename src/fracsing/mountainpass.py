@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
+from scipy.linalg import lapack
 
 from .core import (
     ConvergenceError,
@@ -35,9 +36,12 @@ from .core import (
     RegimeError,
     SecondSolutionNotFound,
 )
+from .picard import first_eigenpair
 from .stability import sigma1
 
 _SERIES_CUTOFF = 1e-3
+# Largest accepted condition number of the symmetrized Green matrix.
+_COND_CAP = 1e12
 
 
 @dataclass(frozen=True)
@@ -46,15 +50,14 @@ class DiscreteHAlphaForm:
 
     stiffness is the dense symmetric positive definite matrix A with
     v' A v approximating ||v||_alpha^2 for nodal samples v; mass is the
-    quadrature weight vector of the radial volume measure.
+    quadrature weight vector of the radial volume measure; phi1 holds the
+    nodal values of the first eigenfunction of the operator, which does
+    not depend on k and seeds every geometry scan.
     """
 
     stiffness: np.ndarray
     mass: np.ndarray
-
-    def inner(self, a, b):
-        """A-inner product of two nodal vectors."""
-        return float(a @ self.stiffness @ b)
+    phi1: np.ndarray
 
     def norm(self, a):
         """A-norm of a nodal vector."""
@@ -69,20 +72,19 @@ class DiscreteHAlphaForm:
         return np.sqrt(np.maximum(self.row_quads(block), 0.0))
 
 
-def build_form(op, cond_cap=1e12):
+def build_form(op):
     """Invert the weighted Green matrix into a discrete energy form.
 
     A = W^(1/2) S^(-1) W^(1/2) with S the symmetrized Green matrix and
     W the quadrature weights; then A * (Green matrix) = W exactly in
     exact arithmetic, so the form is consistent with the operator by
-    construction.
+    construction.  The condition number of S is estimated in the 1-norm
+    from the Cholesky factor (LAPACK dpocon); for symmetric S the exact
+    1-norm condition number is at least the spectral one.
 
     Parameters
     ----------
     op : GreenOperator
-    cond_cap : float
-        Reject matrices with spectral condition number beyond this cap
-        (the grid grading has outrun double precision).
 
     Returns
     -------
@@ -91,25 +93,24 @@ def build_form(op, cond_cap=1e12):
     Raises
     ------
     ConvergenceError
-        If S is numerically indefinite or too ill-conditioned.
+        If S is numerically indefinite, or its estimated condition number
+        exceeds 1e12 (the grid grading has outrun double precision).
     """
-    eigs = np.linalg.eigvalsh(op.symmetrized())
-    if eigs[0] <= 0.0:
+    factor, lower = op.cholesky()
+    anorm = float(np.max(np.abs(op.symmetrized()).sum(axis=0)))
+    rcond, _ = lapack.dpocon(factor, anorm, uplo="L" if lower else "U")
+    if rcond * _COND_CAP < 1.0:
+        cond = 1.0 / rcond if rcond > 0.0 else np.inf
         raise ConvergenceError(
-            f"symmetrized Green matrix is not positive definite "
-            f"(min eigenvalue {eigs[0]:.3e})"
-        )
-    cond = eigs[-1] / eigs[0]
-    if cond > cond_cap:
-        raise ConvergenceError(
-            f"Green matrix condition number {cond:.3e} exceeds {cond_cap:.1e}; "
+            f"Green matrix condition number {cond:.3e} exceeds {_COND_CAP:.1e}; "
             f"grid grading too aggressive for the energy form"
         )
     sqrt_w = np.sqrt(op.grid.weights)
-    inv_sw = linalg.cho_solve(op.cholesky(), np.diag(sqrt_w))
+    inv_sw = linalg.cho_solve((factor, lower), np.diag(sqrt_w))
     stiffness = sqrt_w[:, None] * inv_sw
     stiffness = 0.5 * (stiffness + stiffness.T)
-    return DiscreteHAlphaForm(stiffness=stiffness, mass=op.grid.weights.copy())
+    phi1 = first_eigenpair(op)["phi1"].values
+    return DiscreteHAlphaForm(stiffness, op.grid.weights.copy(), phi1)
 
 
 def power_increment(s, t, p):
@@ -261,8 +262,6 @@ def _direction_ensemble(op, form, rng, extra=()):
     Plain Gaussian noise alone is useless here: A-unit noise is
     pointwise tiny, so every radius would pass the scan vacuously.
     """
-    from .picard import first_eigenpair
-
     r = op.grid.nodes
     dirs = []
     for width in np.linspace(0.08, 0.98, 16):
@@ -270,7 +269,7 @@ def _direction_ensemble(op, form, rng, extra=()):
         inside = r < width
         x[inside] = np.exp(-1.0 / (1.0 - (r[inside] / width) ** 2))
         dirs.append(x)
-    dirs.append(first_eigenpair(op)["phi1"].values.copy())
+    dirs.append(form.phi1)
     dirs.append(op.apply(np.ones(op.n)))
     for _ in range(17):
         dirs.append(op.apply(rng.standard_normal(op.n)))
@@ -333,37 +332,6 @@ def _jacobian(v, u_total, op, params):
     np.subtract(0.0, jac, out=jac)
     jac.flat[:: v.size + 1] += 1.0
     return jac
-
-
-def _newton_polish(vals, u_total, op, params, fp_tol, budget=60):
-    """Newton iteration on the fixed-point residual from a warm start."""
-    v = vals.copy()
-    trace = []
-    for it in range(budget):
-        resid = _gradient_values(v, u_total, op, params)
-        rnorm = float(np.max(np.abs(resid)))
-        trace.append((it, rnorm))
-        if rnorm <= fp_tol:
-            return v, trace
-        delta = np.linalg.solve(_jacobian(v, u_total, op, params), -resid)
-        # Backtrack on the residual norm to stay in the basin.
-        step = 1.0
-        for _ in range(40):
-            trial = v + step * delta
-            tnorm = float(
-                np.max(np.abs(_gradient_values(trial, u_total, op, params)))
-            )
-            if tnorm < rnorm:
-                v = trial
-                break
-            step *= 0.5
-        else:
-            raise SecondSolutionNotFound(
-                f"Newton polish stagnated at residual {rnorm:.3e}", trace
-            )
-    raise SecondSolutionNotFound(
-        f"Newton polish exhausted {budget} steps", trace
-    )
 
 
 def _redistribute(path, form):
@@ -450,59 +418,67 @@ def _run_mountain_pass(
         if not armijo_ok:
             break
         path = _redistribute(path, form)
-    v, polish_trace = _newton_polish(v, u_total, op, params, fp_tol)
+    v, polish_trace = _newton(v, u_total, op, params, fp_tol, 60)
     start = len(trace)
-    trace.extend((start + i, None, r) for i, r in polish_trace)
+    trace.extend((start + i, None, r) for i, _, r in polish_trace)
     return v, trace
 
 
-def _run_deflated_newton(u_total, op, form, params, u_start, fp_tol, max_steps):
-    """Newton iteration with the trivial root deflated away.
+def _merit(nv2):
+    """Deflation factor m = 1 + 1/||v||_w^2 from nv2 = ||v||_w^2; 1 for None."""
+    if nv2 is None:
+        return 1.0
+    return 1.0 + (1.0 / nv2 if nv2 > 0.0 else np.inf)
 
-    The deflated residual is m(v) R(v) with m(v) = 1 + 1/||v||_w^2; the
-    deflated Newton step is the plain step rescaled by
-    1/(1 - grad(m).delta/m), which repels the iteration from v = 0.
+
+def _newton(v, u_total, op, params, fp_tol, max_steps, mass=None):
+    """Newton iteration on the fixed-point residual R(v) from v.
+
+    Without mass this is the plain polish of a warm start.  With the
+    quadrature weights as mass the trivial root is deflated away
+    (Farrell, Birkisson & Funke 2015): the merit residual is m(v) R(v)
+    with m(v) = 1 + 1/||v||_w^2, the Newton step is the plain step
+    rescaled by 1/(1 - grad(m).delta/m), which repels the iteration from
+    v = 0, and an iterate that converges onto v = 0 is rejected.  Each
+    step backtracks on the merit residual; trace rows are
+    (step, None, sup-norm residual).
     """
-    w = form.mass
-    v = u_start.copy()
+    name = "Newton polish" if mass is None else "deflated Newton"
     trace = []
     for it in range(max_steps):
         resid = _gradient_values(v, u_total, op, params)
         rnorm = float(np.max(np.abs(resid)))
-        nv2 = float(w @ v**2)
+        nv2 = None if mass is None else float(mass @ v**2)
         trace.append((it, None, rnorm))
         if rnorm <= fp_tol:
-            if nv2 <= 1e-16:
+            if nv2 is not None and nv2 <= 1e-16:
                 raise SecondSolutionNotFound(
                     "deflated iteration collapsed onto the trivial root", trace
                 )
             return v, trace
         delta = np.linalg.solve(_jacobian(v, u_total, op, params), -resid)
-        if nv2 > 0.0:
-            m_defl = 1.0 + 1.0 / nv2
-            grad_m = -2.0 / nv2**2 * (w * v)
-            denom = 1.0 - float(grad_m @ delta) / m_defl
+        merit = _merit(nv2)
+        if nv2 is not None and nv2 > 0.0:
+            grad_m = -2.0 / nv2**2 * (mass * v)
+            denom = 1.0 - float(grad_m @ delta) / merit
             if abs(denom) > 1e-12:
                 delta = delta / denom
         step = 1.0
         for _ in range(40):
             trial = v + step * delta
-            tnv2 = float(w @ trial**2)
-            tm = 1.0 + (1.0 / tnv2 if tnv2 > 0.0 else np.inf)
+            tmerit = _merit(None if mass is None else float(mass @ trial**2))
             tnorm = float(
                 np.max(np.abs(_gradient_values(trial, u_total, op, params)))
             )
-            if tm * tnorm < (1.0 + 1.0 / nv2 if nv2 > 0 else np.inf) * rnorm:
+            if tmerit * tnorm < merit * rnorm:
                 v = trial
                 break
             step *= 0.5
         else:
             raise SecondSolutionNotFound(
-                f"deflated Newton stagnated at residual {rnorm:.3e}", trace
+                f"{name} stagnated at residual {rnorm:.3e}", trace
             )
-    raise SecondSolutionNotFound(
-        f"deflated Newton exhausted {max_steps} steps", trace
-    )
+    raise SecondSolutionNotFound(f"{name} exhausted {max_steps} steps", trace)
 
 
 def find_second_solution(
@@ -573,8 +549,8 @@ def find_second_solution(
             max_steps,
         )
     else:
-        vals, trace = _run_deflated_newton(
-            u_total, op, form, params, 10.0 * u_total, fp_tol, max_steps
+        vals, trace = _newton(
+            10.0 * u_total, u_total, op, params, fp_tol, max_steps, form.mass
         )
 
     scale = float(np.max(np.abs(vals)))

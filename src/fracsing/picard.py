@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConvergenceError, RadialFunction, RegimeError
+from .core import ConvergenceError, ParameterError, RadialFunction, RegimeError
 from .green import dirac_smooth_remainder, measured_c2
 
 _CEILING_FACTOR = 1e6
@@ -222,8 +222,9 @@ def find_kstar(params_without_k, op, bracket_tol=1e-3, tol=1e-9, max_iter=3000):
     op : GreenOperator
         Assembled operator.
     bracket_tol : float
-        Relative stop: the bracket is refined until
-        k_hi - k_lo <= bracket_tol * k_lo.
+        Relative stop, > 0: the bracket is refined until
+        k_hi - k_lo <= bracket_tol * k_lo, or until its midpoint is no
+        longer strictly inside it (the float resolution of k).
     tol, max_iter : float, int
         Settings forwarded to each convergence probe.
 
@@ -233,6 +234,8 @@ def find_kstar(params_without_k, op, bracket_tol=1e-3, tol=1e-9, max_iter=3000):
 
     Raises
     ------
+    ParameterError
+        If bracket_tol is not positive.
     RegimeError
         For supercritical exponents (k* = 0: no positive k admits a
         solution).
@@ -241,6 +244,8 @@ def find_kstar(params_without_k, op, bracket_tol=1e-3, tol=1e-9, max_iter=3000):
         divergence is found under repeated doubling, or the recorded
         probes are not monotone in k (all indicate numerical faults).
     """
+    if not bracket_tol > 0.0:
+        raise ParameterError(f"bracket_tol must be positive, got {bracket_tol}")
     params = params_without_k
     if not params.subcritical:
         raise RegimeError(
@@ -281,6 +286,8 @@ def find_kstar(params_without_k, op, bracket_tol=1e-3, tol=1e-9, max_iter=3000):
 
     while k_hi - k_lo > bracket_tol * k_lo:
         mid = 0.5 * (k_lo + k_hi)
+        if not k_lo < mid < k_hi:
+            break
         ok, report = probe(mid)
         if ok:
             k_lo, profile_lo = mid, report.profile

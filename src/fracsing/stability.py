@@ -114,8 +114,9 @@ def sigma1_rayleigh(u, params, op):
     y -> U (q * (U' y)): two triangular-matrix products per step in
     place of a full singular-value decomposition.  The Gram operator is
     built from the Cholesky factor and q, applied through the factor and
-    never assembled, and it is not the squared Green matrix.  Squaring the factor costs nothing in accuracy because
-    only the largest eigenvalue is wanted, which is as well conditioned
+    never assembled, and it is not the squared Green matrix.  Squaring
+    the factor costs nothing in accuracy because only the largest
+    eigenvalue is wanted, which is as well conditioned
     as the largest singular value; nothing ill-conditioned is inverted
     or handed to a generalized eigensolver as the metric side.  Routes
     through an explicitly assembled stiffness matrix, or through pencils

@@ -24,6 +24,7 @@ from fracsing.core import (
     ProblemParams,
     RadialFunction,
     RegimeError,
+    make_grid,
 )
 from fracsing.green import assemble, default_grid, dirac_smooth_remainder
 from fracsing.picard import iterate_minimal
@@ -183,6 +184,12 @@ def test_asymptotic_fit_zero_profile_is_removable(params0, op400):
     report = asymptotic_fit(RadialFunction.zero(op400.grid), params0)
     assert report.verdict == "Removable"
     assert report.limit_ratio == 0.0
+
+
+def test_asymptotic_fit_needs_an_origin_window(params0):
+    grid = make_grid(16, grading=8.0, dim=params0.dim)
+    with pytest.raises(ParameterError, match="near the origin"):
+        asymptotic_fit(RadialFunction(grid, np.ones(grid.n)), params0)
 
 
 def test_asymptotic_fit_echoes_the_supercritical_regime(op400):

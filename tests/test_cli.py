@@ -8,6 +8,8 @@ of the emitted files.
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -381,6 +383,49 @@ def test_config_values_of_the_wrong_type_exit_1(tmp_path, capsys, extra, message
     err = capsys.readouterr().err
     assert err.splitlines() == [f"fracsing: configuration error: {message}"]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["kstar", "--bracket-tol", "0"], "bracket_tol must be positive, got 0.0"),
+        (["kstar", "--bracket-tol", "-1"], "bracket_tol must be positive, got -1.0"),
+        (
+            ["bifurcation", "--n-samples", "0"],
+            "scan.n_samples must be at least 1, got 0",
+        ),
+        (
+            ["bifurcation", "--n-samples", "-1"],
+            "scan.n_samples must be at least 1, got -1",
+        ),
+    ],
+)
+def test_out_of_range_settings_exit_1(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--n-nodes", "200", "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"fracsing {argv[0]}: {message}"]
+    assert not out.exists()
+
+
+def test_imports_leave_out_scipy_integrate():
+    code = (
+        "import sys\n"
+        "import fracsing.cli, fracsing.green, fracsing.picard, fracsing.stability\n"
+        "import fracsing.mountainpass, fracsing.classify\n"
+        "print('scipy.integrate' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(fracsing.picard.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_failed_solve_writes_no_file(tmp_path, monkeypatch):

@@ -107,6 +107,21 @@ def test_radial_kernel_matches_angular_quadrature(params0):
         )
 
 
+def test_radial_kernel_rejects_coincident_radii(params0, params_half):
+    for params in (params0, params_half):
+        with pytest.raises(KernelError, match="coincident radii"):
+            radial_kernel(0.5, 0.5, params)
+        with pytest.raises(KernelError, match="coincident radii"):
+            radial_kernel(np.array([0.2, 0.5]), np.array([0.3, 0.5]), params)
+
+
+def test_coarse_grid_has_no_origin_window(params0):
+    grid = make_grid(16, grading=8.0, dim=params0.dim)
+    op = assemble(grid, params0)
+    with pytest.raises(ParameterError, match="near the origin"):
+        compose_estimate_check(params0, op)
+
+
 def test_dirac_profile_matches_incomplete_beta_route(params0):
     grid = make_grid(120, dim=params0.dim)
     g = dirac_profile(grid, params0)

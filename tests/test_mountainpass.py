@@ -7,6 +7,7 @@ cross-method agreement, the certified pass geometry, and the
 distributional identity of the assembled second solution.
 """
 
+import dataclasses
 import math
 
 import mpmath
@@ -14,12 +15,14 @@ import numpy as np
 import pytest
 from scipy import linalg
 
+import fracsing.picard
 from fracsing import mountainpass
 from fracsing.core import (
     ConvergenceError,
     ParameterError,
     RadialFunction,
     RegimeError,
+    SecondSolutionNotFound,
 )
 from fracsing.mountainpass import (
     _direction_ensemble,
@@ -28,6 +31,7 @@ from fracsing.mountainpass import (
     _gradient_values,
     _jacobian,
     _negative_endpoint,
+    _newton,
     _pass_geometry,
     build_form,
     energy,
@@ -55,8 +59,15 @@ def test_form_is_symmetric_positive_definite(form400, rng):
 
 
 def test_form_rejects_hopeless_conditioning(op400):
-    with pytest.raises(ConvergenceError):
-        build_form(op400, cond_cap=1e3)
+    spread = np.diag(np.logspace(0.0, -14.0, op400.n))
+    graded = dataclasses.replace(op400, matrix=spread)
+    with pytest.raises(ConvergenceError, match="condition number"):
+        build_form(graded)
+    signs = np.ones(op400.n)
+    signs[op400.n // 2] = -1.0
+    indefinite = dataclasses.replace(op400, matrix=np.diag(signs))
+    with pytest.raises(ConvergenceError, match="not positive definite"):
+        build_form(indefinite)
 
 
 def test_form_rayleigh_minimum_is_first_eigenvalue(op400, form400):
@@ -248,6 +259,24 @@ def test_jacobian_buffer_equals_the_identity_difference(umin_mid, op400, second_
     assert _jacobian(v, u_min.total, op400, params).tobytes() == expected.tobytes()
 
 
+def test_newton_loop_with_and_without_deflation(umin_mid, op400, form400):
+    params, u_min = umin_mid
+    u_total = u_min.total
+    start = 10.0 * u_total
+    for mass, name in ((None, "Newton polish"), (form400.mass, "deflated Newton")):
+        message = f"{name} exhausted 1 steps"
+        with pytest.raises(SecondSolutionNotFound, match=message) as info:
+            _newton(start, u_total, op400, params, 1e-10, 1, mass)
+        (row,) = info.value.trace
+        assert row[:2] == (0, None) and row[2] > 1e-10
+    # v = 0 is a root: the polish accepts it, the deflated search rejects it.
+    zero = np.zeros(op400.n)
+    v, rows = _newton(zero, u_total, op400, params, 1e-10, 5)
+    assert not v.any() and rows == [(0, None, 0.0)]
+    with pytest.raises(SecondSolutionNotFound, match="collapsed onto the trivial root"):
+        _newton(zero, u_total, op400, params, 1e-10, 5, form400.mass)
+
+
 def test_mountain_pass_finds_its_endpoint_once(umin_mid, op400, form400, monkeypatch):
     params, u_min = umin_mid
     calls = []
@@ -260,6 +289,21 @@ def test_mountain_pass_finds_its_endpoint_once(umin_mid, op400, form400, monkeyp
     monkeypatch.setattr(mountainpass, "_negative_endpoint", counted)
     find_second_solution(params, op400, form400, u_min, seed=0)
     assert len(calls) == 1
+
+
+def test_search_reuses_the_form_eigenfunction(umin_mid, op400, form400, monkeypatch):
+    params, u_min = umin_mid
+    assert form400.phi1.tobytes() == first_eigenpair(op400)["phi1"].values.tobytes()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return first_eigenpair(*args, **kwargs)
+
+    monkeypatch.setattr(fracsing.picard, "first_eigenpair", counted)
+    monkeypatch.setattr(mountainpass, "first_eigenpair", counted)
+    find_second_solution(params, op400, form400, u_min, seed=0)
+    assert calls == []
 
 
 # ---------------------------------------------------- second solution

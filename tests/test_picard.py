@@ -6,7 +6,12 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import betainc
 
-from fracsing.core import ConvergenceError, ProblemParams, RegimeError
+from fracsing.core import (
+    ConvergenceError,
+    ParameterError,
+    ProblemParams,
+    RegimeError,
+)
 from fracsing.green import dirac_profile, dirac_smooth_remainder, measured_c2, radial_kernel
 from fracsing.picard import (
     KStarBracket,
@@ -141,6 +146,20 @@ def test_wider_tolerance_gives_enclosing_bracket(params0, op400, bracket400):
 def test_bracket_rejects_supercritical(op400):
     with pytest.raises(RegimeError):
         find_kstar(ProblemParams(dim=2, alpha=0.6, p=6.0, k=0.0), op400)
+
+
+@pytest.mark.parametrize("bracket_tol", [0.0, -1.0, float("nan")])
+def test_bracket_tolerance_must_be_positive(params0, op200, bracket_tol):
+    with pytest.raises(ParameterError, match="bracket_tol must be positive"):
+        find_kstar(params0, op200, bracket_tol=bracket_tol)
+
+
+def test_bracket_below_float_resolution_ends(params0, op200):
+    # The bisection stops once the midpoint rounds onto an edge; the
+    # small probe budget only keeps the run short.
+    bracket = find_kstar(params0, op200, bracket_tol=1e-20, max_iter=100)
+    assert bracket.k_lo < bracket.k_hi
+    assert 0.5 * (bracket.k_lo + bracket.k_hi) in (bracket.k_lo, bracket.k_hi)
 
 
 def test_extremal_solution_at_lower_edge(params0, op400, bracket400):
