@@ -1,4 +1,4 @@
-"""Solver and analysis toolkit for (-Delta)^alpha u = u^p + k delta_0 on the unit ball."""
+"""Toolkit for (-Delta)^alpha u = u^p + k delta_0 on the unit ball."""
 
 import importlib
 
@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 # configure the numeric environment (thread caps) before anything heavy
 # loads.
 _EXPORTS = {
-    "Constants": "core",
     "ConvergenceError": "core",
     "FracsingError": "core",
     "KernelError": "core",
@@ -19,15 +18,11 @@ _EXPORTS = {
     "RegimeError": "core",
     "SecondSolutionNotFound": "core",
     "ball_volume": "core",
-    "constants_for": "core",
     "fundamental_constant": "core",
     "make_grid": "core",
-    "pv_constant": "core",
     "surface_area": "core",
-    "ComposeReport": "green",
     "GreenOperator": "green",
     "assemble": "green",
-    "compose_estimate_check": "green",
     "default_grid": "green",
     "dirac_profile": "green",
     "load_operator": "green",
@@ -38,7 +33,6 @@ _EXPORTS = {
     "KStarBracket": "picard",
     "SolveReport": "picard",
     "barrier_certificate": "picard",
-    "extremal_solution": "picard",
     "find_kstar": "picard",
     "first_eigenpair": "picard",
     "iterate_minimal": "picard",
@@ -49,20 +43,19 @@ _EXPORTS = {
     "stability_gap_scan": "stability",
     "DiscreteHAlphaForm": "mountainpass",
     "MountainPassResult": "mountainpass",
-    "WeakIdentityReport": "mountainpass",
     "build_form": "mountainpass",
     "energy": "mountainpass",
     "find_second_solution": "mountainpass",
     "increment_primitive": "mountainpass",
     "power_increment": "mountainpass",
-    "superlinearity_margin": "mountainpass",
-    "verify_weak_identity": "mountainpass",
     "ClassificationReport": "classify",
     "TestFunction": "classify",
+    "WeakIdentityReport": "classify",
     "asymptotic_fit": "classify",
     "estimate_k": "classify",
     "pairing": "classify",
     "standard_battery": "classify",
+    "verify_weak_identity": "classify",
 }
 
 __all__ = sorted(_EXPORTS) + ["__version__"]

@@ -6,10 +6,11 @@ A nonnegative profile u solves the distributional problem exactly when
 
 for every smooth test function xi vanishing near the boundary.  The
 module evaluates that pairing against a fixed battery of test bumps,
-extracts the point-mass coefficient k from it, and independently fits
-the origin asymptotics u(r) ~ c_fund k r^(2 alpha - N), classifying the
-profile as carrying a Dirac singularity, as removable, or as sitting in
-the supercritical regime where no singular solution exists.
+reports the residual of the identity, extracts the point-mass
+coefficient k from it, and independently fits the origin asymptotics
+u(r) ~ c_fund k r^(2 alpha - N), classifying the profile as carrying a
+Dirac singularity, as removable, or as sitting in the supercritical
+regime where no singular solution exists.
 """
 
 from __future__ import annotations
@@ -205,6 +206,35 @@ def estimate_k(u, params, op, battery=None):
 
 
 @dataclass(frozen=True)
+class WeakIdentityReport:
+    """Residuals of the distributional identity against a test battery.
+
+    Each row is (support, pairing_value, k_times_xi0, residual); the
+    pairing of a true solution equals k xi(0) for every test function.
+    """
+
+    max_residual: float
+    rows: tuple
+
+
+def verify_weak_identity(w, params, op, battery=None):
+    """Check int u (-Delta)^alpha xi - int u^p xi = k xi(0) on a battery.
+
+    w is the candidate solution, params supplies p and k, and battery
+    defaults to standard_battery(op).  Raises as pairing does.
+    """
+    if battery is None:
+        battery = standard_battery(op)
+    rows = []
+    for xi in battery:
+        val = pairing(w, xi, params, op)
+        target = params.k * xi.value_at_origin
+        rows.append((xi.support, val, target, val - target))
+    worst = max((abs(row[3]) for row in rows), default=0.0)
+    return WeakIdentityReport(max_residual=worst, rows=tuple(rows))
+
+
+@dataclass(frozen=True)
 class ClassificationReport:
     """Origin diagnosis of a radial profile.
 
@@ -249,7 +279,6 @@ def asymptotic_fit(u, params, k_reference=None):
         template in the subcritical regime.
     """
     grid = u.grid
-    consts = params.constants
     idx = _origin_window(grid)
     rr = grid.nodes[idx]
     tot = u.total[idx]
@@ -257,7 +286,7 @@ def asymptotic_fit(u, params, k_reference=None):
     if k_reference is not None:
         k_ref = float(k_reference)
     elif u.singular_coeff > 0.0:
-        k_ref = u.singular_coeff / consts.c_fund
+        k_ref = u.singular_coeff / params.c_fund
     else:
         k_ref = params.k
 
@@ -274,7 +303,7 @@ def asymptotic_fit(u, params, k_reference=None):
             2.0 * params.alpha + (params.p - 1.0) * (2.0 * params.alpha - params.dim),
         )
         scaled = tot * rr ** (params.dim - 2.0 * params.alpha)
-        scaled /= consts.c_fund * k_ref
+        scaled /= params.c_fund * k_ref
         design = np.column_stack([np.ones(rr.size), rr**q])
         coef, *_ = np.linalg.lstsq(design, scaled, rcond=None)
         limit_ratio = float(coef[0])

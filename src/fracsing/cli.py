@@ -35,18 +35,51 @@ _THREAD_VARS = (
     "NUMEXPR_NUM_THREADS",
 )
 
-_DEFAULT_CONFIG = {
-    "params": {"dim": 2, "alpha": 0.75, "p": 2.0, "k": 0.0},
-    "grid": {"n_nodes": 400, "grading": 2.0},
-    "tolerances": {"picard_tol": 1e-10, "bracket_tol": 1e-3, "eig_tol": 1e-12},
-    "scan": {"n_samples": 8},
-    "output": {"directory": "."},
-    "seed": 0,
-}
-# Each default's type is the type its key must take (_check_config).
+
+class _Setting(NamedTuple):
+    """A config key: dotted path; default, whose type the key and the flag
+    must take; flags that set it (none: config only); their help text; and
+    the commands that take those flags (None: every command)."""
+
+    path: str
+    default: object
+    flags: tuple = ()
+    help: str | None = None
+    commands: tuple | None = None
+
+
+_SETTINGS = (
+    _Setting("params.dim", 2, ("--dim",), "space dimension N"),
+    _Setting("params.alpha", 0.75, ("--alpha",), "fractional order in (0, 1)"),
+    _Setting("params.p", 2.0, ("--p",), "nonlinearity exponent"),
+    _Setting("params.k", 0.0, ("--k",), "point-source strength"),
+    _Setting("grid.n_nodes", 400, ("--n-nodes",), "grid size"),
+    _Setting("grid.grading", 2.0, ("--grading",), "origin grading exponent"),
+    _Setting("tolerances.picard_tol", 1e-10),
+    _Setting(
+        "tolerances.bracket_tol",
+        1e-3,
+        ("--bracket-tol",),
+        "relative bracket width target",
+        ("kstar", "stability", "bifurcation"),
+    ),
+    _Setting("tolerances.eig_tol", 1e-12),
+    _Setting(
+        "scan.n_samples",
+        8,
+        ("--n-samples",),
+        "scan sample count",
+        ("stability", "bifurcation"),
+    ),
+    _Setting("output.directory", ".", ("--output", "-o"), "output directory"),
+    _Setting("seed", 0, ("--seed",), "seed for sampled certifications"),
+)
 # tolerances.picard_max_iter, read by solve alone, stays out of the
 # defaults so that the configuration echoed in every file is unchanged.
 _PICARD_MAX_ITER = 2000
+_KEY_TYPES = {s.path: s.default for s in _SETTINGS}
+_KEY_TYPES["tolerances.picard_max_iter"] = _PICARD_MAX_ITER
+_SECTIONS = {path.rpartition(".")[0] for path in _KEY_TYPES}
 
 _PROFILE_COLUMNS = ("r", "u_total", "u_smooth", "u_singular")
 
@@ -89,22 +122,10 @@ def _apply_set(cfg, expr):
     _set_path(cfg, key.strip().split("."), value)
 
 
-_FLAG_PATHS = {
-    "dim": ("params", "dim"),
-    "alpha": ("params", "alpha"),
-    "p": ("params", "p"),
-    "k": ("params", "k"),
-    "n_nodes": ("grid", "n_nodes"),
-    "grading": ("grid", "grading"),
-    "seed": ("seed",),
-    "output": ("output", "directory"),
-    "bracket_tol": ("tolerances", "bracket_tol"),
-    "n_samples": ("scan", "n_samples"),
-}
-
-
 def _build_config(args, base=None):
-    cfg = json.loads(json.dumps(_DEFAULT_CONFIG))
+    cfg = {}
+    for setting in _SETTINGS:
+        _set_path(cfg, setting.path.split("."), setting.default)
     if base:
         cfg = _deep_merge(cfg, base)
     if args.config:
@@ -115,33 +136,37 @@ def _build_config(args, base=None):
         cfg = _deep_merge(cfg, file_cfg)
     for expr in args.set:
         _apply_set(cfg, expr)
-    for flag, path in _FLAG_PATHS.items():
-        value = getattr(args, flag, None)
+    for setting in _SETTINGS:
+        value = getattr(args, setting.path, None)
         if value is not None:
-            _set_path(cfg, path, value)
+            _set_path(cfg, setting.path.split("."), value)
     _check_config(cfg)
-    if "picard_max_iter" in cfg["tolerances"]:
-        _check_value(
-            "tolerances.picard_max_iter",
-            cfg["tolerances"]["picard_max_iter"],
-            _PICARD_MAX_ITER,
-        )
     return cfg
 
 
-def _check_config(cfg, defaults=_DEFAULT_CONFIG, prefix=""):
-    """Raise ValueError naming the first key whose value has the wrong type."""
-    for key, default in defaults.items():
+def _check_config(cfg):
+    """Raise ValueError naming the first key that is outside the settings
+    table, of the wrong type or missing."""
+    present = _checked_paths(cfg, "")
+    for setting in _SETTINGS:
+        if setting.path not in present:
+            raise ValueError(f"{setting.path} is missing")
+
+
+def _checked_paths(node, prefix):
+    paths = []
+    for key, value in node.items():
         name = prefix + key
-        if key not in cfg:
-            raise ValueError(f"{name} is missing")
-        value = cfg[key]
-        if not isinstance(default, dict):
-            _check_value(name, value, default)
-        elif isinstance(value, dict):
-            _check_config(value, default, name + ".")
-        else:
+        if name in _SECTIONS and isinstance(value, dict):
+            paths += _checked_paths(value, name + ".")
+        elif name in _KEY_TYPES:
+            _check_value(name, value, _KEY_TYPES[name])
+            paths.append(name)
+        elif name in _SECTIONS:
             raise ValueError(f"{name} must be a JSON object, got {value!r}")
+        else:
+            raise ValueError(f"unknown key {name}")
+    return paths
 
 
 def _check_value(name, value, default):
@@ -188,19 +213,7 @@ def _problem(cfg):
     )
 
 
-def _require_subcritical(params, consequence):
-    from .core import RegimeError
-
-    if not params.subcritical:
-        raise RegimeError(
-            f"supercritical regime: p = {params.p:g} is at or above the "
-            f"critical exponent N/(N - 2 alpha) = {params.critical_p:.6g} "
-            f"for N = {params.dim}, alpha = {params.alpha:g}; {consequence}"
-        )
-
-
 def _operator(cfg, params):
-    from .core import KernelError
     from .green import assemble, default_grid, load_operator, save_operator
 
     n_nodes = int(cfg["grid"]["n_nodes"])
@@ -223,7 +236,7 @@ def _operator(cfg, params):
         if os.path.exists(cache_path):
             try:
                 return load_operator(cache_path)
-            except (KernelError, OSError, ValueError):
+            except (OSError, ValueError):
                 pass  # stale or corrupt entries are rebuilt below
     grid = default_grid(params, n_nodes=n_nodes, grading=grading)
     op = assemble(grid, params)
@@ -306,7 +319,8 @@ def _profile_columns(profile):
 
 
 def _read_profile(args):
-    """Parse the profile CSV; returns its config baseline and (header, data).
+    """Parse the profile CSV; returns the config built on the parameters
+    and grid it embeds, and (header, data, (singular_coeff, exponent)).
 
     Raises ParameterError when the file is not a profile CSV.
     """
@@ -325,6 +339,11 @@ def _read_profile(args):
         raise ParameterError(f"{path}: header line is not JSON ({exc})") from exc
     if not isinstance(header, dict):
         raise ParameterError(f"{path}: header line is not a JSON object")
+    keys = ("singular_coeff", "singular_exponent")
+    try:
+        singular = tuple(float(header.get(key, 0.0)) for key in keys)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"{path}: non-numeric singular part ({exc})") from exc
     columns = lines[1].split(",")
     if columns != list(_PROFILE_COLUMNS):
         raise ParameterError(
@@ -351,12 +370,19 @@ def _read_profile(args):
     # embedded parameters and grid as the config baseline so the natural
     # solve-then-classify flow needs no repeated flags.  Explicit config
     # files, --set expressions and flags still override.
-    embedded = header.get("provenance", {}).get("config", {})
+    provenance = header.get("provenance", {})
+    embedded = provenance.get("config", {}) if isinstance(provenance, dict) else None
+    if not isinstance(embedded, dict):
+        raise ParameterError(f"{path}: header provenance.config is not a JSON object")
     base = {key: embedded[key] for key in ("params", "grid") if key in embedded}
-    return base, (header, data)
+    try:
+        cfg = _build_config(args, base=base)
+    except ValueError as exc:
+        raise ParameterError(f"{path}: embedded configuration: {exc}") from exc
+    return cfg, (header, data, singular)
 
 
-def _profile_from_csv(path, header, data, op):
+def _profile_from_csv(path, data, singular, op):
     """Rebuild a RadialFunction from a parsed profile CSV on the operator grid."""
     import numpy as np
 
@@ -368,20 +394,24 @@ def _profile_from_csv(path, header, data, op):
             f"({data['r'].size} nodes in file, {op.n} configured); "
             f"rerun with the grid the profile was produced on"
         )
-    return RadialFunction(
-        op.grid,
-        data["u_smooth"],
-        singular_coeff=float(header.get("singular_coeff", 0.0)),
-        singular_exponent=float(header.get("singular_exponent", 0.0)),
-    )
+    return RadialFunction(op.grid, data["u_smooth"], *singular)
 
 
 def _classification_payload(profile, params, op, k_reference=None):
-    from .classify import asymptotic_fit, estimate_k
+    from .classify import (
+        asymptotic_fit,
+        estimate_k,
+        standard_battery,
+        verify_weak_identity,
+    )
 
-    k_est = None
+    # The pairing is undefined for a singular profile in the supercritical
+    # regime; the fit alone gives the verdict there.
+    k_est = residual = None
     if params.subcritical or profile.singular_coeff == 0.0:
-        k_est = estimate_k(profile, params, op)
+        battery = standard_battery(op)
+        k_est = estimate_k(profile, params, op, battery)
+        residual = verify_weak_identity(profile, params, op, battery).max_residual
     ref = k_reference
     if ref is None and k_est is not None and k_est > 0.0:
         ref = k_est
@@ -392,6 +422,7 @@ def _classification_payload(profile, params, op, k_reference=None):
         "exponent_fit": report.exponent_fit,
         "limit_ratio": report.limit_ratio,
         "verdict": report.verdict,
+        "weak_identity_residual": residual,
     }
 
 
@@ -510,6 +541,7 @@ def _stability(job):
 
 
 def _mountain_pass(job):
+    from .classify import verify_weak_identity
     from .core import ConvergenceError
     from .mountainpass import build_form, find_second_solution
 
@@ -523,6 +555,7 @@ def _mountain_pass(job):
     result = find_second_solution(
         job.params, job.op, form, urep.profile, method=method, seed=int(job.cfg["seed"])
     )
+    identity = verify_weak_identity(result.second_solution, job.params, job.op)
     r, u_total, _, _ = _profile_columns(urep.profile)
     _, w_total, _, _ = _profile_columns(result.second_solution)
     v = result.v.values
@@ -539,6 +572,7 @@ def _mountain_pass(job):
         "energy": result.energy,
         "level_lower_bound": result.level_lower_bound,
         "v_max": float(v.max()),
+        "weak_identity_residual": identity.max_residual,
     }
     line = (
         f"mountain-pass ({method}): energy {result.energy:.6g} >= "
@@ -549,8 +583,8 @@ def _mountain_pass(job):
 
 
 def _classify(job):
-    header, data = job.source
-    profile = _profile_from_csv(job.args.profile, header, data, job.op)
+    header, data, singular = job.source
+    profile = _profile_from_csv(job.args.profile, data, singular, job.op)
     payload = _classification_payload(profile, job.params, job.op, job.args.k_reference)
     payload["profile"] = job.args.profile
     # Echo the parsed profile back under its original header: load/save is
@@ -629,8 +663,8 @@ class _Command(NamedTuple):
 
     A supercritical p is rejected up front, with consequence as the reason
     (no check if None; with point_mass, only when k > 0).  read parses the
-    input before the config is built and returns (config baseline, parsed
-    input).  flags are the command's own (flag, argparse options) pairs.
+    input and returns (config built on it, parsed input).  flags are the
+    command's own (flag, argparse options) pairs.
     """
 
     compute: Callable
@@ -641,8 +675,6 @@ class _Command(NamedTuple):
     read: Callable | None = None
 
 
-_BRACKET_TOL = ("--bracket-tol", dict(type=float, help="relative bracket width target"))
-_N_SAMPLES = ("--n-samples", dict(type=int, help="scan sample count"))
 _METHODS = ["MountainPassAlgorithm", "DeflatedNewton"]
 _METHOD = (
     "--method",
@@ -660,13 +692,11 @@ _COMMANDS = {
         _kstar,
         "bracket the extremal source strength",
         "the extremal source strength is undefined",
-        (_BRACKET_TOL,),
     ),
     "stability": _Command(
         _stability,
         "sigma1 scan along the minimal branch",
         "the solution branch is empty for k > 0",
-        (_BRACKET_TOL, _N_SAMPLES),
     ),
     "mountain-pass": _Command(
         _mountain_pass,
@@ -691,7 +721,6 @@ _COMMANDS = {
         _bifurcation,
         "two-branch table over the existence range",
         "the bifurcation diagram is empty for k > 0",
-        (_BRACKET_TOL, _N_SAMPLES),
     ),
 }
 
@@ -706,16 +735,21 @@ def _run(name, cfg, args):
     the report <stem>.json with command and provenance, and with
     --emit-plots <stem>_long.csv of kind "<first table's kind>-long".
     """
+    from .core import RegimeError
     from .picard import first_eigenpair
 
     command = _COMMANDS[name]
     source = None
     if command.read is not None:
-        base, source = command.read(args)
-        cfg = _build_config(args, base=base)
+        cfg, source = command.read(args)
     params = _problem(cfg)
-    if command.consequence and (params.k > 0.0 or not command.point_mass):
-        _require_subcritical(params, command.consequence)
+    checked = command.consequence and (params.k > 0.0 or not command.point_mass)
+    if checked and not params.subcritical:
+        raise RegimeError(
+            f"supercritical regime: p = {params.p:g} is at or above the "
+            f"critical exponent N/(N - 2 alpha) = {params.critical_p:.6g} "
+            f"for N = {params.dim}, alpha = {params.alpha:g}; {command.consequence}"
+        )
     op = _operator(cfg, params)
     eigenpair = first_eigenpair(op, tol=float(cfg["tolerances"]["eig_tol"]))
     prov = _provenance(cfg, params, op, eigenpair["lambda1"])
@@ -738,7 +772,7 @@ def _run(name, cfg, args):
     return result.code
 
 
-def _add_common(sp):
+def _add_common(sp, name):
     sp.add_argument("--config", help="JSON configuration file")
     sp.add_argument(
         "--set",
@@ -747,14 +781,14 @@ def _add_common(sp):
         metavar="KEY=VALUE",
         help="override a dotted config key, e.g. tolerances.picard_tol=1e-12",
     )
-    sp.add_argument("--dim", type=int, help="space dimension N")
-    sp.add_argument("--alpha", type=float, help="fractional order in (0, 1)")
-    sp.add_argument("--p", type=float, help="nonlinearity exponent")
-    sp.add_argument("--k", type=float, help="point-source strength")
-    sp.add_argument("--n-nodes", type=int, dest="n_nodes", help="grid size")
-    sp.add_argument("--grading", type=float, help="origin grading exponent")
-    sp.add_argument("--seed", type=int, help="seed for sampled certifications")
-    sp.add_argument("--output", "-o", help="output directory")
+    for setting in _SETTINGS:
+        if setting.flags and (setting.commands is None or name in setting.commands):
+            sp.add_argument(
+                *setting.flags,
+                dest=setting.path,
+                type=type(setting.default),
+                help=setting.help,
+            )
     sp.add_argument(
         "--emit-plots",
         action="store_true",
@@ -776,7 +810,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
     for name, command in _COMMANDS.items():
         sp = sub.add_parser(name, help=command.help)
-        _add_common(sp)
+        _add_common(sp, name)
         for flag, options in command.flags:
             sp.add_argument(flag, **options)
     return parser

@@ -6,11 +6,11 @@ Shared foundation for the toolkit solving
     u = 0                                outside B_1,
 
 with 0 < alpha < 1, p > 1 and k >= 0.  This module provides validated
-problem parameters, the fundamental-solution and principal-value
-normalization constants, composite graded quadrature grids on (0,1) for
-the radial measure |S^{N-1}| r^{N-1} dr, and a radial-profile container
-that tracks an explicit multiple of r^(2*alpha-N) so that singular
-iterates are never sampled raw at the origin.
+problem parameters, the fundamental-solution constant, composite graded
+quadrature grids on (0,1) for the radial measure |S^{N-1}| r^{N-1} dr,
+and a radial-profile container that tracks an explicit multiple of
+r^(2*alpha-N) so that singular iterates are never sampled raw at the
+origin.
 """
 
 from __future__ import annotations
@@ -88,42 +88,6 @@ def fundamental_constant(dim, alpha):
     )
 
 
-def pv_constant(dim, alpha):
-    """Normalization of the principal-value integral defining (-Delta)^alpha.
-
-    Standard value 4^alpha * Gamma(dim/2 + alpha) * alpha
-    / (pi^(dim/2) * Gamma(1 - alpha)); the partner of
-    fundamental_constant under the convention that the two are mutually
-    consistent (unit Dirac mass is recovered by the pairing diagnostics).
-    """
-    _check_order(dim, alpha)
-    return (
-        4.0**alpha
-        * math.gamma(dim / 2.0 + alpha)
-        * alpha
-        / (math.pi ** (dim / 2.0) * math.gamma(1.0 - alpha))
-    )
-
-
-@dataclass(frozen=True)
-class Constants:
-    """The pair of operator constants for fixed (dim, alpha).
-
-    c_fund scales the fundamental solution c_fund*|x|^(2*alpha-dim);
-    c_pv scales the principal-value singular integral of the operator.
-    """
-
-    c_fund: float
-    c_pv: float
-
-
-def constants_for(dim, alpha):
-    """Both normalization constants for the given dimension and order."""
-    return Constants(
-        c_fund=fundamental_constant(dim, alpha), c_pv=pv_constant(dim, alpha)
-    )
-
-
 @dataclass(frozen=True)
 class ProblemParams:
     """Parameters of (-Delta)^alpha u = u^p + k delta_0 on the unit ball.
@@ -168,8 +132,9 @@ class ProblemParams:
         return 2.0 * self.alpha - self.dim
 
     @property
-    def constants(self):
-        return constants_for(self.dim, self.alpha)
+    def c_fund(self):
+        """Constant of the fundamental solution c_fund |x|^(2*alpha-N)."""
+        return fundamental_constant(self.dim, self.alpha)
 
     def with_k(self, k):
         """Copy of these parameters with the source strength replaced."""
@@ -342,7 +307,8 @@ class RadialFunction:
         """Nodewise total profile, singular part included."""
         if self.singular_coeff == 0.0:
             return self.values
-        out = self.values + self.singular_coeff * self.grid.nodes**self.singular_exponent
+        singular = self.singular_coeff * self.grid.nodes**self.singular_exponent
+        out = self.values + singular
         out.setflags(write=False)
         return out
 

@@ -12,9 +12,9 @@ which in regularized incomplete-beta form becomes
 
 because kappa * B(alpha, N/2-alpha) equals the fundamental-solution
 constant c_fund.  Both shape parameters are fixed for a given (N, alpha),
-so I_z is evaluated from two polynomial tables built once per assembly
-(or per point_kernel / radial_kernel call) from the hypergeometric form
-of the incomplete beta (DLMF 8.17(v)): I_z = z^a P(z) for z <= 1/2, and
+so I_z is evaluated from two polynomial tables built once per (N, alpha)
+and kept for the process, from the hypergeometric form of the
+incomplete beta (DLMF 8.17(v)): I_z = z^a P(z) for z <= 1/2, and
 I_z = -expm1(b ln w + L(w)) with w = 1 - z above, where P and L are
 smooth on [0, 1/2] and a = alpha, b = N/2 - alpha.  This module evaluates
 the kernel pointwise, reduces it over spheres to a radial kernel, and
@@ -29,6 +29,7 @@ logarithm at alpha = 1/2, a blow-up below it).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -43,7 +44,6 @@ from scipy import linalg
 from scipy.special import beta, betainc
 
 from .core import (
-    _origin_window,
     ConvergenceError,
     KernelError,
     ParameterError,
@@ -223,8 +223,10 @@ class _Kernel(NamedTuple):
     ibeta: Callable
 
 
+@functools.lru_cache(maxsize=None)
 def _kernel(dim, alpha):
-    """Build the kernel data, incomplete-beta tables included, for (N, alpha)."""
+    """Kernel data, incomplete-beta tables included, for (N, alpha);
+    memoised, as a build costs 80-130 us and the tables hold 46 numbers."""
     return _Kernel(
         dim,
         alpha,
@@ -593,7 +595,7 @@ def assemble(grid, params):
         raise ParameterError(
             f"grid dimension {grid.dim} does not match params.dim {dim}"
         )
-    # The tables are built here, before any block is submitted.
+    # The tables are built here, if at all, before any block is submitted.
     kernel = _kernel(dim, alpha)
     surf = surface_area(dim)
     nodes = grid.nodes
@@ -744,73 +746,6 @@ def measured_c2(params, op):
     return float(np.max(composed / g))
 
 
-@dataclass(frozen=True)
-class ComposeReport:
-    """Measured behavior of the composed profile G_alpha[(G_alpha[delta_0])^p].
-
-    regime is 'bounded', 'log', or 'power' according to the position of
-    p relative to 2*alpha/(N-2*alpha); expected_exponent/fitted_exponent
-    describe the origin behavior in the power regime; c2 is the measured
-    ratio supremum against the Dirac column, optionally cross-checked on
-    a refined operator.
-    """
-
-    regime: str
-    expected_exponent: float | None
-    fitted_exponent: float | None
-    c2: float
-    c2_refined: float | None
-    stable: bool | None
-
-
-def compose_estimate_check(params, op, op_ref=None):
-    """Verify the origin behavior of G_alpha[(G_alpha[delta_0])^p].
-
-    Classifies the regime by p against 2*alpha/(N-2*alpha): below the
-    threshold the composed profile stays bounded near 0, at it the
-    profile grows like |log r|, above it like r^(p(2*alpha-N)+2*alpha)
-    (always subordinate to the Dirac column itself).  Reports the
-    measured ratio supremum c2; when a refined operator is supplied the
-    supremum is recomputed there and a blow-up under refinement is
-    signaled as a quadrature failure.
-    """
-    c2 = measured_c2(params, op)
-    idx = _origin_window(op.grid)
-    r_win = op.grid.nodes[idx]
-    prof = op.apply(op.dirac_column**params.p)[idx]
-    fitted = float(np.polyfit(np.log(r_win), np.log(prof), 1)[0])
-    expected = None
-    p_low = 2.0 * params.alpha / (params.dim - 2.0 * params.alpha)
-    if abs(params.p - p_low) < 1e-12:
-        regime = "log"
-        if not np.all(np.isfinite(prof / np.abs(np.log(r_win)))):
-            raise ConvergenceError("log-regime ratio is not finite near the origin")
-    elif params.p < p_low:
-        regime = "bounded"
-    else:
-        regime = "power"
-        expected = params.p * params.singular_exponent + 2.0 * params.alpha
-
-    c2_refined = None
-    stable = None
-    if op_ref is not None:
-        c2_refined = measured_c2(params, op_ref)
-        if c2_refined > 1.2 * c2:
-            raise ConvergenceError(
-                f"ratio supremum grows under refinement ({c2:.6g} -> "
-                f"{c2_refined:.6g}); quadrature failure"
-            )
-        stable = bool(abs(c2_refined - c2) <= 0.05 * c2)
-    return ComposeReport(
-        regime=regime,
-        expected_exponent=expected,
-        fitted_exponent=fitted,
-        c2=c2,
-        c2_refined=c2_refined,
-        stable=stable,
-    )
-
-
 def _operator_payload(op):
     return [
         np.ascontiguousarray(op.matrix, dtype=np.float64),
@@ -854,20 +789,29 @@ def save_operator(op, path):
 
 
 def load_operator(path):
-    """Inverse of save_operator; validates the checksum and reshapes."""
+    """Inverse of save_operator; validates the header and checksum and reshapes.
+
+    Raises ParameterError for anything but a current operator file.
+    """
     with open(path, "rb") as fh:
         header_line = fh.readline()
         payload = fh.read()
-    header = json.loads(header_line.decode())
+    try:
+        header = json.loads(header_line)
+    except ValueError:
+        header = None
+    if not isinstance(header, dict):
+        raise ParameterError(f"operator file {path} has no JSON object header")
     if header.get("format_version") != FORMAT_VERSION:
         raise ParameterError(
             f"unsupported operator file version {header.get('format_version')!r}"
         )
-    if hashlib.sha256(payload).hexdigest() != header["sha256"]:
+    if hashlib.sha256(payload).hexdigest() != header.get("sha256"):
         raise ParameterError(f"operator file {path} is corrupted (checksum mismatch)")
-    n = header["n_nodes"]
-    n_edges = header["n_cells"] + 1
-    sizes = [n * n, n, n, n, n_edges]
+    n, n_cells = header.get("n_nodes"), header.get("n_cells")
+    if not all(type(m) is int and m > 0 for m in (n, n_cells)):
+        raise ParameterError(f"operator file {path} has invalid grid sizes")
+    sizes = [n * n, n, n, n, n_cells + 1]
     flat = np.frombuffer(payload, dtype=np.float64)
     if flat.size != sum(sizes):
         raise ParameterError(f"operator file {path} has inconsistent payload size")

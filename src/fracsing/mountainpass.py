@@ -170,20 +170,6 @@ def increment_primitive(s, t, p):
     return out
 
 
-def superlinearity_margin(s, t, p, c_p):
-    """Margin of f(s,t) t - (2 + c_p) F(s,t) >= -(c_p p / 2) s^(p-1) t^2.
-
-    Returns the left side minus the right side (nonnegative when the
-    inequality holds); at p = 2 with c_p = 1 the margin vanishes
-    identically, the sharp case.
-    """
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    tp = np.maximum(t, 0.0)
-    lhs = power_increment(s, tp, p) * tp - (2.0 + c_p) * increment_primitive(s, tp, p)
-    return lhs + (c_p * p / 2.0) * s ** (p - 1.0) * tp**2
-
-
 def energy(v, u_min, form, params):
     """Shifted-problem energy E(v) at a bounded perturbation profile.
 
@@ -581,42 +567,3 @@ def find_second_solution(
         second_solution=u_min + v_prof,
         trace=tuple(trace),
     )
-
-
-@dataclass(frozen=True)
-class WeakIdentityReport:
-    """Residuals of the distributional identity against a test battery.
-
-    Each row is (support, pairing_value, k_times_xi0, residual); the
-    pairing of a true solution equals k xi(0) for every test function.
-    """
-
-    max_residual: float
-    rows: tuple
-
-
-def verify_weak_identity(w, params, op):
-    """Check int u (-Delta)^alpha xi - int u^p xi = k xi(0) on a battery.
-
-    Parameters
-    ----------
-    w : RadialFunction
-        Candidate solution (minimal, second, or externally supplied).
-    params : ProblemParams
-    op : GreenOperator
-
-    Returns
-    -------
-    WeakIdentityReport
-    """
-    from .classify import pairing, standard_battery
-
-    rows = []
-    worst = 0.0
-    for xi in standard_battery(op):
-        val = pairing(w, xi, params, op)
-        target = params.k * xi.value_at_origin
-        resid = val - target
-        worst = max(worst, abs(resid))
-        rows.append((xi.support, val, target, resid))
-    return WeakIdentityReport(max_residual=worst, rows=tuple(rows))

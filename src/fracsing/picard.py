@@ -103,7 +103,7 @@ def _source_parts(params, op):
     k = params.k
     source = k * dirac_smooth_remainder(op.grid, params)
     if k > 0.0:
-        return source, k * params.constants.c_fund, params.singular_exponent
+        return source, k * params.c_fund, params.singular_exponent
     return source, 0.0, 0.0
 
 
@@ -240,9 +240,9 @@ def find_kstar(params_without_k, op, bracket_tol=1e-3, tol=1e-9, max_iter=3000):
         For supercritical exponents (k* = 0: no positive k admits a
         solution).
     ConvergenceError
-        If the probe at the certified lower bound k_p fails, no
-        divergence is found under repeated doubling, or the recorded
-        probes are not monotone in k (all indicate numerical faults).
+        If the probe at the certified lower bound k_p fails or no
+        divergence is found under repeated doubling (both indicate
+        numerical faults).
     """
     if not bracket_tol > 0.0:
         raise ParameterError(f"bracket_tol must be positive, got {bracket_tol}")
@@ -256,13 +256,9 @@ def find_kstar(params_without_k, op, bracket_tol=1e-3, tol=1e-9, max_iter=3000):
     c2 = measured_c2(params, op)
     k_p = (1.0 / (c2 * p)) ** (1.0 / (p - 1.0)) * (p - 1.0) / p
 
-    probes = []
-
     def probe(k):
         report = iterate_minimal(params.with_k(k), op, tol=tol, max_iter=max_iter)
-        ok = report.status == "Converged"
-        probes.append((k, ok))
-        return ok, report
+        return report.status == "Converged", report
 
     ok, report = probe(k_p)
     if not ok:
@@ -294,32 +290,7 @@ def find_kstar(params_without_k, op, bracket_tol=1e-3, tol=1e-9, max_iter=3000):
         else:
             k_hi = mid
 
-    converged_ks = [q for q, okq in probes if okq]
-    diverged_ks = [q for q, okq in probes if not okq]
-    if diverged_ks and max(converged_ks) >= min(diverged_ks):
-        raise ConvergenceError(
-            "convergence indicator is not monotone in k across probes"
-        )
     return KStarBracket(k_lo=k_lo, k_hi=k_hi, profile_lo=profile_lo)
-
-
-def extremal_solution(params_without_k, op, bracket, tol=1e-10, max_iter=8000):
-    """Minimal solution at the convergent bracket edge k_lo.
-
-    Re-solves at bracket.k_lo with a tightened tolerance and returns the
-    profile; raises ConvergenceError if the re-solve fails (k_lo was
-    observed convergent when the bracket was built, so a failure here
-    indicates an inconsistent operator or tolerance).
-    """
-    report = iterate_minimal(
-        params_without_k.with_k(bracket.k_lo), op, tol=tol, max_iter=max_iter
-    )
-    if report.status != "Converged":
-        raise ConvergenceError(
-            f"re-solve at bracket edge k_lo = {bracket.k_lo:.6g} did not "
-            f"converge ({report.status})"
-        )
-    return report.profile
 
 
 def _power_iteration(op, weights, c, tol, max_iter):

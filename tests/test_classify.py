@@ -101,11 +101,10 @@ def test_pairing_is_local(usol_005, op400, battery400):
 
 def test_pairing_rejects_supercritical_singularities(op400):
     params = ProblemParams(dim=2, alpha=0.6, p=6.0, k=0.01)
-    consts = params.constants
     sing = RadialFunction(
         op400.grid,
         np.zeros(op400.n),
-        singular_coeff=0.01 * consts.c_fund,
+        singular_coeff=0.01 * params.c_fund,
         singular_exponent=params.singular_exponent,
     )
     battery = standard_battery(op400)
@@ -160,12 +159,11 @@ def test_asymptotic_fit_on_the_pure_fundamental_profile(params0, op400):
     # c_fund k r^(2 alpha - N) plus its smooth complement is the exact
     # dirac response; the fit must read k back with ratio ~ 1.
     params = params0.with_k(1.0)
-    consts = params.constants
     smooth = dirac_smooth_remainder(op400.grid, params)
     u = RadialFunction(
         op400.grid,
         params.k * smooth,
-        singular_coeff=params.k * consts.c_fund,
+        singular_coeff=params.k * params.c_fund,
         singular_exponent=params.singular_exponent,
     )
     report = asymptotic_fit(u, params)
@@ -194,12 +192,11 @@ def test_asymptotic_fit_needs_an_origin_window(params0):
 
 def test_asymptotic_fit_echoes_the_supercritical_regime(op400):
     params = ProblemParams(dim=2, alpha=0.6, p=6.0, k=0.01)
-    consts = params.constants
     r = op400.grid.nodes
     u = RadialFunction(
         op400.grid,
         np.zeros(op400.n),
-        singular_coeff=params.k * consts.c_fund,
+        singular_coeff=params.k * params.c_fund,
         singular_exponent=params.singular_exponent,
     )
     report = asymptotic_fit(u, params)
@@ -217,11 +214,10 @@ def test_asymptotic_fit_rejects_alien_growth(params0, op400):
 
 def test_k_reference_precedence(usol_005):
     params, u = usol_005
-    consts = params.constants
     # The profile's own singular bookkeeping wins over params.k ...
     report = asymptotic_fit(u, params.with_k(7.0))
     assert report.k_estimate == pytest.approx(
-        u.singular_coeff / consts.c_fund, rel=1e-12
+        u.singular_coeff / params.c_fund, rel=1e-12
     )
     assert report.verdict == "DiracSingularity"
 
@@ -243,9 +239,8 @@ def test_k_reference_falls_back_to_params(params0, op400):
     # A profile without singular bookkeeping calibrates against params.k.
     params = params0.with_k(0.05)
     smooth = dirac_smooth_remainder(op400.grid, params)
-    consts = params.constants
     r = op400.grid.nodes
-    vals = params.k * (smooth + consts.c_fund * r**params.singular_exponent)
+    vals = params.k * (smooth + params.c_fund * r**params.singular_exponent)
     u = RadialFunction(op400.grid, vals)
     report = asymptotic_fit(u, params)
     assert report.k_estimate == params.k

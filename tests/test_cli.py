@@ -113,6 +113,7 @@ def test_solve_writes_profile_and_report(solve_dir, op200):
     assert payload["classification"]["k_pairing_estimate"] == pytest.approx(
         0.05, rel=0.02
     )
+    assert 0.0 <= payload["classification"]["weak_identity_residual"] <= 1e-6
 
 
 def test_solve_reruns_are_byte_identical(solve_dir):
@@ -134,6 +135,8 @@ def test_classify_round_trips_the_profile(solve_dir, tmp_path):
     payload = _check_outputs(tmp_path, "classify", {}, others=["classify_profile.csv"])
     assert payload["verdict"] == "DiracSingularity"
     assert payload["k_pairing_estimate"] == pytest.approx(0.05, rel=0.02)
+    solved = json.loads((solve_dir / "solve.json").read_text())["classification"]
+    assert payload["weak_identity_residual"] == solved["weak_identity_residual"]
     # The echoed profile is byte-identical to its source.
     assert (tmp_path / "classify_profile.csv").read_bytes() == (
         solve_dir / "solve.csv"
@@ -158,8 +161,23 @@ _COLUMNS = "r,u_total,u_smooth,u_singular"
         _HEADER + "\nr,u\n1,2\n",
         _HEADER + "\n" + _COLUMNS + "\n0.1,1,1,0\n0.2,1,1\n",
         _HEADER + "\n" + _COLUMNS + "\n0.1,1,one,0\n",
+        '# {"provenance": [1]}\n' + _COLUMNS + "\n0.1,1,1,0\n",
+        '# {"provenance": {"config": {"params": {"dim": "abc"}}}}\n'
+        + _COLUMNS
+        + "\n0.1,1,1,0\n",
+        '# {"singular_coeff": "lots"}\n' + _COLUMNS + "\n0.1,1,1,0\n",
     ],
-    ids=["no-header", "bad-json", "not-object", "columns", "short-row", "non-numeric"],
+    ids=[
+        "no-header",
+        "bad-json",
+        "not-object",
+        "columns",
+        "short-row",
+        "non-numeric",
+        "provenance-not-object",
+        "embedded-config-type",
+        "non-numeric-singular-part",
+    ],
 )
 def test_classify_rejects_a_malformed_profile(tmp_path, capsys, text):
     profile = tmp_path / "bad.csv"
@@ -241,6 +259,7 @@ def test_mountain_pass_command(tmp_path):
         payload = _check_outputs(out, "mountain-pass", tables, long_x="r")
         assert payload["energy"] >= payload["level_lower_bound"] > 0.0
         assert payload["method"] == method
+        assert 0.0 <= payload["weak_identity_residual"] <= 1e-5
         data = _data(out / "mountain_pass.csv")
         assert _columns(out / "mountain_pass.csv") == [
             "r",
@@ -322,14 +341,26 @@ def test_corrupt_cache_is_rebuilt(shared_cache, tmp_path, op200):
     cached = sorted(shared_cache.iterdir())
     assert cached
     victim = cached[0]
-    victim.write_bytes(b"not an operator payload")
-    assert cli.main(["eigen", "--n-nodes", "200", "-o", str(tmp_path)]) == 0
-    payload = json.loads((tmp_path / "eigen.json").read_text())
-    assert payload["lambda1"] == pytest.approx(
-        first_eigenpair(op200)["lambda1"], rel=1e-12
-    )
-    # The poisoned entry was silently regenerated.
-    assert victim.stat().st_size > 1000
+    line, _, payload = victim.read_bytes().partition(b"\n")
+    header = json.loads(line)
+    no_checksum = {key: val for key, val in header.items() if key != "sha256"}
+    # The checksum covers the payload only, so a bad header must be caught
+    # on its own: no sha256, a JSON list, a non-integer node count.
+    corruptions = [
+        b"not an operator payload",
+        json.dumps(no_checksum).encode() + b"\n" + payload,
+        b"[1, 2]\n" + payload,
+        json.dumps({**header, "n_nodes": "abc"}).encode() + b"\n" + payload,
+    ]
+    for blob in corruptions:
+        victim.write_bytes(blob)
+        assert cli.main(["eigen", "--n-nodes", "200", "-o", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "eigen.json").read_text())
+        assert report["lambda1"] == pytest.approx(
+            first_eigenpair(op200)["lambda1"], rel=1e-12
+        )
+        # The poisoned entry was silently regenerated.
+        assert np.array_equal(green.load_operator(str(victim)).matrix, op200.matrix)
 
 
 def test_cache_of_an_older_format_is_rebuilt(tmp_path, monkeypatch):
@@ -376,9 +407,17 @@ def test_exit_codes_for_user_errors(tmp_path):
             ["--set", "tolerances.picard_max_iter=lots"],
             "tolerances.picard_max_iter must be an integer, got 'lots'",
         ),
+        (["--set", "tolerances.eig_tl=1e-3"], "unknown key tolerances.eig_tl"),
+        (["--config", {"output": {"formats": ["csv"]}}], "unknown key output.formats"),
     ],
 )
 def test_config_values_of_the_wrong_type_exit_1(tmp_path, capsys, extra, message):
+    extra = list(extra)
+    if isinstance(extra[-1], dict):
+        # A dict stands for a --config file holding it.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(extra[-1]))
+        extra[-1] = str(cfg)
     assert cli.main(["eigen", *extra, "-o", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.splitlines() == [f"fracsing: configuration error: {message}"]

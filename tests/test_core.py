@@ -6,16 +6,14 @@ import mpmath
 import numpy as np
 import pytest
 
+import fracsing
 from fracsing.core import (
-    Constants,
     ParameterError,
     ProblemParams,
     RadialFunction,
     ball_volume,
-    constants_for,
     fundamental_constant,
     make_grid,
-    pv_constant,
     surface_area,
 )
 
@@ -53,23 +51,9 @@ def test_fundamental_constant_half_order_closed_forms():
     )
 
 
-def test_pv_constant_against_high_precision_route():
-    for dim, alpha in [(2, 0.75), (2, 0.5), (3, 0.6)]:
-        expected = (
-            mpmath.mpf(4) ** alpha
-            * mpmath.gamma(dim / 2.0 + alpha)
-            * alpha
-            / (mpmath.pi ** (dim / 2.0) * mpmath.gamma(1.0 - alpha))
-        )
-        assert pv_constant(dim, alpha) == pytest.approx(float(expected), rel=1e-14)
-        assert pv_constant(dim, alpha) > 0.0
-
-
-def test_constants_for_bundles_both():
-    c = constants_for(2, 0.75)
-    assert isinstance(c, Constants)
-    assert c.c_fund == fundamental_constant(2, 0.75)
-    assert c.c_pv == pv_constant(2, 0.75)
+def test_every_exported_name_resolves():
+    for name in fracsing.__all__:
+        assert getattr(fracsing, name) is not None, name
 
 
 def test_params_validation_rejects_bad_inputs():
@@ -90,7 +74,7 @@ def test_params_derived_quantities():
     assert params.critical_p == pytest.approx(4.0, rel=1e-15)
     assert params.subcritical
     assert params.singular_exponent == pytest.approx(-0.5, rel=1e-15)
-    assert params.constants.c_fund == fundamental_constant(2, 0.75)
+    assert params.c_fund == fundamental_constant(2, 0.75)
 
     sup = ProblemParams(dim=2, alpha=0.6, p=6.0, k=0.0)
     assert sup.critical_p == pytest.approx(2.5, rel=1e-15)

@@ -19,10 +19,15 @@ from scipy.integrate import quad
 from scipy.special import betainc
 
 import fracsing.green as green_module
-from fracsing.core import KernelError, ParameterError, ProblemParams, make_grid
+from fracsing.core import (
+    KernelError,
+    ParameterError,
+    ProblemParams,
+    _origin_window,
+    make_grid,
+)
 from fracsing.green import (
     assemble,
-    compose_estimate_check,
     default_grid,
     dirac_profile,
     dirac_smooth_remainder,
@@ -44,7 +49,7 @@ def _kernel_oracle(x, y, params):
     r0 = (1 - mpmath.mpf(float(x @ x))) * (1 - mpmath.mpf(float(y @ y))) / d2
     a, b = params.alpha, params.dim / 2.0 - params.alpha
     frac = mpmath.betainc(a, b, 0, r0 / (1 + r0), regularized=True)
-    c_fund = params.constants.c_fund
+    c_fund = params.c_fund
     return float(c_fund * d2 ** mpmath.mpf(params.alpha - params.dim / 2.0) * frac)
 
 
@@ -117,16 +122,15 @@ def test_radial_kernel_rejects_coincident_radii(params0, params_half):
 
 def test_coarse_grid_has_no_origin_window(params0):
     grid = make_grid(16, grading=8.0, dim=params0.dim)
-    op = assemble(grid, params0)
     with pytest.raises(ParameterError, match="near the origin"):
-        compose_estimate_check(params0, op)
+        _origin_window(grid)
 
 
 def test_dirac_profile_matches_incomplete_beta_route(params0):
     grid = make_grid(120, dim=params0.dim)
     g = dirac_profile(grid, params0)
     a, b = params0.alpha, params0.dim / 2.0 - params0.alpha
-    c_fund = params0.constants.c_fund
+    c_fund = params0.c_fund
     for i in range(0, grid.n, 17):
         r = grid.nodes[i]
         # form 1 - r^2 in extended precision: in double it loses the
@@ -144,7 +148,7 @@ def test_dirac_profile_origin_approach(params0):
     # r^{N - 2 alpha} rate with the explicit leading coefficient.
     grid = default_grid(params0, n_nodes=400)
     g = dirac_profile(grid, params0)
-    ratio = g * grid.nodes ** (-params0.singular_exponent) / params0.constants.c_fund
+    ratio = g * grid.nodes ** (-params0.singular_exponent) / params0.c_fund
     assert np.all(ratio <= 1.0 + 1e-12)
     assert np.all(np.diff(ratio) < 0.0)
     assert ratio[0] >= 0.995
@@ -162,7 +166,7 @@ def test_dirac_smooth_remainder_is_exact_complement(params0):
     grid = make_grid(200, dim=2)
     g = dirac_profile(grid, params0)
     rem = dirac_smooth_remainder(grid, params0)
-    singular = params0.constants.c_fund * grid.nodes**params0.singular_exponent
+    singular = params0.c_fund * grid.nodes**params0.singular_exponent
     assert np.max(np.abs(g - (singular + rem))) <= 1e-12 * np.max(np.abs(g))
 
 
@@ -405,30 +409,25 @@ def test_lagrange_rows_match_the_per_cell_loop(op200, rng):
     assert got.tobytes() == want.tobytes()
 
 
-def test_measured_c2_stable_under_refinement(params0, op400, op800):
-    c2 = measured_c2(params0, op400)
-    c2_fine = measured_c2(params0, op800)
-    assert c2 > 0.0
-    assert abs(c2 - c2_fine) <= 1e-4 * c2
+def test_measured_c2_stable_under_refinement(op400, op800):
+    # p = 3.5 lies above 2 alpha / (N - 2 alpha) = 3, where the composed
+    # profile G[g^p] itself blows up at the origin and c2 converges
+    # slowly: it moves by 2.8% from n = 400 to 800.
+    for p, rel in ((2.0, 1e-4), (3.5, 0.05)):
+        params = ProblemParams(dim=2, alpha=0.75, p=p, k=0.0)
+        c2 = measured_c2(params, op400)
+        c2_fine = measured_c2(params, op800)
+        assert c2 > 0.0
+        assert abs(c2 - c2_fine) <= rel * c2
 
 
-def test_compose_regimes(params0, op400, op800):
-    # p below 2 alpha / (N - 2 alpha) = 3: composed profile stays bounded.
-    rep = compose_estimate_check(params0, op400)
-    assert rep.regime == "bounded"
-    assert rep.c2 == pytest.approx(measured_c2(params0, op400), rel=1e-12)
-
-    rep_log = compose_estimate_check(params0.__class__(
-        dim=2, alpha=0.75, p=3.0, k=0.0), op400)
-    assert rep_log.regime == "log"
-
-    power_params = ProblemParams(dim=2, alpha=0.75, p=3.5, k=0.0)
-    rep_pow = compose_estimate_check(power_params, op400, op_ref=op800)
-    assert rep_pow.regime == "power"
-    assert rep_pow.expected_exponent == pytest.approx(-0.25, rel=1e-12)
-    assert rep_pow.fitted_exponent == pytest.approx(-0.25, abs=0.05)
-    assert rep_pow.stable is True
-    assert rep_pow.c2_refined is not None
+def test_compose_regimes(op400):
+    # Above p = 2 alpha / (N - 2 alpha) = 3 the composed profile G[g^p]
+    # grows like r^(p (2 alpha - N) + 2 alpha) = r^-0.25 at p = 3.5.
+    idx = _origin_window(op400.grid)
+    prof = op400.apply(op400.dirac_column**3.5)[idx]
+    slope = np.polyfit(np.log(op400.grid.nodes[idx]), np.log(prof), 1)[0]
+    assert slope == pytest.approx(-0.25, abs=0.05)
 
 
 def test_save_load_roundtrip(tmp_path, op400):

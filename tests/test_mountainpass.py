@@ -17,6 +17,7 @@ from scipy import linalg
 
 import fracsing.picard
 from fracsing import mountainpass
+from fracsing.classify import verify_weak_identity
 from fracsing.core import (
     ConvergenceError,
     ParameterError,
@@ -38,8 +39,6 @@ from fracsing.mountainpass import (
     find_second_solution,
     increment_primitive,
     power_increment,
-    superlinearity_margin,
-    verify_weak_identity,
 )
 from fracsing.picard import first_eigenpair
 from fracsing.stability import sigma1
@@ -180,17 +179,6 @@ def test_increment_primitive_derivative_is_power_increment():
         - float(increment_primitive(s, t - h, p))
     ) / (2.0 * h)
     assert fd == pytest.approx(float(power_increment(s, t, p)), rel=1e-7)
-
-
-def test_superlinearity_margin_sharp_and_generic(rng):
-    # At p = 2 with c_p = 1 the margin vanishes identically (the sharp
-    # case); at other exponents it stays nonnegative.
-    s = rng.uniform(0.1, 3.0, size=200)
-    t = rng.uniform(0.0, 3.0, size=200)
-    sharp = superlinearity_margin(s, t, 2.0, 1.0)
-    assert np.all(np.abs(sharp) <= 1e-12 * (1.0 + s * t**2))
-    loose = superlinearity_margin(s, t, 3.0, 1.0)
-    assert np.all(loose >= -1e-12 * (1.0 + s**2 * t**2))
 
 
 # ------------------------------------------------------------- energy

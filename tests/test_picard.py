@@ -6,17 +6,11 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import betainc
 
-from fracsing.core import (
-    ConvergenceError,
-    ParameterError,
-    ProblemParams,
-    RegimeError,
-)
+from fracsing.core import ParameterError, ProblemParams, RegimeError
 from fracsing.green import dirac_profile, dirac_smooth_remainder, measured_c2, radial_kernel
 from fracsing.picard import (
     KStarBracket,
     barrier_certificate,
-    extremal_solution,
     find_kstar,
     first_eigenpair,
     iterate_minimal,
@@ -39,7 +33,7 @@ def test_small_source_converges_with_certificate(params0, op400):
     assert report.sup_residual <= 1e-10
     assert report.profile.is_nonnegative()
     assert report.profile.singular_coeff == pytest.approx(
-        0.05 * params.constants.c_fund, rel=1e-14
+        0.05 * params.c_fund, rel=1e-14
     )
     assert report.profile.singular_exponent == params.singular_exponent
 
@@ -64,7 +58,7 @@ def test_first_correction_matches_direct_quadrature(params0, op400):
 
     a = params.alpha
     b = params.dim / 2.0 - a
-    c_fund = params.constants.c_fund
+    c_fund = params.c_fund
 
     def g_exact(s):
         frac = 1.0 - betainc(b, a, s * s)
@@ -163,20 +157,10 @@ def test_bracket_below_float_resolution_ends(params0, op200):
 
 
 def test_extremal_solution_at_lower_edge(params0, op400, bracket400):
-    profile = extremal_solution(params0, op400, bracket400)
+    profile = bracket400.profile_lo
     assert profile.is_nonnegative()
     mid = iterate_minimal(params0.with_k(0.5 * bracket400.k_lo), op400).profile
     assert np.all(profile.total >= mid.total - 1e-12)
-
-
-def test_extremal_solution_rejects_bogus_bracket(params0, op400, bracket400):
-    fake = KStarBracket(
-        k_lo=2.0 * bracket400.k_hi,
-        k_hi=2.1 * bracket400.k_hi,
-        profile_lo=bracket400.profile_lo,
-    )
-    with pytest.raises(ConvergenceError):
-        extremal_solution(params0, op400, fake)
 
 
 def _dense_lambda1(op):
