@@ -213,8 +213,18 @@ def _problem(cfg):
     )
 
 
+def _grid(cfg, params):
+    """The radial grid the configuration asks for."""
+    from .green import default_grid
+
+    grid = cfg["grid"]
+    return default_grid(
+        params, n_nodes=int(grid["n_nodes"]), grading=float(grid["grading"])
+    )
+
+
 def _operator(cfg, params):
-    from .green import assemble, default_grid, load_operator, save_operator
+    from .green import assemble, load_operator, save_operator
 
     n_nodes = int(cfg["grid"]["n_nodes"])
     grading = float(cfg["grid"]["grading"])
@@ -238,8 +248,7 @@ def _operator(cfg, params):
                 return load_operator(cache_path)
             except (OSError, ValueError):
                 pass  # stale or corrupt entries are rebuilt below
-    grid = default_grid(params, n_nodes=n_nodes, grading=grading)
-    op = assemble(grid, params)
+    op = assemble(_grid(cfg, params), params)
     if cache_path is not None:
         os.makedirs(cache_dir, exist_ok=True)
         save_operator(op, cache_path)
@@ -322,7 +331,8 @@ def _read_profile(args):
     """Parse the profile CSV; returns the config built on the parameters
     and grid it embeds, and (header, data, (singular_coeff, exponent)).
 
-    Raises ParameterError when the file is not a profile CSV.
+    Raises ParameterError when the file is not a profile CSV or its
+    radial nodes are not those of the configured grid.
     """
     import numpy as np
 
@@ -379,22 +389,16 @@ def _read_profile(args):
         cfg = _build_config(args, base=base)
     except ValueError as exc:
         raise ParameterError(f"{path}: embedded configuration: {exc}") from exc
-    return cfg, (header, data, singular)
-
-
-def _profile_from_csv(path, data, singular, op):
-    """Rebuild a RadialFunction from a parsed profile CSV on the operator grid."""
-    import numpy as np
-
-    from .core import ParameterError, RadialFunction
-
-    if not np.array_equal(op.grid.nodes, data["r"]):
+    # Checked before the operator is built: a profile from another grid
+    # must not cost an assembly.
+    nodes = _grid(cfg, _problem(cfg)).nodes
+    if not np.array_equal(nodes, data["r"]):
         raise ParameterError(
             f"{path}: radial nodes do not match the configured grid "
-            f"({data['r'].size} nodes in file, {op.n} configured); "
+            f"({data['r'].size} nodes in file, {nodes.size} configured); "
             f"rerun with the grid the profile was produced on"
         )
-    return RadialFunction(op.grid, data["u_smooth"], *singular)
+    return cfg, (header, data, singular)
 
 
 def _classification_payload(profile, params, op, k_reference=None):
@@ -583,8 +587,10 @@ def _mountain_pass(job):
 
 
 def _classify(job):
+    from .core import RadialFunction
+
     header, data, singular = job.source
-    profile = _profile_from_csv(job.args.profile, data, singular, job.op)
+    profile = RadialFunction(job.op.grid, data["u_smooth"], *singular)
     payload = _classification_payload(profile, job.params, job.op, job.args.k_reference)
     payload["profile"] = job.args.profile
     # Echo the parsed profile back under its original header: load/save is

@@ -148,6 +148,24 @@ def test_classify_missing_profile_exits_1(tmp_path):
     assert rc == 1
 
 
+def test_classify_rejects_another_grid_before_assembly(
+    solve_dir, tmp_path, capsys, monkeypatch
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("operator built for a profile from another grid")
+
+    monkeypatch.setattr(green, "assemble", unreachable)
+    monkeypatch.setattr(green, "load_operator", unreachable)
+    profile = solve_dir / "solve.csv"
+    out = tmp_path / "out"
+    rc = cli.main(["classify", str(profile), "--n-nodes", "300", "-o", str(out)])
+    assert rc == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "radial nodes do not match the configured grid" in line
+    assert "(200 nodes in file, 300 configured)" in line
+    assert not out.exists()
+
+
 _HEADER = '# {"kind": "profile"}'
 _COLUMNS = "r,u_total,u_smooth,u_singular"
 

@@ -33,6 +33,7 @@ from fracsing.mountainpass import (
     _jacobian,
     _negative_endpoint,
     _newton,
+    _newton_step,
     _pass_geometry,
     build_form,
     energy,
@@ -245,6 +246,47 @@ def test_jacobian_buffer_equals_the_identity_difference(umin_mid, op400, second_
     assert np.count_nonzero(fprime == 0.0) > op400.n // 8
     expected = np.eye(op400.n) - op400.matrix * fprime[None, :]
     assert _jacobian(v, u_min.total, op400, params).tobytes() == expected.tobytes()
+
+
+def test_krylov_step_matches_the_lu_step(umin_mid, op400, second_mid):
+    params, u_min = umin_mid
+    u_total = u_min.total
+    # The deflated-Newton start and the second solution itself.
+    for v in (10.0 * u_total, second_mid.v.values):
+        resid = _gradient_values(v, u_total, op400, params)
+        lu = np.linalg.solve(_jacobian(v, u_total, op400, params), -resid)
+        got = _newton_step(v, u_total, op400, params, resid)
+        assert np.max(np.abs(got - lu)) <= 1e-11 * np.max(np.abs(lu))
+
+
+def test_missed_krylov_tolerance_takes_the_lu_step(
+    umin_mid, op400, form400, monkeypatch
+):
+    params, u_min = umin_mid
+    u_total = u_min.total
+
+    def lu_step(v, u_total, op, params, resid):
+        return np.linalg.solve(_jacobian(v, u_total, op, params), -resid)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mountainpass, "_newton_step", lu_step)
+        ref, ref_rows = _newton(
+            10.0 * u_total, u_total, op400, params, 1e-10, 60, form400.mass
+        )
+    # One product cannot reach the tolerance: every step falls back.
+    monkeypatch.setattr(mountainpass, "_KRYLOV_CAP", 1)
+    builds = []
+    real_jacobian = mountainpass._jacobian
+
+    def counted(*args):
+        builds.append(args)
+        return real_jacobian(*args)
+
+    monkeypatch.setattr(mountainpass, "_jacobian", counted)
+    got, rows = _newton(10.0 * u_total, u_total, op400, params, 1e-10, 60, form400.mass)
+    assert got.tobytes() == ref.tobytes()
+    assert rows == ref_rows
+    assert len(builds) == len(rows) - 1 > 0
 
 
 def test_newton_loop_with_and_without_deflation(umin_mid, op400, form400):
