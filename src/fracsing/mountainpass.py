@@ -104,7 +104,9 @@ def build_form(op):
         exceeds 1e12 (the grid grading has outrun double precision).
     """
     factor, lower = op.cholesky()
-    anorm = float(np.max(np.abs(op.symmetrized()).sum(axis=0)))
+    s_abs = op.symmetrized()
+    anorm = float(np.max(np.abs(s_abs, out=s_abs).sum(axis=0)))
+    del s_abs
     rcond, _ = lapack.dpocon(factor, anorm, uplo="L" if lower else "U")
     if rcond * _COND_CAP < 1.0:
         cond = 1.0 / rcond if rcond > 0.0 else np.inf
@@ -113,9 +115,12 @@ def build_form(op):
             f"grid grading too aggressive for the energy form"
         )
     sqrt_w = np.sqrt(op.grid.weights)
-    inv_sw = linalg.cho_solve((factor, lower), np.diag(sqrt_w))
-    stiffness = sqrt_w[:, None] * inv_sw
-    stiffness = 0.5 * (stiffness + stiffness.T)
+    # np.diag(sqrt_w) is symmetric, so its transpose is the same values in
+    # Fortran order and the solve overwrites it instead of a copy.
+    scaled = linalg.cho_solve((factor, lower), np.diag(sqrt_w).T, overwrite_b=True)
+    scaled *= sqrt_w[:, None]
+    stiffness = scaled + scaled.T
+    stiffness *= 0.5
     phi1 = first_eigenpair(op)["phi1"].values
     return DiscreteHAlphaForm(stiffness, op.grid.weights.copy(), phi1)
 

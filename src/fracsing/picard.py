@@ -326,16 +326,22 @@ def first_eigenpair(op, tol=1e-12, max_iter=100000):
     dict
         {"lambda1": float, "phi1": RadialFunction} where lambda1 is the
         reciprocal of the largest Green eigenvalue and phi1 the positive
-        eigenfunction with unit weighted L2 norm.
+        eigenfunction with unit weighted L2 norm.  The pair is kept on
+        the operator for each (tol, max_iter), so later calls return the
+        same read-only phi1 without iterating again.
     """
-    w = op.grid.weights
-    found = _power_iteration(op, w, 1.0, tol, max_iter)
-    if found is None:
-        raise ConvergenceError(
-            f"power iteration did not reach tolerance {tol} in {max_iter} steps"
-        )
-    mu, x = found
-    if float(np.min(x)) <= 0.0:
-        raise ConvergenceError("principal eigenfunction lost positivity")
-    phi = RadialFunction(op.grid, x / np.sqrt(w @ x**2))
-    return {"lambda1": 1.0 / mu, "phi1": phi}
+
+    def iterate():
+        w = op.grid.weights
+        found = _power_iteration(op, w, 1.0, tol, max_iter)
+        if found is None:
+            raise ConvergenceError(
+                f"power iteration did not reach tolerance {tol} in {max_iter} steps"
+            )
+        mu, x = found
+        if float(np.min(x)) <= 0.0:
+            raise ConvergenceError("principal eigenfunction lost positivity")
+        return 1.0 / mu, RadialFunction(op.grid, x / np.sqrt(w @ x**2))
+
+    lambda1, phi = op._memo(("first_eigenpair", tol, max_iter), iterate)
+    return {"lambda1": lambda1, "phi1": phi}

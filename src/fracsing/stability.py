@@ -114,7 +114,10 @@ def sigma1_rayleigh(u, params, op):
     y -> U (q * (U' y)): two triangular-matrix products per step in
     place of a full singular-value decomposition.  The Gram operator is
     built from the Cholesky factor and q, applied through the factor and
-    never assembled, and it is not the squared Green matrix.  Squaring
+    never assembled, and it is not the squared Green matrix.  U does not
+    depend on u or k: the operator factors S once and keeps U, zero
+    below the diagonal and read-only (GreenOperator.cholesky), so a
+    call after the first costs only the Lanczos products.  Squaring
     the factor costs nothing in accuracy because only the largest
     eigenvalue is wanted, which is as well conditioned
     as the largest singular value; nothing ill-conditioned is inverted
@@ -144,7 +147,7 @@ def sigma1_rayleigh(u, params, op):
     q = _linearized_weight(u, params)
     if float(np.min(q)) <= 0.0:
         raise ParameterError("linearization weight vanishes at a node")
-    upper = np.triu(op.cholesky()[0])
+    upper = op.cholesky()[0]
     gram = LinearOperator(
         (op.n, op.n), matvec=lambda y: upper @ (q * (upper.T @ y)), dtype=float
     )

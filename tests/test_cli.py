@@ -13,6 +13,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import fracsing.picard
 from fracsing import cli, green
@@ -218,6 +219,36 @@ def test_eigen_runs_one_power_iteration(tmp_path, monkeypatch):
     monkeypatch.setattr(fracsing.picard, "first_eigenpair", counted)
     assert cli.main(["eigen", "--n-nodes", "200", "-o", str(tmp_path)]) == 0
     assert len(calls) == 1
+
+
+def test_mountain_pass_factors_and_iterates_once(tmp_path, monkeypatch):
+    # The provenance eigenpair and the energy form's phi1 share one power
+    # iteration; the energy form and the weak-identity battery share one
+    # factorisation.  sigma1 binds its own reference to the power
+    # iteration when stability is imported, before the patch below, and
+    # is not counted.
+    import fracsing.mountainpass  # noqa: F401
+
+    counts = {"power": 0, "factor": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        fracsing.picard,
+        "_power_iteration",
+        counted("power", fracsing.picard._power_iteration),
+    )
+    monkeypatch.setattr(
+        scipy.linalg, "cho_factor", counted("factor", scipy.linalg.cho_factor)
+    )
+    argv = ["mountain-pass", "--k", "1.2", "--n-nodes", "200", "-o", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert counts == {"power": 1, "factor": 1}
 
 
 def test_eigen_matches_the_library_route(tmp_path, op200):

@@ -17,7 +17,7 @@ from scipy import linalg
 
 import fracsing.picard
 from fracsing import mountainpass
-from fracsing.classify import verify_weak_identity
+from fracsing.classify import standard_battery, verify_weak_identity
 from fracsing.core import (
     ConvergenceError,
     ParameterError,
@@ -42,7 +42,7 @@ from fracsing.mountainpass import (
     power_increment,
 )
 from fracsing.picard import first_eigenpair
-from fracsing.stability import sigma1
+from fracsing.stability import sigma1, sigma1_rayleigh
 
 mpmath.mp.dps = 40
 
@@ -68,6 +68,36 @@ def test_form_rejects_hopeless_conditioning(op400):
     indefinite = dataclasses.replace(op400, matrix=np.diag(signs))
     with pytest.raises(ConvergenceError, match="not positive definite"):
         build_form(indefinite)
+
+
+def test_form_stiffness_matches_the_copying_formula(op400, form400):
+    # Solving and symmetrising in place leaves the bytes and the memory
+    # order of the stiffness as the formula with copies gives them.
+    sqrt_w = np.sqrt(op400.grid.weights)
+    x = sqrt_w[:, None] * linalg.cho_solve(op400.cholesky(), np.diag(sqrt_w))
+    expected = 0.5 * (x + x.T)
+    assert form400.stiffness.tobytes() == expected.tobytes()
+    assert form400.stiffness.flags.c_contiguous == expected.flags.c_contiguous
+
+
+def test_form_battery_and_rayleigh_share_one_factorisation(
+    op400, umin_mid, monkeypatch
+):
+    params, u = umin_mid
+    original = linalg.cho_factor
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "cho_factor", counted)
+    op = dataclasses.replace(op400)
+    build_form(op)
+    standard_battery(op)
+    for _ in range(3):
+        sigma1_rayleigh(u, params, op)
+    assert len(calls) == 1
 
 
 def test_form_rayleigh_minimum_is_first_eigenvalue(op400, form400):
