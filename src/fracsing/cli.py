@@ -778,6 +778,17 @@ def _run(name, cfg, args):
     return result.code
 
 
+def _thread_count(text):
+    """--threads value: an integer of at least 1."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def _add_common(sp, name):
     sp.add_argument("--config", help="JSON configuration file")
     sp.add_argument(
@@ -801,7 +812,9 @@ def _add_common(sp, name):
         help="also write long-format CSVs for plotting tools",
     )
     sp.add_argument(
-        "--threads", type=int, help="cap numeric worker threads (set before compute)"
+        "--threads",
+        type=_thread_count,
+        help="cap numeric worker threads (set before compute)",
     )
 
 
@@ -830,7 +843,7 @@ def main(argv=None):
     except SystemExit as exc:
         code = exc.code
         return int(code) if isinstance(code, int) else 0 if code is None else 1
-    if getattr(args, "threads", None):
+    if args.threads is not None:
         # Must land in the environment before numpy/BLAS first load, which
         # is why all numeric imports in this module are deferred.
         for var in _THREAD_VARS:

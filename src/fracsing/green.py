@@ -430,6 +430,14 @@ class GreenOperator:
         """Nodewise G_alpha[f] for a nodewise-sampled density f."""
         return self.matrix @ np.asarray(values)
 
+    def check_params(self, params):
+        """Raise ParameterError unless params has this operator's dim and alpha."""
+        if (params.dim, params.alpha) != (self.dim, self.alpha):
+            raise ParameterError(
+                f"params (dim {params.dim}, alpha {params.alpha}) do not match "
+                f"the operator (dim {self.dim}, alpha {self.alpha})"
+            )
+
     def symmetrized(self):
         """Similarity transform D^(1/2) M D^(-1/2), D = diag(weights).
 
@@ -769,12 +777,15 @@ def measured_c2(params, op):
     """Measured comparison constant sup_r G_alpha[g^p](r) / g(r), g = G_alpha[delta_0].
 
     The finite supremum exists in the subcritical regime and feeds the
-    barrier certificate of the minimal-solution iteration.
+    barrier certificate of the minimal-solution iteration.  Raises
+    RegimeError for a supercritical p and ParameterError if params has
+    another dim or alpha than op.
     """
     if not params.subcritical:
         raise RegimeError(
             f"composition bound requires p < {params.critical_p:.6g}, got {params.p}"
         )
+    op.check_params(params)
     g = op.dirac_column
     composed = op.apply(g**params.p)
     return float(np.max(composed / g))

@@ -43,12 +43,18 @@ from .stability import sigma1
 _SERIES_CUTOFF = 1e-3
 # Largest accepted condition number of the symmetrized Green matrix.
 _COND_CAP = 1e12
-# GMRES settings of the Newton step (see _newton).  Measured on one
-# `branch` round of the n=800 operators, on a 2-vCPU Intel Xeon: 477 of
-# its 491 steps reach the tolerance, with a median of 12 products and at
-# most 29, in 2.2 ms a step where the dense LU solve takes 8.8 ms.
+# GMRES settings of the Newton step (see _newton); on one `branch` round
+# of the n=800 operators 477 of 491 steps meet the tolerance, in a median
+# of 12 products and at most 29.
 _KRYLOV_RTOL = 1e-13
 _KRYLOV_CAP = 40
+# Search settings: residual of the returned critical point, gradient
+# A-norm at which the path deformation hands over to the Newton polish,
+# path resolution, and the step budget of each search.
+_FP_TOL = 1e-10
+_GRAD_TOL = 1e-3
+_PATH_SEGMENTS = 20
+_MAX_STEPS = 2000
 
 
 @dataclass(frozen=True)
@@ -115,9 +121,11 @@ def build_form(op):
             f"grid grading too aggressive for the energy form"
         )
     sqrt_w = np.sqrt(op.grid.weights)
-    # np.diag(sqrt_w) is symmetric, so its transpose is the same values in
-    # Fortran order and the solve overwrites it instead of a copy.
-    scaled = linalg.cho_solve((factor, lower), np.diag(sqrt_w).T, overwrite_b=True)
+    # np.diag(sqrt_w) is symmetric: its transpose is the same values in
+    # Fortran order, which the solve overwrites; the kept factor is finite.
+    scaled = linalg.cho_solve(
+        (factor, lower), np.diag(sqrt_w).T, overwrite_b=True, check_finite=False
+    )
     scaled *= sqrt_w[:, None]
     stiffness = scaled + scaled.T
     stiffness *= 0.5
@@ -317,40 +325,17 @@ def _pass_geometry(u_total, form, params, c24, dirs, e_norm):
     )
 
 
-def _fprime(v, u_total, params):
-    """Derivative f'(u, v_+) = p (u + v_+)^(p-1) [v > 0] of the increment."""
-    vp = np.maximum(v, 0.0)
-    return params.p * (u_total + vp) ** (params.p - 1.0) * (v > 0.0)
-
-
-def _jacobian(v, u_total, op, params):
-    """Jacobian I - G diag(f'(u, v_+)) of the fixed-point residual.
-
-    Built in one buffer: the bytes equal those of np.eye(n) - G * f'
-    (0 - x is +0.0 where x = 0, and 1 + (-x) rounds as 1 - x), without
-    the identity and product temporaries.
-    """
-    jac = np.multiply(op.matrix, _fprime(v, u_total, params)[None, :])
-    np.subtract(0.0, jac, out=jac)
-    jac.flat[:: v.size + 1] += 1.0
-    return jac
-
-
 def _newton_step(v, u_total, op, params, resid):
-    """Newton direction delta solving J delta = -resid, J = I - G diag(f').
-
-    Matrix-free GMRES (see _newton), with the dense LU solve of
-    _jacobian where GMRES misses its tolerance.
-    """
-    fprime = _fprime(v, u_total, params)
+    """Newton direction for J delta = -resid, J = I - G diag(f'), with
+    f' = p (u + v_+)^(p-1) [v > 0]: the iterate of one matrix-free GMRES
+    cycle, whether or not it met the tolerance (see _newton)."""
+    fprime = params.p * (u_total + np.maximum(v, 0.0)) ** (params.p - 1.0) * (v > 0.0)
     jac = LinearOperator(
         (v.size, v.size), matvec=lambda y: y - op.apply(fprime * y), dtype=float
     )
-    delta, info = gmres(
+    delta, _ = gmres(
         jac, -resid, rtol=_KRYLOV_RTOL, atol=0.0, restart=_KRYLOV_CAP, maxiter=1
     )
-    if info != 0:
-        delta = np.linalg.solve(_jacobian(v, u_total, op, params), -resid)
     return delta
 
 
@@ -390,19 +375,17 @@ def _negative_endpoint(u_total, op, form, params):
     raise SecondSolutionNotFound("no negative-energy endpoint found on the ray")
 
 
-def _run_mountain_pass(
-    u_total, op, form, params, endpoint, fp_tol, grad_tol, m_segments, max_steps
-):
+def _run_mountain_pass(u_total, op, form, params, endpoint):
     """Maximize-then-descend path deformation from 0 to the negative-energy
     endpoint t0 * e_dir, followed by a Newton polish of the path maximum."""
     e_dir, t0 = endpoint
-    path = np.outer(np.linspace(0.0, 1.0, m_segments + 1) * t0, e_dir)
+    path = np.outer(np.linspace(0.0, 1.0, _PATH_SEGMENTS + 1) * t0, e_dir)
     trace = []
     v = path[1]
     best = np.inf
     stall = 0
-    for step_idx in range(max_steps):
-        energies = _energy_block(path[1:m_segments], u_total, form, params)
+    for step_idx in range(_MAX_STEPS):
+        energies = _energy_block(path[1:_PATH_SEGMENTS], u_total, form, params)
         j = int(np.argmax(energies)) + 1
         v = path[j].copy()
         e_here = float(energies[j - 1])
@@ -412,7 +395,7 @@ def _run_mountain_pass(
         # The maximum of a continuous path stays above the pass level;
         # a small gradient at nonpositive energy means the discrete
         # maximum slid off the barrier, so keep deforming.
-        if gnorm <= grad_tol and e_here > 0.0:
+        if gnorm <= _GRAD_TOL and e_here > 0.0:
             break
         if e_here < best - 1e-9 * (1.0 + abs(best)):
             best = e_here
@@ -438,7 +421,7 @@ def _run_mountain_pass(
         if not armijo_ok:
             break
         path = _redistribute(path, form)
-    v, polish_trace = _newton(v, u_total, op, params, fp_tol, 60)
+    v, polish_trace = _newton(v, u_total, op, params, 60)
     start = len(trace)
     trace.extend((start + i, None, r) for i, _, r in polish_trace)
     return v, trace
@@ -451,7 +434,7 @@ def _merit(nv2):
     return 1.0 + (1.0 / nv2 if nv2 > 0.0 else np.inf)
 
 
-def _newton(v, u_total, op, params, fp_tol, max_steps, mass=None):
+def _newton(v, u_total, op, params, max_steps, mass=None):
     """Newton iteration on the fixed-point residual R(v) from v.
 
     Without mass this is the plain polish of a warm start.  With the
@@ -468,12 +451,15 @@ def _newton(v, u_total, op, params, fp_tol, max_steps, mass=None):
     products y - G[f' y], to relative residual 1e-13 in the 2-norm.  J is
     the identity plus a compact operator, so GMRES converges
     superlinearly (Campbell, Ipsen, Kelley & Meyer 1996, BIT 36).  A step
-    that misses 1e-13 within 40 products is taken by a dense LU solve of
-    J instead.  Those are the ill-conditioned steps, cond(J) of 4e4 and
-    above: stagnating deflated searches and iterates near the fold, 14
-    of 491 steps in a measured `branch` round.  The tolerance is tight
-    because at 1e-12 a deflated search of that round that converges
-    (N=3, k = 0.75 k_lo) stagnated instead.
+    that misses 1e-13 within 40 products is taken as GMRES leaves it, an
+    inexact Newton step (Dembo, Eisenstat & Steihaug 1982, SIAM J. Numer.
+    Anal. 19) that the backtracking guards.  Those are the ill-conditioned
+    steps, cond(J) of 4e4 to 1e7, 14 of 491 steps in a measured `branch`
+    round, all in deflated searches: 1e-13 lies below their attainable
+    floor, the iterate's relative residual is 1.5e-13 to 5.4e-11 and that
+    of a dense LU solve of J 1.0e-13 to 6.5e-11.  The tolerance is tight
+    because at 1e-12 a deflated search of that round that converges (N=3,
+    k = 0.75 k_lo) stagnated instead.
     """
     name = "Newton polish" if mass is None else "deflated Newton"
     trace = []
@@ -482,7 +468,7 @@ def _newton(v, u_total, op, params, fp_tol, max_steps, mass=None):
         rnorm = float(np.max(np.abs(resid)))
         nv2 = None if mass is None else float(mass @ v**2)
         trace.append((it, None, rnorm))
-        if rnorm <= fp_tol:
+        if rnorm <= _FP_TOL:
             if nv2 is not None and nv2 <= 1e-16:
                 raise SecondSolutionNotFound(
                     "deflated iteration collapsed onto the trivial root", trace
@@ -520,10 +506,6 @@ def find_second_solution(
     u_min,
     method="MountainPassAlgorithm",
     seed=0,
-    fp_tol=1e-10,
-    grad_tol=1e-3,
-    m_segments=20,
-    max_steps=2000,
 ):
     """Locate the second solution above the minimal one.
 
@@ -541,13 +523,6 @@ def find_second_solution(
         "DeflatedNewton" (deflated root search started from 10 * u_min).
     seed : int
         Seed for the geometry-certification directions.
-    fp_tol : float
-        Fixed-point residual target for the returned critical point.
-    grad_tol : float
-        Gradient norm at which the path deformation hands over to the
-        Newton polish.
-    m_segments, max_steps : int
-        Path resolution and deformation budget.
 
     Returns
     -------
@@ -555,12 +530,16 @@ def find_second_solution(
 
     Raises
     ------
+    ParameterError
+        If method is not one of the two above.
     RegimeError
         If k <= 0 or u_min is not strictly stable (k at or beyond the
         extremal value: no second solution exists).
     SecondSolutionNotFound
         If the search budget is exhausted; carries the search trace.
     """
+    if method not in ("MountainPassAlgorithm", "DeflatedNewton"):
+        raise ParameterError(f"unknown method {method!r}")
     if params.k <= 0.0:
         raise RegimeError("second solutions require k > 0")
     stab = sigma1(u_min, params, op)
@@ -569,20 +548,15 @@ def find_second_solution(
             f"minimal solution is not strictly stable (sigma1 = "
             f"{stab.sigma1:.6g}); k is at or beyond the extremal value"
         )
-    if method not in ("MountainPassAlgorithm", "DeflatedNewton"):
-        raise ParameterError(f"unknown method {method!r}")
     c24 = 1.0 - 1.0 / stab.sigma1
     u_total = u_min.total
     endpoint = _negative_endpoint(u_total, op, form, params)
 
     if method == "MountainPassAlgorithm":
-        vals, trace = _run_mountain_pass(
-            u_total, op, form, params, endpoint, fp_tol, grad_tol, m_segments,
-            max_steps,
-        )
+        vals, trace = _run_mountain_pass(u_total, op, form, params, endpoint)
     else:
         vals, trace = _newton(
-            10.0 * u_total, u_total, op, params, fp_tol, max_steps, form.mass
+            10.0 * u_total, u_total, op, params, _MAX_STEPS, form.mass
         )
 
     scale = float(np.max(np.abs(vals)))

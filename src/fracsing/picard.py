@@ -132,16 +132,13 @@ def iterate_minimal(params, op, tol=1e-10, max_iter=2000):
     Raises
     ------
     ParameterError
-        If k < 0 or the grid does not match the operator's.
+        If k < 0 or params has another dim or alpha than the operator.
     ConvergenceError
         If an iterate loses nodewise monotonicity or, on a certified
         run, escapes the supersolution barrier: both indicate a
         quadrature fault rather than a mathematical outcome.
     """
-    if params.dim != op.dim:
-        raise RegimeError(
-            f"params.dim {params.dim} does not match operator dim {op.dim}"
-        )
+    op.check_params(params)
     k = params.k
     grid = op.grid
     g = op.dirac_column
@@ -235,7 +232,8 @@ def find_kstar(params_without_k, op, bracket_tol=1e-3, tol=1e-9, max_iter=3000):
     Raises
     ------
     ParameterError
-        If bracket_tol is not positive.
+        If bracket_tol is not positive, or (checked after the regime)
+        params has another dim or alpha than the operator.
     RegimeError
         For supercritical exponents (k* = 0: no positive k admits a
         solution).

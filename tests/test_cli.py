@@ -434,13 +434,26 @@ def test_cold_solve_leaves_one_cache_file(tmp_path, monkeypatch):
     assert names[0].startswith("operator-") and names[0].endswith(".bin")
 
 
-def test_exit_codes_for_user_errors(tmp_path):
+def test_exit_codes_for_user_errors(tmp_path, capsys):
     assert cli.main(["frobnicate"]) == 1
     assert cli.main(["eigen", "--set", "params.alpha"]) == 1
     assert cli.main(["eigen", "--config", str(tmp_path / "none.json")]) == 1
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert cli.main(["eigen", "--config", str(bad)]) == 1
+    # A thread count below 1 is a usage error, caught before any variable
+    # of the numeric libraries is set or any file is written.
+    threads = {var: os.environ.get(var) for var in cli._THREAD_VARS}
+    out = tmp_path / "out"
+    for value in ("0", "-1"):
+        capsys.readouterr()
+        argv = ["eigen", "--n-nodes", "200", "--threads", value, "-o", str(out)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"fracsing eigen: error: argument --threads: must be at least 1, got {value}"
+        ]
+        assert {var: os.environ.get(var) for var in cli._THREAD_VARS} == threads
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -30,7 +30,6 @@ from fracsing.mountainpass import (
     _energy_block,
     _energy_values,
     _gradient_values,
-    _jacobian,
     _negative_endpoint,
     _newton,
     _newton_step,
@@ -267,56 +266,50 @@ def test_block_norms_match_the_vector_loop(umin_mid, op400, form400, rng):
     assert all(abs(form400.norm(d) - 1.0) <= 1e-13 for d in dirs)
 
 
-def test_jacobian_buffer_equals_the_identity_difference(umin_mid, op400, second_mid):
-    params, u_min = umin_mid
-    v = second_mid.v.values.copy()
-    v[::7] = -v[::7]  # f' = 0 wherever v <= 0: those columns are unit vectors
-    v[3] = 0.0
-    fprime = params.p * (u_min.total + np.maximum(v, 0.0)) ** (params.p - 1.0) * (v > 0.0)
-    assert np.count_nonzero(fprime == 0.0) > op400.n // 8
-    expected = np.eye(op400.n) - op400.matrix * fprime[None, :]
-    assert _jacobian(v, u_min.total, op400, params).tobytes() == expected.tobytes()
-
-
 def test_krylov_step_matches_the_lu_step(umin_mid, op400, second_mid):
     params, u_min = umin_mid
     u_total = u_min.total
     # The deflated-Newton start and the second solution itself.
     for v in (10.0 * u_total, second_mid.v.values):
         resid = _gradient_values(v, u_total, op400, params)
-        lu = np.linalg.solve(_jacobian(v, u_total, op400, params), -resid)
+        vp = np.maximum(v, 0.0)
+        fprime = params.p * (u_total + vp) ** (params.p - 1.0) * (v > 0.0)
+        jac = np.eye(op400.n) - op400.matrix * fprime[None, :]
+        lu = np.linalg.solve(jac, -resid)
         got = _newton_step(v, u_total, op400, params, resid)
         assert np.max(np.abs(got - lu)) <= 1e-11 * np.max(np.abs(lu))
 
 
-def test_missed_krylov_tolerance_takes_the_lu_step(
-    umin_mid, op400, form400, monkeypatch
+def test_missed_krylov_tolerance_keeps_the_gmres_iterate(
+    umin_mid, op400, form400, second_mid, monkeypatch
 ):
     params, u_min = umin_mid
-    u_total = u_min.total
+    refs = {
+        "MountainPassAlgorithm": second_mid,
+        "DeflatedNewton": find_second_solution(
+            params, op400, form400, u_min, method="DeflatedNewton", seed=0
+        ),
+    }
+    # Five products cannot reach the tolerance: every cycle misses it, and
+    # its iterate is the step; no dense solve stands behind it.
+    monkeypatch.setattr(mountainpass, "_KRYLOV_CAP", 5)
+    infos = []
+    real_gmres = mountainpass.gmres
 
-    def lu_step(v, u_total, op, params, resid):
-        return np.linalg.solve(_jacobian(v, u_total, op, params), -resid)
+    def counted(*args, **kwargs):
+        delta, info = real_gmres(*args, **kwargs)
+        infos.append(info)
+        return delta, info
 
-    with monkeypatch.context() as patch:
-        patch.setattr(mountainpass, "_newton_step", lu_step)
-        ref, ref_rows = _newton(
-            10.0 * u_total, u_total, op400, params, 1e-10, 60, form400.mass
-        )
-    # One product cannot reach the tolerance: every step falls back.
-    monkeypatch.setattr(mountainpass, "_KRYLOV_CAP", 1)
-    builds = []
-    real_jacobian = mountainpass._jacobian
+    def no_dense_solve(*args, **kwargs):
+        raise AssertionError("dense solve of the Newton system")
 
-    def counted(*args):
-        builds.append(args)
-        return real_jacobian(*args)
-
-    monkeypatch.setattr(mountainpass, "_jacobian", counted)
-    got, rows = _newton(10.0 * u_total, u_total, op400, params, 1e-10, 60, form400.mass)
-    assert got.tobytes() == ref.tobytes()
-    assert rows == ref_rows
-    assert len(builds) == len(rows) - 1 > 0
+    monkeypatch.setattr(mountainpass, "gmres", counted)
+    monkeypatch.setattr(np.linalg, "solve", no_dense_solve)
+    for method, ref in refs.items():
+        got = find_second_solution(params, op400, form400, u_min, method=method, seed=0)
+        assert np.max(np.abs(got.v.values - ref.v.values)) <= 1e-10
+    assert infos and all(info != 0 for info in infos)
 
 
 def test_newton_loop_with_and_without_deflation(umin_mid, op400, form400):
@@ -326,15 +319,15 @@ def test_newton_loop_with_and_without_deflation(umin_mid, op400, form400):
     for mass, name in ((None, "Newton polish"), (form400.mass, "deflated Newton")):
         message = f"{name} exhausted 1 steps"
         with pytest.raises(SecondSolutionNotFound, match=message) as info:
-            _newton(start, u_total, op400, params, 1e-10, 1, mass)
+            _newton(start, u_total, op400, params, 1, mass)
         (row,) = info.value.trace
         assert row[:2] == (0, None) and row[2] > 1e-10
     # v = 0 is a root: the polish accepts it, the deflated search rejects it.
     zero = np.zeros(op400.n)
-    v, rows = _newton(zero, u_total, op400, params, 1e-10, 5)
+    v, rows = _newton(zero, u_total, op400, params, 5)
     assert not v.any() and rows == [(0, None, 0.0)]
     with pytest.raises(SecondSolutionNotFound, match="collapsed onto the trivial root"):
-        _newton(zero, u_total, op400, params, 1e-10, 5, form400.mass)
+        _newton(zero, u_total, op400, params, 5, form400.mass)
 
 
 def test_mountain_pass_finds_its_endpoint_once(umin_mid, op400, form400, monkeypatch):
@@ -440,13 +433,18 @@ def test_methods_agree_on_the_critical_point(
 
 
 def test_search_requires_a_source_and_a_known_method(
-    params0, op400, form400, umin_mid
+    params0, op400, form400, umin_mid, monkeypatch
 ):
+    # Both are rejected before any computation: sigma1 never runs.
+    def no_sigma1(*args, **kwargs):
+        raise AssertionError("sigma1 ran before the arguments were checked")
+
+    monkeypatch.setattr(mountainpass, "sigma1", no_sigma1)
     _, u_min = umin_mid
     with pytest.raises(RegimeError):
         find_second_solution(params0, op400, form400, u_min)
     params, _ = umin_mid
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="unknown method 'bogus'"):
         find_second_solution(params, op400, form400, u_min, method="bogus")
 
 

@@ -142,6 +142,24 @@ def test_bracket_rejects_supercritical(op400):
         find_kstar(ProblemParams(dim=2, alpha=0.6, p=6.0, k=0.0), op400)
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        ProblemParams(dim=2, alpha=0.8, p=2.0, k=0.1),
+        ProblemParams(dim=3, alpha=0.75, p=1.5, k=0.1),
+    ],
+    ids=["alpha", "dim"],
+)
+def test_params_of_another_operator_are_rejected(params, op200):
+    # op200 has dim 2 and alpha 0.75; both params are subcritical, so the
+    # mismatch itself is what find_kstar reports.
+    message = "do not match the operator"
+    with pytest.raises(ParameterError, match=message):
+        iterate_minimal(params, op200)
+    with pytest.raises(ParameterError, match=message):
+        find_kstar(params, op200)
+
+
 @pytest.mark.parametrize("bracket_tol", [0.0, -1.0, float("nan")])
 def test_bracket_tolerance_must_be_positive(params0, op200, bracket_tol):
     with pytest.raises(ParameterError, match="bracket_tol must be positive"):
