@@ -23,12 +23,12 @@ the energy on an A-sphere of verified radius.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
 from scipy.linalg import lapack
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .core import (
     ConvergenceError,
@@ -44,10 +44,11 @@ _SERIES_CUTOFF = 1e-3
 # Largest accepted condition number of the symmetrized Green matrix.
 _COND_CAP = 1e12
 # GMRES settings of the Newton step (see _newton); on one `branch` round
-# of the n=800 operators 477 of 491 steps meet the tolerance, in a median
-# of 12 products and at most 29.
+# of the n=800 operators 485 of 499 steps meet the tolerance in the true
+# residual, and a step takes a median of 11 products and at most 29.
 _KRYLOV_RTOL = 1e-13
 _KRYLOV_CAP = 40
+_EPS = float(np.finfo(float).eps)
 # Search settings: residual of the returned critical point, gradient
 # A-norm at which the path deformation hands over to the Newton polish,
 # path resolution, and the step budget of each search.
@@ -127,8 +128,19 @@ def build_form(op):
         (factor, lower), np.diag(sqrt_w).T, overwrite_b=True, check_finite=False
     )
     scaled *= sqrt_w[:, None]
-    stiffness = scaled + scaled.T
-    stiffness *= 0.5
+    # 0.5 (X + X') in place, one pair of square blocks at a time, so that
+    # no third n x n array joins the factor and X at the peak of the call.
+    # X is in Fortran order: its transpose is the C-ordered result.
+    size = 128
+    for i in range(0, op.n, size):
+        for j in range(i, op.n, size):
+            upper = scaled[i : i + size, j : j + size]
+            lower = scaled[j : j + size, i : i + size]
+            mean = upper + lower.T
+            mean *= 0.5
+            upper[...] = mean
+            lower[...] = mean.T
+    stiffness = scaled.T
     phi1 = first_eigenpair(op)["phi1"].values
     return DiscreteHAlphaForm(stiffness, op.grid.weights.copy(), phi1)
 
@@ -327,16 +339,57 @@ def _pass_geometry(u_total, form, params, c24, dirs, e_norm):
 
 def _newton_step(v, u_total, op, params, resid):
     """Newton direction for J delta = -resid, J = I - G diag(f'), with
-    f' = p (u + v_+)^(p-1) [v > 0]: the iterate of one matrix-free GMRES
-    cycle, whether or not it met the tolerance (see _newton)."""
+    f' = p (u + v_+)^(p-1) [v > 0]: the iterate of one GMRES cycle from
+    zero (Saad & Schultz 1986), whether or not it met the tolerance (see
+    _newton).
+
+    Each Arnoldi column costs one product y - G[f' y] and is
+    orthogonalised by classical Gram-Schmidt run twice (Giraud, Langou
+    & Rozloznik 2005), two matrix-vector products against the basis per
+    pass.  The cycle stops when the rotated residual |g_(j+1)| falls to
+    1e-13 ||resid|| or at a happy breakdown (the new column vanishes to
+    eps of its norm before orthogonalisation: the Krylov space is
+    invariant and the iterate exact); no product follows the cycle.
+    """
     fprime = params.p * (u_total + np.maximum(v, 0.0)) ** (params.p - 1.0) * (v > 0.0)
-    jac = LinearOperator(
-        (v.size, v.size), matvec=lambda y: y - op.apply(fprime * y), dtype=float
-    )
-    delta, _ = gmres(
-        jac, -resid, rtol=_KRYLOV_RTOL, atol=0.0, restart=_KRYLOV_CAP, maxiter=1
-    )
-    return delta
+    beta = float(np.linalg.norm(resid))
+    basis = np.empty((_KRYLOV_CAP + 1, resid.size))
+    np.multiply(resid, -1.0 / beta, out=basis[0])
+    g = [beta]
+    columns = []
+    rotations = []
+    for j in range(_KRYLOV_CAP):
+        w = basis[j] - op.apply(fprime * basis[j])
+        before = float(np.linalg.norm(w))
+        prior = basis[: j + 1]
+        h = prior @ w
+        w -= h @ prior
+        again = prior @ w
+        w -= again @ prior
+        h += again
+        after = float(np.linalg.norm(w))
+        breakdown = after <= _EPS * before
+        if not breakdown:
+            np.multiply(w, 1.0 / after, out=basis[j + 1])
+        col = h.tolist()
+        sub = 0.0 if breakdown else after
+        for k, (c, s) in enumerate(rotations):
+            col[k], col[k + 1] = c * col[k] + s * col[k + 1], c * col[k + 1] - s * col[k]
+        diag = math.hypot(col[j], sub)
+        c, s = col[j] / diag, sub / diag
+        col[j] = diag
+        rotations.append((c, s))
+        columns.append(col)
+        g.append(-s * g[j])
+        g[j] *= c
+        if abs(g[j + 1]) <= _KRYLOV_RTOL * beta or breakdown:
+            break
+    m = len(columns)
+    y = [0.0] * m
+    for i in range(m - 1, -1, -1):
+        acc = g[i] - sum(columns[k][i] * y[k] for k in range(i + 1, m))
+        y[i] = acc / columns[i][i]
+    return np.asarray(y) @ basis[:m]
 
 
 def _redistribute(path, form):
@@ -447,24 +500,27 @@ def _newton(v, u_total, op, params, max_steps, mass=None):
     (step, None, sup-norm residual).
 
     The plain step solves J delta = -R(v), J = I - G diag(f'(u, v_+)),
-    without forming J: one restart cycle of GMRES from zero, at most 40
-    products y - G[f' y], to relative residual 1e-13 in the 2-norm.  J is
-    the identity plus a compact operator, so GMRES converges
-    superlinearly (Campbell, Ipsen, Kelley & Meyer 1996, BIT 36).  A step
-    that misses 1e-13 within 40 products is taken as GMRES leaves it, an
-    inexact Newton step (Dembo, Eisenstat & Steihaug 1982, SIAM J. Numer.
-    Anal. 19) that the backtracking guards.  Those are the ill-conditioned
-    steps, cond(J) of 4e4 to 1e7, 14 of 491 steps in a measured `branch`
-    round, all in deflated searches: 1e-13 lies below their attainable
-    floor, the iterate's relative residual is 1.5e-13 to 5.4e-11 and that
-    of a dense LU solve of J 1.0e-13 to 6.5e-11.  The tolerance is tight
-    because at 1e-12 a deflated search of that round that converges (N=3,
-    k = 0.75 k_lo) stagnated instead.
+    without forming J: one GMRES cycle from zero (_newton_step), at most
+    40 products y - G[f' y], to relative residual 1e-13 in the 2-norm.  J
+    is the identity plus a compact operator, so GMRES converges
+    superlinearly (Campbell, Ipsen, Kelley & Meyer 1996, BIT 36): on a
+    measured `branch` round (both n=800 operators, 499 steps) a step
+    takes a median of 11 products and at most 29.  A step whose iterate
+    misses 1e-13 is taken as the cycle leaves it, an inexact Newton step
+    (Dembo, Eisenstat & Steihaug 1982, SIAM J. Numer. Anal. 19) that the
+    backtracking guards.  Those are the ill-conditioned steps, cond(J)
+    of 4e4 to 1e7, 14 steps of that round, all in deflated searches:
+    1e-13 lies below their attainable floor, their true relative
+    residual is 1.3e-13 to 6.6e-11 and that of a dense LU solve of J
+    1.0e-13 to 6.5e-11.  The tolerance is tight because at 1e-12 a
+    deflated search of that round that converges (N=3, k = 0.75 k_lo)
+    stagnated instead.  The residual of the accepted line-search trial
+    is the next step's residual; it is not evaluated again.
     """
     name = "Newton polish" if mass is None else "deflated Newton"
     trace = []
+    resid = _gradient_values(v, u_total, op, params)
     for it in range(max_steps):
-        resid = _gradient_values(v, u_total, op, params)
         rnorm = float(np.max(np.abs(resid)))
         nv2 = None if mass is None else float(mass @ v**2)
         trace.append((it, None, rnorm))
@@ -485,11 +541,9 @@ def _newton(v, u_total, op, params, max_steps, mass=None):
         for _ in range(40):
             trial = v + step * delta
             tmerit = _merit(None if mass is None else float(mass @ trial**2))
-            tnorm = float(
-                np.max(np.abs(_gradient_values(trial, u_total, op, params)))
-            )
-            if tmerit * tnorm < merit * rnorm:
-                v = trial
+            tresid = _gradient_values(trial, u_total, op, params)
+            if tmerit * float(np.max(np.abs(tresid))) < merit * rnorm:
+                v, resid = trial, tresid
                 break
             step *= 0.5
         else:

@@ -54,12 +54,13 @@ class KStarBracket:
 
     k_lo is the largest tested k whose iteration converged, k_hi the
     smallest tested k that failed to converge; profile_lo is the minimal
-    solution at k_lo.
+    solution at k_lo, converged to the probe step tolerance tol.
     """
 
     k_lo: float
     k_hi: float
     profile_lo: RadialFunction
+    tol: float
 
 
 def barrier_certificate(params, c2_measured):
@@ -162,42 +163,43 @@ def iterate_minimal(params, op, tol=1e-10, max_iter=2000):
     status = "MaxIterations"
     iterations = 0
     last_step = np.inf
-    for n in range(1, max_iter + 1):
-        total = vals + sing
-        with np.errstate(over="ignore", invalid="ignore"):
-            new_vals = op.apply(total**params.p) + source
-        if not np.all(np.isfinite(new_vals)):
-            status = "Diverged"
-            iterations = n
-            break
-        step = float(np.max(np.abs(new_vals - vals)))
-        scale = 1.0 + float(np.max(np.abs(new_vals)))
-        if float(np.min(new_vals - vals)) < -_MONOTONE_SLACK * scale:
-            raise ConvergenceError(
-                f"monotonicity lost at iteration {n}: quadrature fault"
-            )
-        if barrier is not None:
-            excess = float(np.max(new_vals + sing - barrier))
-            if excess > 1e-10 * (1.0 + float(np.max(barrier))):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, max_iter + 1):
+            new_vals = op.apply((vals + sing) ** params.p) + source
+            diff = new_vals - vals
+            step = float(np.max(np.abs(diff)))
+            # vals is finite, so a non-finite new iterate shows in the step.
+            if not np.isfinite(step):
+                status = "Diverged"
+                iterations = n
+                break
+            peak = float(np.max(np.abs(new_vals)))
+            if float(np.min(diff)) < -_MONOTONE_SLACK * (1.0 + peak):
                 raise ConvergenceError(
-                    f"certified iterate escaped the barrier by {excess:.3e}"
+                    f"monotonicity lost at iteration {n}: quadrature fault"
                 )
-        vals = new_vals
-        last_step = step
-        iterations = n
-        if step <= tol:
-            status = "Converged"
-            break
-        history.append(float(np.max(np.abs(vals))))
-        if history[-1] > ceiling:
-            status = "Diverged"
-            break
-        if n >= _GROWTH_MIN_ITER and len(history) > _GROWTH_WINDOW:
-            window = history[-_GROWTH_WINDOW - 1 :]
-            increasing = all(b > a for a, b in zip(window, window[1:]))
-            if increasing and window[-1] > _GROWTH_FACTOR * window[0]:
+            if barrier is not None:
+                excess = float(np.max(new_vals + sing - barrier))
+                if excess > 1e-10 * (1.0 + float(np.max(barrier))):
+                    raise ConvergenceError(
+                        f"certified iterate escaped the barrier by {excess:.3e}"
+                    )
+            vals = new_vals
+            last_step = step
+            iterations = n
+            if step <= tol:
+                status = "Converged"
+                break
+            history.append(peak)
+            if peak > ceiling:
                 status = "Diverged"
                 break
+            if n >= _GROWTH_MIN_ITER and len(history) > _GROWTH_WINDOW:
+                window = history[-_GROWTH_WINDOW - 1 :]
+                increasing = all(b > a for a, b in zip(window, window[1:]))
+                if increasing and window[-1] > _GROWTH_FACTOR * window[0]:
+                    status = "Diverged"
+                    break
 
     profile = RadialFunction(grid, vals, sing_coeff, sing_exp)
     return SolveReport(
@@ -288,7 +290,7 @@ def find_kstar(params_without_k, op, bracket_tol=1e-3, tol=1e-9, max_iter=3000):
         else:
             k_hi = mid
 
-    return KStarBracket(k_lo=k_lo, k_hi=k_hi, profile_lo=profile_lo)
+    return KStarBracket(k_lo=k_lo, k_hi=k_hi, profile_lo=profile_lo, tol=tol)
 
 
 def _power_iteration(op, weights, c, tol, max_iter):

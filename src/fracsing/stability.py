@@ -177,7 +177,7 @@ class StabilityScan:
         return list(zip(self.ks.tolist(), self.sigma1s.tolist(), self.gaps.tolist()))
 
 
-def stability_gap_scan(params_without_k, op, bracket, n_samples=8, tol=1e-9):
+def stability_gap_scan(params_without_k, op, bracket, n_samples=8):
     """Scan sigma1 over source strengths approaching the extremal value.
 
     Parameters
@@ -186,12 +186,12 @@ def stability_gap_scan(params_without_k, op, bracket, n_samples=8, tol=1e-9):
         Problem data; the k field is ignored.
     op : GreenOperator
     bracket : KStarBracket
-        Bracket from the extremal bisection; samples run from one tenth
-        of k_lo up to k_lo.
+        Bracket from the extremal bisection on op; samples run from one
+        tenth of k_lo up to k_lo.  The samples below k_lo are solved to
+        the bracket's probe tolerance; the k_lo sample is the bracket's
+        profile_lo, the same converged probe, so it is not solved again.
     n_samples : int
         Number of samples, at least 4.
-    tol : float
-        Tolerance for the minimal-solution solves.
 
     Returns
     -------
@@ -200,24 +200,33 @@ def stability_gap_scan(params_without_k, op, bracket, n_samples=8, tol=1e-9):
     Raises
     ------
     ParameterError
-        If n_samples < 4.
+        If n_samples < 4, or bracket.profile_lo lives on another grid
+        than op.
     ConvergenceError
         If a sampled solve fails to converge or sigma1 increases along
         k beyond roundoff tolerance (the index must be nonincreasing).
     """
     if n_samples < 4:
         raise ParameterError(f"need at least 4 samples, got {n_samples}")
+    if not np.array_equal(bracket.profile_lo.grid.nodes, op.grid.nodes):
+        raise ParameterError("the bracket's profile lives on another grid than op")
     params = params_without_k
+    # linspace sets its end point exactly: ks[-1] is bracket.k_lo.
     ks = np.linspace(0.1 * bracket.k_lo, bracket.k_lo, n_samples)
     sigmas = np.empty(n_samples)
     gaps = np.empty(n_samples)
     for j, k in enumerate(ks):
-        report = iterate_minimal(params.with_k(float(k)), op, tol=tol, max_iter=8000)
-        if report.status != "Converged":
-            raise ConvergenceError(
-                f"scan solve at k = {k:.6g} ended with {report.status}"
-            )
-        rep = sigma1(report.profile, params.with_k(float(k)), op)
+        pk = params.with_k(float(k))
+        if j == n_samples - 1:
+            profile = bracket.profile_lo
+        else:
+            report = iterate_minimal(pk, op, tol=bracket.tol, max_iter=8000)
+            if report.status != "Converged":
+                raise ConvergenceError(
+                    f"scan solve at k = {k:.6g} ended with {report.status}"
+                )
+            profile = report.profile
+        rep = sigma1(profile, pk, op)
         sigmas[j] = rep.sigma1
         gaps[j] = rep.gap
     drops = np.diff(sigmas)

@@ -280,6 +280,14 @@ def test_krylov_step_matches_the_lu_step(umin_mid, op400, second_mid):
         assert np.max(np.abs(got - lu)) <= 1e-11 * np.max(np.abs(lu))
 
 
+def _krylov_relative_residual(v, u_total, op, params, resid, delta):
+    """||J delta + resid|| / ||resid|| with J = I - G diag(f') applied
+    through the operator, as the Newton step defines it."""
+    fprime = params.p * (u_total + np.maximum(v, 0.0)) ** (params.p - 1.0) * (v > 0.0)
+    jdelta = delta - op.apply(fprime * delta)
+    return float(np.linalg.norm(jdelta + resid) / np.linalg.norm(resid))
+
+
 def test_missed_krylov_tolerance_keeps_the_gmres_iterate(
     umin_mid, op400, form400, second_mid, monkeypatch
 ):
@@ -293,23 +301,89 @@ def test_missed_krylov_tolerance_keeps_the_gmres_iterate(
     # Five products cannot reach the tolerance: every cycle misses it, and
     # its iterate is the step; no dense solve stands behind it.
     monkeypatch.setattr(mountainpass, "_KRYLOV_CAP", 5)
-    infos = []
-    real_gmres = mountainpass.gmres
+    steps = []
+    real_step = mountainpass._newton_step
 
-    def counted(*args, **kwargs):
-        delta, info = real_gmres(*args, **kwargs)
-        infos.append(info)
-        return delta, info
+    def recorded(v, u_total, op, params, resid):
+        delta = real_step(v, u_total, op, params, resid)
+        steps.append((v, u_total, op, params, resid, delta))
+        return delta
 
     def no_dense_solve(*args, **kwargs):
         raise AssertionError("dense solve of the Newton system")
 
-    monkeypatch.setattr(mountainpass, "gmres", counted)
+    monkeypatch.setattr(mountainpass, "_newton_step", recorded)
     monkeypatch.setattr(np.linalg, "solve", no_dense_solve)
     for method, ref in refs.items():
         got = find_second_solution(params, op400, form400, u_min, method=method, seed=0)
         assert np.max(np.abs(got.v.values - ref.v.values)) <= 1e-10
-    assert infos and all(info != 0 for info in infos)
+    assert steps
+    for step in steps:
+        assert _krylov_relative_residual(*step) > mountainpass._KRYLOV_RTOL
+
+
+def _count_products(monkeypatch, op):
+    """Patch the operator's class so that each Green product appends to the
+    returned list."""
+    products = []
+    real_apply = type(op).apply
+
+    def counted(self, values):
+        products.append(1)
+        return real_apply(self, values)
+
+    monkeypatch.setattr(type(op), "apply", counted)
+    return products
+
+
+def test_krylov_products_are_the_arnoldi_columns(
+    umin_mid, op400, second_mid, monkeypatch
+):
+    # Each product y - G[f' y] of a step is one Arnoldi column, and none
+    # follows the cycle: a cap at the column count changes no byte, and
+    # with one column fewer the step misses the tolerance.
+    params, u_min = umin_mid
+    u_total = u_min.total
+    cap = mountainpass._KRYLOV_CAP
+    cases = [
+        (v, _gradient_values(v, u_total, op400, params))
+        for v in (10.0 * u_total, second_mid.v.values)
+    ]
+    products = _count_products(monkeypatch, op400)
+    for v, resid in cases:
+        monkeypatch.setattr(mountainpass, "_KRYLOV_CAP", cap)
+        products.clear()
+        delta = _newton_step(v, u_total, op400, params, resid)
+        columns = len(products)
+        assert 1 < columns <= cap
+        assert _krylov_relative_residual(v, u_total, op400, params, resid, delta) <= 1e-12
+        monkeypatch.setattr(mountainpass, "_KRYLOV_CAP", columns)
+        assert _newton_step(v, u_total, op400, params, resid).tobytes() == delta.tobytes()
+        monkeypatch.setattr(mountainpass, "_KRYLOV_CAP", columns - 1)
+        products.clear()
+        short = _newton_step(v, u_total, op400, params, resid)
+        assert len(products) == columns - 1
+        assert (
+            _krylov_relative_residual(v, u_total, op400, params, resid, short)
+            > mountainpass._KRYLOV_RTOL
+        )
+
+
+def test_krylov_step_is_exact_after_one_product_without_fprime(
+    umin_mid, op400, rng, monkeypatch
+):
+    # With v <= 0 everywhere f' vanishes and J is the identity: the first
+    # column spans an invariant space, the cycle breaks down happily after
+    # one product and its step is -resid to rounding.
+    params, u_min = umin_mid
+    v = -np.ones(op400.n)
+    resid = rng.standard_normal(op400.n)
+    products = _count_products(monkeypatch, op400)
+    delta = _newton_step(v, u_min.total, op400, params, resid)
+    assert len(products) == 1
+    assert np.max(np.abs(delta + resid)) <= 4.0 * np.finfo(float).eps * np.max(
+        np.abs(resid)
+    )
 
 
 def test_newton_loop_with_and_without_deflation(umin_mid, op400, form400):

@@ -1,5 +1,6 @@
 """Stability index of computed profiles and the branch scan."""
 
+import dataclasses
 import functools
 import math
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 from scipy import linalg
 
-from fracsing.core import ProblemParams, RadialFunction
+from fracsing import stability
+from fracsing.core import ParameterError, ProblemParams, RadialFunction
 from fracsing.green import assemble, default_grid
 from fracsing.picard import find_kstar, iterate_minimal
 from fracsing.stability import (
@@ -128,3 +130,33 @@ def test_scan_endpoints_bracket_semistability(params0, op400, bracket400):
     # bracket edge the index sits near 1.
     assert scan.sigma1s[0] > 2.0
     assert 0.9 <= scan.sigma1s[-1] <= 1.1
+
+
+def test_gap_scan_takes_the_bracket_profile_at_k_lo(
+    params0, op200, op400, bracket400, monkeypatch
+):
+    # Reference: every sample solved from zero at the bracket's probe
+    # tolerance, the k_lo sample included.
+    ks = np.linspace(0.1 * bracket400.k_lo, bracket400.k_lo, 6)
+    reports = []
+    for k in ks:
+        pk = params0.with_k(float(k))
+        report = iterate_minimal(pk, op400, tol=bracket400.tol, max_iter=8000)
+        reports.append(sigma1(report.profile, pk, op400))
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return iterate_minimal(*args, **kwargs)
+
+    monkeypatch.setattr(stability, "iterate_minimal", counted)
+    scan = stability_gap_scan(params0, op400, bracket400, n_samples=6)
+    assert len(calls) == 5
+    assert scan.ks.tobytes() == ks.tobytes()
+    assert scan.sigma1s.tobytes() == np.array([r.sigma1 for r in reports]).tobytes()
+    assert scan.gaps.tobytes() == np.array([r.gap for r in reports]).tobytes()
+
+    alien = dataclasses.replace(bracket400, profile_lo=RadialFunction.zero(op200.grid))
+    with pytest.raises(ParameterError, match="another grid"):
+        stability_gap_scan(params0, op400, alien, n_samples=6)
