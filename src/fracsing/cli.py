@@ -146,11 +146,13 @@ def _build_config(args, base=None):
 
 def _check_config(cfg):
     """Raise ValueError naming the first key that is outside the settings
-    table, of the wrong type or missing."""
+    table, of the wrong type or missing, or a negative seed."""
     present = _checked_paths(cfg, "")
     for setting in _SETTINGS:
         if setting.path not in present:
             raise ValueError(f"{setting.path} is missing")
+    if cfg["seed"] < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {cfg['seed']!r}")
 
 
 def _checked_paths(node, prefix):

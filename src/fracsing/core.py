@@ -50,6 +50,24 @@ class SecondSolutionNotFound(ConvergenceError):
         self.trace = trace if trace is not None else []
 
 
+class Keeps:
+    """Mixin for a frozen dataclass that keeps values derived from it.
+
+    _memo(key, build) returns build(), computed once per instance and
+    kept under key.  The value lives in the instance __dict__, where
+    functools.cached_property keeps its values, so a frozen instance can
+    hold what is derived from its arrays; the arrays are never written
+    in place, and dataclasses.replace gives a new instance with nothing
+    kept.  If build raises, nothing is kept.
+    """
+
+    def _memo(self, key, build):
+        memo = self.__dict__.setdefault("_kept", {})
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
+
+
 def surface_area(dim):
     """Surface measure |S^{dim-1}| of the unit sphere in R^dim.
 

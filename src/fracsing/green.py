@@ -46,6 +46,7 @@ from scipy.special import beta, betainc
 from .core import (
     ConvergenceError,
     KernelError,
+    Keeps,
     ParameterError,
     RadialGrid,
     RegimeError,
@@ -407,7 +408,7 @@ def dirac_smooth_remainder(grid, params):
 
 
 @dataclass(frozen=True)
-class GreenOperator:
+class GreenOperator(Keeps):
     """Dense Nystrom discretization of the ball Green operator.
 
     matrix[i, j] approximates Kbar(r_i, r_j) * w_j where Kbar is the
@@ -446,20 +447,6 @@ class GreenOperator:
         """
         sw = np.sqrt(self.grid.weights)
         return (self.matrix / self.grid.weights[None, :]) * np.outer(sw, sw)
-
-    def _memo(self, key, build):
-        """build(), computed once per instance and kept under key.
-
-        The value lives in the instance __dict__, where
-        functools.cached_property keeps its values, so a frozen operator
-        can hold what is derived from its matrix; the matrix is never
-        written in place, and dataclasses.replace gives a new instance
-        with nothing kept.  If build raises, nothing is kept.
-        """
-        memo = self.__dict__.setdefault("_kept", {})
-        if key not in memo:
-            memo[key] = build()
-        return memo[key]
 
     def cholesky(self):
         """Cholesky factor S = U' U of the symmetrized matrix S, kept.

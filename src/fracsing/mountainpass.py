@@ -24,6 +24,7 @@ the energy on an A-sphere of verified radius.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ from scipy.linalg import lapack
 
 from .core import (
     ConvergenceError,
+    Keeps,
     ParameterError,
     RadialFunction,
     RegimeError,
@@ -59,31 +61,32 @@ _MAX_STEPS = 2000
 
 
 @dataclass(frozen=True)
-class DiscreteHAlphaForm:
+class DiscreteHAlphaForm(Keeps):
     """Discrete realization of the fractional Dirichlet quadratic form.
 
     stiffness is the dense symmetric positive definite matrix A with
     v' A v approximating ||v||_alpha^2 for nodal samples v; mass is the
     quadrature weight vector of the radial volume measure; phi1 holds the
     nodal values of the first eigenfunction of the operator, which does
-    not depend on k and seeds every geometry scan.
+    not depend on k and seeds every geometry scan.  ray is the A-unit
+    direction G[1] / ||G[1]||_A of every search's initial path and
+    ray_image its product ray' A; neither depends on k.
+
+    Beside these n^2 + 4n doubles the form keeps, per seed a search
+    asks for, the 50 A-unit rows of the seeded direction ensemble of
+    the geometry scan (_direction_ensemble): 50 n doubles a seed,
+    320 kB at n = 800.
     """
 
     stiffness: np.ndarray
     mass: np.ndarray
     phi1: np.ndarray
+    ray: np.ndarray
+    ray_image: np.ndarray
 
     def norm(self, a):
         """A-norm of a nodal vector."""
         return float(np.sqrt(max(a @ self.stiffness @ a, 0.0)))
-
-    def row_quads(self, block):
-        """x' A x for each row x of a (m, n) block, from one matrix product."""
-        return np.einsum("ij,ij->i", block @ self.stiffness, block)
-
-    def row_norms(self, block):
-        """A-norms of the rows of a (m, n) block."""
-        return np.sqrt(np.maximum(self.row_quads(block), 0.0))
 
 
 def build_form(op):
@@ -142,7 +145,11 @@ def build_form(op):
             lower[...] = mean.T
     stiffness = scaled.T
     phi1 = first_eigenpair(op)["phi1"].values
-    return DiscreteHAlphaForm(stiffness, op.grid.weights.copy(), phi1)
+    base = op.apply(np.ones(op.n))
+    ray = base / float(np.sqrt(max(base @ stiffness @ base, 0.0)))
+    return DiscreteHAlphaForm(
+        stiffness, op.grid.weights.copy(), phi1, ray, ray @ stiffness
+    )
 
 
 def power_increment(s, t, p):
@@ -226,22 +233,17 @@ def energy(v, u_min, form, params):
 
 def _energy_values(vals, u_total, form, params):
     quad = 0.5 * float(vals @ form.stiffness @ vals)
-    bulk = float(
-        form.mass @ increment_primitive(u_total, np.maximum(vals, 0.0), params.p)
-    )
-    return quad - bulk
+    return quad - float(_bulk(vals, u_total, form, params))
 
 
-def _energy_block(block, u_total, form, params):
-    """E at each row of a (m, n) block of perturbations.
+def _bulk(vals, u_total, form, params):
+    """int F(u, v_+) for a nodal vector, or for each row of a block."""
+    return increment_primitive(u_total, np.maximum(vals, 0.0), params.p) @ form.mass
 
-    Agrees with _energy_values to rounding, not bit for bit; single
-    points keep the vector route, whose bytes the line searches and the
-    reported energies rest on.
-    """
-    quad = 0.5 * form.row_quads(block)
-    bulk = increment_primitive(u_total, np.maximum(block, 0.0), params.p) @ form.mass
-    return quad - bulk
+
+def _quads(rows, images):
+    """x' A x for each row x of rows, from images holding the rows x' A."""
+    return np.einsum("ij,ij->i", images, rows)
 
 
 def _gradient_values(vals, u_total, op, params):
@@ -270,34 +272,41 @@ class MountainPassResult:
     trace: tuple
 
 
-def _direction_ensemble(op, form, rng, extra=()):
-    """A-unit directions for the geometry scan.
+def _direction_ensemble(op, form, seed):
+    """The 50 seeded A-unit directions of the geometry scan, as rows.
 
     Mixes the shapes that stress the superlinear remainder: compactly
     supported bumps of graded widths, the first eigenfunction, the
-    smooth ray direction, Green-smoothed noise, raw noise, and any
-    caller-supplied profiles (e.g. the found critical direction).
-    Plain Gaussian noise alone is useless here: A-unit noise is
-    pointwise tiny, so every radius would pass the scan vacuously.
+    smooth ray direction, Green-smoothed noise and raw noise; the search
+    adds the found critical direction.  Plain Gaussian noise alone is
+    useless here: A-unit noise is pointwise tiny, so every radius would
+    pass the scan vacuously.  The block depends on the form and the seed
+    alone, so it is built once per seed (17 Green products and one
+    50-row product with A) and kept on the form, read-only.
     """
-    r = op.grid.nodes
-    dirs = []
-    for width in np.linspace(0.08, 0.98, 16):
-        x = np.zeros(op.n)
-        inside = r < width
-        x[inside] = np.exp(-1.0 / (1.0 - (r[inside] / width) ** 2))
-        dirs.append(x)
-    dirs.append(form.phi1)
-    dirs.append(op.apply(np.ones(op.n)))
-    for _ in range(17):
-        dirs.append(op.apply(rng.standard_normal(op.n)))
-    for _ in range(15):
-        dirs.append(rng.standard_normal(op.n))
-    dirs.extend(np.asarray(x, dtype=float) for x in extra)
-    block = np.array(dirs)
-    norms = form.row_norms(block)
-    keep = norms > 0.0
-    return list(block[keep] / norms[keep, None])
+
+    def build():
+        rng = np.random.default_rng(seed)
+        r = op.grid.nodes
+        dirs = []
+        for width in np.linspace(0.08, 0.98, 16):
+            x = np.zeros(op.n)
+            inside = r < width
+            x[inside] = np.exp(-1.0 / (1.0 - (r[inside] / width) ** 2))
+            dirs.append(x)
+        dirs.append(form.phi1)
+        dirs.append(form.ray)
+        for _ in range(17):
+            dirs.append(op.apply(rng.standard_normal(op.n)))
+        for _ in range(15):
+            dirs.append(rng.standard_normal(op.n))
+        block = np.array(dirs)
+        quads = _quads(block, block @ form.stiffness)
+        block /= np.sqrt(np.maximum(quads, 0.0))[:, None]
+        block.setflags(write=False)
+        return block
+
+    return form._memo(("directions", seed), build)
 
 
 def _pass_geometry(u_total, form, params, c24, dirs, e_norm):
@@ -307,29 +316,27 @@ def _pass_geometry(u_total, form, params, c24, dirs, e_norm):
     quadratic part, bounded for every direction through the stability
     eigenvalue (p int u^(p-1) xi^2 <= ||xi||_A^2 / sigma1), and the
     superlinear remainder, which is sampled over the direction
-    ensemble.  On the largest grid radius sigma0 where the sampled
-    remainder stays below (c24/4) sigma0^2,
+    ensemble, the rows of dirs.  On the largest grid radius sigma0 where
+    the sampled remainder stays below (c24/4) sigma0^2,
 
         E(sigma0 d) >= (c24/2) sigma0^2 - rem >= (c24/4) sigma0^2 = beta
 
     holds for each sampled direction, so beta is a certified-by-
-    sampling lower bound for the pass level.
+    sampling lower bound for the pass level.  Each radius is tested on
+    the whole block at once: F acts elementwise, so each row's remainder
+    is the one a test of that direction alone would give, and a radius
+    passes exactly when no row exceeds its target, as when the
+    directions are tried one by one until the first failure.  The chosen
+    radius, and with it beta, is therefore the same.
     """
     p = params.p
     quad_coeff = 0.5 * p * u_total ** (p - 1.0)
     sigma = 0.5 * e_norm
     for _ in range(48):
         target = 0.25 * c24 * sigma**2
-        ok = True
-        for d in dirs:
-            dp = np.maximum(sigma * d, 0.0)
-            rem = float(
-                form.mass @ (increment_primitive(u_total, dp, p) - quad_coeff * dp**2)
-            )
-            if rem > target:
-                ok = False
-                break
-        if ok:
+        dp = np.maximum(sigma * dirs, 0.0)
+        rem = (increment_primitive(u_total, dp, p) - quad_coeff * dp**2) @ form.mass
+        if not np.any(rem > target):
             return sigma, target
         sigma *= 0.5
     raise SecondSolutionNotFound(
@@ -374,7 +381,10 @@ def _newton_step(v, u_total, op, params, resid):
         col = h.tolist()
         sub = 0.0 if breakdown else after
         for k, (c, s) in enumerate(rotations):
-            col[k], col[k + 1] = c * col[k] + s * col[k + 1], c * col[k + 1] - s * col[k]
+            col[k], col[k + 1] = (
+                c * col[k] + s * col[k + 1],
+                c * col[k + 1] - s * col[k],
+            )
         diag = math.hypot(col[j], sub)
         c, s = col[j] / diag, sub / diag
         col[j] = diag
@@ -392,58 +402,80 @@ def _newton_step(v, u_total, op, params, resid):
     return np.asarray(y) @ basis[:m]
 
 
-def _redistribute(path, form):
+def _redistribute(path, images):
     """Resample a polyline, one vertex per row, to equal A-arc-length spacing.
 
     Keeps the discrete path an honest approximation of a continuous
     curve between its fixed endpoints; without this the moving maximum
     leapfrogs the energy barrier and the deformation collapses onto the
-    trivial critical point.
+    trivial critical point.  images holds the rows path @ A; the segment
+    A-norms come from their differences, and the same interpolation
+    resamples both arrays, so the returned pair keeps that relation.
     """
     m = len(path) - 1
-    seg = form.row_norms(np.diff(path, axis=0))
+    steps, step_images = np.diff(path, axis=0), np.diff(images, axis=0)
+    seg = np.sqrt(np.maximum(_quads(steps, step_images), 0.0))
     arcs = np.concatenate(([0.0], np.cumsum(seg)))
     total = arcs[-1]
     if total <= 0.0:
-        return path
-    targets = np.linspace(0.0, total, m + 1)
-    new_path = path.copy()
-    for j in range(1, m):
-        i = int(np.searchsorted(arcs, targets[j], side="right") - 1)
-        i = min(i, m - 1)
-        frac = 0.0 if seg[i] == 0.0 else (targets[j] - arcs[i]) / seg[i]
-        new_path[j] = path[i] + frac * (path[i + 1] - path[i])
-    return new_path
+        return path, images
+    targets = np.linspace(0.0, total, m + 1)[1:m]
+    i = np.minimum(np.searchsorted(arcs, targets, side="right") - 1, m - 1)
+    frac = np.divide(targets - arcs[i], seg[i], out=np.zeros(m - 1), where=seg[i] > 0.0)
+    frac = frac[:, None]
+    new_path, new_images = path.copy(), images.copy()
+    new_path[1:m] = path[i] + frac * steps[i]
+    new_images[1:m] = images[i] + frac * step_images[i]
+    return new_path, new_images
 
 
-def _negative_endpoint(u_total, op, form, params):
-    """A-unit ray direction and a ray length with nonpositive energy."""
-    base = op.apply(np.ones(op.n))
-    e_dir = base / form.norm(base)
+def _negative_endpoint(u_total, form, params):
+    """A ray length t0 with E(t0 * form.ray) <= 0.
+
+    form.ray is A-unit, so E(t ray) = t^2/2 - int F(u, t ray_+) needs no
+    product with A.
+    """
     t0 = 1.0
     for _ in range(80):
-        if _energy_values(t0 * e_dir, u_total, form, params) <= 0.0:
-            return e_dir, t0
+        if 0.5 * t0 * t0 - _bulk(t0 * form.ray, u_total, form, params) <= 0.0:
+            return t0
         t0 *= 2.0
     raise SecondSolutionNotFound("no negative-energy endpoint found on the ray")
 
 
-def _run_mountain_pass(u_total, op, form, params, endpoint):
+def _run_mountain_pass(u_total, op, form, params, t0):
     """Maximize-then-descend path deformation from 0 to the negative-energy
-    endpoint t0 * e_dir, followed by a Newton polish of the path maximum."""
-    e_dir, t0 = endpoint
-    path = np.outer(np.linspace(0.0, 1.0, _PATH_SEGMENTS + 1) * t0, e_dir)
+    endpoint t0 * form.ray, followed by a Newton polish of the path maximum.
+
+    Beside the path the deformation keeps images = path @ A, one row per
+    vertex, so that no product of a block with A is formed.  The rows
+    start as t_i * form.ray_image; an accepted step moves only vertex j,
+    to v - s grad, and its row to v A - s (grad A), where grad A is the
+    step's one product with A and also gives ||grad||_A; _redistribute
+    resamples both arrays with one interpolation.  Path energies, the
+    segment A-norms and each line-search trial energy,
+
+        (v - s grad)' A (v - s grad) = v'Av - 2 s grad'Av + s^2 grad'A grad,
+
+    then cost O(mn) or O(n).
+    """
+    ts = np.linspace(0.0, 1.0, _PATH_SEGMENTS + 1) * t0
+    path, images = np.outer(ts, form.ray), np.outer(ts, form.ray_image)
+    inner = slice(1, _PATH_SEGMENTS)
     trace = []
     v = path[1]
     best = np.inf
     stall = 0
     for step_idx in range(_MAX_STEPS):
-        energies = _energy_block(path[1:_PATH_SEGMENTS], u_total, form, params)
+        quads = _quads(path[inner], images[inner])
+        energies = 0.5 * quads - _bulk(path[inner], u_total, form, params)
         j = int(np.argmax(energies)) + 1
         v = path[j].copy()
         e_here = float(energies[j - 1])
         grad = _gradient_values(v, u_total, op, params)
-        gnorm = form.norm(grad)
+        grad_image = grad @ form.stiffness
+        grad_sq = float(grad_image @ grad)
+        gnorm = float(np.sqrt(max(grad_sq, 0.0)))
         trace.append((step_idx, e_here, gnorm))
         # The maximum of a continuous path stays above the pass level;
         # a small gradient at nonpositive energy means the discrete
@@ -459,21 +491,24 @@ def _run_mountain_pass(u_total, op, form, params, endpoint):
             stall += 1
             if stall >= 15:
                 break
+        v_sq, cross = float(images[j] @ v), float(images[j] @ grad)
         step = 1.0
         armijo_ok = False
         for _ in range(50):
             trial = v - step * grad
+            quad = v_sq - 2.0 * step * cross + step**2 * grad_sq
             if (
-                _energy_values(trial, u_total, form, params)
+                0.5 * quad - float(_bulk(trial, u_total, form, params))
                 <= e_here - 1e-4 * step * gnorm**2
             ):
                 path[j] = trial
+                images[j] -= step * grad_image
                 armijo_ok = True
                 break
             step *= 0.5
         if not armijo_ok:
             break
-        path = _redistribute(path, form)
+        path, images = _redistribute(path, images)
     v, polish_trace = _newton(v, u_total, op, params, 60)
     start = len(trace)
     trace.extend((start + i, None, r) for i, _, r in polish_trace)
@@ -576,7 +611,8 @@ def find_second_solution(
         "MountainPassAlgorithm" (path deformation + Newton polish) or
         "DeflatedNewton" (deflated root search started from 10 * u_min).
     seed : int
-        Seed for the geometry-certification directions.
+        Non-negative seed of the geometry-certification directions; the
+        directions of each seed are built once and kept on the form.
 
     Returns
     -------
@@ -585,7 +621,8 @@ def find_second_solution(
     Raises
     ------
     ParameterError
-        If method is not one of the two above.
+        If method is not one of the two above, or seed is not a
+        non-negative integer (checked before any computation).
     RegimeError
         If k <= 0 or u_min is not strictly stable (k at or beyond the
         extremal value: no second solution exists).
@@ -594,6 +631,8 @@ def find_second_solution(
     """
     if method not in ("MountainPassAlgorithm", "DeflatedNewton"):
         raise ParameterError(f"unknown method {method!r}")
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
     if params.k <= 0.0:
         raise RegimeError("second solutions require k > 0")
     stab = sigma1(u_min, params, op)
@@ -604,10 +643,10 @@ def find_second_solution(
         )
     c24 = 1.0 - 1.0 / stab.sigma1
     u_total = u_min.total
-    endpoint = _negative_endpoint(u_total, op, form, params)
+    t0 = _negative_endpoint(u_total, form, params)
 
     if method == "MountainPassAlgorithm":
-        vals, trace = _run_mountain_pass(u_total, op, form, params, endpoint)
+        vals, trace = _run_mountain_pass(u_total, op, form, params, t0)
     else:
         vals, trace = _newton(
             10.0 * u_total, u_total, op, params, _MAX_STEPS, form.mass
@@ -623,9 +662,9 @@ def find_second_solution(
             f"critical point lost nonnegativity (min {np.min(vals):.3e})", trace
         )
 
-    rng = np.random.default_rng(seed)
-    dirs = _direction_ensemble(op, form, rng, extra=(vals,))
-    sigma0, beta = _pass_geometry(u_total, form, params, c24, dirs, endpoint[1])
+    found = vals / form.norm(vals)
+    dirs = np.vstack((_direction_ensemble(op, form, seed), found))
+    sigma0, beta = _pass_geometry(u_total, form, params, c24, dirs, t0)
     e_val = _energy_values(vals, u_total, form, params)
     if e_val < beta * (1.0 - 1e-9):
         raise SecondSolutionNotFound(

@@ -486,6 +486,40 @@ def test_config_values_of_the_wrong_type_exit_1(tmp_path, capsys, extra, message
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["mountain-pass", "bifurcation"])
+@pytest.mark.parametrize(
+    "extra, shown",
+    [
+        (["--seed", "-1"], "-1"),
+        (["--set", "seed=-3"], "-3"),
+        (["--set", "seed=-2.0"], "-2.0"),
+        (["--config", {"seed": -1}], "-1"),
+    ],
+)
+def test_negative_seed_exits_1_before_any_operator(
+    tmp_path, capsys, monkeypatch, command, extra, shown
+):
+    import fracsing.green
+
+    def no_operator(*args, **kwargs):
+        raise AssertionError("an operator was loaded or assembled")
+
+    monkeypatch.setattr(fracsing.green, "assemble", no_operator)
+    monkeypatch.setattr(fracsing.green, "load_operator", no_operator)
+    extra = list(extra)
+    if isinstance(extra[-1], dict):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(extra[-1]))
+        extra[-1] = str(cfg)
+    out = tmp_path / "out"
+    assert cli.main([command, "--k", "1.2", *extra, "-o", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"fracsing: configuration error: seed must be a non-negative integer, "
+        f"got {shown}"
+    ]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -26,14 +26,15 @@ from fracsing.core import (
     SecondSolutionNotFound,
 )
 from fracsing.mountainpass import (
+    _bulk,
     _direction_ensemble,
-    _energy_block,
     _energy_values,
     _gradient_values,
     _negative_endpoint,
     _newton,
     _newton_step,
     _pass_geometry,
+    _quads,
     build_form,
     energy,
     find_second_solution,
@@ -230,40 +231,116 @@ def test_energy_rejects_singular_perturbations(umin_mid, op400, form400):
 
 def test_ray_endpoint_has_nonpositive_energy(umin_mid, op400, form400):
     params, u_min = umin_mid
-    e_dir, t0 = _negative_endpoint(u_min.total, op400, form400, params)
-    assert form400.norm(e_dir) == pytest.approx(1.0, rel=1e-12)
-    assert _energy_values(t0 * e_dir, u_min.total, form400, params) <= 0.0
+    t0 = _negative_endpoint(u_min.total, form400, params)
+    ray = form400.ray
+    assert form400.norm(ray) == pytest.approx(1.0, rel=1e-12)
+    image = form400.ray_image
+    assert np.max(np.abs(image - ray @ form400.stiffness)) <= 1e-13 * np.max(
+        np.abs(ray) @ np.abs(form400.stiffness)
+    )
+    base = op400.apply(np.ones(op400.n))
+    assert np.max(np.abs(ray - base / form400.norm(base))) <= 1e-15 * np.max(ray)
+    assert _energy_values(t0 * ray, u_min.total, form400, params) <= 0.0
+    assert _energy_values(0.5 * t0 * ray, u_min.total, form400, params) > 0.0
 
 
 def _probe_block(u_min, op, form, params, rng):
-    """Ray points, smoothed noise of both signs and -e_dir, as rows."""
-    e_dir, t0 = _negative_endpoint(u_min.total, op, form, params)
-    rows = [s * t0 * e_dir for s in np.linspace(0.05, 0.95, 19)]
+    """Ray points, smoothed noise of both signs and -ray, as rows."""
+    t0 = _negative_endpoint(u_min.total, form, params)
+    rows = [s * t0 * form.ray for s in np.linspace(0.05, 0.95, 19)]
     rows += [op.apply(rng.standard_normal(op.n)) for _ in range(6)]
-    rows.append(-e_dir)
+    rows.append(-form.ray)
     return np.array(rows)
 
 
 def test_block_energies_match_the_vector_loop(umin_mid, op400, form400, rng):
+    # The deformation's energies from kept products x' A: a path vertex
+    # from its row, and a line-search trial v - s g from the expansion
+    # v'Av - 2 s g'Av + s^2 g'Ag.
     params, u_min = umin_mid
+    u_total = u_min.total
     block = _probe_block(u_min, op400, form400, params, rng)
-    loop = np.array([_energy_values(x, u_min.total, form400, params) for x in block])
-    got = _energy_block(block, u_min.total, form400, params)
+    images = block @ form400.stiffness
+    loop = np.array([_energy_values(x, u_total, form400, params) for x in block])
+    got = 0.5 * _quads(block, images) - _bulk(block, u_total, form400, params)
     # Relative to the quadratic part: E itself crosses zero along the ray,
     # where both evaluations carry the rounding of the cancelled terms.
     quad = 0.5 * np.array([form400.norm(x) ** 2 for x in block])
     assert np.all(np.abs(got - loop) <= 1e-13 * quad)
+    for v, v_image in zip(block[:19], images[:19]):
+        g = _gradient_values(v, u_total, op400, params)
+        g_image = g @ form400.stiffness
+        v_sq, cross, g_sq = v_image @ v, v_image @ g, g_image @ g
+        for step in (1.0, 0.125, 2.0**-10):
+            trial = v - step * g
+            kept = v_sq - step * (2.0 * cross - step * g_sq)
+            direct = float(trial @ form400.stiffness @ trial)
+            assert abs(kept - direct) <= 1e-13 * (v_sq + step**2 * g_sq)
 
 
 def test_block_norms_match_the_vector_loop(umin_mid, op400, form400, rng):
+    # Segment A-norms from differences of kept products, as _redistribute
+    # takes them.  The products carry the rounding of their endpoints, so
+    # the error is bounded relative to the endpoint norms; the resampling
+    # places vertices by arc length in those absolute terms.
     params, u_min = umin_mid
     block = _probe_block(u_min, op400, form400, params, rng)
-    block = np.vstack([block, np.diff(block, axis=0)])
-    loop = np.array([form400.norm(x) for x in block])
-    assert np.all(np.abs(form400.row_norms(block) - loop) <= 1e-13 * loop)
-    dirs = _direction_ensemble(op400, form400, np.random.default_rng(0))
-    assert len(dirs) == 50
+    images = block @ form400.stiffness
+    steps, step_images = np.diff(block, axis=0), np.diff(images, axis=0)
+    got = np.sqrt(_quads(steps, step_images))
+    loop = np.array([form400.norm(x) for x in steps])
+    ends = np.array([form400.norm(x) for x in block])
+    assert np.all(np.abs(got - loop) <= 1e-13 * (ends[:-1] + ends[1:]))
+    dirs = _direction_ensemble(op400, form400, 0)
+    assert dirs.shape == (50, op400.n)
     assert all(abs(form400.norm(d) - 1.0) <= 1e-13 for d in dirs)
+
+
+def test_kept_images_follow_the_deformed_path(umin_mid, op400, form400, monkeypatch):
+    # After every resampling of a full deformation each kept row is the
+    # product path @ A.  The bound is relative to |path| @ |A|, the
+    # rounding scale of the product: the dense product itself is about
+    # 3e-13 from the exact one in the 2-norm of a row, because smooth
+    # rows cancel (|x| |A| is about 7600 |x A| here).
+    params, u_min = umin_mid
+    seen = []
+    real = mountainpass._redistribute
+
+    def recorded(path, images):
+        out = real(path, images)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(mountainpass, "_redistribute", recorded)
+    find_second_solution(params, op400, form400, u_min, seed=0)
+    assert len(seen) > 5
+    for path, images in seen:
+        assert images.shape == path.shape
+        scale = np.abs(path) @ np.abs(form400.stiffness)
+        drift = np.abs(images - path @ form400.stiffness)
+        assert np.all(drift <= 1e-13 * scale)
+
+
+def test_direction_ensemble_is_built_once_per_seed(
+    umin_mid, op400, form400, monkeypatch
+):
+    params, u_min = umin_mid
+    form = dataclasses.replace(form400)
+    products = _count_products(monkeypatch, op400)
+    counts = []
+    for seed in (0, 0, 1, 1):
+        products.clear()
+        find_second_solution(params, op400, form, u_min, seed=seed)
+        counts.append(len(products))
+    # 17 Green-smoothed noise rows a seed; the searches are otherwise
+    # identical, so the difference is exactly the ensemble build.
+    assert counts == [counts[0], counts[0] - 17, counts[0], counts[0] - 17]
+    first = _direction_ensemble(op400, form, 0)
+    assert first is _direction_ensemble(op400, form, 0)
+    assert not first.flags.writeable
+    rebuilt = _direction_ensemble(op400, dataclasses.replace(form400), 0)
+    assert rebuilt.tobytes() == first.tobytes()
+    assert _direction_ensemble(op400, form, 1).tobytes() != first.tobytes()
 
 
 def test_krylov_step_matches_the_lu_step(umin_mid, op400, second_mid):
@@ -520,6 +597,9 @@ def test_search_requires_a_source_and_a_known_method(
     params, _ = umin_mid
     with pytest.raises(ParameterError, match="unknown method 'bogus'"):
         find_second_solution(params, op400, form400, u_min, method="bogus")
+    for seed in (-1, 1.5, None, True, "0"):
+        with pytest.raises(ParameterError, match="seed must be a non-negative"):
+            find_second_solution(params, op400, form400, u_min, seed=seed)
 
 
 # ------------------------------------------------------ pass geometry
@@ -531,9 +611,9 @@ def test_pass_geometry_certificate_holds_on_the_sample(
     params, u_min = umin_mid
     stab = sigma1(u_min, params, op400)
     c24 = 1.0 - 1.0 / stab.sigma1
-    rng = np.random.default_rng(0)
-    dirs = _direction_ensemble(op400, form400, rng, extra=(second_mid.v.values,))
-    assert len(dirs) >= 50
+    found = second_mid.v.values / form400.norm(second_mid.v.values)
+    dirs = np.vstack((_direction_ensemble(op400, form400, 0), found))
+    assert len(dirs) == 51
     for d in dirs:
         assert form400.norm(d) == pytest.approx(1.0, rel=1e-10)
         # The quadratic part is controlled by the stability index alone.
@@ -542,7 +622,7 @@ def test_pass_geometry_certificate_holds_on_the_sample(
         )
         assert qint <= (1.0 + 1e-6) / stab.sigma1
 
-    e_dir, t0 = _negative_endpoint(u_min.total, op400, form400, params)
+    t0 = _negative_endpoint(u_min.total, form400, params)
     sigma0, beta = _pass_geometry(u_min.total, form400, params, c24, dirs, t0)
     assert beta == pytest.approx(0.25 * c24 * sigma0**2, rel=1e-12)
     assert beta == pytest.approx(second_mid.level_lower_bound, rel=1e-12)
@@ -552,6 +632,45 @@ def test_pass_geometry_certificate_holds_on_the_sample(
     for d in dirs:
         e_val = _energy_values(sigma0 * d, u_min.total, form400, params)
         assert e_val >= beta - 1e-8 * (1.0 + abs(beta))
+
+
+def _pass_geometry_one_by_one(u_total, form, params, c24, dirs, e_norm):
+    """Reference scan: each radius tried one direction at a time, up to the
+    first direction whose remainder exceeds the target."""
+    p = params.p
+    quad_coeff = 0.5 * p * u_total ** (p - 1.0)
+    sigma = 0.5 * e_norm
+    for _ in range(48):
+        target = 0.25 * c24 * sigma**2
+        for d in dirs:
+            dp = np.maximum(sigma * d, 0.0)
+            rem = float(
+                form.mass @ (increment_primitive(u_total, dp, p) - quad_coeff * dp**2)
+            )
+            if rem > target:
+                break
+        else:
+            return sigma, target
+        sigma *= 0.5
+    raise SecondSolutionNotFound("no radius")
+
+
+def test_block_certificate_matches_the_direction_loop(
+    second_mid, umin_mid, op400, form400
+):
+    params, u_min = umin_mid
+    u_total = u_min.total
+    c24 = 1.0 - 1.0 / sigma1(u_min, params, op400).sigma1
+    t0 = _negative_endpoint(u_total, form400, params)
+    found = second_mid.v.values / form400.norm(second_mid.v.values)
+    for seed in (0, 1, 2):
+        dirs = np.vstack((_direction_ensemble(op400, form400, seed), found))
+        # Larger c24 targets pass earlier radii: several outcomes are hit.
+        for scale in (1.0, 4.0, 0.25):
+            args = (u_total, form400, params, scale * c24, dirs, t0)
+            assert _pass_geometry(*args) == _pass_geometry_one_by_one(*args)
+    sigma0, beta = _pass_geometry(u_total, form400, params, c24, dirs, t0)
+    assert beta == second_mid.level_lower_bound
 
 
 # -------------------------------------------------- weak formulation
