@@ -25,6 +25,23 @@ assembles a dense Nystrom matrix for the solution operator
 with product-integration corrections on the cells around the diagonal
 where the sphere-reduced kernel has an |r-s|^(2*alpha-1) cusp (a
 logarithm at alpha = 1/2, a blow-up below it).
+
+The operator keeps the sphere-averaged kernel Kbar(r_i, r_j) itself,
+exactly symmetric bit for bit, and applies the weights to the density:
+G[f] = Kbar (w f).  A product then goes through the Level-2 BLAS
+symmetric kernel dsymv, which reads one triangle of the matrix
+(Dongarra, Du Croz, Hammarling & Hanson 1988, ACM TOMS 14).
+
+Every dense product of the toolkit with an n x n or m x n operand goes
+through scipy's BLAS (scipy.linalg.blas, or scipy's LAPACK solvers) or
+numpy's einsum, never through numpy's `@`: the numpy and scipy wheels
+each load their own OpenBLAS, and each library runs its own thread
+pool.  Alternating threaded calls between the two pools makes the idle
+threads of one spin against the working threads of the other; at
+n = 800 on two cores a scipy dsymv followed by a numpy gemv takes about
+8 ms, two calls on either library alone about 0.2 ms.  numpy keeps
+elementwise work and vector-vector products, which OpenBLAS runs on the
+calling thread at these sizes.  tests/test_source.py guards the rule.
 """
 
 from __future__ import annotations
@@ -41,6 +58,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import linalg
+from scipy.linalg import blas
 from scipy.special import beta, betainc
 
 from .core import (
@@ -55,10 +73,9 @@ from .core import (
     surface_area,
 )
 
-# Version 2: kernel values come from the incomplete-beta tables below
-# instead of per-point scipy betainc, which moves matrix entries at the
-# 1e-15 level, so version-1 caches are rebuilt.
-FORMAT_VERSION = 2
+# Version 3: the payload holds the symmetric kernel matrix Kbar, where
+# version 2 held Kbar times the weights, so older caches are rebuilt.
+FORMAT_VERSION = 3
 
 # Angular quadrature controls: the near-field integral is computed in a
 # sinh-transformed variable where the integrand has O(1) scale, on
@@ -407,14 +424,27 @@ def dirac_smooth_remainder(grid, params):
     )
 
 
+def symv(matrix, x):
+    """matrix @ x for an exactly symmetric C-ordered matrix, by BLAS dsymv.
+
+    matrix.T holds the same values in the Fortran order BLAS reads, so no
+    copy is made, and dsymv reads its upper triangle only.  OpenBLAS sums
+    per-thread partial results, so the last bits depend on the BLAS
+    thread count (not on the run).
+    """
+    return blas.dsymv(1.0, matrix.T, x)
+
+
 @dataclass(frozen=True)
 class GreenOperator(Keeps):
     """Dense Nystrom discretization of the ball Green operator.
 
-    matrix[i, j] approximates Kbar(r_i, r_j) * w_j where Kbar is the
-    sphere-averaged kernel and w the grid weights for the volume measure,
-    so that matrix @ f(nodes) approximates G_alpha[f] at the nodes.
-    dirac_column holds the exact profile G(r_i e1, 0).
+    matrix[i, j] is the sphere-averaged kernel Kbar(r_i, r_j), exactly
+    symmetric and read-only; with w the grid weights for the volume
+    measure, (matrix * w) @ f(nodes) approximates G_alpha[f] at the nodes,
+    and apply forms it as one symmetric product, matrix @ (w * f).
+    dirac_column holds the exact profile G(r_i e1, 0).  Every product
+    with matrix goes through scipy's BLAS (see the module docstring).
     """
 
     dim: int
@@ -429,7 +459,7 @@ class GreenOperator(Keeps):
 
     def apply(self, values):
         """Nodewise G_alpha[f] for a nodewise-sampled density f."""
-        return self.matrix @ np.asarray(values)
+        return symv(self.matrix, self.grid.weights * values)
 
     def check_params(self, params):
         """Raise ParameterError unless params has this operator's dim and alpha."""
@@ -440,41 +470,39 @@ class GreenOperator(Keeps):
             )
 
     def symmetrized(self):
-        """Similarity transform D^(1/2) M D^(-1/2), D = diag(weights).
+        """D^(1/2) Kbar D^(1/2), D = diag(weights), as a new array.
 
-        Symmetric positive matrix with the same spectrum as `matrix`;
-        the natural object for dense eigensolves and Cholesky solves.
+        Symmetric positive matrix with the spectrum of the operator
+        Kbar D; the natural object for dense eigensolves and Cholesky
+        solves.  Each entry is Kbar[i, j] (sqrt(w_i) sqrt(w_j)), so it is
+        exactly symmetric whenever matrix is.
         """
         sw = np.sqrt(self.grid.weights)
-        return (self.matrix / self.grid.weights[None, :]) * np.outer(sw, sw)
+        out = np.outer(sw, sw)
+        out *= self.matrix
+        return out
 
     def cholesky(self):
         """Cholesky factor S = U' U of the symmetrized matrix S, kept.
 
-        S is averaged with its transpose to exact symmetry and factored in
-        place.  Returns the (factor, lower) pair of linalg.cho_factor with
-        lower False; factor is U itself, zero below the diagonal and
-        read-only, so it serves cho_solve, dpocon and products with U
-        alike.  The first call keeps the pair on the instance and every
-        later call returns it: each factored operator holds one more
-        n x n array (5 MB at n = 800), and the solves of build_form and
-        standard_battery and every sigma1_rayleigh call skip the
-        factorisation.  The average is formed in one new buffer and
-        factored in place, so the first call allocates at most about
-        2.1 n^2 doubles at once (3 n^2 if the average and the factor were
-        copies) and later calls allocate nothing.  Raises
+        S is exactly symmetric, so S.T holds the same values in the
+        Fortran order LAPACK works in and is factored in place.  Returns
+        the (factor, lower) pair of linalg.cho_factor with lower False;
+        factor is U itself, Fortran-ordered, zero below the diagonal and
+        read-only, so it serves cho_solve, dpocon and BLAS triangular
+        products alike.  The first call keeps the pair on the instance
+        and every later call returns it: each factored operator holds one
+        more n x n array (5 MB at n = 800), and the solves of build_form
+        and standard_battery and every sigma1_rayleigh call skip the
+        factorisation.  The first call allocates one n x n array, S,
+        which becomes the factor; later calls allocate nothing.  Raises
         ConvergenceError, on every call, if S is not positive definite.
         """
         return self._memo("cholesky", self._factor)
 
     def _factor(self):
-        s_mat = self.symmetrized()
-        sym = s_mat + s_mat.T
-        sym *= 0.5
-        # sym is exactly symmetric, so sym.T holds the same values in the
-        # Fortran order LAPACK works in and is factored without a copy.
         try:
-            factor, lower = linalg.cho_factor(sym.T, overwrite_a=True)
+            factor, lower = linalg.cho_factor(self.symmetrized().T, overwrite_a=True)
         except linalg.LinAlgError as exc:
             raise ConvergenceError(
                 "symmetrized Green matrix is not positive definite"
@@ -604,14 +632,15 @@ def assemble(grid, params):
     """Assemble the dense Nystrom matrix of the Green operator.
 
     Off-diagonal entries come from the sphere-reduced kernel at node
-    pairs times the grid weights.  Rows are then corrected on the
-    diagonal cell and its neighbors by product integration: the density
-    is replaced by its cubic interpolant on the cell's own nodes and the
-    kernel mass is integrated by a quadrature graded into the
-    |r-s|^(2*alpha-1) cusp.  The kernel matrix is exactly symmetrized
-    before applying the weights, entries are clipped at zero (the clipped
-    mass is checked to be negligible), and evaluation failures are
-    reported with the offending node pair.
+    pairs.  Rows are then corrected on the diagonal cell and its
+    neighbors by product integration: the density is replaced by its
+    cubic interpolant on the cell's own nodes and the kernel mass is
+    integrated by a quadrature graded into the |r-s|^(2*alpha-1) cusp,
+    and stored divided by the column weights.  The kernel matrix is then
+    exactly symmetrized, entries are clipped at zero (the clipped mass is
+    checked to be negligible), and evaluation failures are reported with
+    the offending node pair.  The operator keeps this symmetric matrix;
+    the weights are applied to the density (GreenOperator.apply).
 
     Kernel evaluations run in fixed-size blocks on a thread pool with one
     worker per usable core, capped by OMP_NUM_THREADS.  Every entry is
@@ -720,7 +749,7 @@ def assemble(grid, params):
     for blk, (i, c) in enumerate(zip(rows, cells)):
         sl = slice(offsets[blk], offsets[blk + 1])
         contrib = weighted[sl] @ lag[sl]
-        # Store as kernel values so the later weight multiply is uniform.
+        # Stored as kernel values, which the operator keeps.
         kbar[i, c * q : (c + 1) * q] = contrib / w[c * q : (c + 1) * q]
 
     # Exact symmetrization.  A plain average would move each pair entry by
@@ -751,7 +780,6 @@ def assemble(grid, params):
             )
         kbar[neg] = 0.0
 
-    kbar *= w[None, :]
     dirac = dirac_profile(grid, params)
     for arr in (kbar, dirac):
         arr.setflags(write=False)

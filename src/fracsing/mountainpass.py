@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .core import (
     ConvergenceError,
@@ -39,6 +39,7 @@ from .core import (
     RegimeError,
     SecondSolutionNotFound,
 )
+from .green import symv
 from .picard import first_eigenpair
 from .stability import sigma1
 
@@ -70,7 +71,9 @@ class DiscreteHAlphaForm(Keeps):
     nodal values of the first eigenfunction of the operator, which does
     not depend on k and seeds every geometry scan.  ray is the A-unit
     direction G[1] / ||G[1]||_A of every search's initial path and
-    ray_image its product ray' A; neither depends on k.
+    ray_image its product ray' A; neither depends on k.  stiffness is
+    exactly symmetric, and every product with it is a BLAS dsymv or
+    dsymm on its transposed view (see fracsing.green).
 
     Beside these n^2 + 4n doubles the form keeps, per seed a search
     asks for, the 50 A-unit rows of the seeded direction ensemble of
@@ -86,7 +89,7 @@ class DiscreteHAlphaForm(Keeps):
 
     def norm(self, a):
         """A-norm of a nodal vector."""
-        return float(np.sqrt(max(a @ self.stiffness @ a, 0.0)))
+        return float(np.sqrt(max(a @ symv(self.stiffness, a), 0.0)))
 
 
 def build_form(op):
@@ -146,9 +149,9 @@ def build_form(op):
     stiffness = scaled.T
     phi1 = first_eigenpair(op)["phi1"].values
     base = op.apply(np.ones(op.n))
-    ray = base / float(np.sqrt(max(base @ stiffness @ base, 0.0)))
+    ray = base / float(np.sqrt(max(base @ symv(stiffness, base), 0.0)))
     return DiscreteHAlphaForm(
-        stiffness, op.grid.weights.copy(), phi1, ray, ray @ stiffness
+        stiffness, op.grid.weights.copy(), phi1, ray, symv(stiffness, ray)
     )
 
 
@@ -232,13 +235,14 @@ def energy(v, u_min, form, params):
 
 
 def _energy_values(vals, u_total, form, params):
-    quad = 0.5 * float(vals @ form.stiffness @ vals)
+    quad = 0.5 * float(vals @ symv(form.stiffness, vals))
     return quad - float(_bulk(vals, u_total, form, params))
 
 
 def _bulk(vals, u_total, form, params):
     """int F(u, v_+) for a nodal vector, or for each row of a block."""
-    return increment_primitive(u_total, np.maximum(vals, 0.0), params.p) @ form.mass
+    bulk = increment_primitive(u_total, np.maximum(vals, 0.0), params.p)
+    return np.einsum("...j,j->...", bulk, form.mass)
 
 
 def _quads(rows, images):
@@ -301,7 +305,8 @@ def _direction_ensemble(op, form, seed):
         for _ in range(15):
             dirs.append(rng.standard_normal(op.n))
         block = np.array(dirs)
-        quads = _quads(block, block @ form.stiffness)
+        # block A = (A block')', one BLAS dsymm on Fortran-ordered views.
+        quads = _quads(block, blas.dsymm(1.0, form.stiffness.T, block.T).T)
         block /= np.sqrt(np.maximum(quads, 0.0))[:, None]
         block.setflags(write=False)
         return block
@@ -335,7 +340,8 @@ def _pass_geometry(u_total, form, params, c24, dirs, e_norm):
     for _ in range(48):
         target = 0.25 * c24 * sigma**2
         dp = np.maximum(sigma * dirs, 0.0)
-        rem = (increment_primitive(u_total, dp, p) - quad_coeff * dp**2) @ form.mass
+        rem = increment_primitive(u_total, dp, p) - quad_coeff * dp**2
+        rem = np.einsum("ij,j->i", rem, form.mass)
         if not np.any(rem > target):
             return sigma, target
         sigma *= 0.5
@@ -368,11 +374,13 @@ def _newton_step(v, u_total, op, params, resid):
     for j in range(_KRYLOV_CAP):
         w = basis[j] - op.apply(fprime * basis[j])
         before = float(np.linalg.norm(w))
-        prior = basis[: j + 1]
-        h = prior @ w
-        w -= h @ prior
-        again = prior @ w
-        w -= again @ prior
+        # prior' is a Fortran-ordered view: gemv with trans=1 gives the
+        # projections prior w, without it the combination prior' h.
+        prior = basis[: j + 1].T
+        h = blas.dgemv(1.0, prior, w, trans=1)
+        w -= blas.dgemv(1.0, prior, h)
+        again = blas.dgemv(1.0, prior, w, trans=1)
+        w -= blas.dgemv(1.0, prior, again)
         h += again
         after = float(np.linalg.norm(w))
         breakdown = after <= _EPS * before
@@ -399,7 +407,7 @@ def _newton_step(v, u_total, op, params, resid):
     for i in range(m - 1, -1, -1):
         acc = g[i] - sum(columns[k][i] * y[k] for k in range(i + 1, m))
         y[i] = acc / columns[i][i]
-    return np.asarray(y) @ basis[:m]
+    return blas.dgemv(1.0, basis[:m].T, y)
 
 
 def _redistribute(path, images):
@@ -473,7 +481,7 @@ def _run_mountain_pass(u_total, op, form, params, t0):
         v = path[j].copy()
         e_here = float(energies[j - 1])
         grad = _gradient_values(v, u_total, op, params)
-        grad_image = grad @ form.stiffness
+        grad_image = symv(form.stiffness, grad)
         grad_sq = float(grad_image @ grad)
         gnorm = float(np.sqrt(max(grad_sq, 0.0)))
         trace.append((step_idx, e_here, gnorm))

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .core import ConvergenceError, ParameterError, RadialFunction
@@ -111,16 +112,17 @@ def sigma1_rayleigh(u, params, op):
 
     lambda_max is found by Lanczos (ARPACK through eigsh, started from
     the constant vector and run to machine precision) on the operator
-    y -> U (q * (U' y)): two triangular-matrix products per step in
-    place of a full singular-value decomposition.  The Gram operator is
-    built from the Cholesky factor and q, applied through the factor and
-    never assembled, and it is not the squared Green matrix.  U does not
-    depend on u or k: the operator factors S once and keeps U, zero
-    below the diagonal and read-only (GreenOperator.cholesky), so a
-    call after the first costs only the Lanczos products.  Squaring
+    y -> U (q * (U' y)): two triangular-matrix products per step, BLAS
+    dtrmv on the kept Fortran-ordered factor, which read only its upper
+    triangle, in place of a full singular-value decomposition.  The Gram
+    operator is built from the Cholesky factor and q, applied through the
+    factor and never assembled, and it is not the squared Green matrix.
+    U does not depend on u or k: the operator factors S once and keeps
+    U, zero below the diagonal and read-only (GreenOperator.cholesky),
+    so a call after the first costs only the Lanczos products.  Squaring
     the factor costs nothing in accuracy because only the largest
-    eigenvalue is wanted, which is as well conditioned
-    as the largest singular value; nothing ill-conditioned is inverted
+    eigenvalue is wanted, which is as well conditioned as the largest
+    singular value; nothing ill-conditioned is inverted
     or handed to a generalized eigensolver as the metric side.  Routes
     through an explicitly assembled stiffness matrix, or through pencils
     that square the Green matrix, carry noise amplified by its condition
@@ -148,9 +150,11 @@ def sigma1_rayleigh(u, params, op):
     if float(np.min(q)) <= 0.0:
         raise ParameterError("linearization weight vanishes at a node")
     upper = op.cholesky()[0]
-    gram = LinearOperator(
-        (op.n, op.n), matvec=lambda y: upper @ (q * (upper.T @ y)), dtype=float
-    )
+
+    def matvec(y):
+        return blas.dtrmv(upper, q * blas.dtrmv(upper, y, trans=1))
+
+    gram = LinearOperator((op.n, op.n), matvec=matvec, dtype=float)
     lam = eigsh(
         gram, k=1, which="LA", tol=0, v0=np.ones(op.n), return_eigenvectors=False
     )

@@ -17,7 +17,7 @@ import scipy.linalg
 
 import fracsing.picard
 from fracsing import cli, green
-from fracsing.core import ConvergenceError
+from fracsing.core import ConvergenceError, ParameterError
 from fracsing.picard import first_eigenpair
 
 
@@ -418,11 +418,15 @@ def test_cache_of_an_older_format_is_rebuilt(tmp_path, monkeypatch):
     assert cli.main(SOLVE_ARGS + ["-o", str(tmp_path / "first")]) == 0
     (entry,) = cache.iterdir()
     line, _, payload = entry.read_bytes().partition(b"\n")
-    header = dict(json.loads(line), format_version=1)
-    entry.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
-    assert cli.main(SOLVE_ARGS + ["-o", str(tmp_path / "second")]) == 0
-    line = entry.read_bytes().partition(b"\n")[0]
-    assert json.loads(line)["format_version"] == green.FORMAT_VERSION == 2
+    # Version 2 held Kbar times the weights, version 1 older kernel values.
+    for version in (1, 2):
+        header = dict(json.loads(line), format_version=version)
+        entry.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+        with pytest.raises(ParameterError, match="unsupported operator file version"):
+            green.load_operator(str(entry))
+        assert cli.main(SOLVE_ARGS + ["-o", str(tmp_path / f"v{version}")]) == 0
+        rebuilt = json.loads(entry.read_bytes().partition(b"\n")[0])
+        assert rebuilt["format_version"] == green.FORMAT_VERSION == 3
 
 
 def test_cold_solve_leaves_one_cache_file(tmp_path, monkeypatch):

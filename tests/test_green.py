@@ -211,6 +211,31 @@ def test_operator_shape_and_positivity(op400, rng):
     assert eigs.min() > 0.0
 
 
+def test_operator_keeps_the_exactly_symmetric_kernel(tmp_path, op400, ophalf):
+    # assemble symmetrizes Kbar exactly and keeps it: no weight pass
+    # follows, and the symmetrized form inherits the symmetry bit for bit.
+    path = os.path.join(tmp_path, "op.bin")
+    save_operator(op400, path)
+    for op in (op400, ophalf, load_operator(path)):
+        assert np.array_equal(op.matrix, op.matrix.T)
+        assert not op.matrix.flags.writeable
+        sym = op.symmetrized()
+        assert np.array_equal(sym, sym.T)
+
+
+def test_apply_is_the_weighted_kernel_product(op400, ophalf, rng):
+    # Entrywise worst-case rounding bound of a length-n dot product,
+    # 2 n u (|Kbar| @ (w |f|)) with u = 2^-53 (the weights product and
+    # the summation), whatever order BLAS sums in.
+    u = 2.0**-53
+    for op in (op400, ophalf):
+        w = op.grid.weights
+        for f in (np.ones(op.n), rng.standard_normal(op.n), op.dirac_column):
+            ref = (op.matrix * w[None, :]) @ f
+            bound = 2.0 * op.n * u * (np.abs(op.matrix) @ (w * np.abs(f)))
+            assert np.all(np.abs(op.apply(f) - ref) <= bound)
+
+
 def test_apply_positivity_preserving(op400, rng):
     for _ in range(5):
         f = rng.uniform(0.0, 1.0, op400.n)
@@ -438,10 +463,10 @@ def test_compose_regimes(op400):
 def test_cholesky_is_factored_once_and_kept(op400):
     factor, lower = op400.cholesky()
     assert op400.cholesky()[0] is factor and not lower
-    s_mat = op400.symmetrized()
-    expected = np.triu(linalg.cho_factor(0.5 * (s_mat + s_mat.T))[0])
+    expected = np.triu(linalg.cho_factor(op400.symmetrized())[0])
     assert factor.tobytes() == expected.tobytes()
-    assert not factor.flags.writeable
+    # Fortran order, as BLAS triangular products read it without a copy.
+    assert factor.flags.f_contiguous and not factor.flags.writeable
     assert not np.any(np.tril(factor, -1))
     # Another matrix is another instance, which factors again.
     scaled = dataclasses.replace(op400, matrix=1.01 * op400.matrix)
@@ -470,10 +495,11 @@ def _peak_in_squares(fn, n):
 
 
 def test_factor_users_allocate_no_matrix_sized_transients(op400, umin_mid):
-    # The first factorisation keeps one n x n array and averages and
-    # factors in a second (2.1 measured; 3.0 with copies).  Later users
-    # read the kept factor (0.15 and 0.12 measured; 3.0 when each
-    # refactored).
+    # The first factorisation allocates one n x n array, the symmetrized
+    # matrix, and factors it in place (1.13 measured; 2.1 when it was
+    # averaged with its transpose in a second array, 3.0 with copies).
+    # Later users read the kept factor (0.03 and 0.12 measured; 3.0 when
+    # each refactored).
     params, u = umin_mid
     op = dataclasses.replace(op400)
     assert _peak_in_squares(op.cholesky, op.n) <= 2.5

@@ -351,7 +351,8 @@ def test_krylov_step_matches_the_lu_step(umin_mid, op400, second_mid):
         resid = _gradient_values(v, u_total, op400, params)
         vp = np.maximum(v, 0.0)
         fprime = params.p * (u_total + vp) ** (params.p - 1.0) * (v > 0.0)
-        jac = np.eye(op400.n) - op400.matrix * fprime[None, :]
+        weighted = op400.grid.weights * fprime
+        jac = np.eye(op400.n) - op400.matrix * weighted[None, :]
         lu = np.linalg.solve(jac, -resid)
         got = _newton_step(v, u_total, op400, params, resid)
         assert np.max(np.abs(got - lu)) <= 1e-11 * np.max(np.abs(lu))

@@ -1,20 +1,120 @@
 """Layout rules of the package source."""
 
+import ast
 import pathlib
 
 import fracsing
 
 MAX_COLUMNS = 88
 
+# Operands that are n x n or m x n arrays: the operator's kernel matrix,
+# the energy stiffness, the Cholesky factor and the Krylov basis.  A
+# product with one of them goes through scipy's BLAS; numpy's `@` would
+# run it on numpy's own OpenBLAS pool, and alternating the two pools
+# costs about 8 ms a call at n = 800 (see the fracsing.green docstring).
+_DENSE_NAMES = {"matrix", "stiffness", "basis", "factor"}
+_DENSE_CALLS = {"cholesky", "symmetrized"}
+_PRODUCT_CALLS = {"dot", "matmul", "inner", "tensordot"}
 
-def test_source_lines_fit_88_columns():
+
+def _sources():
     src = pathlib.Path(fracsing.__file__).parent
     files = sorted(src.glob("*.py"))
     assert files
+    return files
+
+
+def _is_dense(node, aliases):
+    """Whether an expression is one of the dense operands or a view of one."""
+    if isinstance(node, ast.Name):
+        return node.id in _DENSE_NAMES or node.id in aliases
+    if isinstance(node, ast.Attribute):
+        return node.attr in _DENSE_NAMES or _is_dense(node.value, aliases)
+    if isinstance(node, ast.Subscript):
+        return _is_dense(node.value, aliases)
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        return name in _DENSE_CALLS
+    return False
+
+
+def _aliases(tree):
+    """Names bound to a dense operand or a view of one, to a fixed point."""
+    aliases = set()
+    while True:
+        before = len(aliases)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and _is_dense(node.value, aliases):
+                for target in node.targets:
+                    aliases.update(
+                        n.id for n in ast.walk(target) if isinstance(n, ast.Name)
+                    )
+        if len(aliases) == before:
+            return aliases
+
+
+def _numpy_products(tree, aliases):
+    """(line, operands) of each `@` or numpy product call on a dense operand."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+            node.op, ast.MatMult
+        ):
+            operands = (
+                (node.left, node.right)
+                if isinstance(node, ast.BinOp)
+                else (node.target, node.value)
+            )
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _PRODUCT_CALLS
+        ):
+            operands = (node.func.value, *node.args)
+        else:
+            continue
+        if any(_is_dense(op, aliases) for op in operands):
+            yield node.lineno, operands
+
+
+def test_source_lines_fit_88_columns():
     long_lines = [
         f"{path.name}:{number}: {len(line)} columns"
-        for path in files
+        for path in _sources()
         for number, line in enumerate(path.read_text().splitlines(), 1)
         if len(line) > MAX_COLUMNS
     ]
     assert long_lines == []
+
+
+def test_no_numpy_product_with_a_dense_operand():
+    found = []
+    for path in _sources():
+        tree = ast.parse(path.read_text())
+        aliases = _aliases(tree)
+        found.extend(
+            f"{path.name}:{line}: {', '.join(ast.unparse(op) for op in operands)}"
+            for line, operands in _numpy_products(tree, aliases)
+        )
+    assert found == []
+
+
+def test_the_product_guard_sees_views_and_aliases():
+    # Products the guard must catch: direct operands, views and aliases.
+    caught = [
+        "y = self.matrix @ x",
+        "q = a @ self.stiffness @ a",
+        "stiffness = scaled.T\nq = base @ stiffness @ base",
+        "upper = op.cholesky()[0]\ny = upper @ (q * (upper.T @ x))",
+        "prior = basis[: j + 1]\nh = prior @ w",
+        "out = np.asarray(y) @ basis[:m]",
+        "out = np.dot(form.stiffness, x)",
+        "s = op.symmetrized() @ x",
+    ]
+    for text in caught:
+        tree = ast.parse(text)
+        assert list(_numpy_products(tree, _aliases(tree))), text
+    # Vector-vector products and products of other blocks stay with numpy.
+    allowed = "q = grad_image @ grad\nt = weights @ values**2\nz = g_far @ w_far"
+    tree = ast.parse(allowed)
+    assert list(_numpy_products(tree, _aliases(tree))) == []
