@@ -14,11 +14,12 @@ Critical points of the energy
 are exactly such solutions.  The discrete quadratic form ||v||_alpha^2 is
 realized as v' A v with A the inverse of the weighted Green matrix, which
 makes the A-gradient of E equal to the fixed-point residual
-v - G_alpha[(u+v_+)^p - u^p]: descent steps need no linear solves.  The
-search runs a maximize-then-descend path deformation with a Newton
-polish, cross-checked by a deflated Newton iteration that removes the
-trivial root v = 0, and certifies the mountain-pass geometry by sampling
-the energy on an A-sphere of verified radius.
+v - G_alpha[(u+v_+)^p - u^p]: descent directions need no linear solve,
+and A itself is never formed (DiscreteHAlphaForm).  The search runs a
+maximize-then-descend path deformation with a Newton polish,
+cross-checked by a deflated Newton iteration that removes the trivial
+root v = 0, and certifies the mountain-pass geometry by sampling the
+energy on an A-sphere of verified radius.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 from scipy.linalg import blas, lapack
 
 from .core import (
@@ -39,7 +39,6 @@ from .core import (
     RegimeError,
     SecondSolutionNotFound,
 )
-from .green import symv
 from .picard import first_eigenpair
 from .stability import sigma1
 
@@ -65,42 +64,52 @@ _MAX_STEPS = 2000
 class DiscreteHAlphaForm(Keeps):
     """Discrete realization of the fractional Dirichlet quadratic form.
 
-    stiffness is the dense symmetric positive definite matrix A with
-    v' A v approximating ||v||_alpha^2 for nodal samples v; mass is the
-    quadrature weight vector of the radial volume measure; phi1 holds the
-    nodal values of the first eigenfunction of the operator, which does
-    not depend on k and seeds every geometry scan.  ray is the A-unit
-    direction G[1] / ||G[1]||_A of every search's initial path and
-    ray_image its product ray' A; neither depends on k.  stiffness is
-    exactly symmetric, and every product with it is a BLAS dsymv or
-    dsymm on its transposed view (see fracsing.green).
-
-    Beside these n^2 + 4n doubles the form keeps, per seed a search
-    asks for, the 50 A-unit rows of the seeded direction ensemble of
-    the geometry scan (_direction_ensemble): 50 n doubles a seed,
-    320 kB at n = 800.
+    v' A v approximates ||v||_alpha^2 for nodal samples v, with
+    A = W^(1/2) S^(-1) W^(1/2), S = U' U the symmetrized Green matrix and
+    W the quadrature weights.  A is never formed: the energy coordinates
+    y = U^(-T) (sqrt_w v) give v' A v = y' y, one triangular solve, which
+    is backward stable (Higham 2002, ch. 8).  factor is U, the
+    operator's kept Cholesky factor, and mass the grid weights, both by
+    reference.  phi1 is the first eigenfunction of the operator, which
+    seeds every geometry scan; ray is the A-unit direction
+    G[1] / ||G[1]||_A of every search's initial path and ray_coords its
+    energy coordinates.  None depends on k.  Beside 5 n doubles the form
+    keeps, per seed a search asks for, the 50 A-unit rows of the seeded
+    direction ensemble (_direction_ensemble), 320 kB at n = 800.
     """
 
-    stiffness: np.ndarray
+    factor: np.ndarray
+    sqrt_w: np.ndarray
     mass: np.ndarray
     phi1: np.ndarray
     ray: np.ndarray
-    ray_image: np.ndarray
+    ray_coords: np.ndarray
+
+    def coordinates(self, x):
+        """Energy coordinates U^(-T) (sqrt_w x) of a nodal vector, or of
+        each row of a block: one BLAS dtrsv, or one dtrsm on the block's
+        transposed (Fortran-ordered) view."""
+        scaled = x * self.sqrt_w
+        if x.ndim == 1:
+            return blas.dtrsv(self.factor, scaled, trans=1, overwrite_x=True)
+        return blas.dtrsm(1.0, self.factor, scaled.T, trans_a=1, overwrite_b=True).T
 
     def norm(self, a):
-        """A-norm of a nodal vector."""
-        return float(np.sqrt(max(a @ symv(self.stiffness, a), 0.0)))
+        """A-norm of a nodal vector: the 2-norm of its energy coordinates."""
+        y = self.coordinates(a)
+        return math.sqrt(y @ y)
 
 
 def build_form(op):
-    """Invert the weighted Green matrix into a discrete energy form.
+    """The discrete energy form on the operator's kept Cholesky factor.
 
     A = W^(1/2) S^(-1) W^(1/2) with S the symmetrized Green matrix and
     W the quadrature weights; then A * (Green matrix) = W exactly in
     exact arithmetic, so the form is consistent with the operator by
     construction.  The condition number of S is estimated in the 1-norm
     from the Cholesky factor (LAPACK dpocon); for symmetric S the exact
-    1-norm condition number is at least the spectral one.
+    1-norm condition number is at least the spectral one.  Once the
+    operator is factored the call keeps O(n) doubles.
 
     Parameters
     ----------
@@ -127,31 +136,14 @@ def build_form(op):
             f"Green matrix condition number {cond:.3e} exceeds {_COND_CAP:.1e}; "
             f"grid grading too aggressive for the energy form"
         )
-    sqrt_w = np.sqrt(op.grid.weights)
-    # np.diag(sqrt_w) is symmetric: its transpose is the same values in
-    # Fortran order, which the solve overwrites; the kept factor is finite.
-    scaled = linalg.cho_solve(
-        (factor, lower), np.diag(sqrt_w).T, overwrite_b=True, check_finite=False
-    )
-    scaled *= sqrt_w[:, None]
-    # 0.5 (X + X') in place, one pair of square blocks at a time, so that
-    # no third n x n array joins the factor and X at the peak of the call.
-    # X is in Fortran order: its transpose is the C-ordered result.
-    size = 128
-    for i in range(0, op.n, size):
-        for j in range(i, op.n, size):
-            upper = scaled[i : i + size, j : j + size]
-            lower = scaled[j : j + size, i : i + size]
-            mean = upper + lower.T
-            mean *= 0.5
-            upper[...] = mean
-            lower[...] = mean.T
-    stiffness = scaled.T
+    weights = op.grid.weights
+    sqrt_w = np.sqrt(weights)
     phi1 = first_eigenpair(op)["phi1"].values
     base = op.apply(np.ones(op.n))
-    ray = base / float(np.sqrt(max(base @ symv(stiffness, base), 0.0)))
+    base_coords = blas.dtrsv(factor, sqrt_w * base, trans=1)
+    base_norm = math.sqrt(base_coords @ base_coords)
     return DiscreteHAlphaForm(
-        stiffness, op.grid.weights.copy(), phi1, ray, symv(stiffness, ray)
+        factor, sqrt_w, weights, phi1, base / base_norm, base_coords / base_norm
     )
 
 
@@ -235,8 +227,8 @@ def energy(v, u_min, form, params):
 
 
 def _energy_values(vals, u_total, form, params):
-    quad = 0.5 * float(vals @ symv(form.stiffness, vals))
-    return quad - float(_bulk(vals, u_total, form, params))
+    y = form.coordinates(vals)
+    return 0.5 * float(y @ y) - float(_bulk(vals, u_total, form, params))
 
 
 def _bulk(vals, u_total, form, params):
@@ -245,9 +237,9 @@ def _bulk(vals, u_total, form, params):
     return np.einsum("...j,j->...", bulk, form.mass)
 
 
-def _quads(rows, images):
-    """x' A x for each row x of rows, from images holding the rows x' A."""
-    return np.einsum("ij,ij->i", images, rows)
+def _squares(rows):
+    """Squared 2-norm of each row; x' A x for rows of energy coordinates."""
+    return np.einsum("ij,ij->i", rows, rows)
 
 
 def _gradient_values(vals, u_total, op, params):
@@ -286,7 +278,8 @@ def _direction_ensemble(op, form, seed):
     useless here: A-unit noise is pointwise tiny, so every radius would
     pass the scan vacuously.  The block depends on the form and the seed
     alone, so it is built once per seed (17 Green products and one
-    50-row product with A) and kept on the form, read-only.
+    50-row triangular solve for the A-norms) and kept on the form,
+    read-only.
     """
 
     def build():
@@ -305,9 +298,7 @@ def _direction_ensemble(op, form, seed):
         for _ in range(15):
             dirs.append(rng.standard_normal(op.n))
         block = np.array(dirs)
-        # block A = (A block')', one BLAS dsymm on Fortran-ordered views.
-        quads = _quads(block, blas.dsymm(1.0, form.stiffness.T, block.T).T)
-        block /= np.sqrt(np.maximum(quads, 0.0))[:, None]
+        block /= np.sqrt(_squares(form.coordinates(block)))[:, None]
         block.setflags(write=False)
         return block
 
@@ -410,31 +401,32 @@ def _newton_step(v, u_total, op, params, resid):
     return blas.dgemv(1.0, basis[:m].T, y)
 
 
-def _redistribute(path, images):
+def _redistribute(path, coords):
     """Resample a polyline, one vertex per row, to equal A-arc-length spacing.
 
     Keeps the discrete path an honest approximation of a continuous
     curve between its fixed endpoints; without this the moving maximum
     leapfrogs the energy barrier and the deformation collapses onto the
-    trivial critical point.  images holds the rows path @ A; the segment
-    A-norms come from their differences, and the same interpolation
-    resamples both arrays, so the returned pair keeps that relation.
+    trivial critical point.  coords holds the energy coordinates of the
+    rows of path; the segment A-norms are the 2-norms of their
+    differences, and the same interpolation resamples both arrays, so
+    the returned pair keeps that relation.
     """
     m = len(path) - 1
-    steps, step_images = np.diff(path, axis=0), np.diff(images, axis=0)
-    seg = np.sqrt(np.maximum(_quads(steps, step_images), 0.0))
+    steps, step_coords = np.diff(path, axis=0), np.diff(coords, axis=0)
+    seg = np.sqrt(_squares(step_coords))
     arcs = np.concatenate(([0.0], np.cumsum(seg)))
     total = arcs[-1]
     if total <= 0.0:
-        return path, images
+        return path, coords
     targets = np.linspace(0.0, total, m + 1)[1:m]
     i = np.minimum(np.searchsorted(arcs, targets, side="right") - 1, m - 1)
     frac = np.divide(targets - arcs[i], seg[i], out=np.zeros(m - 1), where=seg[i] > 0.0)
     frac = frac[:, None]
-    new_path, new_images = path.copy(), images.copy()
+    new_path, new_coords = path.copy(), coords.copy()
     new_path[1:m] = path[i] + frac * steps[i]
-    new_images[1:m] = images[i] + frac * step_images[i]
-    return new_path, new_images
+    new_coords[1:m] = coords[i] + frac * step_coords[i]
+    return new_path, new_coords
 
 
 def _negative_endpoint(u_total, form, params):
@@ -455,35 +447,36 @@ def _run_mountain_pass(u_total, op, form, params, t0):
     """Maximize-then-descend path deformation from 0 to the negative-energy
     endpoint t0 * form.ray, followed by a Newton polish of the path maximum.
 
-    Beside the path the deformation keeps images = path @ A, one row per
-    vertex, so that no product of a block with A is formed.  The rows
-    start as t_i * form.ray_image; an accepted step moves only vertex j,
-    to v - s grad, and its row to v A - s (grad A), where grad A is the
-    step's one product with A and also gives ||grad||_A; _redistribute
-    resamples both arrays with one interpolation.  Path energies, the
-    segment A-norms and each line-search trial energy,
+    Beside the path the deformation keeps coords, the energy coordinates
+    of the path, one row per vertex, so that no block is solved with the
+    factor.  The rows start as t_i * form.ray_coords; an accepted step
+    moves only vertex j, to v - s grad, and its row to y_v - s y_g, where
+    y_g, the coordinates of grad, is the step's one triangular solve and
+    also gives ||grad||_A = ||y_g||; _redistribute resamples both arrays
+    with one interpolation.  Path energies take squared row norms, the
+    segment A-norms ||dy||, and each line-search trial energy
 
-        (v - s grad)' A (v - s grad) = v'Av - 2 s grad'Av + s^2 grad'A grad,
+        ||y_v - s y_g||^2 = ||y_v||^2 - 2 s y_v.y_g + s^2 ||y_g||^2,
 
-    then cost O(mn) or O(n).
+    so they cost O(mn) or O(n).
     """
     ts = np.linspace(0.0, 1.0, _PATH_SEGMENTS + 1) * t0
-    path, images = np.outer(ts, form.ray), np.outer(ts, form.ray_image)
+    path, coords = np.outer(ts, form.ray), np.outer(ts, form.ray_coords)
     inner = slice(1, _PATH_SEGMENTS)
     trace = []
     v = path[1]
     best = np.inf
     stall = 0
     for step_idx in range(_MAX_STEPS):
-        quads = _quads(path[inner], images[inner])
+        quads = _squares(coords[inner])
         energies = 0.5 * quads - _bulk(path[inner], u_total, form, params)
         j = int(np.argmax(energies)) + 1
         v = path[j].copy()
         e_here = float(energies[j - 1])
         grad = _gradient_values(v, u_total, op, params)
-        grad_image = symv(form.stiffness, grad)
-        grad_sq = float(grad_image @ grad)
-        gnorm = float(np.sqrt(max(grad_sq, 0.0)))
+        grad_coords = form.coordinates(grad)
+        grad_sq = float(grad_coords @ grad_coords)
+        gnorm = math.sqrt(grad_sq)
         trace.append((step_idx, e_here, gnorm))
         # The maximum of a continuous path stays above the pass level;
         # a small gradient at nonpositive energy means the discrete
@@ -499,7 +492,7 @@ def _run_mountain_pass(u_total, op, form, params, t0):
             stall += 1
             if stall >= 15:
                 break
-        v_sq, cross = float(images[j] @ v), float(images[j] @ grad)
+        v_sq, cross = float(coords[j] @ coords[j]), float(coords[j] @ grad_coords)
         step = 1.0
         armijo_ok = False
         for _ in range(50):
@@ -510,13 +503,13 @@ def _run_mountain_pass(u_total, op, form, params, t0):
                 <= e_here - 1e-4 * step * gnorm**2
             ):
                 path[j] = trial
-                images[j] -= step * grad_image
+                coords[j] -= step * grad_coords
                 armijo_ok = True
                 break
             step *= 0.5
         if not armijo_ok:
             break
-        path, images = _redistribute(path, images)
+        path, coords = _redistribute(path, coords)
     v, polish_trace = _newton(v, u_total, op, params, 60)
     start = len(trace)
     trace.extend((start + i, None, r) for i, _, r in polish_trace)
@@ -629,8 +622,9 @@ def find_second_solution(
     Raises
     ------
     ParameterError
-        If method is not one of the two above, or seed is not a
-        non-negative integer (checked before any computation).
+        If method is not one of the two above, seed is not a
+        non-negative integer, or form was not built on op (its factor is
+        not op's kept Cholesky factor); checked before any computation.
     RegimeError
         If k <= 0 or u_min is not strictly stable (k at or beyond the
         extremal value: no second solution exists).
@@ -641,6 +635,8 @@ def find_second_solution(
         raise ParameterError(f"unknown method {method!r}")
     if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
         raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
+    if form.factor is not op.cholesky()[0]:
+        raise ParameterError("the energy form was built on another operator")
     if params.k <= 0.0:
         raise RegimeError("second solutions require k > 0")
     stab = sigma1(u_min, params, op)

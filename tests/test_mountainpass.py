@@ -14,6 +14,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy import linalg
+from scipy.linalg import blas
 
 import fracsing.picard
 from fracsing import mountainpass
@@ -34,7 +35,7 @@ from fracsing.mountainpass import (
     _newton,
     _newton_step,
     _pass_geometry,
-    _quads,
+    _squares,
     build_form,
     energy,
     find_second_solution,
@@ -50,12 +51,49 @@ mpmath.mp.dps = 40
 # ---------------------------------------------------------------- form
 
 
-def test_form_is_symmetric_positive_definite(form400, rng):
-    a_mat = form400.stiffness
-    assert np.array_equal(a_mat, a_mat.T)
+@pytest.fixture(scope="module")
+def stiffness400(op400):
+    """Reference A = W^(1/2) S^(-1) W^(1/2) of op400, by the copying
+    formula and averaged with its transpose; the form never builds it."""
+    sqrt_w = np.sqrt(op400.grid.weights)
+    x = sqrt_w[:, None] * linalg.cho_solve(op400.cholesky(), np.diag(sqrt_w))
+    return 0.5 * (x + x.T)
+
+
+def test_form_is_symmetric_positive_definite(form400, stiffness400, rng):
+    # The reference A is symmetric positive definite, and the form's
+    # A-norms are positive.
+    assert np.array_equal(stiffness400, stiffness400.T)
     for _ in range(100):
-        v = rng.standard_normal(a_mat.shape[0])
-        assert float(v @ a_mat @ v) > 0.0
+        v = rng.standard_normal(stiffness400.shape[0])
+        assert float(v @ stiffness400 @ v) > 0.0
+        assert form400.norm(v) > 0.0
+
+
+def test_form_keeps_the_operator_factor_and_vectors(op400, form400):
+    # No n x n array of its own: the factor is the operator's kept one,
+    # the weights are the grid's, every other field is a vector.
+    assert form400.factor is op400.cholesky()[0]
+    assert form400.mass is op400.grid.weights
+    for field in dataclasses.fields(form400):
+        value = getattr(form400, field.name)
+        if field.name != "factor":
+            assert value.shape == (op400.n,), field.name
+    assert not hasattr(form400, "stiffness")
+
+
+def test_form_norms_and_energies_match_the_reference_matrix(
+    umin_mid, op400, form400, stiffness400, rng
+):
+    params, u_min = umin_mid
+    block = _probe_block(u_min, op400, form400, params, rng)
+    rows = np.vstack((block, rng.standard_normal((5, op400.n))))
+    for v in rows:
+        quad = float(v @ stiffness400 @ v)
+        assert abs(form400.norm(v) ** 2 - quad) <= 1e-13 * quad
+        direct = 0.5 * quad - float(_bulk(v, u_min.total, form400, params))
+        energy_v = _energy_values(v, u_min.total, form400, params)
+        assert abs(energy_v - direct) <= 1e-13 * 0.5 * quad
 
 
 def test_form_rejects_hopeless_conditioning(op400):
@@ -68,16 +106,6 @@ def test_form_rejects_hopeless_conditioning(op400):
     indefinite = dataclasses.replace(op400, matrix=np.diag(signs))
     with pytest.raises(ConvergenceError, match="not positive definite"):
         build_form(indefinite)
-
-
-def test_form_stiffness_matches_the_copying_formula(op400, form400):
-    # Solving and symmetrising in place leaves the bytes and the memory
-    # order of the stiffness as the formula with copies gives them.
-    sqrt_w = np.sqrt(op400.grid.weights)
-    x = sqrt_w[:, None] * linalg.cho_solve(op400.cholesky(), np.diag(sqrt_w))
-    expected = 0.5 * (x + x.T)
-    assert form400.stiffness.tobytes() == expected.tobytes()
-    assert form400.stiffness.flags.c_contiguous == expected.flags.c_contiguous
 
 
 def test_form_battery_and_rayleigh_share_one_factorisation(
@@ -100,10 +128,10 @@ def test_form_battery_and_rayleigh_share_one_factorisation(
     assert len(calls) == 1
 
 
-def test_form_rayleigh_minimum_is_first_eigenvalue(op400, form400):
+def test_form_rayleigh_minimum_is_first_eigenvalue(op400, form400, stiffness400):
     lam_ref = first_eigenpair(op400)["lambda1"]
     lam_form = linalg.eigh(
-        form400.stiffness,
+        stiffness400,
         np.diag(form400.mass),
         eigvals_only=True,
         subset_by_index=[0, 0],
@@ -117,16 +145,18 @@ def test_form_pairs_exactly_with_green_images(op400, form400):
     w = op400.grid.weights
     for f in (np.ones(op400.n), 1.0 - r**2, np.exp(-3.0 * r**2)):
         v = op400.apply(f)
-        quad = float(v @ form400.stiffness @ v)
+        quad = form400.norm(v) ** 2
         pair = float(w @ (f * v))
         assert quad == pytest.approx(pair, rel=1e-6)
 
 
 def test_form_inverts_the_operator_on_smooth_images(op400, form400):
-    # A G[f] recovers the weighted density away from the endpoints.
+    # A G[f] recovers the weighted density away from the endpoints; A x is
+    # W^(1/2) U^(-1) y for the energy coordinates y of x.
     r = op400.grid.nodes
     f = np.exp(-2.0 * r**2)
-    z = form400.stiffness @ op400.apply(f)
+    y = form400.coordinates(op400.apply(f))
+    z = form400.sqrt_w * blas.dtrsv(form400.factor, y)
     rel = np.abs(z / op400.grid.weights - f)[3:-3] / np.max(np.abs(f))
     assert float(np.max(rel)) <= 1e-6
 
@@ -234,9 +264,9 @@ def test_ray_endpoint_has_nonpositive_energy(umin_mid, op400, form400):
     t0 = _negative_endpoint(u_min.total, form400, params)
     ray = form400.ray
     assert form400.norm(ray) == pytest.approx(1.0, rel=1e-12)
-    image = form400.ray_image
-    assert np.max(np.abs(image - ray @ form400.stiffness)) <= 1e-13 * np.max(
-        np.abs(ray) @ np.abs(form400.stiffness)
+    coords = form400.ray_coords
+    assert np.max(np.abs(coords - form400.coordinates(ray))) <= 1e-13 * np.max(
+        np.abs(coords)
     )
     base = op400.apply(np.ones(op400.n))
     assert np.max(np.abs(ray - base / form400.norm(base))) <= 1e-15 * np.max(ray)
@@ -254,40 +284,39 @@ def _probe_block(u_min, op, form, params, rng):
 
 
 def test_block_energies_match_the_vector_loop(umin_mid, op400, form400, rng):
-    # The deformation's energies from kept products x' A: a path vertex
-    # from its row, and a line-search trial v - s g from the expansion
-    # v'Av - 2 s g'Av + s^2 g'Ag.
+    # The deformation's energies from kept energy coordinates y: a path
+    # vertex from its row, and a line-search trial v - s g from the
+    # expansion ||y_v||^2 - 2 s y_v.y_g + s^2 ||y_g||^2.
     params, u_min = umin_mid
     u_total = u_min.total
     block = _probe_block(u_min, op400, form400, params, rng)
-    images = block @ form400.stiffness
+    coords = form400.coordinates(block)
     loop = np.array([_energy_values(x, u_total, form400, params) for x in block])
-    got = 0.5 * _quads(block, images) - _bulk(block, u_total, form400, params)
+    got = 0.5 * _squares(coords) - _bulk(block, u_total, form400, params)
     # Relative to the quadratic part: E itself crosses zero along the ray,
     # where both evaluations carry the rounding of the cancelled terms.
     quad = 0.5 * np.array([form400.norm(x) ** 2 for x in block])
     assert np.all(np.abs(got - loop) <= 1e-13 * quad)
-    for v, v_image in zip(block[:19], images[:19]):
+    for v, y_v in zip(block[:19], coords[:19]):
         g = _gradient_values(v, u_total, op400, params)
-        g_image = g @ form400.stiffness
-        v_sq, cross, g_sq = v_image @ v, v_image @ g, g_image @ g
+        y_g = form400.coordinates(g)
+        v_sq, cross, g_sq = y_v @ y_v, y_v @ y_g, y_g @ y_g
         for step in (1.0, 0.125, 2.0**-10):
-            trial = v - step * g
             kept = v_sq - step * (2.0 * cross - step * g_sq)
-            direct = float(trial @ form400.stiffness @ trial)
+            direct = form400.norm(v - step * g) ** 2
             assert abs(kept - direct) <= 1e-13 * (v_sq + step**2 * g_sq)
 
 
 def test_block_norms_match_the_vector_loop(umin_mid, op400, form400, rng):
-    # Segment A-norms from differences of kept products, as _redistribute
-    # takes them.  The products carry the rounding of their endpoints, so
-    # the error is bounded relative to the endpoint norms; the resampling
-    # places vertices by arc length in those absolute terms.
+    # Segment A-norms from differences of kept coordinates, as
+    # _redistribute takes them.  The coordinates carry the rounding of
+    # their endpoints, so the error is bounded relative to the endpoint
+    # norms; the resampling places vertices by arc length in those
+    # absolute terms.
     params, u_min = umin_mid
     block = _probe_block(u_min, op400, form400, params, rng)
-    images = block @ form400.stiffness
-    steps, step_images = np.diff(block, axis=0), np.diff(images, axis=0)
-    got = np.sqrt(_quads(steps, step_images))
+    steps = np.diff(block, axis=0)
+    got = np.sqrt(_squares(np.diff(form400.coordinates(block), axis=0)))
     loop = np.array([form400.norm(x) for x in steps])
     ends = np.array([form400.norm(x) for x in block])
     assert np.all(np.abs(got - loop) <= 1e-13 * (ends[:-1] + ends[1:]))
@@ -296,29 +325,28 @@ def test_block_norms_match_the_vector_loop(umin_mid, op400, form400, rng):
     assert all(abs(form400.norm(d) - 1.0) <= 1e-13 for d in dirs)
 
 
-def test_kept_images_follow_the_deformed_path(umin_mid, op400, form400, monkeypatch):
+def test_kept_coordinates_follow_the_deformed_path(
+    umin_mid, op400, form400, monkeypatch
+):
     # After every resampling of a full deformation each kept row is the
-    # product path @ A.  The bound is relative to |path| @ |A|, the
-    # rounding scale of the product: the dense product itself is about
-    # 3e-13 from the exact one in the 2-norm of a row, because smooth
-    # rows cancel (|x| |A| is about 7600 |x A| here).
+    # energy coordinates of its path vertex, to rounding relative to the
+    # largest row.
     params, u_min = umin_mid
     seen = []
     real = mountainpass._redistribute
 
-    def recorded(path, images):
-        out = real(path, images)
+    def recorded(path, coords):
+        out = real(path, coords)
         seen.append(out)
         return out
 
     monkeypatch.setattr(mountainpass, "_redistribute", recorded)
     find_second_solution(params, op400, form400, u_min, seed=0)
     assert len(seen) > 5
-    for path, images in seen:
-        assert images.shape == path.shape
-        scale = np.abs(path) @ np.abs(form400.stiffness)
-        drift = np.abs(images - path @ form400.stiffness)
-        assert np.all(drift <= 1e-13 * scale)
+    for path, coords in seen:
+        assert coords.shape == path.shape
+        drift = _squares(coords - form400.coordinates(path))
+        assert np.max(drift) <= 1e-26 * np.max(_squares(coords))
 
 
 def test_direction_ensemble_is_built_once_per_seed(
@@ -601,6 +629,26 @@ def test_search_requires_a_source_and_a_known_method(
     for seed in (-1, 1.5, None, True, "0"):
         with pytest.raises(ParameterError, match="seed must be a non-negative"):
             find_second_solution(params, op400, form400, u_min, seed=seed)
+
+
+def test_search_rejects_a_form_of_another_operator(
+    params0, op200, op400, form400, umin_mid, monkeypatch
+):
+    # The form's factor must be the operator's kept one: a form of another
+    # grid, or of a copy of the operator (which factors anew, and may hold
+    # another matrix), is rejected before any computation.
+    def no_sigma1(*args, **kwargs):
+        raise AssertionError("sigma1 ran before the form was checked")
+
+    params, u_min = umin_mid
+    others = (build_form(op200), build_form(dataclasses.replace(op400)))
+    monkeypatch.setattr(mountainpass, "sigma1", no_sigma1)
+    for form in others:
+        for method in ("MountainPassAlgorithm", "DeflatedNewton"):
+            with pytest.raises(ParameterError, match="built on another operator"):
+                find_second_solution(params, op400, form, u_min, method=method)
+    with pytest.raises(ParameterError, match="built on another operator"):
+        find_second_solution(params, dataclasses.replace(op400), form400, u_min)
 
 
 # ------------------------------------------------------ pass geometry

@@ -8,7 +8,8 @@ import fracsing
 MAX_COLUMNS = 88
 
 # Operands that are n x n or m x n arrays: the operator's kernel matrix,
-# the energy stiffness, the Cholesky factor and the Krylov basis.  A
+# the Cholesky factor (the operator's, which the energy form keeps as its
+# `factor`), the Krylov basis and any explicit energy `stiffness`.  A
 # product with one of them goes through scipy's BLAS; numpy's `@` would
 # run it on numpy's own OpenBLAS pool, and alternating the two pools
 # costs about 8 ms a call at n = 800 (see the fracsing.green docstring).
@@ -103,12 +104,14 @@ def test_the_product_guard_sees_views_and_aliases():
     # Products the guard must catch: direct operands, views and aliases.
     caught = [
         "y = self.matrix @ x",
-        "q = a @ self.stiffness @ a",
-        "stiffness = scaled.T\nq = base @ stiffness @ base",
+        "q = a @ self.factor @ a",
+        "factor = form.factor.T\nq = base @ factor @ base",
+        "upper = form.factor[:, :m]\ny = upper.T @ x",
         "upper = op.cholesky()[0]\ny = upper @ (q * (upper.T @ x))",
         "prior = basis[: j + 1]\nh = prior @ w",
         "out = np.asarray(y) @ basis[:m]",
-        "out = np.dot(form.stiffness, x)",
+        "out = np.dot(form.factor, x)",
+        "out = np.dot(self.stiffness, x)",
         "s = op.symmetrized() @ x",
     ]
     for text in caught:
