@@ -16,7 +16,8 @@ realized as v' A v with A the inverse of the weighted Green matrix, which
 makes the A-gradient of E equal to the fixed-point residual
 v - G_alpha[(u+v_+)^p - u^p]: descent directions need no linear solve,
 and A itself is never formed (DiscreteHAlphaForm).  The search runs a
-maximize-then-descend path deformation with a Newton polish,
+maximize-then-descend path deformation on Green images, whose A-products
+are weighted dots of their densities, with a Newton polish,
 cross-checked by a deflated Newton iteration that removes the trivial
 root v = 0, and certifies the mountain-pass geometry by sampling the
 energy on an A-sphere of verified radius.
@@ -45,15 +46,14 @@ from .stability import sigma1
 _SERIES_CUTOFF = 1e-3
 # Largest accepted condition number of the symmetrized Green matrix.
 _COND_CAP = 1e12
-# GMRES settings of the Newton step (see _newton); on one `branch` round
-# of the n=800 operators 485 of 499 steps meet the tolerance in the true
-# residual, and a step takes a median of 11 products and at most 29.
+# GMRES settings of the Newton step (see _newton).
 _KRYLOV_RTOL = 1e-13
 _KRYLOV_CAP = 40
 _EPS = float(np.finfo(float).eps)
-# Search settings: residual of the returned critical point, gradient
-# A-norm at which the path deformation hands over to the Newton polish,
-# path resolution, and the step budget of each search.
+# Search settings: floor of the sup-norm residual of the returned critical
+# point (_newton stops at 64 eps max|v| above it, the rounding of large v),
+# gradient A-norm at which the path deformation hands over to the Newton
+# polish, path resolution, and the step budget of each search.
 _FP_TOL = 1e-10
 _GRAD_TOL = 1e-3
 _PATH_SEGMENTS = 20
@@ -66,16 +66,18 @@ class DiscreteHAlphaForm(Keeps):
 
     v' A v approximates ||v||_alpha^2 for nodal samples v, with
     A = W^(1/2) S^(-1) W^(1/2), S = U' U the symmetrized Green matrix and
-    W the quadrature weights.  A is never formed: the energy coordinates
-    y = U^(-T) (sqrt_w v) give v' A v = y' y, one triangular solve, which
-    is backward stable (Higham 2002, ch. 8).  factor is U, the
+    W the quadrature weights.  A is never formed: a Green image v = G[g]
+    has A v = W g, so v' A x = (w g)' x, and any other v has energy
+    coordinates y = U^(-T) (sqrt_w v) with v' A v = y' y, one triangular
+    solve, backward stable (Higham 2002, ch. 8).  factor is U, the
     operator's kept Cholesky factor, and mass the grid weights, both by
     reference.  phi1 is the first eigenfunction of the operator, which
-    seeds every geometry scan; ray is the A-unit direction
-    G[1] / ||G[1]||_A of every search's initial path and ray_coords its
-    energy coordinates.  None depends on k.  Beside 5 n doubles the form
-    keeps, per seed a search asks for, the 50 A-unit rows of the seeded
-    direction ensemble (_direction_ensemble), 320 kB at n = 800.
+    seeds every geometry scan; ray = G[1] / sqrt(w . G[1]) is the A-unit
+    direction of every search's initial path, the Green image of the
+    constant density 1 / (mass . ray).  None depends on k.  Beside 4 n
+    doubles the form keeps, per seed a search asks for, the 50 A-unit
+    rows of the seeded direction ensemble (_direction_ensemble), 320 kB
+    at n = 800.
     """
 
     factor: np.ndarray
@@ -83,7 +85,6 @@ class DiscreteHAlphaForm(Keeps):
     mass: np.ndarray
     phi1: np.ndarray
     ray: np.ndarray
-    ray_coords: np.ndarray
 
     def coordinates(self, x):
         """Energy coordinates U^(-T) (sqrt_w x) of a nodal vector, or of
@@ -140,10 +141,8 @@ def build_form(op):
     sqrt_w = np.sqrt(weights)
     phi1 = first_eigenpair(op)["phi1"].values
     base = op.apply(np.ones(op.n))
-    base_coords = blas.dtrsv(factor, sqrt_w * base, trans=1)
-    base_norm = math.sqrt(base_coords @ base_coords)
     return DiscreteHAlphaForm(
-        factor, sqrt_w, weights, phi1, base / base_norm, base_coords / base_norm
+        factor, sqrt_w, weights, phi1, base / math.sqrt(weights @ base)
     )
 
 
@@ -237,11 +236,6 @@ def _bulk(vals, u_total, form, params):
     return np.einsum("...j,j->...", bulk, form.mass)
 
 
-def _squares(rows):
-    """Squared 2-norm of each row; x' A x for rows of energy coordinates."""
-    return np.einsum("ij,ij->i", rows, rows)
-
-
 def _gradient_values(vals, u_total, op, params):
     """A-gradient of E: the fixed-point residual v - G_alpha[f(u, v_+)]."""
     f = power_increment(u_total, np.maximum(vals, 0.0), params.p)
@@ -298,7 +292,8 @@ def _direction_ensemble(op, form, seed):
         for _ in range(15):
             dirs.append(rng.standard_normal(op.n))
         block = np.array(dirs)
-        block /= np.sqrt(_squares(form.coordinates(block)))[:, None]
+        y = form.coordinates(block)
+        block /= np.sqrt(np.einsum("ij,ij->i", y, y))[:, None]
         block.setflags(write=False)
         return block
 
@@ -401,32 +396,32 @@ def _newton_step(v, u_total, op, params, resid):
     return blas.dgemv(1.0, basis[:m].T, y)
 
 
-def _redistribute(path, coords):
+def _redistribute(path, dens, mass):
     """Resample a polyline, one vertex per row, to equal A-arc-length spacing.
 
     Keeps the discrete path an honest approximation of a continuous
     curve between its fixed endpoints; without this the moving maximum
     leapfrogs the energy barrier and the deformation collapses onto the
-    trivial critical point.  coords holds the energy coordinates of the
-    rows of path; the segment A-norms are the 2-norms of their
-    differences, and the same interpolation resamples both arrays, so
-    the returned pair keeps that relation.
+    trivial critical point.  path[i] = G[dens[i]], so a segment's squared
+    A-norm is the pairing of its two differences (clamped at zero, where
+    a vanishing one may round below), and the same linear interpolation
+    resamples both arrays, so the returned pair keeps that relation.
     """
     m = len(path) - 1
-    steps, step_coords = np.diff(path, axis=0), np.diff(coords, axis=0)
-    seg = np.sqrt(_squares(step_coords))
+    steps, step_dens = np.diff(path, axis=0), np.diff(dens, axis=0)
+    seg = np.sqrt(np.maximum(np.einsum("ij,ij->i", step_dens * mass, steps), 0.0))
     arcs = np.concatenate(([0.0], np.cumsum(seg)))
     total = arcs[-1]
     if total <= 0.0:
-        return path, coords
+        return path, dens
     targets = np.linspace(0.0, total, m + 1)[1:m]
     i = np.minimum(np.searchsorted(arcs, targets, side="right") - 1, m - 1)
     frac = np.divide(targets - arcs[i], seg[i], out=np.zeros(m - 1), where=seg[i] > 0.0)
     frac = frac[:, None]
-    new_path, new_coords = path.copy(), coords.copy()
+    new_path, new_dens = path.copy(), dens.copy()
     new_path[1:m] = path[i] + frac * steps[i]
-    new_coords[1:m] = coords[i] + frac * step_coords[i]
-    return new_path, new_coords
+    new_dens[1:m] = dens[i] + frac * step_dens[i]
+    return new_path, new_dens
 
 
 def _negative_endpoint(u_total, form, params):
@@ -447,35 +442,37 @@ def _run_mountain_pass(u_total, op, form, params, t0):
     """Maximize-then-descend path deformation from 0 to the negative-energy
     endpoint t0 * form.ray, followed by a Newton polish of the path maximum.
 
-    Beside the path the deformation keeps coords, the energy coordinates
-    of the path, one row per vertex, so that no block is solved with the
-    factor.  The rows start as t_i * form.ray_coords; an accepted step
-    moves only vertex j, to v - s grad, and its row to y_v - s y_g, where
-    y_g, the coordinates of grad, is the step's one triangular solve and
-    also gives ||grad||_A = ||y_g||; _redistribute resamples both arrays
-    with one interpolation.  Path energies take squared row norms, the
-    segment A-norms ||dy||, and each line-search trial energy
+    Beside the path the deformation keeps dens, the densities with
+    path[i] = G[dens[i]], so that it makes no solve with the factor; the
+    rows start as t_i times the constant density of form.ray.  At
+    v = G[g] the gradient is v - G[f] = G[g - f], f the power increment
+    it computes, so an accepted step moves only vertex j, to v - s grad,
+    and its density to g - s (g - f); _redistribute resamples both
+    arrays with one interpolation.  Path energies, ||grad||_A^2 and each
+    line-search trial energy
 
-        ||y_v - s y_g||^2 = ||y_v||^2 - 2 s y_v.y_g + s^2 ||y_g||^2,
+        ||v - s grad||_A^2 = (w g).v - 2 s (w g).grad + s^2 (w (g - f)).grad
 
-    so they cost O(mn) or O(n).
+    are weighted dots, O(mn) or O(n).
     """
     ts = np.linspace(0.0, 1.0, _PATH_SEGMENTS + 1) * t0
-    path, coords = np.outer(ts, form.ray), np.outer(ts, form.ray_coords)
+    density = np.full(op.n, 1.0 / float(form.mass @ form.ray))
+    path, dens = np.outer(ts, form.ray), np.outer(ts, density)
     inner = slice(1, _PATH_SEGMENTS)
     trace = []
     v = path[1]
     best = np.inf
     stall = 0
     for step_idx in range(_MAX_STEPS):
-        quads = _squares(coords[inner])
+        quads = np.einsum("ij,ij->i", dens[inner] * form.mass, path[inner])
         energies = 0.5 * quads - _bulk(path[inner], u_total, form, params)
         j = int(np.argmax(energies)) + 1
         v = path[j].copy()
         e_here = float(energies[j - 1])
-        grad = _gradient_values(v, u_total, op, params)
-        grad_coords = form.coordinates(grad)
-        grad_sq = float(grad_coords @ grad_coords)
+        f = power_increment(u_total, np.maximum(v, 0.0), params.p)
+        grad = v - op.apply(f)
+        grad_dens = dens[j] - f
+        grad_sq = float((grad_dens * form.mass) @ grad)
         gnorm = math.sqrt(grad_sq)
         trace.append((step_idx, e_here, gnorm))
         # The maximum of a continuous path stays above the pass level;
@@ -492,7 +489,7 @@ def _run_mountain_pass(u_total, op, form, params, t0):
             stall += 1
             if stall >= 15:
                 break
-        v_sq, cross = float(coords[j] @ coords[j]), float(coords[j] @ grad_coords)
+        v_sq, cross = float(quads[j - 1]), float((dens[j] * form.mass) @ grad)
         step = 1.0
         armijo_ok = False
         for _ in range(50):
@@ -503,13 +500,13 @@ def _run_mountain_pass(u_total, op, form, params, t0):
                 <= e_here - 1e-4 * step * gnorm**2
             ):
                 path[j] = trial
-                coords[j] -= step * grad_coords
+                dens[j] -= step * grad_dens
                 armijo_ok = True
                 break
             step *= 0.5
         if not armijo_ok:
             break
-        path, coords = _redistribute(path, coords)
+        path, dens = _redistribute(path, dens, form.mass)
     v, polish_trace = _newton(v, u_total, op, params, 60)
     start = len(trace)
     trace.extend((start + i, None, r) for i, _, r in polish_trace)
@@ -533,7 +530,9 @@ def _newton(v, u_total, op, params, max_steps, mass=None):
     rescaled by 1/(1 - grad(m).delta/m), which repels the iteration from
     v = 0, and an iterate that converges onto v = 0 is rejected.  Each
     step backtracks on the merit residual; trace rows are
-    (step, None, sup-norm residual).
+    (step, None, sup-norm residual).  The iteration stops at a sup-norm
+    residual of max(1e-10, 64 eps max|v|): where v is large (p near 1) a
+    few ulps of max|v| exceed 1e-10, and no step can go below them.
 
     The plain step solves J delta = -R(v), J = I - G diag(f'(u, v_+)),
     without forming J: one GMRES cycle from zero (_newton_step), at most
@@ -560,7 +559,7 @@ def _newton(v, u_total, op, params, max_steps, mass=None):
         rnorm = float(np.max(np.abs(resid)))
         nv2 = None if mass is None else float(mass @ v**2)
         trace.append((it, None, rnorm))
-        if rnorm <= _FP_TOL:
+        if rnorm <= max(_FP_TOL, 64.0 * _EPS * float(np.max(np.abs(v)))):
             if nv2 is not None and nv2 <= 1e-16:
                 raise SecondSolutionNotFound(
                     "deflated iteration collapsed onto the trivial root", trace

@@ -22,10 +22,12 @@ from fracsing.classify import standard_battery, verify_weak_identity
 from fracsing.core import (
     ConvergenceError,
     ParameterError,
+    ProblemParams,
     RadialFunction,
     RegimeError,
     SecondSolutionNotFound,
 )
+from fracsing.green import assemble, default_grid
 from fracsing.mountainpass import (
     _bulk,
     _direction_ensemble,
@@ -35,14 +37,13 @@ from fracsing.mountainpass import (
     _newton,
     _newton_step,
     _pass_geometry,
-    _squares,
     build_form,
     energy,
     find_second_solution,
     increment_primitive,
     power_increment,
 )
-from fracsing.picard import first_eigenpair
+from fracsing.picard import find_kstar, first_eigenpair, iterate_minimal
 from fracsing.stability import sigma1, sigma1_rayleigh
 
 mpmath.mp.dps = 40
@@ -86,7 +87,7 @@ def test_form_norms_and_energies_match_the_reference_matrix(
     umin_mid, op400, form400, stiffness400, rng
 ):
     params, u_min = umin_mid
-    block = _probe_block(u_min, op400, form400, params, rng)
+    block, _ = _probe_block(u_min, op400, form400, params, rng)
     rows = np.vstack((block, rng.standard_normal((5, op400.n))))
     for v in rows:
         quad = float(v @ stiffness400 @ v)
@@ -264,10 +265,6 @@ def test_ray_endpoint_has_nonpositive_energy(umin_mid, op400, form400):
     t0 = _negative_endpoint(u_min.total, form400, params)
     ray = form400.ray
     assert form400.norm(ray) == pytest.approx(1.0, rel=1e-12)
-    coords = form400.ray_coords
-    assert np.max(np.abs(coords - form400.coordinates(ray))) <= 1e-13 * np.max(
-        np.abs(coords)
-    )
     base = op400.apply(np.ones(op400.n))
     assert np.max(np.abs(ray - base / form400.norm(base))) <= 1e-15 * np.max(ray)
     assert _energy_values(t0 * ray, u_min.total, form400, params) <= 0.0
@@ -275,48 +272,58 @@ def test_ray_endpoint_has_nonpositive_energy(umin_mid, op400, form400):
 
 
 def _probe_block(u_min, op, form, params, rng):
-    """Ray points, smoothed noise of both signs and -ray, as rows."""
+    """Ray points, smoothed noise of both signs and -ray, as rows, with the
+    densities whose Green images they are."""
     t0 = _negative_endpoint(u_min.total, form, params)
-    rows = [s * t0 * form.ray for s in np.linspace(0.05, 0.95, 19)]
-    rows += [op.apply(rng.standard_normal(op.n)) for _ in range(6)]
+    ts = np.append(np.linspace(0.05, 0.95, 19) * t0, -1.0)
+    noise = rng.standard_normal((6, op.n))
+    rows = [t * form.ray for t in ts[:19]]
+    rows += [op.apply(g) for g in noise]
     rows.append(-form.ray)
-    return np.array(rows)
+    dens = np.outer(ts, np.full(op.n, 1.0 / float(form.mass @ form.ray)))
+    return np.array(rows), np.vstack((dens[:19], noise, dens[19:]))
+
+
+def _pairings(dens, rows, mass):
+    """(w g)' x for each row pair: the A-product of G[g] and x."""
+    return np.einsum("ij,ij->i", dens * mass, rows)
 
 
 def test_block_energies_match_the_vector_loop(umin_mid, op400, form400, rng):
-    # The deformation's energies from kept energy coordinates y: a path
-    # vertex from its row, and a line-search trial v - s g from the
-    # expansion ||y_v||^2 - 2 s y_v.y_g + s^2 ||y_g||^2.
+    # The deformation's energies from the kept densities g of its Green
+    # images v = G[g]: a path vertex from the pairing (w g).v, and a
+    # line-search trial v - s grad, grad = G[g - f], from the expansion
+    # (w g).v - 2 s (w g).grad + s^2 (w (g - f)).grad.
     params, u_min = umin_mid
     u_total = u_min.total
-    block = _probe_block(u_min, op400, form400, params, rng)
-    coords = form400.coordinates(block)
+    w = form400.mass
+    block, dens = _probe_block(u_min, op400, form400, params, rng)
     loop = np.array([_energy_values(x, u_total, form400, params) for x in block])
-    got = 0.5 * _squares(coords) - _bulk(block, u_total, form400, params)
+    got = 0.5 * _pairings(dens, block, w) - _bulk(block, u_total, form400, params)
     # Relative to the quadratic part: E itself crosses zero along the ray,
     # where both evaluations carry the rounding of the cancelled terms.
     quad = 0.5 * np.array([form400.norm(x) ** 2 for x in block])
     assert np.all(np.abs(got - loop) <= 1e-13 * quad)
-    for v, y_v in zip(block[:19], coords[:19]):
-        g = _gradient_values(v, u_total, op400, params)
-        y_g = form400.coordinates(g)
-        v_sq, cross, g_sq = y_v @ y_v, y_v @ y_g, y_g @ y_g
+    for v, g in zip(block[:19], dens[:19]):
+        f = power_increment(u_total, np.maximum(v, 0.0), params.p)
+        grad = v - op400.apply(f)
+        v_sq, cross, g_sq = (w * g) @ v, (w * g) @ grad, (w * (g - f)) @ grad
         for step in (1.0, 0.125, 2.0**-10):
             kept = v_sq - step * (2.0 * cross - step * g_sq)
-            direct = form400.norm(v - step * g) ** 2
+            direct = form400.norm(v - step * grad) ** 2
             assert abs(kept - direct) <= 1e-13 * (v_sq + step**2 * g_sq)
 
 
 def test_block_norms_match_the_vector_loop(umin_mid, op400, form400, rng):
-    # Segment A-norms from differences of kept coordinates, as
-    # _redistribute takes them.  The coordinates carry the rounding of
-    # their endpoints, so the error is bounded relative to the endpoint
-    # norms; the resampling places vertices by arc length in those
-    # absolute terms.
+    # Segment A-norms from the pairing of the differences of kept
+    # densities and of their images, as _redistribute takes them.  Both
+    # carry the rounding of their endpoints, so the error is bounded
+    # relative to the endpoint norms; the resampling places vertices by
+    # arc length in those absolute terms.
     params, u_min = umin_mid
-    block = _probe_block(u_min, op400, form400, params, rng)
+    block, dens = _probe_block(u_min, op400, form400, params, rng)
     steps = np.diff(block, axis=0)
-    got = np.sqrt(_squares(np.diff(form400.coordinates(block), axis=0)))
+    got = np.sqrt(_pairings(np.diff(dens, axis=0), steps, form400.mass))
     loop = np.array([form400.norm(x) for x in steps])
     ends = np.array([form400.norm(x) for x in block])
     assert np.all(np.abs(got - loop) <= 1e-13 * (ends[:-1] + ends[1:]))
@@ -325,28 +332,47 @@ def test_block_norms_match_the_vector_loop(umin_mid, op400, form400, rng):
     assert all(abs(form400.norm(d) - 1.0) <= 1e-13 for d in dirs)
 
 
-def test_kept_coordinates_follow_the_deformed_path(
+def test_kept_densities_follow_the_deformed_path(
     umin_mid, op400, form400, monkeypatch
 ):
-    # After every resampling of a full deformation each kept row is the
-    # energy coordinates of its path vertex, to rounding relative to the
-    # largest row.
+    # After every resampling of a full deformation each path vertex is the
+    # Green image of its kept density, to rounding relative to the largest
+    # vertex.
     params, u_min = umin_mid
     seen = []
     real = mountainpass._redistribute
 
-    def recorded(path, coords):
-        out = real(path, coords)
+    def recorded(path, dens, mass):
+        out = real(path, dens, mass)
         seen.append(out)
         return out
 
     monkeypatch.setattr(mountainpass, "_redistribute", recorded)
     find_second_solution(params, op400, form400, u_min, seed=0)
     assert len(seen) > 5
-    for path, coords in seen:
-        assert coords.shape == path.shape
-        drift = _squares(coords - form400.coordinates(path))
-        assert np.max(drift) <= 1e-26 * np.max(_squares(coords))
+    for path, dens in seen:
+        assert dens.shape == path.shape
+        images = np.array([op400.apply(g) for g in dens])
+        assert np.max(np.abs(images - path)) <= 1e-13 * np.max(np.abs(path))
+
+
+def test_deformation_makes_no_solve(umin_mid, op400, form400, monkeypatch):
+    # Once the seed's ensemble is built, a search solves with the factor
+    # only for the norm and the energy of the critical point it found:
+    # every vertex of the deformation is a Green image.
+    params, u_min = umin_mid
+    _direction_ensemble(op400, form400, 0)
+    calls = []
+    real = mountainpass.DiscreteHAlphaForm.coordinates
+
+    def counted(self, x):
+        calls.append(x.shape)
+        return real(self, x)
+
+    monkeypatch.setattr(mountainpass.DiscreteHAlphaForm, "coordinates", counted)
+    result = find_second_solution(params, op400, form400, u_min, seed=0)
+    assert sum(row[1] is not None for row in result.trace) > 10
+    assert calls == [(op400.n,), (op400.n,)]
 
 
 def test_direction_ensemble_is_built_once_per_seed(
@@ -649,6 +675,29 @@ def test_search_rejects_a_form_of_another_operator(
                 find_second_solution(params, op400, form, u_min, method=method)
     with pytest.raises(ParameterError, match="built on another operator"):
         find_second_solution(params, dataclasses.replace(op400), form400, u_min)
+
+
+def test_second_solution_of_size_millions_near_p_one():
+    # At p near 1 the second solution grows like lambda1^(1/(p-1)): here
+    # max v is about 3.3e6, whose last ulps exceed an absolute residual of
+    # 1e-10.  Both searches stop within 64 eps max|v| and pass the
+    # certificate.
+    params = ProblemParams(dim=3, alpha=0.5, p=1.0688, k=0.0)
+    op = assemble(default_grid(params, n_nodes=120), params)
+    params = params.with_k(0.5 * find_kstar(params, op).k_lo)
+    u_min = iterate_minimal(params, op).profile
+    form = build_form(op)
+    found = [
+        find_second_solution(params, op, form, u_min, method=method, seed=0)
+        for method in ("MountainPassAlgorithm", "DeflatedNewton")
+    ]
+    for res in found:
+        scale = float(np.max(res.v.values))
+        assert scale > 1e6
+        assert 1e-10 < res.trace[-1][2] <= 64.0 * np.finfo(float).eps * scale
+        assert res.energy >= res.level_lower_bound > 0.0
+    gap = np.max(np.abs(found[0].v.values - found[1].v.values))
+    assert gap <= 1e-12 * np.max(found[0].v.values)
 
 
 # ------------------------------------------------------ pass geometry
