@@ -17,7 +17,6 @@ _EXPORTS = {
     "RadialGrid": "core",
     "RegimeError": "core",
     "SecondSolutionNotFound": "core",
-    "ball_volume": "core",
     "fundamental_constant": "core",
     "make_grid": "core",
     "surface_area": "core",

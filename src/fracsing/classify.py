@@ -103,7 +103,7 @@ def standard_battery(op):
         If the symmetrized Green matrix is not positive definite.
     """
     r = op.grid.nodes
-    factor = op.cholesky()
+    factor = (op.cholesky(), False)
     battery = []
     for outer in (0.2, 0.35, 0.5):
         inner = 0.5 * outer

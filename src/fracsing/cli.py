@@ -25,7 +25,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 from typing import Callable, NamedTuple
 
 _THREAD_VARS = (
@@ -63,7 +62,6 @@ _SETTINGS = (
         "relative bracket width target",
         ("kstar", "stability", "bifurcation"),
     ),
-    _Setting("tolerances.eig_tol", 1e-12),
     _Setting(
         "scan.n_samples",
         8,
@@ -74,11 +72,7 @@ _SETTINGS = (
     _Setting("output.directory", ".", ("--output", "-o"), "output directory"),
     _Setting("seed", 0, ("--seed",), "seed for sampled certifications"),
 )
-# tolerances.picard_max_iter, read by solve alone, stays out of the
-# defaults so that the configuration echoed in every file is unchanged.
-_PICARD_MAX_ITER = 2000
 _KEY_TYPES = {s.path: s.default for s in _SETTINGS}
-_KEY_TYPES["tolerances.picard_max_iter"] = _PICARD_MAX_ITER
 _SECTIONS = {path.rpartition(".")[0] for path in _KEY_TYPES}
 
 _PROFILE_COLUMNS = ("r", "u_total", "u_smooth", "u_singular")
@@ -252,7 +246,6 @@ def _operator(cfg, params):
                 pass  # stale or corrupt entries are rebuilt below
     op = assemble(_grid(cfg, params), params)
     if cache_path is not None:
-        os.makedirs(cache_dir, exist_ok=True)
         save_operator(op, cache_path)
     return op
 
@@ -279,20 +272,6 @@ def _provenance(cfg, params, op, lambda1):
     }
 
 
-def _atomic_write(path, text):
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fracsing-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-        tmp = None
-    finally:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
-
-
 def _cell(value):
     if isinstance(value, str):
         return value
@@ -300,14 +279,18 @@ def _cell(value):
 
 
 def _write_csv(path, header, columns, rows):
+    from .core import write_atomic
+
     lines = ["# " + json.dumps(header, sort_keys=True)]
     lines.append(",".join(columns))
     lines.extend(",".join(_cell(v) for v in row) for row in rows)
-    _atomic_write(path, "\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def _write_json(path, obj):
-    _atomic_write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    from .core import write_atomic
+
+    write_atomic(path, (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode())
 
 
 def _write_long_csv(path, header, x_name, x_values, series):
@@ -315,18 +298,6 @@ def _write_long_csv(path, header, x_name, x_values, series):
     for name in sorted(series):
         rows.extend((name, x, y) for x, y in zip(x_values, series[name]))
     _write_csv(path, header, ["series", x_name, "value"], rows)
-
-
-def _profile_columns(profile):
-    import numpy as np
-
-    r = profile.grid.nodes
-    smooth = profile.values
-    if profile.singular_coeff > 0.0:
-        singular = profile.singular_coeff * r**profile.singular_exponent
-    else:
-        singular = np.zeros_like(r)
-    return r, smooth + singular, smooth, singular
 
 
 def _read_profile(args):
@@ -433,8 +404,8 @@ def _classification_payload(profile, params, op, k_reference=None):
 
 
 class _Job(NamedTuple):
-    """Inputs of a command.  eigenpair is first_eigenpair of op at eig_tol,
-    which the provenance records; source is what the read hook parsed."""
+    """Inputs of a command.  eigenpair is first_eigenpair of op, which the
+    provenance records; source is what the read hook parsed."""
 
     cfg: dict
     args: argparse.Namespace
@@ -484,9 +455,8 @@ def _minimal(job, params):
 def _solve(job):
     from .picard import iterate_minimal
 
-    tol = job.cfg["tolerances"]
-    max_iter = int(tol.get("picard_max_iter", _PICARD_MAX_ITER))
-    report = iterate_minimal(job.params, job.op, float(tol["picard_tol"]), max_iter)
+    tol = float(job.cfg["tolerances"]["picard_tol"])
+    report = iterate_minimal(job.params, job.op, tol)
     profile, converged = report.profile, report.status == "Converged"
     lines = [
         f"solve: {report.status} after {report.iterations} iterations, "
@@ -497,7 +467,10 @@ def _solve(job):
     if converged:
         classification = _classification_payload(profile, job.params, job.op)
         lines.append(f"classification: {classification['verdict']}")
-    r, total, smooth, singular = _profile_columns(profile)
+    r, total, smooth = profile.grid.nodes, profile.total, profile.values
+    singular = 0.0 * r
+    if profile.singular_coeff > 0.0:
+        singular = profile.singular_coeff * r**profile.singular_exponent
     header = {
         "singular_coeff": profile.singular_coeff,
         "singular_exponent": profile.singular_exponent,
@@ -562,8 +535,8 @@ def _mountain_pass(job):
         job.params, job.op, form, urep.profile, method=method, seed=int(job.cfg["seed"])
     )
     identity = verify_weak_identity(result.second_solution, job.params, job.op)
-    r, u_total, _, _ = _profile_columns(urep.profile)
-    _, w_total, _, _ = _profile_columns(result.second_solution)
+    r, u_total = job.op.grid.nodes, urep.profile.total
+    w_total = result.second_solution.total
     v = result.v.values
     series = {"u_min": u_total, "v": v, "second_solution": w_total}
     rows = list(zip(r, u_total, v, w_total))
@@ -759,7 +732,7 @@ def _run(name, cfg, args):
             f"for N = {params.dim}, alpha = {params.alpha:g}; {command.consequence}"
         )
     op = _operator(cfg, params)
-    eigenpair = first_eigenpair(op, tol=float(cfg["tolerances"]["eig_tol"]))
+    eigenpair = first_eigenpair(op)
     prov = _provenance(cfg, params, op, eigenpair["lambda1"])
     result = command.compute(_Job(cfg, args, params, op, eigenpair, source))
 

@@ -16,6 +16,8 @@ origin.
 from __future__ import annotations
 
 import math
+import os
+import tempfile
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -68,6 +70,23 @@ class Keeps:
         return memo[key]
 
 
+def write_atomic(path, data):
+    """Write bytes to path whole: to a temporary file in the same directory
+    (made if missing), then renamed over path; the temporary file is
+    removed if anything fails."""
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fracsing-", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def surface_area(dim):
     """Surface measure |S^{dim-1}| of the unit sphere in R^dim.
 
@@ -75,11 +94,6 @@ def surface_area(dim):
     the interval, which is the correct weight for 1D sphere averages.
     """
     return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
-
-
-def ball_volume(dim):
-    """Volume of the unit ball in R^dim."""
-    return surface_area(dim) / dim
 
 
 def _check_order(dim, alpha):
@@ -193,14 +207,6 @@ class RadialGrid:
     def n_cells(self):
         return self.cell_edges.size - 1
 
-    def cell_of(self, i):
-        """Index of the cell containing node i."""
-        return int(i) // self.nodes_per_cell
-
-    def integrate(self, values):
-        """Quadrature of a nodewise-sampled radial function over the ball."""
-        return float(self.weights @ np.asarray(values))
-
 
 def make_grid(n_nodes, grading=2.0, *, dim=2, boundary_grading=None):
     """Build a composite graded radial grid.
@@ -291,9 +297,7 @@ class RadialFunction:
         u(r_i) = values[i] + singular_coeff * r_i**singular_exponent,
 
     so a nonzero singular_coeff carries the r^(2*alpha-N) blow-up exactly
-    instead of sampling it.  Addition and subtraction act on the smooth
-    samples and the singular coefficient separately, keeping the singular
-    part exact; powers and other nonlinear algebra act on the total.
+    instead of sampling it; nonlinear algebra acts on the total.
     """
 
     grid: RadialGrid
@@ -332,42 +336,3 @@ class RadialFunction:
 
     def is_nonnegative(self, slack=0.0):
         return bool(np.min(self.total) >= -slack)
-
-    def _merge_exponent(self, other):
-        if self.grid is not other.grid and not np.array_equal(
-            self.grid.nodes, other.grid.nodes
-        ):
-            raise ParameterError("profiles live on different grids")
-        if self.singular_coeff > 0.0 and other.singular_coeff > 0.0:
-            if self.singular_exponent != other.singular_exponent:
-                raise ParameterError("singular exponents differ")
-            return self.singular_exponent
-        if self.singular_coeff > 0.0:
-            return self.singular_exponent
-        return other.singular_exponent
-
-    def __add__(self, other):
-        exponent = self._merge_exponent(other)
-        return RadialFunction(
-            self.grid,
-            self.values + other.values,
-            self.singular_coeff + other.singular_coeff,
-            exponent,
-        )
-
-    def __sub__(self, other):
-        exponent = self._merge_exponent(other)
-        return RadialFunction(
-            self.grid,
-            self.values - other.values,
-            self.singular_coeff - other.singular_coeff,
-            exponent,
-        )
-
-    def scale(self, c):
-        """Profile scaled by c >= 0 (c < 0 would flip the singular sign)."""
-        if c < 0.0 and self.singular_coeff > 0.0:
-            raise ParameterError("cannot negate a profile with a singular part")
-        return RadialFunction(
-            self.grid, c * self.values, c * self.singular_coeff, self.singular_exponent
-        )

@@ -51,7 +51,6 @@ import hashlib
 import json
 import math
 import os
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -71,6 +70,7 @@ from .core import (
     fundamental_constant,
     make_grid,
     surface_area,
+    write_atomic,
 )
 
 # Version 3: the payload holds the symmetric kernel matrix Kbar, where
@@ -440,9 +440,11 @@ class GreenOperator(Keeps):
     """Dense Nystrom discretization of the ball Green operator.
 
     matrix[i, j] is the sphere-averaged kernel Kbar(r_i, r_j), exactly
-    symmetric and read-only; with w the grid weights for the volume
-    measure, (matrix * w) @ f(nodes) approximates G_alpha[f] at the nodes,
-    and apply forms it as one symmetric product, matrix @ (w * f).
+    symmetric, entrywise nonnegative (assemble clips it at zero, and
+    load_operator rejects a negative entry) and read-only; with w the
+    grid weights for the volume measure, (matrix * w) @ f(nodes)
+    approximates G_alpha[f] at the nodes, and apply forms it as one
+    symmetric product, matrix @ (w * f).
     dirac_column holds the exact profile G(r_i e1, 0).  Every product
     with matrix goes through scipy's BLAS (see the module docstring).
     """
@@ -487,13 +489,12 @@ class GreenOperator(Keeps):
 
         S is exactly symmetric, so S.T holds the same values in the
         Fortran order LAPACK works in and is factored in place.  Returns
-        the (factor, lower) pair of linalg.cho_factor with lower False;
-        factor is U itself, Fortran-ordered, zero below the diagonal and
-        read-only, so it serves cho_solve, dpocon and BLAS triangular
-        products alike.  The first call keeps the pair on the instance
-        and every later call returns it: each factored operator holds one
-        more n x n array (5 MB at n = 800), and the solves of build_form
-        and standard_battery and every sigma1_rayleigh call skip the
+        U, the upper factor, Fortran-ordered, zero below the diagonal and
+        read-only, so it serves cho_solve (as (U, False)), dpocon and
+        BLAS triangular products alike.  The first call keeps U on the
+        instance and every later call returns it: each factored operator
+        holds one more n x n array (5 MB at n = 800), and build_form,
+        standard_battery and every sigma1_rayleigh call skip the
         factorisation.  The first call allocates one n x n array, S,
         which becomes the factor; later calls allocate nothing.  Raises
         ConvergenceError, on every call, if S is not positive definite.
@@ -502,7 +503,7 @@ class GreenOperator(Keeps):
 
     def _factor(self):
         try:
-            factor, lower = linalg.cho_factor(self.symmetrized().T, overwrite_a=True)
+            factor, _ = linalg.cho_factor(self.symmetrized().T, overwrite_a=True)
         except linalg.LinAlgError as exc:
             raise ConvergenceError(
                 "symmetrized Green matrix is not positive definite"
@@ -510,7 +511,7 @@ class GreenOperator(Keeps):
         for j in range(self.n - 1):
             factor[j + 1 :, j] = 0.0
         factor.setflags(write=False)
-        return factor, lower
+        return factor
 
 
 def _lagrange_rows(pts, cell_nodes):
@@ -821,7 +822,7 @@ def save_operator(op, path):
 
     The header records the grid specification, kernel parameters, and a
     checksum of the payload so stale or corrupted caches are rejected at
-    load time.  The file is written atomically (write then rename).
+    load time.  The file is written whole (core.write_atomic).
     """
     payload = b"".join(a.tobytes() for a in _operator_payload(op))
     header = {
@@ -835,23 +836,14 @@ def save_operator(op, path):
         "boundary_grading": op.grid.boundary_grading,
         "sha256": hashlib.sha256(payload).hexdigest(),
     }
-    blob = json.dumps(header, sort_keys=True).encode() + b"\n" + payload
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".op-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
 
 
 def load_operator(path):
     """Inverse of save_operator; validates the header and checksum and reshapes.
 
-    Raises ParameterError for anything but a current operator file.
+    Raises ParameterError for anything but a current operator file, and
+    for a kernel matrix with a negative entry (GreenOperator's invariant).
     """
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -877,6 +869,8 @@ def load_operator(path):
         raise ParameterError(f"operator file {path} has inconsistent payload size")
     parts = np.split(flat, np.cumsum(sizes)[:-1])
     matrix = parts[0].reshape(n, n).copy()
+    if matrix.min() < 0.0:
+        raise ParameterError(f"operator file {path} has a negative kernel entry")
     dirac, nodes, weights, edges = (p.copy() for p in parts[1:])
     for arr in (matrix, dirac, nodes, weights, edges):
         arr.setflags(write=False)

@@ -40,6 +40,7 @@ from .core import (
     RegimeError,
     SecondSolutionNotFound,
 )
+from .green import symv
 from .picard import first_eigenpair
 from .stability import sigma1
 
@@ -88,17 +89,12 @@ class DiscreteHAlphaForm(Keeps):
 
     def coordinates(self, x):
         """Energy coordinates U^(-T) (sqrt_w x) of a nodal vector, or of
-        each row of a block: one BLAS dtrsv, or one dtrsm on the block's
-        transposed (Fortran-ordered) view."""
+        each row of a block, whose 2-norms are A-norms: one BLAS dtrsv, or
+        one dtrsm on the block's transposed (Fortran-ordered) view."""
         scaled = x * self.sqrt_w
         if x.ndim == 1:
             return blas.dtrsv(self.factor, scaled, trans=1, overwrite_x=True)
         return blas.dtrsm(1.0, self.factor, scaled.T, trans_a=1, overwrite_b=True).T
-
-    def norm(self, a):
-        """A-norm of a nodal vector: the 2-norm of its energy coordinates."""
-        y = self.coordinates(a)
-        return math.sqrt(y @ y)
 
 
 def build_form(op):
@@ -126,19 +122,19 @@ def build_form(op):
         If S is numerically indefinite, or its estimated condition number
         exceeds 1e12 (the grid grading has outrun double precision).
     """
-    factor, lower = op.cholesky()
-    s_abs = op.symmetrized()
-    anorm = float(np.max(np.abs(s_abs, out=s_abs).sum(axis=0)))
-    del s_abs
-    rcond, _ = lapack.dpocon(factor, anorm, uplo="L" if lower else "U")
+    factor = op.cholesky()
+    weights = op.grid.weights
+    sqrt_w = np.sqrt(weights)
+    # S = D^(1/2) Kbar D^(1/2) is entrywise nonnegative (GreenOperator), so
+    # its 1-norm, the largest column sum of |S|, is max(sqrt_w * S 1).
+    anorm = float(np.max(sqrt_w * symv(op.matrix, sqrt_w)))
+    rcond, _ = lapack.dpocon(factor, anorm, uplo="U")
     if rcond * _COND_CAP < 1.0:
         cond = 1.0 / rcond if rcond > 0.0 else np.inf
         raise ConvergenceError(
             f"Green matrix condition number {cond:.3e} exceeds {_COND_CAP:.1e}; "
             f"grid grading too aggressive for the energy form"
         )
-    weights = op.grid.weights
-    sqrt_w = np.sqrt(weights)
     phi1 = first_eigenpair(op)["phi1"].values
     base = op.apply(np.ones(op.n))
     return DiscreteHAlphaForm(
@@ -622,8 +618,9 @@ def find_second_solution(
     ------
     ParameterError
         If method is not one of the two above, seed is not a
-        non-negative integer, or form was not built on op (its factor is
-        not op's kept Cholesky factor); checked before any computation.
+        non-negative integer, form was not built on op (its factor is
+        not op's kept Cholesky factor) or u_min lives on another grid
+        than op; checked before any computation.
     RegimeError
         If k <= 0 or u_min is not strictly stable (k at or beyond the
         extremal value: no second solution exists).
@@ -634,8 +631,10 @@ def find_second_solution(
         raise ParameterError(f"unknown method {method!r}")
     if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
         raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
-    if form.factor is not op.cholesky()[0]:
+    if form.factor is not op.cholesky():
         raise ParameterError("the energy form was built on another operator")
+    if not np.array_equal(u_min.grid.nodes, op.grid.nodes):
+        raise ParameterError("u_min lives on another grid than op")
     if params.k <= 0.0:
         raise RegimeError("second solutions require k > 0")
     stab = sigma1(u_min, params, op)
@@ -665,10 +664,12 @@ def find_second_solution(
             f"critical point lost nonnegativity (min {np.min(vals):.3e})", trace
         )
 
-    found = vals / form.norm(vals)
-    dirs = np.vstack((_direction_ensemble(op, form, seed), found))
+    # One solve gives both the A-norm and the energy of the critical point.
+    y = form.coordinates(vals)
+    quad = float(y @ y)
+    dirs = np.vstack((_direction_ensemble(op, form, seed), vals / math.sqrt(quad)))
     sigma0, beta = _pass_geometry(u_total, form, params, c24, dirs, t0)
-    e_val = _energy_values(vals, u_total, form, params)
+    e_val = 0.5 * quad - float(_bulk(vals, u_total, form, params))
     if e_val < beta * (1.0 - 1e-9):
         raise SecondSolutionNotFound(
             f"critical level {e_val:.6g} fell below the certified pass "
@@ -676,10 +677,16 @@ def find_second_solution(
             trace,
         )
     v_prof = RadialFunction(op.grid, np.maximum(vals, 0.0))
+    second = RadialFunction(
+        u_min.grid,
+        u_min.values + v_prof.values,
+        u_min.singular_coeff,
+        u_min.singular_exponent,
+    )
     return MountainPassResult(
         v=v_prof,
         energy=e_val,
         level_lower_bound=beta,
-        second_solution=u_min + v_prof,
+        second_solution=second,
         trace=tuple(trace),
     )

@@ -310,16 +310,13 @@ def _power_iteration(op, weights, c, tol, max_iter):
     return None
 
 
-def first_eigenpair(op, tol=1e-12, max_iter=100000):
-    """Principal Dirichlet eigenpair via power iteration on the Green matrix.
+def first_eigenpair(op):
+    """Principal Dirichlet eigenpair via power iteration on the Green matrix,
+    to a relative weighted residual of 1e-12 within 100000 steps.
 
     Parameters
     ----------
     op : GreenOperator
-    tol : float
-        Relative weighted-residual stop for the power iteration.
-    max_iter : int
-        Iteration cap.
 
     Returns
     -------
@@ -327,21 +324,21 @@ def first_eigenpair(op, tol=1e-12, max_iter=100000):
         {"lambda1": float, "phi1": RadialFunction} where lambda1 is the
         reciprocal of the largest Green eigenvalue and phi1 the positive
         eigenfunction with unit weighted L2 norm.  The pair is kept on
-        the operator for each (tol, max_iter), so later calls return the
-        same read-only phi1 without iterating again.
+        the operator, so later calls return the same read-only phi1
+        without iterating again.
     """
 
     def iterate():
         w = op.grid.weights
-        found = _power_iteration(op, w, 1.0, tol, max_iter)
+        found = _power_iteration(op, w, 1.0, 1e-12, 100000)
         if found is None:
             raise ConvergenceError(
-                f"power iteration did not reach tolerance {tol} in {max_iter} steps"
+                "power iteration did not reach tolerance 1e-12 in 100000 steps"
             )
         mu, x = found
         if float(np.min(x)) <= 0.0:
             raise ConvergenceError("principal eigenfunction lost positivity")
         return 1.0 / mu, RadialFunction(op.grid, x / np.sqrt(w @ x**2))
 
-    lambda1, phi = op._memo(("first_eigenpair", tol, max_iter), iterate)
+    lambda1, phi = op._memo("first_eigenpair", iterate)
     return {"lambda1": lambda1, "phi1": phi}

@@ -49,8 +49,9 @@ def _linearized_weight(u, params):
     return params.p * u.total ** (params.p - 1.0)
 
 
-def sigma1(u, params, op, tol=1e-12, max_iter=200000):
-    """Stability index of u by power iteration on the linearized operator.
+def sigma1(u, params, op):
+    """Stability index of u by power iteration on the linearized operator,
+    to a relative weighted residual of 1e-12 within 200000 steps.
 
     Parameters
     ----------
@@ -58,10 +59,6 @@ def sigma1(u, params, op, tol=1e-12, max_iter=200000):
         Nonnegative profile with grid-integrable u^(p-1).
     params : ProblemParams
     op : GreenOperator
-    tol : float
-        Relative weighted-residual stop for the power iteration.
-    max_iter : int
-        Iteration cap.
 
     Returns
     -------
@@ -85,10 +82,10 @@ def sigma1(u, params, op, tol=1e-12, max_iter=200000):
             infinite=True,
         )
     w = grid.weights
-    found = _power_iteration(op, w, _linearized_weight(u, params), tol, max_iter)
+    found = _power_iteration(op, w, _linearized_weight(u, params), 1e-12, 200000)
     if found is None:
         raise ConvergenceError(
-            f"stability power iteration did not reach {tol} in {max_iter} steps"
+            "stability power iteration did not reach 1e-12 in 200000 steps"
         )
     mu, x = found
     if float(np.min(x)) <= 0.0:
@@ -149,7 +146,7 @@ def sigma1_rayleigh(u, params, op):
     q = _linearized_weight(u, params)
     if float(np.min(q)) <= 0.0:
         raise ParameterError("linearization weight vanishes at a node")
-    upper = op.cholesky()[0]
+    upper = op.cholesky()
 
     def matvec(y):
         return blas.dtrmv(upper, q * blas.dtrmv(upper, y, trans=1))

@@ -222,15 +222,17 @@ def test_criterion_08_second_solution(umin_mid, op400, form400, second_mid):
     above = bool(np.all(second_mid.second_solution.total > u_min.total))
     levels = second_mid.energy >= second_mid.level_lower_bound > 0.0
     ok = method_gap <= 1e-4 and fp_res <= 1e-6 and above and levels
-    # The residual sits at the rounding floor of G f(v): a few units of
-    # eps max|v|, which the order BLAS sums in moves by a unit or two.  It
-    # is printed in those units, not in digits that look significant.
-    ulps = fp_res / (np.finfo(float).eps * scale)
+    # The residual sits at the rounding floor of G f(v), and the method gap
+    # at that of the two searches: a few units of eps max|v|, which the
+    # order BLAS sums in moves by a unit or two.  Both are printed in those
+    # units, not in digits that look significant.
+    eps = np.finfo(float).eps
+    ulps, gap_ulps = fp_res / (eps * scale), method_gap / eps
     _record(
         8,
         "both searches find the same second solution above the minimal one",
         ok,
-        f"method gap {method_gap:.1e}, residual {ulps:.0f} eps*max|v|, "
+        f"method gap {gap_ulps:.0f} eps*max|v|, residual {ulps:.0f} eps*max|v|, "
         f"E = {second_mid.energy:.4f} >= beta = {second_mid.level_lower_bound:.4f}",
     )
 

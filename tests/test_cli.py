@@ -117,6 +117,18 @@ def test_solve_writes_profile_and_report(solve_dir, op200):
     assert 0.0 <= payload["classification"]["weak_identity_residual"] <= 1e-6
 
 
+def test_a_diverged_solve_exits_2_and_still_writes_its_files(tmp_path, capsys):
+    # solve reports a non-converged run in its files: solve.json records
+    # the status, and solve.csv holds the last iterate.
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--k", "10", "--n-nodes", "200", "-o", str(out)]) == 2
+    assert capsys.readouterr().out.startswith("solve: Diverged after 6 iterations")
+    report = _check_outputs(out, "solve", {"solve.csv": "profile"})
+    assert report["status"] == "Diverged"
+    assert report["classification"] is None
+    assert _data(out / "solve.csv").shape == (200, 4)
+
+
 def test_solve_reruns_are_byte_identical(solve_dir):
     before = {
         name: (solve_dir / name).read_bytes()
@@ -470,11 +482,12 @@ def test_exit_codes_for_user_errors(tmp_path, capsys):
         (["--set", "params.alpha=true"], "params.alpha must be a number, got True"),
         (["--set", "params.dim=2.5"], "params.dim must be an integer, got 2.5"),
         (
-            ["--set", "tolerances.picard_max_iter=lots"],
-            "tolerances.picard_max_iter must be an integer, got 'lots'",
+            ["--set", "tolerances.picard_max_iter=4000"],
+            "unknown key tolerances.picard_max_iter",
         ),
         (["--set", "tolerances.eig_tl=1e-3"], "unknown key tolerances.eig_tl"),
         (["--config", {"output": {"formats": ["csv"]}}], "unknown key output.formats"),
+        (["--set", "tolerances.eig_tol=1e-12"], "unknown key tolerances.eig_tol"),
     ],
 )
 def test_config_values_of_the_wrong_type_exit_1(tmp_path, capsys, extra, message):

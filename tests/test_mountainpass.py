@@ -49,6 +49,12 @@ from fracsing.stability import sigma1, sigma1_rayleigh
 mpmath.mp.dps = 40
 
 
+def _a_norm(form, x):
+    """A-norm of a nodal vector: the 2-norm of its energy coordinates."""
+    y = form.coordinates(x)
+    return math.sqrt(y @ y)
+
+
 # ---------------------------------------------------------------- form
 
 
@@ -57,7 +63,7 @@ def stiffness400(op400):
     """Reference A = W^(1/2) S^(-1) W^(1/2) of op400, by the copying
     formula and averaged with its transpose; the form never builds it."""
     sqrt_w = np.sqrt(op400.grid.weights)
-    x = sqrt_w[:, None] * linalg.cho_solve(op400.cholesky(), np.diag(sqrt_w))
+    x = sqrt_w[:, None] * linalg.cho_solve((op400.cholesky(), False), np.diag(sqrt_w))
     return 0.5 * (x + x.T)
 
 
@@ -68,13 +74,13 @@ def test_form_is_symmetric_positive_definite(form400, stiffness400, rng):
     for _ in range(100):
         v = rng.standard_normal(stiffness400.shape[0])
         assert float(v @ stiffness400 @ v) > 0.0
-        assert form400.norm(v) > 0.0
+        assert _a_norm(form400, v) > 0.0
 
 
 def test_form_keeps_the_operator_factor_and_vectors(op400, form400):
     # No n x n array of its own: the factor is the operator's kept one,
     # the weights are the grid's, every other field is a vector.
-    assert form400.factor is op400.cholesky()[0]
+    assert form400.factor is op400.cholesky()
     assert form400.mass is op400.grid.weights
     for field in dataclasses.fields(form400):
         value = getattr(form400, field.name)
@@ -91,7 +97,7 @@ def test_form_norms_and_energies_match_the_reference_matrix(
     rows = np.vstack((block, rng.standard_normal((5, op400.n))))
     for v in rows:
         quad = float(v @ stiffness400 @ v)
-        assert abs(form400.norm(v) ** 2 - quad) <= 1e-13 * quad
+        assert abs(_a_norm(form400, v) ** 2 - quad) <= 1e-13 * quad
         direct = 0.5 * quad - float(_bulk(v, u_min.total, form400, params))
         energy_v = _energy_values(v, u_min.total, form400, params)
         assert abs(energy_v - direct) <= 1e-13 * 0.5 * quad
@@ -146,7 +152,7 @@ def test_form_pairs_exactly_with_green_images(op400, form400):
     w = op400.grid.weights
     for f in (np.ones(op400.n), 1.0 - r**2, np.exp(-3.0 * r**2)):
         v = op400.apply(f)
-        quad = form400.norm(v) ** 2
+        quad = _a_norm(form400, v) ** 2
         pair = float(w @ (f * v))
         assert quad == pytest.approx(pair, rel=1e-6)
 
@@ -264,9 +270,9 @@ def test_ray_endpoint_has_nonpositive_energy(umin_mid, op400, form400):
     params, u_min = umin_mid
     t0 = _negative_endpoint(u_min.total, form400, params)
     ray = form400.ray
-    assert form400.norm(ray) == pytest.approx(1.0, rel=1e-12)
+    assert _a_norm(form400, ray) == pytest.approx(1.0, rel=1e-12)
     base = op400.apply(np.ones(op400.n))
-    assert np.max(np.abs(ray - base / form400.norm(base))) <= 1e-15 * np.max(ray)
+    assert np.max(np.abs(ray - base / _a_norm(form400, base))) <= 1e-15 * np.max(ray)
     assert _energy_values(t0 * ray, u_min.total, form400, params) <= 0.0
     assert _energy_values(0.5 * t0 * ray, u_min.total, form400, params) > 0.0
 
@@ -302,7 +308,7 @@ def test_block_energies_match_the_vector_loop(umin_mid, op400, form400, rng):
     got = 0.5 * _pairings(dens, block, w) - _bulk(block, u_total, form400, params)
     # Relative to the quadratic part: E itself crosses zero along the ray,
     # where both evaluations carry the rounding of the cancelled terms.
-    quad = 0.5 * np.array([form400.norm(x) ** 2 for x in block])
+    quad = 0.5 * np.array([_a_norm(form400, x) ** 2 for x in block])
     assert np.all(np.abs(got - loop) <= 1e-13 * quad)
     for v, g in zip(block[:19], dens[:19]):
         f = power_increment(u_total, np.maximum(v, 0.0), params.p)
@@ -310,7 +316,7 @@ def test_block_energies_match_the_vector_loop(umin_mid, op400, form400, rng):
         v_sq, cross, g_sq = (w * g) @ v, (w * g) @ grad, (w * (g - f)) @ grad
         for step in (1.0, 0.125, 2.0**-10):
             kept = v_sq - step * (2.0 * cross - step * g_sq)
-            direct = form400.norm(v - step * grad) ** 2
+            direct = _a_norm(form400, v - step * grad) ** 2
             assert abs(kept - direct) <= 1e-13 * (v_sq + step**2 * g_sq)
 
 
@@ -324,12 +330,12 @@ def test_block_norms_match_the_vector_loop(umin_mid, op400, form400, rng):
     block, dens = _probe_block(u_min, op400, form400, params, rng)
     steps = np.diff(block, axis=0)
     got = np.sqrt(_pairings(np.diff(dens, axis=0), steps, form400.mass))
-    loop = np.array([form400.norm(x) for x in steps])
-    ends = np.array([form400.norm(x) for x in block])
+    loop = np.array([_a_norm(form400, x) for x in steps])
+    ends = np.array([_a_norm(form400, x) for x in block])
     assert np.all(np.abs(got - loop) <= 1e-13 * (ends[:-1] + ends[1:]))
     dirs = _direction_ensemble(op400, form400, 0)
     assert dirs.shape == (50, op400.n)
-    assert all(abs(form400.norm(d) - 1.0) <= 1e-13 for d in dirs)
+    assert all(abs(_a_norm(form400, d) - 1.0) <= 1e-13 for d in dirs)
 
 
 def test_kept_densities_follow_the_deformed_path(
@@ -358,8 +364,9 @@ def test_kept_densities_follow_the_deformed_path(
 
 def test_deformation_makes_no_solve(umin_mid, op400, form400, monkeypatch):
     # Once the seed's ensemble is built, a search solves with the factor
-    # only for the norm and the energy of the critical point it found:
-    # every vertex of the deformation is a Green image.
+    # once, for the norm and the energy of the critical point it found:
+    # every vertex of the deformation is a Green image.  A new seed adds
+    # the one block solve of its ensemble.
     params, u_min = umin_mid
     _direction_ensemble(op400, form400, 0)
     calls = []
@@ -372,7 +379,10 @@ def test_deformation_makes_no_solve(umin_mid, op400, form400, monkeypatch):
     monkeypatch.setattr(mountainpass.DiscreteHAlphaForm, "coordinates", counted)
     result = find_second_solution(params, op400, form400, u_min, seed=0)
     assert sum(row[1] is not None for row in result.trace) > 10
-    assert calls == [(op400.n,), (op400.n,)]
+    assert calls == [(op400.n,)]
+    calls.clear()
+    find_second_solution(params, op400, dataclasses.replace(form400), u_min, seed=0)
+    assert calls == [(op400.n,), (50, op400.n)]
 
 
 def test_direction_ensemble_is_built_once_per_seed(
@@ -576,7 +586,7 @@ def test_second_solution_is_a_fixed_point(second_mid, umin_mid, op400, form400):
     assert float(np.max(np.abs(v - image))) <= 1e-9
     # The A-gradient of the energy is the same residual vector.
     grad = _gradient_values(v, u_min.total, op400, params)
-    assert form400.norm(grad) <= 1e-8
+    assert _a_norm(form400, grad) <= 1e-8
 
 
 def test_second_solution_ordering_and_sign(second_mid, umin_mid):
@@ -614,7 +624,7 @@ def test_finite_difference_criticality(second_mid, umin_mid, op400, form400, rng
     h = 1e-6
     for _ in range(50):
         d = rng.standard_normal(op400.n)
-        d /= form400.norm(d)
+        d /= _a_norm(form400, d)
         e_plus = _energy_values(v + h * d, u_min.total, form400, params)
         e_minus = _energy_values(v - h * d, u_min.total, form400, params)
         assert abs(e_plus - e_minus) / (2.0 * h) <= 1e-5
@@ -677,6 +687,19 @@ def test_search_rejects_a_form_of_another_operator(
         find_second_solution(params, dataclasses.replace(op400), form400, u_min)
 
 
+def test_search_rejects_a_minimal_solution_of_another_grid(
+    op200, op400, form400, umin_mid, monkeypatch
+):
+    def no_sigma1(*args, **kwargs):
+        raise AssertionError("sigma1 ran before the grid was checked")
+
+    params, _ = umin_mid
+    alien = RadialFunction(op200.grid, np.ones(op200.n))
+    monkeypatch.setattr(mountainpass, "sigma1", no_sigma1)
+    with pytest.raises(ParameterError, match="another grid than op"):
+        find_second_solution(params, op400, form400, alien)
+
+
 def test_second_solution_of_size_millions_near_p_one():
     # At p near 1 the second solution grows like lambda1^(1/(p-1)): here
     # max v is about 3.3e6, whose last ulps exceed an absolute residual of
@@ -709,11 +732,11 @@ def test_pass_geometry_certificate_holds_on_the_sample(
     params, u_min = umin_mid
     stab = sigma1(u_min, params, op400)
     c24 = 1.0 - 1.0 / stab.sigma1
-    found = second_mid.v.values / form400.norm(second_mid.v.values)
+    found = second_mid.v.values / _a_norm(form400, second_mid.v.values)
     dirs = np.vstack((_direction_ensemble(op400, form400, 0), found))
     assert len(dirs) == 51
     for d in dirs:
-        assert form400.norm(d) == pytest.approx(1.0, rel=1e-10)
+        assert _a_norm(form400, d) == pytest.approx(1.0, rel=1e-10)
         # The quadratic part is controlled by the stability index alone.
         qint = params.p * float(
             form400.mass @ (u_min.total ** (params.p - 1.0) * d**2)
@@ -760,7 +783,7 @@ def test_block_certificate_matches_the_direction_loop(
     u_total = u_min.total
     c24 = 1.0 - 1.0 / sigma1(u_min, params, op400).sigma1
     t0 = _negative_endpoint(u_total, form400, params)
-    found = second_mid.v.values / form400.norm(second_mid.v.values)
+    found = second_mid.v.values / _a_norm(form400, second_mid.v.values)
     for seed in (0, 1, 2):
         dirs = np.vstack((_direction_ensemble(op400, form400, seed), found))
         # Larger c24 targets pass earlier radii: several outcomes are hit.

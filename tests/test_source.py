@@ -107,7 +107,7 @@ def test_the_product_guard_sees_views_and_aliases():
         "q = a @ self.factor @ a",
         "factor = form.factor.T\nq = base @ factor @ base",
         "upper = form.factor[:, :m]\ny = upper.T @ x",
-        "upper = op.cholesky()[0]\ny = upper @ (q * (upper.T @ x))",
+        "upper = op.cholesky()\ny = upper @ (q * (upper.T @ x))",
         "prior = basis[: j + 1]\nh = prior @ w",
         "out = np.asarray(y) @ basis[:m]",
         "out = np.dot(form.factor, x)",

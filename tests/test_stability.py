@@ -79,7 +79,7 @@ def test_rayleigh_lanczos_matches_the_dense_singular_value(dim, alpha, p, fracti
     # full dense SVD, which the Lanczos route replaces.
     params, op, u = _lanczos_case(dim, alpha, p, fraction)
     q = params.p * u.total ** (params.p - 1.0)
-    factor = np.sqrt(q)[:, None] * np.triu(op.cholesky()[0]).T
+    factor = np.sqrt(q)[:, None] * np.triu(op.cholesky()).T
     dense = 1.0 / float(linalg.svdvals(factor)[0]) ** 2
     assert abs(sigma1_rayleigh(u, params, op) - dense) <= 1e-12 * dense
 
@@ -95,11 +95,14 @@ def test_index_scales_inversely_for_quadratic_nonlinearity(umin_mid, op400):
     # p = 2 makes the linearization weight linear in u, so doubling the
     # profile halves the index exactly in the continuum.
     params, u = umin_mid
+    twice = RadialFunction(
+        u.grid, 2.0 * u.values, 2.0 * u.singular_coeff, u.singular_exponent
+    )
     base = sigma1(u, params, op400).sigma1
-    doubled = sigma1(u.scale(2.0), params, op400).sigma1
+    doubled = sigma1(twice, params, op400).sigma1
     assert doubled == pytest.approx(base / 2.0, rel=1e-10)
     ray_base = sigma1_rayleigh(u, params, op400)
-    ray_doubled = sigma1_rayleigh(u.scale(2.0), params, op400)
+    ray_doubled = sigma1_rayleigh(twice, params, op400)
     assert ray_doubled == pytest.approx(ray_base / 2.0, rel=1e-10)
 
 
