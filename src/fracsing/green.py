@@ -1,26 +1,31 @@
 """Green kernel of (-Delta)^alpha on the unit ball and its discretization.
 
-The ball is the one domain where the kernel is explicit:
+The ball is the one domain where the kernel is explicit.  In the Riesz
+form
 
-    G(x,y) = kappa * |x-y|^(2*alpha-N) * int_0^{t0} t^(alpha-1) (1+t)^(-N/2) dt,
-    t0 = (1-|x|^2)(1-|y|^2) / |x-y|^2,
+    G(x,y) = kappa * int_0^{a2} tau^(alpha-1) (|x-y|^2 + tau)^(-N/2) dtau,
+    a2 = (1-|x|^2)(1-|y|^2),   kappa = c_fund / B(alpha, N/2-alpha),
 
-which in regularized incomplete-beta form becomes
+with c_fund the fundamental-solution constant (tau = t |x-y|^2 gives the
+incomplete-beta form c_fund |x-y|^(2 alpha-N) I_z(alpha, N/2-alpha),
+z = a2 / (a2 + |x-y|^2)).  The mean of the integrand over a sphere is
+elementary: for |x| = r and y = s w, w on the unit sphere S^(N-1),
 
-    G(x,y) = c_fund * |x-y|^(2*alpha-N) * I_z(alpha, N/2-alpha),
-    z = A / (A + |x-y|^2),   A = (1-|x|^2)(1-|y|^2),
+    mean_w (|x-y|^2 + tau)^(-N/2) = (2 / (sqrt(P) + sqrt(Q)))^(N-2) / sqrt(P Q),
+    P = (r-s)^2 + tau,   Q = (r+s)^2 + tau,
 
-because kappa * B(alpha, N/2-alpha) equals the fundamental-solution
-constant c_fund.  Both shape parameters are fixed for a given (N, alpha),
-so I_z is evaluated from two polynomial tables built once per (N, alpha)
-and kept for the process, from the hypergeometric form of the
-incomplete beta (DLMF 8.17(v)): I_z = z^a P(z) for z <= 1/2, and
-I_z = -expm1(b ln w + L(w)) with w = 1 - z above, where P and L are
-smooth on [0, 1/2] and a = alpha, b = N/2 - alpha.  This module evaluates
-the kernel pointwise, reduces it over spheres to a radial kernel, and
-assembles a dense Nystrom matrix for the solution operator
+a quadratic transformation of 2F1(N/4, N/4+1/2; N/2; .) (DLMF 15.4).  So
+the sphere-averaged kernel Kbar(r,s) is one integral in tau, with no
+angular quadrature and no special function.  It is evaluated by a
+Gauss-Jacobi rule with weight tau^(alpha-1) on [0, min((r-s)^2, a2)] and
+Gauss-Legendre panels in ln tau from there up to a2; in ln tau the
+integrand is analytic in a strip of half-width pi, so panels of a fixed
+length in ln tau resolve it on every scale of |r-s|.  The point kernel
+is the same integral with P = Q = |x-y|^2.  This module evaluates the
+kernel pointwise and sphere-reduced, and assembles a dense Nystrom
+matrix for the solution operator
 
-    G_alpha[f](r) = int_0^1 K(r,s) f(s) s^(N-1) ds,
+    G_alpha[f](r) = int_0^1 K(r,s) f(s) s^(N-1) ds,   K = |S^(N-1)| Kbar,
 
 with product-integration corrections on the cells around the diagonal
 where the sphere-reduced kernel has an |r-s|^(2*alpha-1) cusp (a
@@ -49,16 +54,15 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy import linalg
 from scipy.linalg import blas
-from scipy.special import beta, betainc
+from scipy.special import beta, betainc, roots_jacobi
 
 from .core import (
     ConvergenceError,
@@ -73,17 +77,21 @@ from .core import (
     write_atomic,
 )
 
-# Version 3: the payload holds the symmetric kernel matrix Kbar, where
-# version 2 held Kbar times the weights, so older caches are rebuilt.
-FORMAT_VERSION = 3
+# Version 4: kernel values from the tau-integral of the sphere mean, which
+# moves entries of version 3 (an angular rule) by up to 1e-8 relative.
+FORMAT_VERSION = 4
 
-# Angular quadrature controls: the near-field integral is computed in a
-# sinh-transformed variable where the integrand has O(1) scale, on
-# equal-length panels with a fixed Gauss rule per panel.
-_PANEL_LENGTH = 1.8
-_MAX_PANELS = 16
-_NEAR_X, _NEAR_W = np.polynomial.legendre.leggauss(12)
-_FAR_X, _FAR_W = np.polynomial.legendre.leggauss(16)
+# The tau rule: Gauss-Jacobi points for the tau^(alpha-1) endpoint, and
+# Gauss-Legendre panels of at most _PANEL_LOG_LENGTH in ln tau above it.
+# Both converge like rho^(-2 m) for m points: rho >= 3 + sqrt(8) for the
+# Jacobi interval, whose integrand is analytic up to tau = -(r-s)^2, and
+# rho = 4.4 for a panel, the strip half-width pi over half the panel
+# length.  12 points each hold the kernel within 1e-13 relative of
+# 30-digit quadrature for N = 2..5 and alpha in [0.05, 0.95] (rounding and
+# scipy's Jacobi weights give about 2e-14 of that).
+_JACOBI_POINTS = 12
+_PANEL_X, _PANEL_W = np.polynomial.legendre.leggauss(12)
+_PANEL_LOG_LENGTH = 3.0
 
 # Product-integration controls for near-diagonal cells: per side of the
 # singular point, a graded map s = anchor +/- L*t^gamma integrated by a
@@ -94,11 +102,9 @@ _N_CORR_CELLS = 3
 
 # Kernel evaluations in `assemble` run on blocks of this many node pairs
 # (or near-diagonal samples), which bounds each worker's temporaries and
-# gives the thread pool independent tasks.  Keep it a multiple of 64: the
-# far-field contraction in `_sphere_integral` is a BLAS matrix-vector
-# product whose kernel rounds rows in vector-width groups differently
-# from a remainder, so each entry matches the one-flat-batch evaluation
-# only when blocks start at such a multiple.
+# gives the thread pool independent tasks.  Each entry is reduced over
+# its own row of quadrature points by the same operations wherever the
+# blocks start, so any block size gives the same bits.
 _BLOCK_SIZE = 4096
 
 
@@ -115,153 +121,100 @@ def _sub_rule():
 
 _SUB_T, _SUB_TW = _sub_rule()
 
-# Incomplete-beta tables: I_z(a, b) = z^a P(z) up to _BETA_SPLIT and
-# 1 - w^b exp(L(w)), w = 1 - z, above it.  P and L are analytic except at
-# z = 1 and w = 1, so a degree-d interpolant on [0, 1/2] converges like
-# rho^-d with rho = 3 + sqrt(8), the Bernstein ellipse through that
-# singularity.  The split stays at 1/2: it gives both pieces that rate
-# on the same interval, and 1 - z is exact there (Sterbenz), so the
-# upper piece sees the argument as rounded.  Degree 18 is the lowest that
-# holds 1e-14 relative error for N = 2..12 and alpha in [0.01, 0.999]
-# (16 gives 1.2e-14 at N = 2, alpha = 0.99); 22 buys a factor rho^4 of
-# margin on the truncation term, and the error sits at its 2e-15
-# rounding floor.
-_BETA_SPLIT = 0.5
-_BETA_DEGREE = 22
-# Chebyshev points of the first kind in x = 4t - 1, t the piece's variable.
-_BETA_X = np.cos(math.pi * (np.arange(_BETA_DEGREE + 1) + 0.5) / (_BETA_DEGREE + 1))
-_BETA_VANDER = np.vander(_BETA_X, increasing=True)
-# The evaluator works through its input in chunks of this many values:
-# its temporaries (three arrays per piece, 768 kB) then fit beside the
-# kernel's own per-block arrays, and with one worker the allocation peak
-# of `assemble` equals that of per-value betainc on the benchmark cases.
-# Chunks of 16384 cost about 15% more time at n=1600 with two workers, as
-# the many small NumPy calls contend for the GIL.
-_BETA_CHUNK = 32768
-
-
-def _hyp2f1_minus_one(p, q, r, t):
-    """2F1(p, q; r; t) - 1 for p, q, r > 0 and 0 <= t <= 1/2, elementwise.
-
-    Every term of the power series is positive, so the sum has no
-    cancellation; terms are added until the last is below 2^-60 of the sum.
-    """
-    n_terms = 64
-    while True:
-        k = np.arange(n_terms, dtype=float)
-        ratio = (p + k) * (q + k) / ((r + k) * (k + 1.0))
-        terms = np.cumprod(t[:, None] * ratio[None, :], axis=1)
-        total = terms.sum(axis=1)
-        if np.all(terms[:, -1] <= 2.0**-60 * total):
-            return total
-        n_terms *= 2
-
-
-def _horner(coef, x):
-    """Polynomial sum_k coef[k] x^k, elementwise, in place on one buffer."""
-    acc = coef[-1] * x
-    acc += coef[-2]
-    for c in coef[-3::-1]:
-        acc *= x
-        acc += c
-    return acc
-
-
-def _incomplete_beta(a, b):
-    """Elementwise evaluator z -> I_z(a, b) for fixed 0 < a < 1 and b > 0.
-
-    Lower piece, z <= 1/2: I_z = z^a P(z) with
-    P(z) = (1-z)^b 2F1(a+b, 1; a+1; z) / (a B(a,b)).  Upper piece: with
-    w = 1 - z, 1 - I_z = I_w(b, a) = exp(s), s = b ln w + L(w) and
-    L(w) = ln 2F1(b, 1-a; b+1; w) - ln(b B(a,b)), so I_z = -expm1(s).
-    Both terms of s are negative, so s keeps its relative accuracy, and so
-    does I_z where it is small (N = 2 with alpha near 1), where
-    1 - I_w(b, a) would cancel.  ln(b B) is taken from the lower piece's
-    value at z = 1/2, which keeps it accurate to the size of s.  P and L
-    are tabulated as interpolating polynomials in x = 4t - 1 at Chebyshev
-    points, sampled from positive-term series.
-    """
-    nodes = np.append((_BETA_X + 1.0) * (0.5 * _BETA_SPLIT), _BETA_SPLIT)
-    p_vals = (1.0 + _hyp2f1_minus_one(a + b, 1.0, a + 1.0, nodes)) / (a * beta(a, b))
-    p_vals *= np.exp(b * np.log1p(-nodes))
-    l_vals = np.log1p(_hyp2f1_minus_one(b, 1.0 - a, b + 1.0, nodes))
-    # I_{1/2}(b, a) = 1 - I_{1/2}(a, b) fixes ln(b B(a, b)).
-    ln_bb = l_vals[-1] + b * math.log(_BETA_SPLIT) - math.log1p(
-        -p_vals[-1] * _BETA_SPLIT**a
-    )
-    coef = np.linalg.solve(
-        _BETA_VANDER, np.column_stack([p_vals[:-1], l_vals[:-1] - ln_bb])
-    )
-    p_coef, l_coef = coef[:, 0].tolist(), coef[:, 1].tolist()
-    scale = 2.0 / _BETA_SPLIT
-
-    def lower(t):
-        """z^a P(z) on a gathered copy t of z, overwritten."""
-        x = t * scale
-        x -= 1.0
-        poly = _horner(p_coef, x)
-        t **= a
-        t *= poly
-        return t
-
-    def upper(w):
-        """-expm1(b ln w + L(w)) on a fresh array w = 1 - z, overwritten."""
-        x = w * scale
-        x -= 1.0
-        poly = _horner(l_coef, x)
-        with np.errstate(divide="ignore"):  # w = 0 gives s = -inf, I = 1
-            np.log(w, out=w)
-        w *= b
-        w += poly
-        np.expm1(w, out=w)
-        return np.negative(w, out=w)
-
-    def evaluate(z):
-        z = np.asarray(z, dtype=float)
-        out = np.empty(z.shape)
-        flat_z, flat_out = z.reshape(-1), out.reshape(-1)
-        for start in range(0, flat_z.size, _BETA_CHUNK):
-            chunk = slice(start, start + _BETA_CHUNK)
-            zc, oc = flat_z[chunk], flat_out[chunk]
-            low = zc <= _BETA_SPLIT
-            oc[low] = lower(zc[low])
-            high = ~low
-            oc[high] = upper(1.0 - zc[high])
-        return out
-
-    return evaluate
-
 
 class _Kernel(NamedTuple):
-    """Green kernel data of one (N, alpha): c_fund and z -> I_z(alpha, N/2-alpha)."""
+    """Green kernel data of one (N, alpha): kappa and the Gauss-Jacobi rule
+    on (0, 1) for the weight t^(alpha-1)."""
 
     dim: int
     alpha: float
-    c_fund: float
-    ibeta: Callable
+    kappa: float
+    jacobi_t: np.ndarray
+    jacobi_w: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
 def _kernel(dim, alpha):
-    """Kernel data, incomplete-beta tables included, for (N, alpha);
-    memoised, as a build costs 80-130 us and the tables hold 46 numbers."""
+    """Kernel data for (N, alpha); memoised, and shared read-only by every
+    caller for the process."""
+    x, w = roots_jacobi(_JACOBI_POINTS, 0.0, alpha - 1.0)
+    nodes, weights = 0.5 * (x + 1.0), w * 0.5**alpha
+    for arr in (nodes, weights):
+        arr.setflags(write=False)
     return _Kernel(
         dim,
         alpha,
-        fundamental_constant(dim, alpha),
-        _incomplete_beta(alpha, dim / 2.0 - alpha),
+        fundamental_constant(dim, alpha) / beta(alpha, dim / 2.0 - alpha),
+        nodes,
+        weights,
     )
 
 
-def _green_from_geometry(rho2, a2, kernel):
-    """Kernel value from squared distance rho2 and boundary product a2.
+@functools.lru_cache(maxsize=None)
+def _panel_rule(n_panels):
+    """Nodes/weights on (0, 1) of n equal panels of the Legendre rule,
+    memoised and read-only."""
+    offsets = np.arange(n_panels)[:, None]
+    u = ((offsets + 0.5 * (_PANEL_X + 1.0)[None, :]) / n_panels).ravel()
+    w = np.tile(0.5 * _PANEL_W / n_panels, n_panels)
+    for arr in (u, w):
+        arr.setflags(write=False)
+    return u, w
 
-    a2 = (1-|x|^2)(1-|y|^2); vectorized over arrays.
+
+def _sphere_mean_integrand(tau, d2, q2, dim):
+    """(2 / (sqrt(P) + sqrt(Q)))^(N-2) / sqrt(P Q), P = d2 + tau, Q = q2 + tau.
+
+    With d2 = (r-s)^2 and q2 = (r+s)^2 this is the mean over the unit
+    sphere of (|r e1 - s w|^2 + tau)^(-N/2); with d2 = q2 = |x-y|^2 it is
+    (|x-y|^2 + tau)^(-N/2).
     """
-    z = a2 / (a2 + rho2)
-    return (
-        kernel.c_fund * rho2 ** (kernel.alpha - kernel.dim / 2.0) * kernel.ibeta(z)
+    p = d2 + tau
+    q = q2 + tau
+    out = p * q
+    np.sqrt(out, out=out)
+    np.reciprocal(out, out=out)
+    if dim > 2:
+        out *= (2.0 / (np.sqrt(p) + np.sqrt(q))) ** (dim - 2)
+    return out
+
+
+def _tau_integral(d2, q2, a2, kernel):
+    """kappa * int_0^{a2} tau^(alpha-1) M(tau) dtau over flat arrays.
+
+    M is _sphere_mean_integrand(tau, d2, q2), with d2 > 0 elementwise.
+    The Gauss-Jacobi rule covers [0, min(d2, a2)] and, where a2 > d2,
+    panels in ln tau cover the rest; entries are grouped by their panel
+    count.  Each entry's points form one row, reduced by a row sum whose
+    result does not depend on the row's position (a BLAS product would).
+    """
+    alpha = kernel.alpha
+    t_lo = np.minimum(d2, a2)
+    f = _sphere_mean_integrand(
+        t_lo[:, None] * kernel.jacobi_t, d2[:, None], q2[:, None], kernel.dim
     )
+    out = (f * kernel.jacobi_w).sum(axis=1) * t_lo**alpha
+    log_span = np.zeros_like(t_lo)
+    above = a2 > d2
+    log_span[above] = np.log(a2[above] / d2[above])
+    n_panels = np.ceil(log_span / _PANEL_LOG_LENGTH).astype(int)
+    for m in np.unique(n_panels[above]):
+        idx = np.flatnonzero(n_panels == m)
+        u, w = _panel_rule(int(m))
+        tau = t_lo[idx, None] * np.exp(log_span[idx, None] * u)
+        f = _sphere_mean_integrand(tau, d2[idx, None], q2[idx, None], kernel.dim)
+        f *= tau**alpha
+        out[idx] += (f * w).sum(axis=1) * log_span[idx]
+    return kernel.kappa * out
+
+
+def _sphere_mean(r, s, kernel):
+    """Mean of G(r e1, s w) over w on the unit sphere, Kbar(r, s).
+
+    Vectorized over flat arrays with r != s elementwise.
+    """
+    a2 = (1.0 - r * r) * (1.0 - s * s)
+    return _tau_integral((r - s) ** 2, (r + s) ** 2, a2, kernel)
 
 
 def point_kernel(x, y, params):
@@ -290,72 +243,11 @@ def point_kernel(x, y, params):
     if nx2 >= 1.0 or ny2 >= 1.0:
         raise ParameterError("points must lie in the open unit ball")
     diff = x - y
-    rho2 = float(diff @ diff)
-    if rho2 == 0.0:
+    rho2 = np.array([float(diff @ diff)])
+    if rho2[0] == 0.0:
         raise ParameterError("kernel is singular at coincident points")
-    a2 = (1.0 - nx2) * (1.0 - ny2)
-    return float(_green_from_geometry(rho2, a2, _kernel(params.dim, params.alpha)))
-
-
-def _near_panel_rule(n_panels):
-    """Unit nodes/weights for n equal panels of the 12-point rule on (0,1)."""
-    offsets = np.arange(n_panels)[:, None]
-    u = (offsets + 0.5 * (_NEAR_X + 1.0)[None, :]) / n_panels
-    w = np.broadcast_to(0.5 * _NEAR_W / n_panels, u.shape)
-    return u.ravel(), w.ravel()
-
-
-def _sphere_integral(r, s, kernel):
-    """Integral of G(r e1, s omega) over the unit sphere in omega.
-
-    Vectorized over flat arrays with r != s elementwise.  Splits the polar
-    angle at pi/2: on [0, pi/2] the chord variable m = 2 sqrt(rs) sin(t/2)
-    is driven through m = d sinh(v) (d = |r-s|), which spreads the
-    near-singular peak over an O(1) range of v; on [pi/2, pi] the
-    integrand is smooth and a single Gauss rule suffices.
-    """
-    dim = kernel.dim
-    r = np.asarray(r, dtype=float)
-    s = np.asarray(s, dtype=float)
-    d = np.abs(r - s)
-    rs = r * s
-    a2 = (1.0 - r * r) * (1.0 - s * s)
-    sqrt_rs = np.sqrt(rs)
-    m_top = np.sqrt(2.0 * rs)
-
-    out = np.empty_like(d)
-    v_top = np.arcsinh(m_top / d)
-    n_panels = np.clip(
-        np.ceil(v_top / _PANEL_LENGTH).astype(int), 1, _MAX_PANELS
-    )
-    for npan in np.unique(n_panels):
-        idx = np.nonzero(n_panels == npan)[0]
-        u, uw = _near_panel_rule(int(npan))
-        v = v_top[idx, None] * u[None, :]
-        dv_w = v_top[idx, None] * uw[None, :]
-        dloc = d[idx, None]
-        m = dloc * np.sinh(v)
-        ch = dloc * np.cosh(v)
-        rho2 = ch * ch
-        xhalf = m / (2.0 * sqrt_rs[idx, None])
-        theta = 2.0 * np.arcsin(xhalf)
-        g = _green_from_geometry(rho2, a2[idx, None], kernel)
-        jac = ch / (sqrt_rs[idx, None] * np.sqrt(1.0 - xhalf * xhalf))
-        vals = g * jac
-        if dim > 2:
-            vals = vals * np.sin(theta) ** (dim - 2)
-        out[idx] = (vals * dv_w).sum(axis=1)
-
-    theta_far = 0.5 * math.pi + 0.25 * math.pi * (_FAR_X + 1.0)
-    w_far = 0.25 * math.pi * _FAR_W
-    sin_half = np.sin(0.5 * theta_far)
-    rho2_far = d[:, None] ** 2 + 4.0 * rs[:, None] * sin_half[None, :] ** 2
-    g_far = _green_from_geometry(rho2_far, a2[:, None], kernel)
-    if dim > 2:
-        g_far = g_far * np.sin(theta_far)[None, :] ** (dim - 2)
-    out += g_far @ w_far
-
-    return surface_area(dim - 1) * out
+    a2 = np.array([(1.0 - nx2) * (1.0 - ny2)])
+    return float(_tau_integral(rho2, rho2, a2, _kernel(params.dim, params.alpha))[0])
 
 
 def radial_kernel(r, s, params):
@@ -378,7 +270,9 @@ def radial_kernel(r, s, params):
         raise ParameterError("radii must lie strictly inside (0,1)")
     if np.any(r_arr == s_arr):
         raise KernelError("sphere-reduced kernel is not evaluated at coincident radii")
-    out = _sphere_integral(r_arr, s_arr, _kernel(params.dim, params.alpha))
+    out = surface_area(params.dim) * _sphere_mean(
+        r_arr, s_arr, _kernel(params.dim, params.alpha)
+    )
     return float(out[0]) if np.isscalar(r) or np.asarray(r).ndim == 0 else out
 
 
@@ -533,67 +427,72 @@ def _lagrange_rows(pts, cell_nodes):
 
 
 def _graded_piece(anchor, far, gamma):
-    """Sample points/weights on [anchor, far] clustered toward anchor."""
-    span = far - anchor
-    t = _SUB_T
-    pts = anchor + span * t**gamma
-    wts = abs(span) * gamma * t ** (gamma - 1.0) * _SUB_TW
+    """Samples (rows) on [anchor, far] clustered toward anchor, per entry of far."""
+    span = far[:, None] - anchor
+    pts = anchor + span * _SUB_T**gamma
+    wts = np.abs(span) * gamma * _SUB_T ** (gamma - 1.0) * _SUB_TW
     return pts, wts
 
 
-def _cusp_piece(r_i, near, far, gamma, d0):
-    """Samples on [near, far] (one side of r_i) resolving the cusp at r_i.
+def _cusp_piece(r, near, far, gamma):
+    """Samples (rows) on [near, far], one side of r, resolving the cusp at r.
 
-    Distances from r_i are driven through delta = d0*sinh(v) with v graded
-    toward its lower end: the power grading absorbs the |s-r_i|^(2*alpha-1)
-    endpoint cusp while the sinh stretch resolves the kernel's transition
-    at distance d0 (the cusp point's distance to the outer boundary) on
-    every scale.  For d0 much larger than the interval this degenerates to
-    the plain graded rule.
+    Distances from r are driven through delta = d0*sinh(v), d0 = 1 - r,
+    with v graded toward its lower end: the power grading absorbs the
+    |s-r|^(2*alpha-1) endpoint cusp while the sinh stretch resolves the
+    kernel's transition at distance d0 (the cusp point's distance to the
+    outer boundary) on every scale.  For d0 much larger than the interval
+    this degenerates to the plain graded rule.  Vectorized over entries of
+    r, near and far.
     """
-    sign = 1.0 if far > r_i else -1.0
-    v_lo = math.asinh(abs(near - r_i) / d0)
-    v_hi = math.asinh(abs(far - r_i) / d0)
-    t = _SUB_T
-    v = v_lo + (v_hi - v_lo) * t**gamma
+    d0 = (1.0 - r)[:, None]
+    sign = np.where(far > r, 1.0, -1.0)[:, None]
+    v_lo = np.arcsinh(np.abs(near - r)[:, None] / d0)
+    v_span = np.arcsinh(np.abs(far - r)[:, None] / d0) - v_lo
+    v = v_lo + v_span * _SUB_T**gamma
     # Keep samples a few ulp away from the cusp node so the kernel is
     # evaluated at r != s even when the graded map underflows.
-    delta = np.maximum(d0 * np.sinh(v), 4.0 * np.spacing(abs(r_i)))
-    pts = r_i + sign * delta
-    wts = d0 * np.cosh(v) * (v_hi - v_lo) * gamma * t ** (gamma - 1.0) * _SUB_TW
+    delta = np.maximum(d0 * np.sinh(v), 4.0 * np.spacing(np.abs(r))[:, None])
+    pts = r[:, None] + sign * delta
+    wts = d0 * np.cosh(v) * v_span * gamma * _SUB_T ** (gamma - 1.0) * _SUB_TW
     return pts, wts
 
 
-def _correction_samples(r_i, a, b, gamma, boundary_gamma=None):
-    """Graded sample points/weights on cell [a,b] for a kernel cusp at r_i.
+def _correction_samples(r, a, b, last, gamma, boundary_gamma):
+    """Graded sample points/weights on cells [a, b] for kernel cusps at r.
 
-    Returns (points, weights) realizing int_a^b h(s) ds with samples
-    clustered toward the cusp: both subintervals around r_i when the cusp
-    lies inside the cell, otherwise toward the cell edge nearest to it.
-    When boundary_gamma is given the cell touches s=1, where the kernel
-    has a (1-s)^alpha cusp of its own; the outer 30% of the affected side
-    is then graded toward 1 instead.
+    Vectorized over (row, cell) pairs: r holds each pair's node, a and b
+    its cell edges, and last flags the cell that ends at s = 1.  A pair's
+    samples realize int_a^b h(s) ds clustered toward the cusp: both
+    subintervals around r when the cusp lies inside the cell, otherwise
+    toward the cell edge nearest to it.  On the last cell the kernel has a
+    (1-s)^alpha cusp of its own at s = 1; the outer 30% of the side that
+    reaches 1 is then graded toward 1 by boundary_gamma instead.  Returns
+    the points and weights of every pair laid end to end, in pair order,
+    and the number of samples of each pair.
     """
-    d0 = 1.0 - r_i
-    pts, wts = [], []
-    if a < r_i < b:
-        sides = [(r_i, a), (r_i, b)]
-    elif r_i >= b:
-        sides = [(b, a)]
-    else:
-        sides = [(a, b)]
-    for near, far in sides:
-        pieces = []
-        if boundary_gamma is not None and far == b and b == 1.0:
-            split = near + 0.7 * (1.0 - near)
-            pieces.append(_cusp_piece(r_i, near, split, gamma, d0))
-            pieces.append(_graded_piece(1.0, split, boundary_gamma))
-        else:
-            pieces.append(_cusp_piece(r_i, near, far, gamma, d0))
-        for piece in pieces:
-            pts.append(piece[0])
-            wts.append(piece[1])
-    return np.concatenate(pts), np.concatenate(wts)
+    inside = (a < r) & (r < b)
+    # Side 0 runs from near to far; side 1, from r to b, exists inside only.
+    near = np.where(inside, r, np.where(r >= b, b, a))
+    far = np.where(inside | (r >= b), a, b)
+    sides = [(near, far, np.ones_like(inside)), (r, b, inside)]
+    # Each side gives a cusp piece, then a boundary piece where it reaches
+    # s = 1; piece keys 4 * pair + 2 * side + (0 or 1) give the order.
+    keys, pieces = [], []
+    for k, (near, far, exists) in enumerate(sides):
+        split = near + 0.7 * (1.0 - near)
+        at_one = last & (far == b) & (b == 1.0)
+        sel = np.flatnonzero(exists)
+        end = np.where(at_one, split, far)[sel]
+        keys.append(4 * sel + 2 * k)
+        pieces.append(_cusp_piece(r[sel], near[sel], end, gamma))
+        sel = np.flatnonzero(exists & at_one)
+        keys.append(4 * sel + 2 * k + 1)
+        pieces.append(_graded_piece(1.0, split[sel], boundary_gamma))
+    keys = np.concatenate(keys)
+    order = np.argsort(keys)
+    pts, wts = (np.concatenate(arrays)[order].ravel() for arrays in zip(*pieces))
+    return pts, wts, np.bincount(keys // 4, minlength=r.size) * _SUB_T.size
 
 
 def _worker_count():
@@ -654,7 +553,7 @@ def assemble(grid, params):
         raise ParameterError(
             f"grid dimension {grid.dim} does not match params.dim {dim}"
         )
-    # The tables are built here, if at all, before any block is submitted.
+    # The rule is built here, if at all, before any block is submitted.
     kernel = _kernel(dim, alpha)
     surf = surface_area(dim)
     nodes = grid.nodes
@@ -671,11 +570,10 @@ def assemble(grid, params):
         k = np.arange(start, stop)
         i = np.searchsorted(row_start, k, side="right") - 1
         j = k - row_start[i] + i + 1
-        vals = _sphere_integral(nodes[i], nodes[j], kernel)
+        vals = _sphere_mean(nodes[i], nodes[j], kernel)
         bad = np.flatnonzero(~np.isfinite(vals))
         if bad.size:
             return int(i[bad[0]]), int(j[bad[0]])
-        vals /= surf
         kbar[i, j] = vals
         kbar[j, i] = vals
         return None
@@ -684,13 +582,16 @@ def assemble(grid, params):
     # around each row's diagonal cell.  The samples of all (row, cell)
     # pairs are laid end to end and evaluated in blocks like the pairs.
     q = grid.nodes_per_cell
-    edges = grid.cell_edges
     n_cells = grid.n_cells
-    gamma = max(3.0, 3.0 / (2.0 * alpha))
-    boundary_gamma = max(2.0, 3.0 / (1.0 + alpha))
+    edges = grid.cell_edges
+    reach = np.arange(-_N_CORR_CELLS, _N_CORR_CELLS + 1)
+    rows = np.repeat(np.arange(n), reach.size)
+    cells = rows // q + np.tile(reach, n)
+    keep = (cells >= 0) & (cells < n_cells)
+    rows, cells = rows[keep], cells[keep]
 
     def correction_block(start, stop):
-        vals = _sphere_integral(flat_r[start:stop], flat_pts[start:stop], kernel) / surf
+        vals = _sphere_mean(flat_r[start:stop], flat_pts[start:stop], kernel)
         bad = np.flatnonzero(~np.isfinite(vals))
         if bad.size:
             return start + int(bad[0])
@@ -702,28 +603,16 @@ def assemble(grid, params):
     )
     try:
         kernel_jobs = _submit_blocks(pool, n * (n - 1) // 2, kernel_block)
-        # The sampling below is serial Python; it overlaps the kernel blocks.
-        rows, cells, pts_list, wts_list = [], [], [], []
-        for i in range(n):
-            ci = i // q
-            for c in range(
-                max(0, ci - _N_CORR_CELLS), min(n_cells, ci + _N_CORR_CELLS + 1)
-            ):
-                pts, wts = _correction_samples(
-                    nodes[i],
-                    float(edges[c]),
-                    float(edges[c + 1]),
-                    gamma,
-                    boundary_gamma if c == n_cells - 1 else None,
-                )
-                rows.append(i)
-                cells.append(c)
-                pts_list.append(pts)
-                wts_list.append(wts)
-        lens = np.array([p.size for p in pts_list])
+        # The sampling runs on this thread while the kernel blocks run.
+        flat_pts, flat_wts, lens = _correction_samples(
+            nodes[rows],
+            edges[cells],
+            edges[cells + 1],
+            cells == n_cells - 1,
+            max(3.0, 3.0 / (2.0 * alpha)),
+            max(2.0, 3.0 / (1.0 + alpha)),
+        )
         offsets = np.concatenate([[0], np.cumsum(lens)])
-        flat_pts = np.concatenate(pts_list)
-        del pts_list  # 3 MB of per-cell pieces at n=1600, unused from here
         flat_r = np.repeat(nodes[rows], lens)
         flat_vals = np.empty(flat_pts.size)
         correction_jobs = _submit_blocks(pool, flat_pts.size, correction_block)
@@ -743,15 +632,11 @@ def assemble(grid, params):
     finally:
         pool.shutdown(cancel_futures=True)
 
-    lag = _lagrange_rows(
-        flat_pts, nodes.reshape(n_cells, q)[np.repeat(cells, lens)]
-    )
-    weighted = np.concatenate(wts_list) * flat_vals * surf * flat_pts ** (dim - 1)
-    for blk, (i, c) in enumerate(zip(rows, cells)):
-        sl = slice(offsets[blk], offsets[blk + 1])
-        contrib = weighted[sl] @ lag[sl]
-        # Stored as kernel values, which the operator keeps.
-        kbar[i, c * q : (c + 1) * q] = contrib / w[c * q : (c + 1) * q]
+    lag = _lagrange_rows(flat_pts, nodes.reshape(n_cells, q)[np.repeat(cells, lens)])
+    lag *= (flat_wts * flat_vals * surf * flat_pts ** (dim - 1))[:, None]
+    cols = cells[:, None] * q + np.arange(q)
+    # Stored as kernel values, which the operator keeps.
+    kbar[rows[:, None], cols] = np.add.reduceat(lag, offsets[:-1], axis=0) / w[cols]
 
     # Exact symmetrization.  A plain average would move each pair entry by
     # half the row-vs-transpose mismatch, which ruins boundary rows whose

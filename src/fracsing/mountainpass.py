@@ -59,6 +59,9 @@ _FP_TOL = 1e-10
 _GRAD_TOL = 1e-3
 _PATH_SEGMENTS = 20
 _MAX_STEPS = 2000
+# A Newton iteration whose residual has not halved over this many steps
+# is crawling and stops as stagnated (see _newton).
+_CRAWL_STEPS = 30
 
 
 @dataclass(frozen=True)
@@ -547,6 +550,14 @@ def _newton(v, u_total, op, params, max_steps, mass=None):
     deflated search of that round that converges (N=3, k = 0.75 k_lo)
     stagnated instead.  The residual of the accepted line-search trial
     is the next step's residual; it is not evaluated again.
+
+    The iteration also stops as stagnated once its residual has not
+    halved over the last 30 steps.  A deflated search that converges
+    does so quadratically from its basin (on the `branch` operators and
+    a 96-sample grid of k, at most 43 steps, and every 30-step window
+    cuts the residual by a factor of at least 45); one that crawls, with
+    the residual flat for thousands of steps, would spend its whole
+    budget.
     """
     name = "Newton polish" if mass is None else "deflated Newton"
     trace = []
@@ -561,6 +572,10 @@ def _newton(v, u_total, op, params, max_steps, mass=None):
                     "deflated iteration collapsed onto the trivial root", trace
                 )
             return v, trace
+        if it >= _CRAWL_STEPS and rnorm > 0.5 * trace[it - _CRAWL_STEPS][2]:
+            raise SecondSolutionNotFound(
+                f"{name} stagnated at residual {rnorm:.3e}", trace
+            )
         delta = _newton_step(v, u_total, op, params, resid)
         merit = _merit(nv2)
         if nv2 is not None and nv2 > 0.0:
@@ -584,6 +599,31 @@ def _newton(v, u_total, op, params, max_steps, mass=None):
     raise SecondSolutionNotFound(f"{name} exhausted {max_steps} steps", trace)
 
 
+def _deflated_newton(u_total, op, form, params, t0):
+    """Deflated Newton from 10 u_min, then, if that start fails, once more
+    from the mountain pass's endpoint t0 * form.ray.
+
+    Either start alone fails on some k where the other succeeds.  The
+    trace holds the rows of every attempt made, numbered on; so does
+    the error raised when both fail.
+    """
+    trace, failures = [], []
+    for start in (10.0 * u_total, t0 * form.ray):
+        try:
+            vals, rows = _newton(start, u_total, op, params, _MAX_STEPS, form.mass)
+        except SecondSolutionNotFound as exc:
+            vals, rows = None, exc.trace
+            failures.append(str(exc))
+        first = len(trace)
+        trace.extend((first + i, None, r) for i, _, r in rows)
+        if vals is not None:
+            return vals, trace
+    raise SecondSolutionNotFound(
+        f"{failures[0]} from 10 u_min, and {failures[1]} from the ray endpoint",
+        trace,
+    )
+
+
 def find_second_solution(
     params,
     op,
@@ -605,7 +645,8 @@ def find_second_solution(
         Converged minimal solution at params.
     method : str
         "MountainPassAlgorithm" (path deformation + Newton polish) or
-        "DeflatedNewton" (deflated root search started from 10 * u_min).
+        "DeflatedNewton" (deflated root search started from 10 * u_min,
+        and from the mountain pass's ray endpoint if that start fails).
     seed : int
         Non-negative seed of the geometry-certification directions; the
         directions of each seed are built once and kept on the form.
@@ -650,9 +691,7 @@ def find_second_solution(
     if method == "MountainPassAlgorithm":
         vals, trace = _run_mountain_pass(u_total, op, form, params, t0)
     else:
-        vals, trace = _newton(
-            10.0 * u_total, u_total, op, params, _MAX_STEPS, form.mass
-        )
+        vals, trace = _deflated_newton(u_total, op, form, params, t0)
 
     scale = float(np.max(np.abs(vals)))
     if scale <= 1e-10:

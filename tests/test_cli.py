@@ -430,15 +430,16 @@ def test_cache_of_an_older_format_is_rebuilt(tmp_path, monkeypatch):
     assert cli.main(SOLVE_ARGS + ["-o", str(tmp_path / "first")]) == 0
     (entry,) = cache.iterdir()
     line, _, payload = entry.read_bytes().partition(b"\n")
-    # Version 2 held Kbar times the weights, version 1 older kernel values.
-    for version in (1, 2):
+    # Version 3 held kernel values of an angular rule, version 2 Kbar times
+    # the weights, version 1 older kernel values.
+    for version in (1, 2, 3):
         header = dict(json.loads(line), format_version=version)
         entry.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
         with pytest.raises(ParameterError, match="unsupported operator file version"):
             green.load_operator(str(entry))
         assert cli.main(SOLVE_ARGS + ["-o", str(tmp_path / f"v{version}")]) == 0
         rebuilt = json.loads(entry.read_bytes().partition(b"\n")[0])
-        assert rebuilt["format_version"] == green.FORMAT_VERSION == 3
+        assert rebuilt["format_version"] == green.FORMAT_VERSION == 4
 
 
 def test_cold_solve_leaves_one_cache_file(tmp_path, monkeypatch):
@@ -488,6 +489,18 @@ def test_exit_codes_for_user_errors(tmp_path, capsys):
         (["--set", "tolerances.eig_tl=1e-3"], "unknown key tolerances.eig_tl"),
         (["--config", {"output": {"formats": ["csv"]}}], "unknown key output.formats"),
         (["--set", "tolerances.eig_tol=1e-12"], "unknown key tolerances.eig_tol"),
+    ],
+    ids=[
+        "dim-text",
+        "grid-number",
+        "grid-number-with-n-nodes",
+        "grid-without-n-nodes",
+        "alpha-bool",
+        "dim-fraction",
+        "picard-max-iter-unknown",
+        "eig-tl-misspelt",
+        "output-formats-unknown",
+        "eig-tol-unknown",
     ],
 )
 def test_config_values_of_the_wrong_type_exit_1(tmp_path, capsys, extra, message):

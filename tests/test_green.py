@@ -2,8 +2,9 @@
 
 Every quantitative claim is checked against an independent route:
 mpmath closed forms for the point kernel and the source column,
-adaptive angular quadrature for the sphere average, and the analytic
-ball solution for the operator applied to constants.
+adaptive angular quadrature and 30-digit tau quadrature for the sphere
+average, and the analytic ball solution for the operator applied to
+constants.
 """
 
 import dataclasses
@@ -253,10 +254,11 @@ def test_assembly_is_byte_identical_for_any_workers_and_blocks(
     monkeypatch, params0, op200
 ):
     # One block holding every pair and sample is the flat evaluation the
-    # blocks replace.  1024 and 4096 leave a partial last block at n=200.
+    # blocks replace.  1000 and 4096 leave a partial last block at n=200,
+    # and blocks need not start at a multiple of any vector width.
     ref = _assemble_with(monkeypatch, params0, op200.grid, 1, 10**9).matrix
     for workers in (1, 2):
-        for block in (1024, 4096):
+        for block in (1000, 4096):
             got = _assemble_with(monkeypatch, params0, op200.grid, workers, block)
             assert got.matrix.tobytes() == ref.tobytes(), (workers, block)
     # More workers than cores, switching threads as often as possible: a
@@ -265,7 +267,7 @@ def test_assembly_is_byte_identical_for_any_workers_and_blocks(
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = _assemble_with(monkeypatch, params0, op200.grid, 8, 256)
+        got = _assemble_with(monkeypatch, params0, op200.grid, 8, 257)
     finally:
         sys.setswitchinterval(interval)
     assert got.matrix.tobytes() == ref.tobytes()
@@ -276,7 +278,7 @@ def test_kernel_error_names_the_lowest_failing_pair(monkeypatch, params0, op200)
     # Flat pair indices 1079 and 18684: blocks 1 and 18 of 1024 pairs.
     low, high = (5, 100), (150, 160)
     high_failed = threading.Event()
-    original = green_module._sphere_integral
+    original = green_module._sphere_mean
 
     def poisoned(r, s, *args):
         vals = original(r, s, *args)
@@ -291,7 +293,7 @@ def test_kernel_error_names_the_lowest_failing_pair(monkeypatch, params0, op200)
             high_failed.wait(timeout=10.0)
         return vals
 
-    monkeypatch.setattr(green_module, "_sphere_integral", poisoned)
+    monkeypatch.setattr(green_module, "_sphere_mean", poisoned)
     with pytest.raises(KernelError, match=r"node pair \(5, 100\)"):
         _assemble_with(monkeypatch, params0, op200.grid, 2, 1024)
     if green_module._worker_count() >= 2:
@@ -305,7 +307,7 @@ def test_failed_assembly_leaves_no_pool_thread(monkeypatch, params0, op200):
         callers.add(threading.current_thread())
         return np.full(np.shape(r), np.nan)
 
-    monkeypatch.setattr(green_module, "_sphere_integral", failing)
+    monkeypatch.setattr(green_module, "_sphere_mean", failing)
     before = set(threading.enumerate())
     with pytest.raises(KernelError, match=r"node pair \(0, 1\)"):
         _assemble_with(monkeypatch, params0, op200.grid, 2, 1024)
@@ -326,78 +328,85 @@ def test_assembly_peak_memory_is_bounded(monkeypatch, params0, op400):
     assert peak <= 40 * 2**20
 
 
-def _beta_sweep():
-    """z values: log-spaced to 1e-300, uniform, around the 1/2 split, to 1 - 1e-16."""
-    split = green_module._BETA_SPLIT
-    near = split + np.concatenate([np.linspace(-1e-3, 1e-3, 41), [-1e-16, 1e-16]])
-    return np.concatenate(
-        [
-            np.logspace(-300, -1, 120),
-            np.linspace(0.0, 1.0, 401)[1:-1],
-            near,
-            [np.nextafter(split, 0.0), np.nextafter(split, 1.0)],
-            1.0 - np.logspace(-16, -1, 60),
-            [1.0 - 1.1e-16],
-        ]
-    )
+def _mp_sphere_mean(r, s, dim, alpha):
+    """30-digit Kbar(r, s) = kappa int_0^a2 tau^(alpha-1) M(tau) dtau, M the
+    closed-form sphere mean, by tanh-sinh quadrature: in v = tau^alpha
+    below min((r-s)^2, a2), and in u = ln tau on pieces of length 8 above."""
+    with mpmath.workdps(30):
+        r, s, a = mpmath.mpf(r), mpmath.mpf(s), mpmath.mpf(alpha)
+        d2, q2 = (r - s) ** 2, (r + s) ** 2
+        a2 = (1 - r * r) * (1 - s * s)
+
+        def mean(t):
+            p, q = d2 + t, q2 + t
+            return (2 / (mpmath.sqrt(p) + mpmath.sqrt(q))) ** (dim - 2) / mpmath.sqrt(
+                p * q
+            )
+
+        t_lo = min(d2, a2)
+        total = mpmath.quad(lambda v: mean(v ** (1 / a)), [0, t_lo**a]) / a
+        if a2 > t_lo:
+            lo, hi = mpmath.log(t_lo), mpmath.log(a2)
+            cuts = mpmath.linspace(lo, hi, int(mpmath.ceil((hi - lo) / 8)) + 1)
+            total += mpmath.quad(lambda u: mpmath.exp(a * u) * mean(mpmath.exp(u)), cuts)
+        half = mpmath.mpf(dim) / 2
+        kappa = mpmath.gamma(half - a) / (
+            4**a * mpmath.pi**half * mpmath.gamma(a) * mpmath.beta(a, half - a)
+        )
+        return kappa * total
 
 
-def _mp_betainc(a, b, z):
-    return float(mpmath.betainc(a, b, 0, mpmath.mpf(z), regularized=True))
+def test_sphere_mean_closed_form_matches_the_angular_average():
+    # The integrand of the tau rule against a direct average over the
+    # sphere: (1/|S^(N-2)|) int_0^pi (r^2 + s^2 - 2 r s cos t + tau)^(-N/2)
+    # sin^(N-2) t dt, normalized by the same integral of sin^(N-2).
+    for dim in (2, 3, 4, 5):
+        for r, s, tau in ((0.3, 0.5, 0.01), (0.7, 0.69, 1e-6), (0.1, 0.9, 0.5)):
+            with mpmath.workdps(30):
+                rm, sm = mpmath.mpf(r), mpmath.mpf(s)
+
+                def integrand(t):
+                    chord = rm * rm + sm * sm - 2 * rm * sm * mpmath.cos(t) + tau
+                    return chord ** (-mpmath.mpf(dim) / 2) * mpmath.sin(t) ** (dim - 2)
+
+                # Cuts resolve the peak at t = 0, of width about 1e-3.
+                cuts = [0, 1e-3, 1e-2, 0.1, mpmath.pi]
+                want = mpmath.quad(integrand, cuts) / mpmath.quad(
+                    lambda t: mpmath.sin(t) ** (dim - 2), [0, mpmath.pi]
+                )
+            got = green_module._sphere_mean_integrand(
+                np.array([tau]), (r - s) ** 2, (r + s) ** 2, dim
+            )[0]
+            assert got == pytest.approx(float(want), rel=1e-14), (dim, r, s, tau)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
-def test_incomplete_beta_tables_match_betainc(dim):
-    z = _beta_sweep()
-    for alpha in [0.01, *np.round(np.arange(0.05, 0.951, 0.05), 2), 0.99]:
-        a, b = float(alpha), dim / 2.0 - float(alpha)
-        got = green_module._incomplete_beta(a, b)(z)
-        want = betainc(a, b, z)
-        rel = np.abs(got - want) / want
-        # Where betainc and the tables disagree, 40-digit mpmath decides;
-        # betainc itself is off by up to 3e-9 near z = 1.
-        for k in np.flatnonzero(rel > 1e-14):
-            exact = _mp_betainc(a, b, z[k])
-            assert abs(got[k] - exact) <= 1e-14 * exact, (dim, alpha, z[k])
+def test_radial_kernel_matches_30_digit_quadrature(dim):
+    # |r - s| log-uniform from 1e-15 (correction samples sit 4 ulp from
+    # their node) to 0.3.
+    rng = np.random.default_rng(dim)
+    surf = float(2 * mpmath.pi ** (mpmath.mpf(dim) / 2) / mpmath.gamma(dim / 2))
+    for alpha in (0.05, 0.3, 0.4, 0.6, 0.75, 0.9):
+        params = ProblemParams(dim=dim, alpha=alpha)
+        for gap in 10.0 ** rng.uniform(-15.0, math.log10(0.3), 3):
+            r = rng.uniform(0.01, 0.99)
+            s = r + gap if r + gap < 1.0 else r - gap
+            exact = surf * _mp_sphere_mean(r, s, dim, alpha)
+            got = radial_kernel(r, s, params)
+            assert abs(got - exact) <= 1e-13 * exact, (alpha, r, s)
 
 
-def test_incomplete_beta_tables_near_one_where_betainc_is_off():
-    # I_z(1/2, 1/2) = (2/pi) arcsin(sqrt z); betainc is off by 2.8e-9 here.
-    z = 1.0 - 1.1e-16
-    exact = _mp_betainc(0.5, 0.5, z)
-    assert exact == pytest.approx(float(2 / mpmath.pi * mpmath.asin(mpmath.sqrt(z))))
-    got = float(green_module._incomplete_beta(0.5, 0.5)(z))
-    assert abs(got - exact) <= 1e-16
-
-
-def test_incomplete_beta_is_independent_of_the_chunking(monkeypatch):
-    z = _beta_sweep()
-    evaluate = green_module._incomplete_beta(0.3, 0.7)
-    want = evaluate(z)
-    monkeypatch.setattr(green_module, "_BETA_CHUNK", 7)
-    assert evaluate(z).tobytes() == want.tobytes()
-    n = z.size - z.size % 5
-    assert evaluate(z[:n].reshape(-1, 5)).tobytes() == want[:n].tobytes()
-
-
-def test_incomplete_beta_tables_at_the_ends():
-    evaluate = green_module._incomplete_beta(0.75, 0.25)
-    assert evaluate(np.array([0.0, 1.0])).tolist() == [0.0, 1.0]
-    assert np.isnan(evaluate(np.nan))
-
-
-@pytest.mark.parametrize("dim, alpha", [(2, 0.75), (2, 0.3), (3, 0.4)])
-def test_assembly_matches_the_betainc_route(monkeypatch, dim, alpha):
-    params = ProblemParams(dim=dim, alpha=alpha)
-    grid = default_grid(params, n_nodes=200)
-    got = assemble(grid, params).matrix
-    monkeypatch.setattr(
-        green_module, "_incomplete_beta", lambda a, b: lambda z: betainc(a, b, z)
-    )
-    want = assemble(grid, params).matrix
-    assert np.array_equal(got == 0.0, want == 0.0)
-    nonzero = want != 0.0
-    assert np.max(np.abs(got - want)[nonzero] / np.abs(want[nonzero])) <= 1e-12
+def test_point_kernel_near_the_diagonal_where_betainc_is_off(params0):
+    # z = a2 / (a2 + |x-y|^2) within 2e-10 to 1e-16 of 1, where the
+    # incomplete-beta form c_fund |x-y|^(2 alpha-N) betainc(alpha,
+    # N/2-alpha, z) is off by 2e-10 to 1e-5 (z rounds, and betainc loses
+    # digits there); the tau rule never forms z.
+    x = np.array([0.3, 0.2])
+    for gap in (1e-5, 1e-6, 1e-7, 1e-8):
+        y = x + np.array([gap, -0.5 * gap])
+        assert point_kernel(x, y, params0) == pytest.approx(
+            _kernel_oracle(x, y, params0), rel=1e-13
+        )
 
 
 def test_assembly_evaluates_betainc_only_for_the_source_column(monkeypatch, op200):
@@ -410,7 +419,8 @@ def test_assembly_evaluates_betainc_only_for_the_source_column(monkeypatch, op20
     monkeypatch.setattr(green_module, "betainc", counting)
     monkeypatch.setenv("OMP_NUM_THREADS", "1")
     assemble(op200.grid, ProblemParams(dim=2, alpha=0.75))
-    # dirac_profile's two branches over the nodes; kernel values use tables.
+    # dirac_profile's two branches over the nodes; kernel values take the
+    # tau rule.
     assert 0 < count[0] <= 4 * op200.n
 
 
@@ -438,6 +448,78 @@ def test_lagrange_rows_match_the_per_cell_loop(op200, rng):
     )
     got = green_module._lagrange_rows(pts, cell_nodes[cells])
     assert got.tobytes() == want.tobytes()
+
+
+def _cell_samples(r_i, a, b, gamma, boundary_gamma):
+    """Per-(row, cell) graded samples, one cell at a time."""
+    t, tw = green_module._SUB_T, green_module._SUB_TW
+    d0 = 1.0 - r_i
+
+    def cusp(near, far):
+        sign = 1.0 if far > r_i else -1.0
+        v_lo = np.arcsinh(abs(near - r_i) / d0)
+        v_hi = np.arcsinh(abs(far - r_i) / d0)
+        v = v_lo + (v_hi - v_lo) * t**gamma
+        delta = np.maximum(d0 * np.sinh(v), 4.0 * np.spacing(abs(r_i)))
+        wts = d0 * np.cosh(v) * (v_hi - v_lo) * gamma * t ** (gamma - 1.0) * tw
+        return r_i + sign * delta, wts
+
+    def graded(far):
+        span = far - 1.0
+        return 1.0 + span * t**boundary_gamma, abs(span) * boundary_gamma * t ** (
+            boundary_gamma - 1.0
+        ) * tw
+
+    if a < r_i < b:
+        sides = [(r_i, a), (r_i, b)]
+    elif r_i >= b:
+        sides = [(b, a)]
+    else:
+        sides = [(a, b)]
+    pieces = []
+    for near, far in sides:
+        if boundary_gamma is not None and far == b and b == 1.0:
+            split = near + 0.7 * (1.0 - near)
+            pieces += [cusp(near, split), graded(split)]
+        else:
+            pieces.append(cusp(near, far))
+    return [np.concatenate(arrays) for arrays in zip(*pieces)]
+
+
+@pytest.mark.parametrize("dim, alpha", [(2, 0.75), (3, 0.3)])
+def test_correction_samples_match_the_per_cell_loop(dim, alpha):
+    grid = default_grid(ProblemParams(dim=dim, alpha=alpha), n_nodes=200)
+    gamma = max(3.0, 3.0 / (2.0 * alpha))
+    boundary_gamma = max(2.0, 3.0 / (1.0 + alpha))
+    n_cells, q = grid.n_cells, grid.nodes_per_cell
+    rows, cells, want = [], [], []
+    for i in range(grid.n):
+        for c in range(max(0, i // q - 3), min(n_cells, i // q + 4)):
+            rows.append(i)
+            cells.append(c)
+            want.append(
+                _cell_samples(
+                    grid.nodes[i],
+                    float(grid.cell_edges[c]),
+                    float(grid.cell_edges[c + 1]),
+                    gamma,
+                    boundary_gamma if c == n_cells - 1 else None,
+                )
+            )
+    rows, cells = np.array(rows), np.array(cells)
+    pts, wts, lens = green_module._correction_samples(
+        grid.nodes[rows],
+        grid.cell_edges[cells],
+        grid.cell_edges[cells + 1],
+        cells == n_cells - 1,
+        gamma,
+        boundary_gamma,
+    )
+    assert lens.tolist() == [p.size for p, _ in want]
+    assert pts.tobytes() == np.concatenate([p for p, _ in want]).tobytes()
+    assert wts.tobytes() == np.concatenate([w for _, w in want]).tobytes()
+    # Pairs of the last cell carry the boundary piece: 40 or 60 samples.
+    assert set(lens[cells == n_cells - 1].tolist()) == {40, 60}
 
 
 def test_measured_c2_stable_under_refinement(op400, op800):

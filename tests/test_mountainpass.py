@@ -546,6 +546,47 @@ def test_newton_loop_with_and_without_deflation(umin_mid, op400, form400):
         _newton(zero, u_total, op400, params, 5, form400.mass)
 
 
+def test_a_crawling_newton_iteration_stops_as_stagnated(
+    umin_mid, op400, monkeypatch
+):
+    # Steps of 1% of the residual cut it by about 1% each, accepted by
+    # the line search every time; it halves only after some 70 steps, so
+    # the iteration stops after 30 steps instead of its budget of 200.
+    params, u_min = umin_mid
+    u_total = u_min.total
+    monkeypatch.setattr(
+        mountainpass, "_newton_step", lambda v, u, op, params, resid: -0.01 * resid
+    )
+    with pytest.raises(SecondSolutionNotFound, match="Newton polish stagnated") as info:
+        _newton(u_total, u_total, op400, params, 200)
+    residuals = [row[2] for row in info.value.trace]
+    assert len(residuals) == 31
+    assert residuals == sorted(residuals, reverse=True)
+    assert residuals[30] > 0.5 * residuals[0]
+
+
+def test_deflated_newton_retries_from_the_ray_endpoint(
+    params0, op400, form400, bracket400
+):
+    # At 0.97 k_lo the start 10 u_min stagnates at a residual of about
+    # 1e2; the search from the mountain pass's endpoint t0 ray finds the
+    # mountain-pass solution.
+    params = params0.with_k(0.97 * bracket400.k_lo)
+    u_min = iterate_minimal(params, op400, tol=1e-10, max_iter=4000).profile
+    u_total = u_min.total
+    with pytest.raises(SecondSolutionNotFound, match="stagnated") as info:
+        _newton(10.0 * u_total, u_total, op400, params, 2000, form400.mass)
+    first = info.value.trace
+    dn = find_second_solution(params, op400, form400, u_min, method="DeflatedNewton")
+    mp = find_second_solution(params, op400, form400, u_min)
+    assert np.max(np.abs(dn.v.values - mp.v.values)) <= 1e-8
+    assert dn.energy >= dn.level_lower_bound
+    # The trace holds both attempts, numbered on.
+    assert [row[0] for row in dn.trace] == list(range(len(dn.trace)))
+    assert dn.trace[: len(first)] == tuple(first)
+    assert len(dn.trace) > len(first)
+
+
 def test_mountain_pass_finds_its_endpoint_once(umin_mid, op400, form400, monkeypatch):
     params, u_min = umin_mid
     calls = []
