@@ -490,17 +490,19 @@ def test_exit_codes_for_user_errors(tmp_path, capsys):
         (["--config", {"output": {"formats": ["csv"]}}], "unknown key output.formats"),
         (["--set", "tolerances.eig_tol=1e-12"], "unknown key tolerances.eig_tol"),
     ],
+    # Explicit ids, spelt as the positional ids the cases were first listed
+    # under, so a case inserted anywhere renames no other.
     ids=[
-        "dim-text",
-        "grid-number",
-        "grid-number-with-n-nodes",
-        "grid-without-n-nodes",
-        "alpha-bool",
-        "dim-fraction",
-        "picard-max-iter-unknown",
-        "eig-tl-misspelt",
-        "output-formats-unknown",
-        "eig-tol-unknown",
+        "extra0-params.dim must be an integer, got 'abc'",
+        "extra1-grid must be a JSON object, got 3",
+        "extra2-grid must be a JSON object, got 3",
+        "extra3-grid.n_nodes is missing",
+        "extra4-params.alpha must be a number, got True",
+        "extra5-params.dim must be an integer, got 2.5",
+        "extra6-unknown key tolerances.picard_max_iter",
+        "extra7-unknown key tolerances.eig_tl",
+        "extra8-unknown key output.formats",
+        "extra9-unknown key tolerances.eig_tol",
     ],
 )
 def test_config_values_of_the_wrong_type_exit_1(tmp_path, capsys, extra, message):
