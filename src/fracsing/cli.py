@@ -302,7 +302,8 @@ def _write_long_csv(path, header, x_name, x_values, series):
 
 def _read_profile(args):
     """Parse the profile CSV; returns the config built on the parameters
-    and grid it embeds, and (header, data, (singular_coeff, exponent)).
+    and grid it embeds, (data, (singular_coeff, exponent)) and the file's
+    bytes.
 
     Raises ParameterError when the file is not a profile CSV or its
     radial nodes are not those of the configured grid.
@@ -312,8 +313,12 @@ def _read_profile(args):
     from .core import ParameterError
 
     path = args.profile
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        lines = raw.decode().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: not a text file ({exc})") from exc
     if len(lines) < 2 or not lines[0].startswith("# "):
         raise ParameterError(f"{path}: not a profile CSV (missing JSON header line)")
     try:
@@ -371,7 +376,7 @@ def _read_profile(args):
             f"({data['r'].size} nodes in file, {nodes.size} configured); "
             f"rerun with the grid the profile was produced on"
         )
-    return cfg, (header, data, singular)
+    return cfg, (data, singular), raw
 
 
 def _classification_payload(profile, params, op, k_reference=None):
@@ -417,10 +422,10 @@ class _Job(NamedTuple):
 
 class _Table(NamedTuple):
     """One CSV file.  header keys join kind and provenance in the file's
-    header line; with kind None, header is that line verbatim."""
+    header line."""
 
     name: str
-    kind: str | None
+    kind: str
     columns: tuple
     rows: list
     header: dict | None = None
@@ -564,19 +569,15 @@ def _mountain_pass(job):
 def _classify(job):
     from .core import RadialFunction
 
-    header, data, singular = job.source
+    data, singular = job.source
     profile = RadialFunction(job.op.grid, data["u_smooth"], *singular)
     payload = _classification_payload(profile, job.params, job.op, job.args.k_reference)
     payload["profile"] = job.args.profile
-    # Echo the parsed profile back under its original header: load/save is
-    # an identity on canonical profile CSVs, so the copy is byte-equal.
-    rows = list(zip(*(data[c] for c in _PROFILE_COLUMNS)))
-    echo = _Table("classify_profile.csv", None, _PROFILE_COLUMNS, rows, header)
     line = (
         f"classify: verdict {payload['verdict']}, slope "
         f"{payload['exponent_fit']:.4f}, limit ratio {payload['limit_ratio']:.4f}"
     )
-    return _Result([echo], payload, [line])
+    return _Result([], payload, [line])
 
 
 def _eigen(job):
@@ -644,8 +645,9 @@ class _Command(NamedTuple):
 
     A supercritical p is rejected up front, with consequence as the reason
     (no check if None; with point_mass, only when k > 0).  read parses the
-    input and returns (config built on it, parsed input).  flags are the
-    command's own (flag, argparse options) pairs.
+    input and returns (config built on it, parsed input, the input's
+    bytes), which the driver writes verbatim to the file named echo.
+    flags are the command's own (flag, argparse options) pairs.
     """
 
     compute: Callable
@@ -654,6 +656,7 @@ class _Command(NamedTuple):
     flags: tuple = ()
     point_mass: bool = False
     read: Callable | None = None
+    echo: str | None = None
 
 
 _METHODS = ["MountainPassAlgorithm", "DeflatedNewton"]
@@ -696,6 +699,7 @@ _COMMANDS = {
             ),
         ),
         read=_read_profile,
+        echo="classify_profile.csv",
     ),
     "eigen": _Command(_eigen, "principal eigenpair of the Green operator"),
     "bifurcation": _Command(
@@ -712,17 +716,18 @@ def _run(name, cfg, args):
     The command only computes.  Before it, the driver checks the regime,
     loads the operator and measures the provenance, including the first
     eigenpair, which the command receives.  Once it has finished,
-    the driver writes each table under a {"kind", "provenance"} header,
-    the report <stem>.json with command and provenance, and with
-    --emit-plots <stem>_long.csv of kind "<first table's kind>-long".
+    the driver writes the input's bytes to the command's echo file, each
+    table under a {"kind", "provenance"} header, the report <stem>.json
+    with command and provenance, and with --emit-plots <stem>_long.csv of
+    kind "<first table's kind>-long".
     """
-    from .core import RegimeError
+    from .core import RegimeError, write_atomic
     from .picard import first_eigenpair
 
     command = _COMMANDS[name]
-    source = None
+    source = raw = None
     if command.read is not None:
-        cfg, source = command.read(args)
+        cfg, source, raw = command.read(args)
     params = _problem(cfg)
     checked = command.consequence and (params.k > 0.0 or not command.point_mass)
     if checked and not params.subcritical:
@@ -737,10 +742,10 @@ def _run(name, cfg, args):
     result = command.compute(_Job(cfg, args, params, op, eigenpair, source))
 
     directory = cfg["output"]["directory"]
+    if command.echo is not None:
+        write_atomic(os.path.join(directory, command.echo), raw)
     for table in result.tables:
-        header = table.header
-        if table.kind is not None:
-            header = {"kind": table.kind, **(header or {}), "provenance": prov}
+        header = {"kind": table.kind, **(table.header or {}), "provenance": prov}
         path = os.path.join(directory, table.name)
         _write_csv(path, header, table.columns, table.rows)
     stem = os.path.join(directory, name.replace("-", "_"))

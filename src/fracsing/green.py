@@ -77,9 +77,10 @@ from .core import (
     write_atomic,
 )
 
-# Version 4: kernel values from the tau-integral of the sphere mean, which
-# moves entries of version 3 (an angular rule) by up to 1e-8 relative.
-FORMAT_VERSION = 4
+# Version 5: the w^2-weighted symmetrization covers the near-diagonal
+# entries only, which moves far-field entries of version 4 (averaged with
+# their mirrors) by up to 3 ulp (3.6e-16 relative).
+FORMAT_VERSION = 5
 
 # The tau rule: Gauss-Jacobi points for the tau^(alpha-1) endpoint, and
 # Gauss-Legendre panels of at most _PANEL_LOG_LENGTH in ln tau above it.
@@ -101,10 +102,10 @@ _SUB_X, _SUB_W = np.polynomial.legendre.leggauss(10)
 _N_CORR_CELLS = 3
 
 # Kernel evaluations in `assemble` run on blocks of this many node pairs
-# (or near-diagonal samples), which bounds each worker's temporaries and
-# gives the thread pool independent tasks.  Each entry is reduced over
-# its own row of quadrature points by the same operations wherever the
-# blocks start, so any block size gives the same bits.
+# (or near-diagonal samples), one pool.map task each, which bounds each
+# worker's temporaries.  Each entry is reduced over its own row of
+# quadrature points by the same operations wherever the blocks start, so
+# any block size gives the same bits.
 _BLOCK_SIZE = 4096
 
 
@@ -507,27 +508,6 @@ def _worker_count():
     return cores
 
 
-def _submit_blocks(pool, total, task):
-    """Submit task(start, stop) for each _BLOCK_SIZE slice of range(total)."""
-    return [
-        pool.submit(task, start, min(start + _BLOCK_SIZE, total))
-        for start in range(0, total, _BLOCK_SIZE)
-    ]
-
-
-def _first_failure(futures):
-    """First non-None block result in submission order, else None.
-
-    Blocks cover increasing index ranges, so this is the failure with the
-    lowest index whichever block finished first.
-    """
-    for fut in futures:
-        failure = fut.result()
-        if failure is not None:
-            return failure
-    return None
-
-
 def assemble(grid, params):
     """Assemble the dense Nystrom matrix of the Green operator.
 
@@ -536,17 +516,19 @@ def assemble(grid, params):
     neighbors by product integration: the density is replaced by its
     cubic interpolant on the cell's own nodes and the kernel mass is
     integrated by a quadrature graded into the |r-s|^(2*alpha-1) cusp,
-    and stored divided by the column weights.  The kernel matrix is then
-    exactly symmetrized, entries are clipped at zero (the clipped mass is
-    checked to be negligible), and evaluation failures are reported with
-    the offending node pair.  The operator keeps this symmetric matrix;
-    the weights are applied to the density (GreenOperator.apply).
+    and stored divided by the column weights.  Only these entries differ
+    from their mirrors; they are exactly symmetrized, and every other
+    entry is the kernel value itself.  Entries are clipped at zero (the
+    clipped mass is checked to be negligible), and evaluation failures
+    are reported with the lowest failing node pair.  The operator keeps
+    this symmetric matrix; the weights are applied to the density
+    (GreenOperator.apply).
 
-    Kernel evaluations run in fixed-size blocks on a thread pool with one
-    worker per usable core, capped by OMP_NUM_THREADS.  Every entry is
-    computed by the same operations whatever the block size or worker
-    count, so the matrix is identical bit for bit, and memory beyond the
-    n x n matrix is a fixed per-worker block.
+    Kernel evaluations run in fixed-size blocks, mapped on a thread pool
+    with one worker per usable core, capped by OMP_NUM_THREADS.  Every
+    entry is computed by the same operations whatever the block size or
+    worker count, so the matrix is identical bit for bit, and memory
+    beyond the n x n matrix is a fixed per-worker block.
     """
     dim, alpha = params.dim, params.alpha
     if grid.dim != dim:
@@ -563,20 +545,22 @@ def assemble(grid, params):
 
     # Node pairs i < j in row-major order; row i starts at flat index
     # row_start[i].  Each block writes its pairs and their mirrors.
+    n_pairs = n * (n - 1) // 2
     first_rows = np.arange(n - 1)
     row_start = first_rows * (n - 1) - first_rows * (first_rows - 1) // 2
 
-    def kernel_block(start, stop):
-        k = np.arange(start, stop)
+    def kernel_block(start):
+        k = np.arange(start, min(start + _BLOCK_SIZE, n_pairs))
         i = np.searchsorted(row_start, k, side="right") - 1
         j = k - row_start[i] + i + 1
         vals = _sphere_mean(nodes[i], nodes[j], kernel)
         bad = np.flatnonzero(~np.isfinite(vals))
         if bad.size:
-            return int(i[bad[0]]), int(j[bad[0]])
+            raise KernelError(
+                f"kernel evaluation failed at node pair ({i[bad[0]]}, {j[bad[0]]})"
+            )
         kbar[i, j] = vals
         kbar[j, i] = vals
-        return None
 
     # Product-integration correction: replace the columns of the cells
     # around each row's diagonal cell.  The samples of all (row, cell)
@@ -590,19 +574,27 @@ def assemble(grid, params):
     keep = (cells >= 0) & (cells < n_cells)
     rows, cells = rows[keep], cells[keep]
 
-    def correction_block(start, stop):
+    def correction_block(start):
+        stop = start + _BLOCK_SIZE
         vals = _sphere_mean(flat_r[start:stop], flat_pts[start:stop], kernel)
         bad = np.flatnonzero(~np.isfinite(vals))
         if bad.size:
-            return start + int(bad[0])
+            at = start + int(bad[0])
+            i_bad = rows[int(np.searchsorted(offsets, at, side="right")) - 1]
+            raise KernelError(
+                f"kernel evaluation failed near the diagonal at row {i_bad}, "
+                f"radius {flat_pts[at]!r}"
+            )
         flat_vals[start:stop] = vals
-        return None
 
+    # map submits every block at once and yields results in submission
+    # order: draining both iterators raises the error of the lowest failing
+    # block, and the iterator cancels the blocks after it.
     pool = ThreadPoolExecutor(
         max_workers=_worker_count(), thread_name_prefix="fracsing-assemble"
     )
     try:
-        kernel_jobs = _submit_blocks(pool, n * (n - 1) // 2, kernel_block)
+        pair_jobs = pool.map(kernel_block, range(0, n_pairs, _BLOCK_SIZE))
         # The sampling runs on this thread while the kernel blocks run.
         flat_pts, flat_wts, lens = _correction_samples(
             nodes[rows],
@@ -615,46 +607,29 @@ def assemble(grid, params):
         offsets = np.concatenate([[0], np.cumsum(lens)])
         flat_r = np.repeat(nodes[rows], lens)
         flat_vals = np.empty(flat_pts.size)
-        correction_jobs = _submit_blocks(pool, flat_pts.size, correction_block)
-
-        bad = _first_failure(kernel_jobs)
-        if bad is not None:
-            raise KernelError(
-                f"kernel evaluation failed at node pair ({bad[0]}, {bad[1]})"
-            )
-        bad = _first_failure(correction_jobs)
-        if bad is not None:
-            i_bad = rows[int(np.searchsorted(offsets, bad, side="right")) - 1]
-            raise KernelError(
-                f"kernel evaluation failed near the diagonal at row {i_bad}, "
-                f"radius {flat_pts[bad]!r}"
-            )
+        sample_jobs = pool.map(correction_block, range(0, flat_pts.size, _BLOCK_SIZE))
+        list(pair_jobs)
+        list(sample_jobs)
     finally:
         pool.shutdown(cancel_futures=True)
 
     lag = _lagrange_rows(flat_pts, nodes.reshape(n_cells, q)[np.repeat(cells, lens)])
     lag *= (flat_wts * flat_vals * surf * flat_pts ** (dim - 1))[:, None]
-    cols = cells[:, None] * q + np.arange(q)
+    i, j = rows[:, None], cells[:, None] * q + np.arange(q)
     # Stored as kernel values, which the operator keeps.
-    kbar[rows[:, None], cols] = np.add.reduceat(lag, offsets[:-1], axis=0) / w[cols]
+    kbar[i, j] = np.add.reduceat(lag, offsets[:-1], axis=0) / w[j]
 
-    # Exact symmetrization.  A plain average would move each pair entry by
-    # half the row-vs-transpose mismatch, which ruins boundary rows whose
-    # own column weights are tiny: row i pays |v - kbar[i,j]| * w[j], so
-    # the shared value must lean toward the entry that multiplies the
-    # larger weight.  Minimizing the summed squared row errors gives a
-    # w^2-weighted average, which is still exactly symmetric.  It is done
-    # in place, a band of rows and its mirrored columns at a time: the
-    # band [a, b) reads only entries no earlier band has overwritten.
+    # Exact symmetrization of the corrected entries: (i, j) is corrected
+    # exactly when (j, i) is, both cells lying within _N_CORR_CELLS of each
+    # other.  A plain average would move each pair entry by half the
+    # row-vs-transpose mismatch, which ruins boundary rows whose own column
+    # weights are tiny: row i pays |v - kbar[i,j]| * w[j], so the shared
+    # value must lean toward the entry that multiplies the larger weight.
+    # Minimizing the summed squared row errors gives a w^2-weighted
+    # average.  The right side is read whole before the write and is
+    # symmetric in (i, j), so the result is exactly symmetric.
     w2 = w * w
-    kbar *= w2[None, :]
-    step = max(1, _BLOCK_SIZE // n)
-    for a in range(0, n, step):
-        b = min(a + step, n)
-        band = kbar[a:b, a:] + kbar[a:, a:b].T
-        band /= w2[a:b, None] + w2[None, a:]
-        kbar[a:b, a:] = band
-        kbar[a:, a:b] = band.T
+    kbar[i, j] = (kbar[i, j] * w2[j] + kbar[j, i] * w2[i]) / (w2[i] + w2[j])
     neg = kbar < 0.0
     if np.any(neg):
         clipped = -kbar[neg].sum()

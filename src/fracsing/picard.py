@@ -293,11 +293,14 @@ def find_kstar(params_without_k, op, bracket_tol=1e-3, tol=1e-9, max_iter=3000):
     return KStarBracket(k_lo=k_lo, k_hi=k_hi, profile_lo=profile_lo, tol=tol)
 
 
-def _power_iteration(op, weights, c, tol, max_iter):
+def _power_iteration(op, c, tol, max_iter):
     """Top eigenpair (mu, x) of x -> G_alpha[c x], self-adjoint in the
-    inner product weighted by weights * c, by power iteration; None if the
-    residual has not fallen to tol * mu within max_iter steps."""
-    wc = weights * c
+    inner product weighted by w * c, w the grid weights, by power
+    iteration until the weighted residual falls to tol * mu.  x is
+    positive, with unit norm in the grid weights.  Raises ConvergenceError
+    after max_iter steps, or if x is not positive."""
+    w = op.grid.weights
+    wc = w * c
     x = np.ones(op.n)
     x /= np.sqrt(wc @ x**2)
     for _ in range(max_iter):
@@ -305,9 +308,15 @@ def _power_iteration(op, weights, c, tol, max_iter):
         mu = float(wc @ (x * y))
         resid = float(np.sqrt(wc @ (y - mu * x) ** 2))
         if resid <= tol * mu:
-            return mu, x
+            break
         x = y / np.sqrt(wc @ y**2)
-    return None
+    else:
+        raise ConvergenceError(
+            f"power iteration did not reach tolerance {tol:g} in {max_iter} steps"
+        )
+    if float(np.min(x)) <= 0.0:
+        raise ConvergenceError("power iteration lost positivity of the eigenfunction")
+    return mu, x / np.sqrt(w @ x**2)
 
 
 def first_eigenpair(op):
@@ -329,16 +338,8 @@ def first_eigenpair(op):
     """
 
     def iterate():
-        w = op.grid.weights
-        found = _power_iteration(op, w, 1.0, 1e-12, 100000)
-        if found is None:
-            raise ConvergenceError(
-                "power iteration did not reach tolerance 1e-12 in 100000 steps"
-            )
-        mu, x = found
-        if float(np.min(x)) <= 0.0:
-            raise ConvergenceError("principal eigenfunction lost positivity")
-        return 1.0 / mu, RadialFunction(op.grid, x / np.sqrt(w @ x**2))
+        mu, x = _power_iteration(op, 1.0, 1e-12, 100000)
+        return 1.0 / mu, RadialFunction(op.grid, x)
 
     lambda1, phi = op._memo("first_eigenpair", iterate)
     return {"lambda1": lambda1, "phi1": phi}

@@ -156,6 +156,19 @@ def test_classify_round_trips_the_profile(solve_dir, tmp_path):
     ).read_bytes()
 
 
+def test_classify_echoes_a_reformatted_profile_byte_for_byte(solve_dir, tmp_path):
+    # The same floats, each written as Python's shortest repr instead of
+    # %.17g: classify accepts the file and echoes it as it is.
+    lines = (solve_dir / "solve.csv").read_text().splitlines()
+    rows = [",".join(repr(float(c)) for c in line.split(",")) for line in lines[2:]]
+    profile = tmp_path / "shortest.csv"
+    profile.write_text("\n".join(lines[:2] + rows) + "\n")
+    assert profile.read_bytes() != (solve_dir / "solve.csv").read_bytes()
+    out = tmp_path / "out"
+    assert cli.main(["classify", str(profile), "-o", str(out)]) == 0
+    assert (out / "classify_profile.csv").read_bytes() == profile.read_bytes()
+
+
 def test_classify_missing_profile_exits_1(tmp_path):
     rc = cli.main(["classify", str(tmp_path / "absent.csv"), "-o", str(tmp_path)])
     assert rc == 1
@@ -197,6 +210,7 @@ _COLUMNS = "r,u_total,u_smooth,u_singular"
         + _COLUMNS
         + "\n0.1,1,1,0\n",
         '# {"singular_coeff": "lots"}\n' + _COLUMNS + "\n0.1,1,1,0\n",
+        b"\xff\xfe# {}\n",
     ],
     ids=[
         "no-header",
@@ -208,11 +222,12 @@ _COLUMNS = "r,u_total,u_smooth,u_singular"
         "provenance-not-object",
         "embedded-config-type",
         "non-numeric-singular-part",
+        "not-utf8",
     ],
 )
 def test_classify_rejects_a_malformed_profile(tmp_path, capsys, text):
     profile = tmp_path / "bad.csv"
-    profile.write_text(text)
+    profile.write_bytes(text if isinstance(text, bytes) else text.encode())
     out = tmp_path / "out"
     assert cli.main(["classify", str(profile), "-o", str(out)]) == 1
     err = capsys.readouterr().err
@@ -430,16 +445,17 @@ def test_cache_of_an_older_format_is_rebuilt(tmp_path, monkeypatch):
     assert cli.main(SOLVE_ARGS + ["-o", str(tmp_path / "first")]) == 0
     (entry,) = cache.iterdir()
     line, _, payload = entry.read_bytes().partition(b"\n")
-    # Version 3 held kernel values of an angular rule, version 2 Kbar times
-    # the weights, version 1 older kernel values.
-    for version in (1, 2, 3):
+    # Version 4 held far-field entries averaged with their mirrors, version
+    # 3 kernel values of an angular rule, version 2 Kbar times the weights,
+    # version 1 older kernel values.
+    for version in (1, 2, 3, 4):
         header = dict(json.loads(line), format_version=version)
         entry.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
         with pytest.raises(ParameterError, match="unsupported operator file version"):
             green.load_operator(str(entry))
         assert cli.main(SOLVE_ARGS + ["-o", str(tmp_path / f"v{version}")]) == 0
         rebuilt = json.loads(entry.read_bytes().partition(b"\n")[0])
-        assert rebuilt["format_version"] == green.FORMAT_VERSION == 4
+        assert rebuilt["format_version"] == green.FORMAT_VERSION == 5
 
 
 def test_cold_solve_leaves_one_cache_file(tmp_path, monkeypatch):

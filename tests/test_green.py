@@ -225,6 +225,22 @@ def test_operator_keeps_the_exactly_symmetric_kernel(tmp_path, op400, ophalf):
         assert np.array_equal(sym, sym.T)
 
 
+@pytest.mark.parametrize("dim, alpha", [(2, 0.75), (2, 0.3), (3, 0.4)])
+def test_far_field_entries_are_the_sphere_mean_itself(dim, alpha):
+    # Only nodes within _N_CORR_CELLS cells of each other get a corrected
+    # entry, averaged with its mirror; every other entry is Kbar(r_i, r_j)
+    # as _sphere_mean returns it, with no rounding from a symmetrization.
+    params = ProblemParams(dim=dim, alpha=alpha)
+    op = assemble(default_grid(params, n_nodes=200), params)
+    cells = np.arange(op.n) // op.grid.nodes_per_cell
+    i, j = np.nonzero(np.abs(cells[:, None] - cells) > green_module._N_CORR_CELLS)
+    assert i.size == 34592
+    kernel = green_module._kernel(dim, alpha)
+    kbar = green_module._sphere_mean(op.grid.nodes[i], op.grid.nodes[j], kernel)
+    assert np.array_equal(op.matrix[i, j], kbar)
+    assert np.array_equal(op.matrix, op.matrix.T)
+
+
 def test_apply_is_the_weighted_kernel_product(op400, ophalf, rng):
     # Entrywise worst-case rounding bound of a length-n dot product,
     # 2 n u (|Kbar| @ (w |f|)) with u = 2^-53 (the weights product and
