@@ -72,8 +72,8 @@ _SETTINGS = (
     _Setting("output.directory", ".", ("--output", "-o"), "output directory"),
     _Setting("seed", 0, ("--seed",), "seed for sampled certifications"),
 )
-_KEY_TYPES = {s.path: s.default for s in _SETTINGS}
-_SECTIONS = {path.rpartition(".")[0] for path in _KEY_TYPES}
+_DEFAULTS = {s.path: s.default for s in _SETTINGS}
+_SECTIONS = {path.rpartition(".")[0] for path in _DEFAULTS}
 
 _PROFILE_COLUMNS = ("r", "u_total", "u_smooth", "u_singular")
 
@@ -85,84 +85,64 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _deep_merge(base, update):
-    out = dict(base)
-    for key, val in update.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], val)
-        else:
-            out[key] = val
-    return out
+def _assign(cfg, name, value, merge=False):
+    """Set the dotted key name of the flat settings map cfg to value.
 
-
-def _set_path(cfg, path, value):
-    node = cfg
-    for i, part in enumerate(path[:-1]):
-        node = node.setdefault(part, {})
-        if not isinstance(node, dict):
-            name = ".".join(path[: i + 1])
-            raise ValueError(f"{name} must be a JSON object, got {node!r}")
-    node[path[-1]] = value
-
-
-def _apply_set(cfg, expr):
-    key, sep, raw = expr.partition("=")
-    if not sep or not key.strip():
-        raise ValueError(f"--set expects KEY=VALUE, got {expr!r}")
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
-    _set_path(cfg, key.strip().split("."), value)
+    A JSON object at a section name spreads over the section's keys,
+    merged into them (merge) or in place of them; any other value there
+    replaces the section, for the check to reject.
+    """
+    if name in _SECTIONS:
+        if not (merge and isinstance(value, dict)):
+            for key in [key for key in cfg if key.startswith(name + ".")]:
+                del cfg[key]
+        cfg.pop(name, None)
+        if isinstance(value, dict):
+            for key, val in value.items():
+                _assign(cfg, f"{name}.{key}", val, merge)
+            return
+    cfg[name] = value
 
 
 def _build_config(args, base=None):
-    cfg = {}
-    for setting in _SETTINGS:
-        _set_path(cfg, setting.path.split("."), setting.default)
-    if base:
-        cfg = _deep_merge(cfg, base)
+    """The flat {dotted key: value} settings: defaults < base < --config <
+    --set < flags.  base and --config merge into a section, --set replaces
+    it.  Raises ValueError naming the first key that is outside the
+    settings table, of the wrong type or missing, or a negative seed."""
+    cfg = dict(_DEFAULTS)
+    layers = [base or {}]
     if args.config:
         with open(args.config) as fh:
-            file_cfg = json.load(fh)
-        if not isinstance(file_cfg, dict):
+            layers.append(json.load(fh))
+        if not isinstance(layers[-1], dict):
             raise ValueError("config file must contain a JSON object")
-        cfg = _deep_merge(cfg, file_cfg)
+    for layer in layers:
+        for key, value in layer.items():
+            _assign(cfg, key, value, merge=True)
     for expr in args.set:
-        _apply_set(cfg, expr)
-    for setting in _SETTINGS:
-        value = getattr(args, setting.path, None)
-        if value is not None:
-            _set_path(cfg, setting.path.split("."), value)
-    _check_config(cfg)
-    return cfg
-
-
-def _check_config(cfg):
-    """Raise ValueError naming the first key that is outside the settings
-    table, of the wrong type or missing, or a negative seed."""
-    present = _checked_paths(cfg, "")
-    for setting in _SETTINGS:
-        if setting.path not in present:
-            raise ValueError(f"{setting.path} is missing")
+        key, sep, raw = expr.partition("=")
+        if not sep or not key.strip():
+            raise ValueError(f"--set expects KEY=VALUE, got {expr!r}")
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError:
+            value = raw
+        _assign(cfg, key.strip(), value)
+    for path in _DEFAULTS:
+        if getattr(args, path, None) is not None:
+            cfg[path] = getattr(args, path)
+    for name, value in cfg.items():
+        if name in _SECTIONS:
+            raise ValueError(f"{name} must be a JSON object, got {value!r}")
+        if name not in _DEFAULTS:
+            raise ValueError(f"unknown key {name}")
+        _check_value(name, value, _DEFAULTS[name])
+    for name in _DEFAULTS:
+        if name not in cfg:
+            raise ValueError(f"{name} is missing")
     if cfg["seed"] < 0:
         raise ValueError(f"seed must be a non-negative integer, got {cfg['seed']!r}")
-
-
-def _checked_paths(node, prefix):
-    paths = []
-    for key, value in node.items():
-        name = prefix + key
-        if name in _SECTIONS and isinstance(value, dict):
-            paths += _checked_paths(value, name + ".")
-        elif name in _KEY_TYPES:
-            _check_value(name, value, _KEY_TYPES[name])
-            paths.append(name)
-        elif name in _SECTIONS:
-            raise ValueError(f"{name} must be a JSON object, got {value!r}")
-        else:
-            raise ValueError(f"unknown key {name}")
-    return paths
+    return cfg
 
 
 def _check_value(name, value, default):
@@ -182,11 +162,6 @@ def _check_value(name, value, default):
         raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
-def _config_hash(cfg):
-    blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
 def _versions():
     import numpy
     import scipy
@@ -203,27 +178,22 @@ def _versions():
 def _problem(cfg):
     from .core import ProblemParams
 
-    p = cfg["params"]
-    return ProblemParams(
-        dim=int(p["dim"]), alpha=float(p["alpha"]), p=float(p["p"]), k=float(p["k"])
-    )
+    dim, alpha, p, k = (cfg["params." + key] for key in ("dim", "alpha", "p", "k"))
+    return ProblemParams(dim=int(dim), alpha=float(alpha), p=float(p), k=float(k))
 
 
 def _grid(cfg, params):
     """The radial grid the configuration asks for."""
     from .green import default_grid
 
-    grid = cfg["grid"]
-    return default_grid(
-        params, n_nodes=int(grid["n_nodes"]), grading=float(grid["grading"])
-    )
+    n_nodes, grading = int(cfg["grid.n_nodes"]), float(cfg["grid.grading"])
+    return default_grid(params, n_nodes=n_nodes, grading=grading)
 
 
 def _operator(cfg, params):
     from .green import assemble, load_operator, save_operator
 
-    n_nodes = int(cfg["grid"]["n_nodes"])
-    grading = float(cfg["grid"]["grading"])
+    n_nodes, grading = int(cfg["grid.n_nodes"]), float(cfg["grid.grading"])
     cache_dir = os.environ.get("FRACSING_CACHE")
     cache_path = None
     if cache_dir:
@@ -258,9 +228,14 @@ def _provenance(cfg, params, op, lambda1):
         c2 = float(measured_c2(params, op))
     except RegimeError:
         c2 = None
+    config = {}
+    for path, value in cfg.items():
+        section, _, key = path.rpartition(".")
+        (config.setdefault(section, {}) if section else config)[key] = value
+    blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
     return {
-        "config": cfg,
-        "config_hash": _config_hash(cfg),
+        "config": config,
+        "config_hash": hashlib.sha256(blob).hexdigest()[:16],
         "grid": {
             "n_nodes": op.n,
             "r_min": float(op.grid.nodes[0]),
@@ -302,8 +277,8 @@ def _write_long_csv(path, header, x_name, x_values, series):
 
 def _read_profile(args):
     """Parse the profile CSV; returns the config built on the parameters
-    and grid it embeds, (data, (singular_coeff, exponent)) and the file's
-    bytes.
+    and grid it embeds, (u_smooth, (singular_coeff, exponent)) and the
+    file's bytes.
 
     Raises ParameterError when the file is not a profile CSV or its
     radial nodes are not those of the configured grid.
@@ -332,28 +307,16 @@ def _read_profile(args):
         singular = tuple(float(header.get(key, 0.0)) for key in keys)
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"{path}: non-numeric singular part ({exc})") from exc
-    columns = lines[1].split(",")
-    if columns != list(_PROFILE_COLUMNS):
+    if lines[1] != ",".join(_PROFILE_COLUMNS):
         raise ParameterError(
             f"{path}: expected columns {','.join(_PROFILE_COLUMNS)}, "
             f"got {lines[1]!r}"
         )
-    rows = []
-    for lineno, line in enumerate(lines[2:], start=3):
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != len(columns):
-            raise ParameterError(
-                f"{path}, line {lineno}: {len(cells)} cells, expected {len(columns)}"
-            )
-        try:
-            rows.append([float(cell) for cell in cells])
-        except ValueError as exc:
-            raise ParameterError(f"{path}, line {lineno}: {exc}") from exc
-    data = {
-        col: np.array([row[i] for row in rows]) for i, col in enumerate(columns)
-    }
+    rows = [line.split(",") for line in lines[2:] if line]
+    try:
+        data = np.array(rows, dtype=float).reshape(len(rows), len(_PROFILE_COLUMNS))
+    except ValueError as exc:
+        raise ParameterError(f"{path}: not a table of numbers ({exc})") from exc
     # Profiles produced by this tool embed how they were built; adopt the
     # embedded parameters and grid as the config baseline so the natural
     # solve-then-classify flow needs no repeated flags.  Explicit config
@@ -370,13 +333,13 @@ def _read_profile(args):
     # Checked before the operator is built: a profile from another grid
     # must not cost an assembly.
     nodes = _grid(cfg, _problem(cfg)).nodes
-    if not np.array_equal(nodes, data["r"]):
+    if not np.array_equal(nodes, data[:, 0]):
         raise ParameterError(
             f"{path}: radial nodes do not match the configured grid "
-            f"({data['r'].size} nodes in file, {nodes.size} configured); "
+            f"({len(data)} nodes in file, {nodes.size} configured); "
             f"rerun with the grid the profile was produced on"
         )
-    return cfg, (data, singular), raw
+    return cfg, (data[:, 2], singular), raw
 
 
 def _classification_payload(profile, params, op, k_reference=None):
@@ -446,22 +409,19 @@ class _Result(NamedTuple):
 def _bracket(job):
     from .picard import find_kstar
 
-    tol = float(job.cfg["tolerances"]["bracket_tol"])
+    tol = float(job.cfg["tolerances.bracket_tol"])
     return find_kstar(job.params, job.op, bracket_tol=tol)
 
 
 def _minimal(job, params):
     from .picard import iterate_minimal
 
-    tol = float(job.cfg["tolerances"]["picard_tol"])
+    tol = float(job.cfg["tolerances.picard_tol"])
     return iterate_minimal(params, job.op, tol=tol, max_iter=8000)
 
 
 def _solve(job):
-    from .picard import iterate_minimal
-
-    tol = float(job.cfg["tolerances"]["picard_tol"])
-    report = iterate_minimal(job.params, job.op, tol)
+    report = _minimal(job, job.params)
     profile, converged = report.profile, report.status == "Converged"
     lines = [
         f"solve: {report.status} after {report.iterations} iterations, "
@@ -510,7 +470,7 @@ def _stability(job):
     from .stability import stability_gap_scan
 
     bracket = _bracket(job)
-    n_samples = int(job.cfg["scan"]["n_samples"])
+    n_samples = int(job.cfg["scan.n_samples"])
     scan = stability_gap_scan(job.params, job.op, bracket, n_samples=n_samples)
     rows = scan.rows()
     return _Result(
@@ -569,8 +529,8 @@ def _mountain_pass(job):
 def _classify(job):
     from .core import RadialFunction
 
-    data, singular = job.source
-    profile = RadialFunction(job.op.grid, data["u_smooth"], *singular)
+    u_smooth, singular = job.source
+    profile = RadialFunction(job.op.grid, u_smooth, *singular)
     payload = _classification_payload(profile, job.params, job.op, job.args.k_reference)
     payload["profile"] = job.args.profile
     line = (
@@ -599,7 +559,7 @@ def _bifurcation(job):
     from .mountainpass import build_form, find_second_solution
     from .stability import sigma1
 
-    n_samples, seed = int(job.cfg["scan"]["n_samples"]), int(job.cfg["seed"])
+    n_samples, seed = int(job.cfg["scan.n_samples"]), int(job.cfg["seed"])
     if n_samples < 1:
         raise ParameterError(f"scan.n_samples must be at least 1, got {n_samples}")
     params, op = job.params, job.op
@@ -741,7 +701,7 @@ def _run(name, cfg, args):
     prov = _provenance(cfg, params, op, eigenpair["lambda1"])
     result = command.compute(_Job(cfg, args, params, op, eigenpair, source))
 
-    directory = cfg["output"]["directory"]
+    directory = cfg["output.directory"]
     if command.echo is not None:
         write_atomic(os.path.join(directory, command.echo), raw)
     for table in result.tables:

@@ -255,6 +255,14 @@ def make_grid(n_nodes, grading=2.0, *, dim=2, boundary_grading=None):
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * _CELL_X[None, :]).ravel()
+    # Steep gradings shrink the end cells below the spacing of doubles,
+    # and their nodes collide or round onto r = 0 or 1.
+    if not (nodes[0] > 0.0 and nodes[-1] < 1.0 and np.all(np.diff(nodes) > 0.0)):
+        raise ParameterError(
+            f"grid nodes are not strictly increasing inside (0, 1) at "
+            f"n_nodes = {n_nodes}, grading {grading:g}, boundary grading "
+            f"{boundary_grading:g}: its end cells are below double precision"
+        )
     surf = surface_area(dim)
     weights = (half[:, None] * _CELL_W[None, :]).ravel() * surf * nodes ** (dim - 1)
 

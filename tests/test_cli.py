@@ -211,6 +211,7 @@ _COLUMNS = "r,u_total,u_smooth,u_singular"
         + "\n0.1,1,1,0\n",
         '# {"singular_coeff": "lots"}\n' + _COLUMNS + "\n0.1,1,1,0\n",
         b"\xff\xfe# {}\n",
+        _HEADER + "\n" + _COLUMNS + "\n",
     ],
     ids=[
         "no-header",
@@ -223,8 +224,12 @@ _COLUMNS = "r,u_total,u_smooth,u_singular"
         "embedded-config-type",
         "non-numeric-singular-part",
         "not-utf8",
+        "no-rows",
     ],
 )
+# A warning, such as numpy's on a table without rows, would print a second
+# stderr line; as an error here it fails the case.
+@pytest.mark.filterwarnings("error")
 def test_classify_rejects_a_malformed_profile(tmp_path, capsys, text):
     profile = tmp_path / "bad.csv"
     profile.write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -233,6 +238,26 @@ def test_classify_rejects_a_malformed_profile(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and str(profile) in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_a_grid_below_double_precision_exits_1_before_assembly(
+    tmp_path, capsys, monkeypatch
+):
+    # At boundary grading 6.67 and n = 1600 the last cell is narrower than
+    # the spacing of doubles near r = 1, so its nodes round onto 1.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("operator assembled on a degenerate grid")
+
+    monkeypatch.setattr(green, "assemble", unreachable)
+    out = tmp_path / "out"
+    argv = ["eigen", "--dim", "3", "--alpha", "0.6", "--p", "1.5"]
+    argv += ["--grading", "6.67", "--n-nodes", "1600", "-o", str(out)]
+    assert cli.main(argv) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(
+        "fracsing eigen: grid nodes are not strictly increasing inside (0, 1)"
+    )
     assert not out.exists()
 
 

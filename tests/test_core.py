@@ -129,6 +129,19 @@ def test_grid_rejects_bad_sizes():
         make_grid(6)  # fewer nodes than a single quadrature cell
 
 
+@pytest.mark.parametrize(
+    "dim, n_nodes, grading, boundary_grading",
+    [(3, 1600, 6.67, 6.67), (2, 400, 2.0, 20.0)],
+    ids=["3-0.6-grading-6.67-n1600", "2-0.05-n400"],
+)
+def test_grid_rejects_nodes_that_collide_in_double_precision(
+    dim, n_nodes, grading, boundary_grading
+):
+    # The last cell is narrower than the spacing of doubles near r = 1.
+    with pytest.raises(ParameterError, match=r"strictly increasing inside \(0, 1\)"):
+        make_grid(n_nodes, grading, dim=dim, boundary_grading=boundary_grading)
+
+
 def test_radial_function_total():
     grid = make_grid(40)
     smooth = np.linspace(1.0, 2.0, grid.n)

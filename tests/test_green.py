@@ -633,9 +633,11 @@ def test_save_load_roundtrip(tmp_path, op400):
 def test_load_rejects_corrupted_payload(tmp_path, op400):
     path = os.path.join(tmp_path, "op.bin")
     save_operator(op400, path)
-    blob = bytearray(open(path, "rb").read())
+    with open(path, "rb") as fh:
+        blob = bytearray(fh.read())
     blob[-5] ^= 0xFF
-    open(path, "wb").write(bytes(blob))
+    with open(path, "wb") as fh:
+        fh.write(bytes(blob))
     with pytest.raises(ParameterError):
         load_operator(path)
 
@@ -655,8 +657,10 @@ def test_load_rejects_a_negative_kernel_entry(tmp_path, op400):
 def test_load_rejects_truncated_file(tmp_path, op400):
     path = os.path.join(tmp_path, "op.bin")
     save_operator(op400, path)
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob[: len(blob) // 2])
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(blob[: len(blob) // 2])
     with pytest.raises(ParameterError):
         load_operator(path)
 

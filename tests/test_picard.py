@@ -15,6 +15,7 @@ from fracsing.picard import (
     first_eigenpair,
     iterate_minimal,
 )
+from fracsing.stability import sigma1
 
 
 def test_zero_source_gives_zero_solution(params0, op400):
@@ -90,6 +91,17 @@ def test_divergence_beyond_bracket(params0, op400, bracket400):
         params0.with_k(1.5 * bracket400.k_hi), op400, tol=1e-9, max_iter=3000
     )
     assert report.status in ("Diverged", "MaxIterations")
+
+
+def test_slow_growth_near_p_one_is_not_divergence(op200):
+    # op200's matrix does not depend on p.  At p = 1.1 and k = 0.94 k*
+    # the iterates grow for hundreds of steps before they settle on a
+    # strictly stable minimal solution: growth alone is not divergence.
+    params = ProblemParams(dim=2, alpha=0.75, p=1.1, k=20500.0)
+    report = iterate_minimal(params, op200, tol=1e-9, max_iter=3000)
+    assert report.status == "Converged"
+    assert report.iterations > 700
+    assert sigma1(report.profile, params, op200).sigma1 > 1.0
 
 
 def test_barrier_certificate_threshold(params0, op400):
