@@ -54,7 +54,6 @@ _SETTINGS = (
     _Setting("params.k", 0.0, ("--k",), "point-source strength"),
     _Setting("grid.n_nodes", 400, ("--n-nodes",), "grid size"),
     _Setting("grid.grading", 2.0, ("--grading",), "origin grading exponent"),
-    _Setting("tolerances.picard_tol", 1e-10),
     _Setting(
         "tolerances.bracket_tol",
         1e-3,
@@ -268,11 +267,14 @@ def _write_json(path, obj):
     write_atomic(path, (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode())
 
 
-def _write_long_csv(path, header, x_name, x_values, series):
+def _write_long_csv(path, header, table):
+    """The table in long form: its first column is x, and each further
+    column gives one series of (name, x, value) rows, in name order."""
+    columns = table.columns
     rows = []
-    for name in sorted(series):
-        rows.extend((name, x, y) for x, y in zip(x_values, series[name]))
-    _write_csv(path, header, ["series", x_name, "value"], rows)
+    for j in sorted(range(1, len(columns)), key=columns.__getitem__):
+        rows.extend((columns[j], row[0], row[j]) for row in table.rows)
+    _write_csv(path, header, ["series", columns[0], "value"], rows)
 
 
 def _read_profile(args):
@@ -395,14 +397,12 @@ class _Table(NamedTuple):
 
 
 class _Result(NamedTuple):
-    """A command's CSV tables, JSON payload (less command and provenance),
-    stdout lines, --emit-plots series (x name, x values, {name: y values})
-    and exit code."""
+    """A command's CSV tables, the first its main one, JSON payload (less
+    command and provenance), stdout lines and exit code."""
 
     tables: list
     payload: dict
     lines: list
-    series: tuple | None = None
     code: int = 0
 
 
@@ -413,15 +413,10 @@ def _bracket(job):
     return find_kstar(job.params, job.op, bracket_tol=tol)
 
 
-def _minimal(job, params):
+def _solve(job):
     from .picard import iterate_minimal
 
-    tol = float(job.cfg["tolerances.picard_tol"])
-    return iterate_minimal(params, job.op, tol=tol, max_iter=8000)
-
-
-def _solve(job):
-    report = _minimal(job, job.params)
+    report = iterate_minimal(job.params, job.op)
     profile, converged = report.profile, report.status == "Converged"
     lines = [
         f"solve: {report.status} after {report.iterations} iterations, "
@@ -449,8 +444,7 @@ def _solve(job):
         "barrier_certified": report.barrier_certified,
         "classification": classification,
     }
-    series = {"u_total": total, "u_smooth": smooth, "u_singular": singular}
-    return _Result([table], payload, lines, ("r", r, series), 0 if converged else 2)
+    return _Result([table], payload, lines, 0 if converged else 2)
 
 
 def _kstar(job):
@@ -462,7 +456,6 @@ def _kstar(job):
         [_Table("kstar.csv", "kstar", columns, [(k_lo, k_hi, width)])],
         {"k_lo": k_lo, "k_hi": k_hi, "relative_width": width},
         [f"kstar: bracket [{k_lo:.6g}, {k_hi:.6g}]"],
-        ("index", [0], {"k_lo": [k_lo], "k_hi": [k_hi]}),
     )
 
 
@@ -480,7 +473,6 @@ def _stability(job):
             f"stability: {len(rows)} samples, sigma1 from {rows[0][1]:.4f} "
             f"down to {rows[-1][1]:.4f}, gap slope {scan.slope:.4f}"
         ],
-        ("k", scan.ks, {"sigma1": scan.sigma1s, "gap": scan.gaps}),
     )
 
 
@@ -488,8 +480,9 @@ def _mountain_pass(job):
     from .classify import verify_weak_identity
     from .core import ConvergenceError
     from .mountainpass import build_form, find_second_solution
+    from .picard import iterate_minimal
 
-    urep = _minimal(job, job.params)
+    urep = iterate_minimal(job.params, job.op)
     if urep.status != "Converged":
         raise ConvergenceError(
             f"minimal solution did not converge (status {urep.status}); "
@@ -503,12 +496,12 @@ def _mountain_pass(job):
     r, u_total = job.op.grid.nodes, urep.profile.total
     w_total = result.second_solution.total
     v = result.v.values
-    series = {"u_min": u_total, "v": v, "second_solution": w_total}
     rows = list(zip(r, u_total, v, w_total))
     trace = [(step, "nan" if e is None else e, g) for step, e, g in result.trace]
     trace_columns = ("step", "energy", "grad_norm")
+    columns = ("r", "u_min", "v", "second_solution")
     tables = [
-        _Table("mountain_pass.csv", "mountain-pass", ("r", *series), rows),
+        _Table("mountain_pass.csv", "mountain-pass", columns, rows),
         _Table("mountain_pass_trace.csv", "mountain-pass-trace", trace_columns, trace),
     ]
     payload = {
@@ -523,7 +516,7 @@ def _mountain_pass(job):
         f"certified level {result.level_lower_bound:.6g}, "
         f"max perturbation {v.max():.6g}"
     )
-    return _Result(tables, payload, [line], ("r", r, series))
+    return _Result(tables, payload, [line])
 
 
 def _classify(job):
@@ -548,7 +541,6 @@ def _eigen(job):
         [_Table("eigen.csv", "eigen", ("r", "phi1"), rows, {"lambda1": lam})],
         {"lambda1": lam},
         [f"eigen: lambda1 = {lam:.12g}"],
-        ("r", r, {"phi1": phi}),
     )
 
 
@@ -557,6 +549,7 @@ def _bifurcation(job):
 
     from .core import ParameterError, RegimeError, SecondSolutionNotFound
     from .mountainpass import build_form, find_second_solution
+    from .picard import iterate_minimal
     from .stability import sigma1
 
     n_samples, seed = int(job.cfg["scan.n_samples"]), int(job.cfg["seed"])
@@ -576,7 +569,7 @@ def _bifurcation(job):
     rows = []
     for k in ks:
         pk = params.with_k(float(k))
-        urep = _minimal(job, pk)
+        urep = iterate_minimal(pk, op)
         sig = sigma1(urep.profile, pk, op).sigma1
         try:
             res = find_second_solution(pk, op, form, urep.profile, seed=seed)
@@ -587,9 +580,6 @@ def _bifurcation(job):
             w_norm = energy = beta = float("nan")
         rows.append((float(k), branch_norm(urep.profile), sig, w_norm, energy, beta))
     columns = ["k", "u_norm", "sigma1", "w_norm", "energy", "beta"]
-    series = {
-        name: [row[i + 1] for row in rows] for i, name in enumerate(columns[1:])
-    }
     payload = dict(k_lo=bracket.k_lo, k_hi=bracket.k_hi, columns=columns, rows=rows)
     line = (
         f"bifurcation: {n_samples} samples over k in "
@@ -597,7 +587,7 @@ def _bifurcation(job):
         f"[{bracket.k_lo:.6g}, {bracket.k_hi:.6g}]"
     )
     table = _Table("bifurcation.csv", "bifurcation", columns, rows)
-    return _Result([table], payload, [line], ("k", [row[0] for row in rows], series))
+    return _Result([table], payload, [line])
 
 
 class _Command(NamedTuple):
@@ -678,8 +668,8 @@ def _run(name, cfg, args):
     eigenpair, which the command receives.  Once it has finished,
     the driver writes the input's bytes to the command's echo file, each
     table under a {"kind", "provenance"} header, the report <stem>.json
-    with command and provenance, and with --emit-plots <stem>_long.csv of
-    kind "<first table's kind>-long".
+    with command and provenance, and with --emit-plots the first table in
+    long form as <stem>_long.csv, of kind "<its kind>-long".
     """
     from .core import RegimeError, write_atomic
     from .picard import first_eigenpair
@@ -710,9 +700,10 @@ def _run(name, cfg, args):
         _write_csv(path, header, table.columns, table.rows)
     stem = os.path.join(directory, name.replace("-", "_"))
     _write_json(stem + ".json", {"command": name, **result.payload, "provenance": prov})
-    if args.emit_plots and result.series is not None:
-        header = {"kind": result.tables[0].kind + "-long", "provenance": prov}
-        _write_long_csv(stem + "_long.csv", header, *result.series)
+    if args.emit_plots and result.tables:
+        first = result.tables[0]
+        header = {"kind": first.kind + "-long", "provenance": prov}
+        _write_long_csv(stem + "_long.csv", header, first)
     for line in result.lines:
         print(line)
     return result.code
@@ -736,7 +727,7 @@ def _add_common(sp, name):
         action="append",
         default=[],
         metavar="KEY=VALUE",
-        help="override a dotted config key, e.g. tolerances.picard_tol=1e-12",
+        help="override a dotted config key, e.g. tolerances.bracket_tol=1e-4",
     )
     for setting in _SETTINGS:
         if setting.flags and (setting.commands is None or name in setting.commands):

@@ -49,15 +49,15 @@ class SolveReport:
 class KStarBracket:
     """Bisection bracket for the extremal source strength k*.
 
-    k_lo is the largest tested k whose iteration converged, k_hi the
-    smallest tested k that failed to converge; profile_lo is the minimal
-    solution at k_lo, converged to the probe step tolerance tol.
+    k_lo is the largest tested k whose default iterate_minimal run
+    converged, k_hi the smallest whose run did not (near p = 1 it may run
+    out of iterations rather than diverge); profile_lo is the profile of
+    the run at k_lo, bit for bit.
     """
 
     k_lo: float
     k_hi: float
     profile_lo: RadialFunction
-    tol: float
 
 
 def barrier_certificate(params, c2_measured):
@@ -105,7 +105,7 @@ def _source_parts(params, op):
     return source, 0.0, 0.0
 
 
-def iterate_minimal(params, op, tol=1e-10, max_iter=2000):
+def iterate_minimal(params, op, tol=1e-10, max_iter=8000):
     """Run the monotone iteration for the minimal solution.
 
     Parameters
@@ -114,10 +114,10 @@ def iterate_minimal(params, op, tol=1e-10, max_iter=2000):
         Problem data with the source strength k >= 0.
     op : GreenOperator
         Assembled Green operator on a compatible grid.
-    tol : float
-        Sup-norm step tolerance on total profiles.
-    max_iter : int
-        Iteration budget.
+    tol, max_iter : float, int
+        Stop once the sup-norm step between total profiles is at most tol,
+        within max_iter iterations.  The defaults are the one rule of the
+        package: find_kstar, stability_gap_scan and the CLI solve by them.
 
     Returns
     -------
@@ -200,8 +200,9 @@ def iterate_minimal(params, op, tol=1e-10, max_iter=2000):
     )
 
 
-def find_kstar(params_without_k, op, bracket_tol=1e-3, tol=1e-9, max_iter=3000):
-    """Bracket the extremal source strength k* by bisection.
+def find_kstar(params_without_k, op, bracket_tol=1e-3):
+    """Bracket the extremal source strength k* by bisection on whether a
+    default iterate_minimal run, the rule solve runs with, converges.
 
     Parameters
     ----------
@@ -213,8 +214,6 @@ def find_kstar(params_without_k, op, bracket_tol=1e-3, tol=1e-9, max_iter=3000):
         Relative stop, > 0: the bracket is refined until
         k_hi - k_lo <= bracket_tol * k_lo, or until its midpoint is no
         longer strictly inside it (the float resolution of k).
-    tol, max_iter : float, int
-        Settings forwarded to each convergence probe.
 
     Returns
     -------
@@ -246,7 +245,7 @@ def find_kstar(params_without_k, op, bracket_tol=1e-3, tol=1e-9, max_iter=3000):
     k_p = (1.0 / (c2 * p)) ** (1.0 / (p - 1.0)) * (p - 1.0) / p
 
     def probe(k):
-        report = iterate_minimal(params.with_k(k), op, tol=tol, max_iter=max_iter)
+        report = iterate_minimal(params.with_k(k), op)
         return report.status == "Converged", report
 
     ok, report = probe(k_p)
@@ -279,29 +278,29 @@ def find_kstar(params_without_k, op, bracket_tol=1e-3, tol=1e-9, max_iter=3000):
         else:
             k_hi = mid
 
-    return KStarBracket(k_lo=k_lo, k_hi=k_hi, profile_lo=profile_lo, tol=tol)
+    return KStarBracket(k_lo=k_lo, k_hi=k_hi, profile_lo=profile_lo)
 
 
-def _power_iteration(op, c, tol, max_iter):
+def _power_iteration(op, c):
     """Top eigenpair (mu, x) of x -> G_alpha[c x], self-adjoint in the
     inner product weighted by w * c, w the grid weights, by power
-    iteration until the weighted residual falls to tol * mu.  x is
+    iteration until the weighted residual falls to 1e-12 mu.  x is
     positive, with unit norm in the grid weights.  Raises ConvergenceError
-    after max_iter steps, or if x is not positive."""
+    after 200000 steps, or if x is not positive."""
     w = op.grid.weights
     wc = w * c
     x = np.ones(op.n)
     x /= np.sqrt(wc @ x**2)
-    for _ in range(max_iter):
+    for _ in range(200000):
         y = op.apply(c * x)
         mu = float(wc @ (x * y))
         resid = float(np.sqrt(wc @ (y - mu * x) ** 2))
-        if resid <= tol * mu:
+        if resid <= 1e-12 * mu:
             break
         x = y / np.sqrt(wc @ y**2)
     else:
         raise ConvergenceError(
-            f"power iteration did not reach tolerance {tol:g} in {max_iter} steps"
+            "power iteration did not reach tolerance 1e-12 in 200000 steps"
         )
     if float(np.min(x)) <= 0.0:
         raise ConvergenceError("power iteration lost positivity of the eigenfunction")
@@ -310,7 +309,7 @@ def _power_iteration(op, c, tol, max_iter):
 
 def first_eigenpair(op):
     """Principal Dirichlet eigenpair via power iteration on the Green matrix,
-    to a relative weighted residual of 1e-12 within 100000 steps.
+    to a relative weighted residual of 1e-12 within 200000 steps.
 
     Parameters
     ----------
@@ -327,7 +326,7 @@ def first_eigenpair(op):
     """
 
     def iterate():
-        mu, x = _power_iteration(op, 1.0, 1e-12, 100000)
+        mu, x = _power_iteration(op, 1.0)
         return 1.0 / mu, RadialFunction(op.grid, x)
 
     lambda1, phi = op._memo("first_eigenpair", iterate)

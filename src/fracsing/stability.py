@@ -82,7 +82,7 @@ def sigma1(u, params, op):
             gap=1.0,
             infinite=True,
         )
-    mu, x = _power_iteration(op, _linearized_weight(u, params), 1e-12, 200000)
+    mu, x = _power_iteration(op, _linearized_weight(u, params))
     eigfun = RadialFunction(grid, x)
     return StabilityReport(sigma1=1.0 / mu, eigfun=eigfun, gap=1.0 - mu)
 
@@ -180,9 +180,9 @@ def stability_gap_scan(params_without_k, op, bracket, n_samples=8):
     op : GreenOperator
     bracket : KStarBracket
         Bracket from the extremal bisection on op; samples run from one
-        tenth of k_lo up to k_lo.  The samples below k_lo are solved to
-        the bracket's probe tolerance; the k_lo sample is the bracket's
-        profile_lo, the same converged probe, so it is not solved again.
+        tenth of k_lo up to k_lo.  The samples below k_lo are default
+        iterate_minimal runs, like the bracket's probes; the k_lo sample
+        is the bracket's profile_lo, so it is not solved again.
     n_samples : int
         Number of samples, at least 4.
 
@@ -213,7 +213,7 @@ def stability_gap_scan(params_without_k, op, bracket, n_samples=8):
         if j == n_samples - 1:
             profile = bracket.profile_lo
         else:
-            report = iterate_minimal(pk, op, tol=bracket.tol, max_iter=8000)
+            report = iterate_minimal(pk, op)
             if report.status != "Converged":
                 raise ConvergenceError(
                     f"scan solve at k = {k:.6g} ended with {report.status}"

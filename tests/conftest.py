@@ -64,7 +64,7 @@ def umin_mid(params0, op400, bracket400):
     from fracsing.picard import iterate_minimal
 
     params = params0.with_k(0.5 * bracket400.k_lo)
-    report = iterate_minimal(params, op400, tol=1e-10, max_iter=8000)
+    report = iterate_minimal(params, op400)
     assert report.status == "Converged"
     return params, report.profile
 

@@ -317,7 +317,7 @@ def test_eigen_matches_the_library_route(tmp_path, op200):
 def test_kstar_brackets_the_extremal_strength(tmp_path):
     argv = ["kstar", "--n-nodes", "200", "--emit-plots", "-o", str(tmp_path)]
     assert cli.main(argv) == 0
-    payload = _check_outputs(tmp_path, "kstar", {"kstar.csv": "kstar"}, long_x="index")
+    payload = _check_outputs(tmp_path, "kstar", {"kstar.csv": "kstar"}, long_x="k_lo")
     assert 0.0 < payload["k_lo"] < payload["k_hi"]
     assert payload["relative_width"] <= 1e-3
     row = _data(tmp_path / "kstar.csv")
@@ -530,6 +530,10 @@ def test_exit_codes_for_user_errors(tmp_path, capsys):
         (["--set", "tolerances.eig_tl=1e-3"], "unknown key tolerances.eig_tl"),
         (["--config", {"output": {"formats": ["csv"]}}], "unknown key output.formats"),
         (["--set", "tolerances.eig_tol=1e-12"], "unknown key tolerances.eig_tol"),
+        (
+            ["--set", "tolerances.picard_tol=1e-12"],
+            "unknown key tolerances.picard_tol",
+        ),
     ],
     # Explicit ids, spelt as the positional ids the cases were first listed
     # under, so a case inserted anywhere renames no other.
@@ -544,6 +548,7 @@ def test_exit_codes_for_user_errors(tmp_path, capsys):
         "extra7-unknown key tolerances.eig_tl",
         "extra8-unknown key output.formats",
         "extra9-unknown key tolerances.eig_tol",
+        "extra10-unknown key tolerances.picard_tol",
     ],
 )
 def test_config_values_of_the_wrong_type_exit_1(tmp_path, capsys, extra, message):

@@ -6,8 +6,16 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import betainc
 
+import fracsing.picard
 from fracsing.core import ParameterError, ProblemParams, RegimeError
-from fracsing.green import dirac_profile, dirac_smooth_remainder, measured_c2, radial_kernel
+from fracsing.green import (
+    assemble,
+    default_grid,
+    dirac_profile,
+    dirac_smooth_remainder,
+    measured_c2,
+    radial_kernel,
+)
 from fracsing.picard import (
     KStarBracket,
     barrier_certificate,
@@ -130,16 +138,27 @@ def test_bracket_invariants(params0, op400, bracket400):
 
 
 def test_bracket_edges_behave_as_recorded(params0, op400, bracket400):
-    # The lower edge converges under the probe settings, the upper edge
+    # The lower edge converges under the default rule, the upper edge
     # does not; this re-runs the probes independently of the bisection.
-    lo = iterate_minimal(
-        params0.with_k(bracket400.k_lo), op400, tol=1e-9, max_iter=3000
-    )
+    lo = iterate_minimal(params0.with_k(bracket400.k_lo), op400)
     assert lo.status == "Converged"
-    hi = iterate_minimal(
-        params0.with_k(bracket400.k_hi), op400, tol=1e-9, max_iter=3000
-    )
+    hi = iterate_minimal(params0.with_k(bracket400.k_hi), op400)
     assert hi.status != "Converged"
+
+
+def test_bracket_edges_are_default_solves_near_p_one():
+    # Near p = 1 the iterates converge slowly close to k*, so a probe
+    # budget below the default one puts k_hi where a default solve
+    # still converges.  The matrix does not depend on p.
+    params = ProblemParams(dim=2, alpha=0.75, p=1.1)
+    op = assemble(default_grid(params, n_nodes=120), params)
+    bracket = find_kstar(params, op)
+    hi = iterate_minimal(params.with_k(bracket.k_hi), op)
+    assert hi.status != "Converged"
+    lo = iterate_minimal(params.with_k(bracket.k_lo), op)
+    assert lo.status == "Converged"
+    assert lo.profile.values.tobytes() == bracket.profile_lo.values.tobytes()
+    assert lo.profile.singular_coeff == bracket.profile_lo.singular_coeff
 
 
 def test_wider_tolerance_gives_enclosing_bracket(params0, op400, bracket400):
@@ -178,10 +197,14 @@ def test_bracket_tolerance_must_be_positive(params0, op200, bracket_tol):
         find_kstar(params0, op200, bracket_tol=bracket_tol)
 
 
-def test_bracket_below_float_resolution_ends(params0, op200):
+def test_bracket_below_float_resolution_ends(params0, op200, monkeypatch):
     # The bisection stops once the midpoint rounds onto an edge; the
     # small probe budget only keeps the run short.
-    bracket = find_kstar(params0, op200, bracket_tol=1e-20, max_iter=100)
+    def short(params, op):
+        return iterate_minimal(params, op, max_iter=100)
+
+    monkeypatch.setattr(fracsing.picard, "iterate_minimal", short)
+    bracket = find_kstar(params0, op200, bracket_tol=1e-20)
     assert bracket.k_lo < bracket.k_hi
     assert 0.5 * (bracket.k_lo + bracket.k_hi) in (bracket.k_lo, bracket.k_hi)
 

@@ -66,7 +66,7 @@ def _lanczos_case(dim, alpha, p, fraction):
     """Minimal solution at fraction * k_lo on an n=200 operator."""
     params, op, k_lo = _lanczos_operator(dim, alpha, p)
     pk = params.with_k(fraction * k_lo)
-    report = iterate_minimal(pk, op, tol=1e-10, max_iter=8000)
+    report = iterate_minimal(pk, op)
     assert report.status == "Converged"
     return pk, op, report.profile
 
@@ -138,13 +138,13 @@ def test_scan_endpoints_bracket_semistability(params0, op400, bracket400):
 def test_gap_scan_takes_the_bracket_profile_at_k_lo(
     params0, op200, op400, bracket400, monkeypatch
 ):
-    # Reference: every sample solved from zero at the bracket's probe
-    # tolerance, the k_lo sample included.
+    # Reference: every sample solved from zero by the default rule, the
+    # k_lo sample included.
     ks = np.linspace(0.1 * bracket400.k_lo, bracket400.k_lo, 6)
     reports = []
     for k in ks:
         pk = params0.with_k(float(k))
-        report = iterate_minimal(pk, op400, tol=bracket400.tol, max_iter=8000)
+        report = iterate_minimal(pk, op400)
         reports.append(sigma1(report.profile, pk, op400))
 
     calls = []
