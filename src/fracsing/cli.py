@@ -6,16 +6,19 @@ the branch (stability), the second solution (mountain-pass), profile
 diagnostics (classify), the principal eigenpair (eigen), and the full
 two-branch picture (bifurcation).
 
-Configuration precedence is defaults < --config JSON < --set overrides <
-direct flags.  Every table is CSV with a leading JSON comment header
-carrying the merged config, its hash, package versions, and measured
-provenance (comparison constant, principal eigenvalue).  Files are
-written whole via write-then-rename; reruns with identical config and
-seed produce byte-identical output.  Exit codes: 0 success, 1 usage or
-configuration error, 2 mathematical nonexistence or non-convergence.
+Configuration precedence is defaults < the parameters and grid that a
+profile CSV embeds (classify) < --config JSON < flags, and each JSON
+object merges into its section.  Every table is CSV with a leading JSON
+comment header carrying the merged config, its hash, package versions,
+and measured provenance (comparison constant, principal eigenvalue).
+Files are written whole via write-then-rename; reruns with identical
+config and seed produce byte-identical output.  Exit codes: 0 success,
+1 usage or configuration error, 2 mathematical nonexistence or
+non-convergence.
 
 The environment variable FRACSING_CACHE names a directory for cached
-operator matrices keyed by grid and kernel parameters.
+operator files (green.save_operator) keyed by grid and kernel
+parameters; an entry that does not load is rebuilt.
 """
 
 from __future__ import annotations
@@ -84,30 +87,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _assign(cfg, name, value, merge=False):
+def _assign(cfg, name, value):
     """Set the dotted key name of the flat settings map cfg to value.
 
-    A JSON object at a section name spreads over the section's keys,
-    merged into them (merge) or in place of them; any other value there
-    replaces the section, for the check to reject.
+    A JSON object at a section name merges into the section's keys (and
+    drops a non-object an earlier layer put there); any other value there
+    is kept for the check to reject.
     """
-    if name in _SECTIONS:
-        if not (merge and isinstance(value, dict)):
-            for key in [key for key in cfg if key.startswith(name + ".")]:
-                del cfg[key]
+    if name in _SECTIONS and isinstance(value, dict):
         cfg.pop(name, None)
-        if isinstance(value, dict):
-            for key, val in value.items():
-                _assign(cfg, f"{name}.{key}", val, merge)
-            return
-    cfg[name] = value
+        for key, val in value.items():
+            _assign(cfg, f"{name}.{key}", val)
+    else:
+        cfg[name] = value
 
 
 def _build_config(args, base=None):
-    """The flat {dotted key: value} settings: defaults < base < --config <
-    --set < flags.  base and --config merge into a section, --set replaces
-    it.  Raises ValueError naming the first key that is outside the
-    settings table, of the wrong type or missing, or a negative seed."""
+    """The flat {dotted key: value} settings: defaults < base (the profile
+    header's) < --config < flags, each JSON object merged into its
+    section.  Raises ValueError naming the first key that is outside the
+    settings table or of the wrong type, or a negative seed."""
     cfg = dict(_DEFAULTS)
     layers = [base or {}]
     if args.config:
@@ -117,16 +116,7 @@ def _build_config(args, base=None):
             raise ValueError("config file must contain a JSON object")
     for layer in layers:
         for key, value in layer.items():
-            _assign(cfg, key, value, merge=True)
-    for expr in args.set:
-        key, sep, raw = expr.partition("=")
-        if not sep or not key.strip():
-            raise ValueError(f"--set expects KEY=VALUE, got {expr!r}")
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
-        _assign(cfg, key.strip(), value)
+            _assign(cfg, key, value)
     for path in _DEFAULTS:
         if getattr(args, path, None) is not None:
             cfg[path] = getattr(args, path)
@@ -136,9 +126,6 @@ def _build_config(args, base=None):
         if name not in _DEFAULTS:
             raise ValueError(f"unknown key {name}")
         _check_value(name, value, _DEFAULTS[name])
-    for name in _DEFAULTS:
-        if name not in cfg:
-            raise ValueError(f"{name} is missing")
     if cfg["seed"] < 0:
         raise ValueError(f"seed must be a non-negative integer, got {cfg['seed']!r}")
     return cfg
@@ -321,8 +308,8 @@ def _read_profile(args):
         raise ParameterError(f"{path}: not a table of numbers ({exc})") from exc
     # Profiles produced by this tool embed how they were built; adopt the
     # embedded parameters and grid as the config baseline so the natural
-    # solve-then-classify flow needs no repeated flags.  Explicit config
-    # files, --set expressions and flags still override.
+    # solve-then-classify flow needs no repeated flags.  A --config file
+    # and flags still override.
     provenance = header.get("provenance", {})
     embedded = provenance.get("config", {}) if isinstance(provenance, dict) else None
     if not isinstance(embedded, dict):
@@ -344,7 +331,7 @@ def _read_profile(args):
     return cfg, (data[:, 2], singular), raw
 
 
-def _classification_payload(profile, params, op, k_reference=None):
+def _classification_payload(profile, params, op):
     from .classify import (
         asymptotic_fit,
         estimate_k,
@@ -359,9 +346,7 @@ def _classification_payload(profile, params, op, k_reference=None):
         battery = standard_battery(op)
         k_est = estimate_k(profile, params, op, battery)
         residual = verify_weak_identity(profile, params, op, battery).max_residual
-    ref = k_reference
-    if ref is None and k_est is not None and k_est > 0.0:
-        ref = k_est
+    ref = k_est if k_est is not None and k_est > 0.0 else None
     report = asymptotic_fit(profile, params, k_reference=ref)
     return {
         "k_pairing_estimate": k_est,
@@ -524,7 +509,7 @@ def _classify(job):
 
     u_smooth, singular = job.source
     profile = RadialFunction(job.op.grid, u_smooth, *singular)
-    payload = _classification_payload(profile, job.params, job.op, job.args.k_reference)
+    payload = _classification_payload(profile, job.params, job.op)
     payload["profile"] = job.args.profile
     line = (
         f"classify: verdict {payload['verdict']}, slope "
@@ -641,13 +626,7 @@ _COMMANDS = {
     "classify": _Command(
         _classify,
         "diagnose a stored profile CSV",
-        flags=(
-            ("profile", dict(help="profile CSV produced by the solve command")),
-            (
-                "--k-reference",
-                dict(type=float, help="calibrating point mass for the limit ratio"),
-            ),
-        ),
+        flags=(("profile", dict(help="profile CSV produced by the solve command")),),
         read=_read_profile,
         echo="classify_profile.csv",
     ),
@@ -722,13 +701,6 @@ def _thread_count(text):
 
 def _add_common(sp, name):
     sp.add_argument("--config", help="JSON configuration file")
-    sp.add_argument(
-        "--set",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override a dotted config key, e.g. tolerances.bracket_tol=1e-4",
-    )
     for setting in _SETTINGS:
         if setting.flags and (setting.commands is None or name in setting.commands):
             sp.add_argument(

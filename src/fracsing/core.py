@@ -186,16 +186,17 @@ class RadialGrid:
     nodes/weights form a quadrature rule for the volume measure
     |S^{dim-1}| r^{dim-1} dr, so that weights @ f(nodes) approximates the
     integral of the radial function f over the unit ball.  Nodes are the
-    4-point Gauss-Legendre points of consecutive cells whose edges are
-    algebraically clustered toward r=0 (exponent `grading`) and toward
-    r=1 (exponent `boundary_grading`); endpoints are never nodes.
+    GAUSS_PER_CELL Gauss-Legendre points of consecutive cells whose edges
+    are algebraically clustered toward r=0 (exponent `grading`) and toward
+    r=1 (exponent `boundary_grading`); endpoints are never nodes.  make_grid
+    builds it from dim, n and the two gradings, which is all that an
+    operator file stores of it.
     """
 
     dim: int
     nodes: np.ndarray
     weights: np.ndarray
     cell_edges: np.ndarray
-    nodes_per_cell: int
     grading: float
     boundary_grading: float
 
@@ -273,7 +274,6 @@ def make_grid(n_nodes, grading=2.0, *, dim=2, boundary_grading=None):
         nodes=nodes,
         weights=weights,
         cell_edges=edges,
-        nodes_per_cell=GAUSS_PER_CELL,
         grading=float(grading),
         boundary_grading=float(boundary_grading),
     )

@@ -65,10 +65,12 @@ from scipy.linalg import blas
 from scipy.special import beta, betainc, roots_jacobi
 
 from .core import (
+    GAUSS_PER_CELL,
     ConvergenceError,
     KernelError,
     Keeps,
     ParameterError,
+    ProblemParams,
     RadialGrid,
     RegimeError,
     fundamental_constant,
@@ -77,10 +79,12 @@ from .core import (
     write_atomic,
 )
 
-# Version 5: the w^2-weighted symmetrization covers the near-diagonal
-# entries only, which moves far-field entries of version 4 (averaged with
-# their mirrors) by up to 3 ulp (3.6e-16 relative).
-FORMAT_VERSION = 5
+# Version 6 stores the grid spec (dim, alpha, n_nodes, grading,
+# boundary_grading) in the header and the kernel matrix alone after it,
+# under one checksum of both; the grid and the Dirac column are rebuilt
+# from the spec.  Version 5 stored those arrays too and checked the
+# payload only.
+FORMAT_VERSION = 6
 
 # The tau rule: Gauss-Jacobi points for the tau^(alpha-1) endpoint, and
 # Gauss-Legendre panels of at most _PANEL_LOG_LENGTH in ln tau above it.
@@ -565,7 +569,7 @@ def assemble(grid, params):
     # Product-integration correction: replace the columns of the cells
     # around each row's diagonal cell.  The samples of all (row, cell)
     # pairs are laid end to end and evaluated in blocks like the pairs.
-    q = grid.nodes_per_cell
+    q = GAUSS_PER_CELL
     n_cells = grid.n_cells
     edges = grid.cell_edges
     reach = np.arange(-_N_CORR_CELLS, _N_CORR_CELLS + 1)
@@ -640,12 +644,17 @@ def assemble(grid, params):
                 f"(matrix scale {scale:.3e})"
             )
         kbar[neg] = 0.0
+    return _with_dirac_column(kbar, grid, params)
 
+
+def _with_dirac_column(matrix, grid, params):
+    """The GreenOperator of a kernel matrix on grid, with the exact Dirac
+    column; both arrays read-only.  assemble and load_operator end here."""
     dirac = dirac_profile(grid, params)
-    for arr in (kbar, dirac):
+    for arr in (matrix, dirac):
         arr.setflags(write=False)
     return GreenOperator(
-        dim=dim, alpha=alpha, matrix=kbar, grid=grid, dirac_column=dirac
+        dim=params.dim, alpha=params.alpha, matrix=matrix, grid=grid, dirac_column=dirac
     )
 
 
@@ -667,41 +676,44 @@ def measured_c2(params, op):
     return float(np.max(composed / g))
 
 
-def _operator_payload(op):
-    return [
-        np.ascontiguousarray(op.matrix, dtype=np.float64),
-        np.ascontiguousarray(op.dirac_column, dtype=np.float64),
-        np.ascontiguousarray(op.grid.nodes, dtype=np.float64),
-        np.ascontiguousarray(op.grid.weights, dtype=np.float64),
-        np.ascontiguousarray(op.grid.cell_edges, dtype=np.float64),
-    ]
+def _checksum(spec, matrix):
+    """sha256 of the spec's canonical JSON, then of the matrix's bytes,
+    fed to one digest so the matrix is not copied."""
+    digest = hashlib.sha256(json.dumps(spec, sort_keys=True).encode())
+    digest.update(matrix)
+    return digest.hexdigest()
 
 
 def save_operator(op, path):
-    """Dump the operator as a one-line JSON header plus raw float64 payload.
+    """Dump the operator as a one-line JSON header plus its raw float64 matrix.
 
-    The header records the grid specification, kernel parameters, and a
-    checksum of the payload so stale or corrupted caches are rejected at
-    load time.  The file is written whole (core.write_atomic).
+    The header holds the grid spec (dim, alpha, n_nodes, grading,
+    boundary_grading), from which load_operator rebuilds the grid and the
+    Dirac column, so op.grid must be the make_grid grid that assemble was
+    given.  One sha256 covers every header field and the matrix, so a
+    stale or corrupted file is rejected at load time.  The file is
+    written whole (core.write_atomic).
     """
-    payload = b"".join(a.tobytes() for a in _operator_payload(op))
-    header = {
+    matrix = np.ascontiguousarray(op.matrix, dtype=np.float64)
+    spec = {
         "format_version": FORMAT_VERSION,
         "dim": op.dim,
         "alpha": op.alpha,
         "n_nodes": op.grid.n,
-        "n_cells": op.grid.n_cells,
-        "nodes_per_cell": op.grid.nodes_per_cell,
         "grading": op.grid.grading,
         "boundary_grading": op.grid.boundary_grading,
-        "sha256": hashlib.sha256(payload).hexdigest(),
     }
-    write_atomic(path, json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+    header = dict(spec, sha256=_checksum(spec, matrix))
+    line = json.dumps(header, sort_keys=True).encode() + b"\n"
+    write_atomic(path, b"".join([line, matrix]))
 
 
 def load_operator(path):
-    """Inverse of save_operator; validates the header and checksum and reshapes.
+    """Inverse of save_operator.
 
+    Checks the version and the checksum first, then rebuilds the grid by
+    make_grid and the Dirac column by dirac_profile, the calls that
+    assemble makes, so every array is bit for bit the saved operator's.
     Raises ParameterError for anything but a current operator file, and
     for a kernel matrix with a negative entry (GreenOperator's invariant).
     """
@@ -709,47 +721,29 @@ def load_operator(path):
         header_line = fh.readline()
         payload = fh.read()
     try:
-        header = json.loads(header_line)
+        spec = json.loads(header_line)
     except ValueError:
-        header = None
-    if not isinstance(header, dict):
+        spec = None
+    if not isinstance(spec, dict):
         raise ParameterError(f"operator file {path} has no JSON object header")
-    if header.get("format_version") != FORMAT_VERSION:
+    if spec.get("format_version") != FORMAT_VERSION:
         raise ParameterError(
-            f"unsupported operator file version {header.get('format_version')!r}"
+            f"unsupported operator file version {spec.get('format_version')!r}"
         )
-    if hashlib.sha256(payload).hexdigest() != header.get("sha256"):
+    claimed = spec.pop("sha256", None)
+    if _checksum(spec, payload) != claimed:
         raise ParameterError(f"operator file {path} is corrupted (checksum mismatch)")
-    n, n_cells = header.get("n_nodes"), header.get("n_cells")
-    if not all(type(m) is int and m > 0 for m in (n, n_cells)):
-        raise ParameterError(f"operator file {path} has invalid grid sizes")
-    sizes = [n * n, n, n, n, n_cells + 1]
-    flat = np.frombuffer(payload, dtype=np.float64)
-    if flat.size != sum(sizes):
-        raise ParameterError(f"operator file {path} has inconsistent payload size")
-    parts = np.split(flat, np.cumsum(sizes)[:-1])
-    matrix = parts[0].reshape(n, n).copy()
+    params = ProblemParams(dim=spec["dim"], alpha=spec["alpha"])
+    grid = make_grid(
+        spec["n_nodes"],
+        spec["grading"],
+        dim=params.dim,
+        boundary_grading=spec["boundary_grading"],
+    )
+    matrix = np.frombuffer(payload, dtype=np.float64).reshape(grid.n, grid.n).copy()
     if matrix.min() < 0.0:
         raise ParameterError(f"operator file {path} has a negative kernel entry")
-    dirac, nodes, weights, edges = (p.copy() for p in parts[1:])
-    for arr in (matrix, dirac, nodes, weights, edges):
-        arr.setflags(write=False)
-    grid = RadialGrid(
-        dim=header["dim"],
-        nodes=nodes,
-        weights=weights,
-        cell_edges=edges,
-        nodes_per_cell=header["nodes_per_cell"],
-        grading=header["grading"],
-        boundary_grading=header["boundary_grading"],
-    )
-    return GreenOperator(
-        dim=header["dim"],
-        alpha=header["alpha"],
-        matrix=matrix,
-        grid=grid,
-        dirac_column=dirac,
-    )
+    return _with_dirac_column(matrix, grid, params)
 
 
 def default_grid(params, n_nodes=400, grading=2.0):

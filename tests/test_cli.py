@@ -428,30 +428,41 @@ def test_configuration_precedence(tmp_path):
     conf = json.loads((tmp_path / "eigen.json").read_text())["provenance"]["config"]
     assert conf["params"]["k"] == 0.02
     assert conf["grid"]["n_nodes"] == 200
+    # Each object merges into its section, which keeps its other keys.
+    assert conf["params"]["alpha"] == 0.75
+    assert conf["grid"]["grading"] == 2.0
 
-    assert cli.main(base + ["--set", "params.k=0.03"]) == 0
+    cfg.write_text(json.dumps({"params": {"k": 0.03}, "grid": {"n_nodes": 200}}))
+    assert cli.main(base) == 0
     conf = json.loads((tmp_path / "eigen.json").read_text())["provenance"]["config"]
     assert conf["params"]["k"] == 0.03
 
-    assert cli.main(base + ["--set", "params.k=0.03", "--k", "0.04"]) == 0
+    assert cli.main(base + ["--k", "0.04"]) == 0
     conf = json.loads((tmp_path / "eigen.json").read_text())["provenance"]["config"]
     assert conf["params"]["k"] == 0.04
 
 
-def test_corrupt_cache_is_rebuilt(shared_cache, tmp_path, op200):
-    cached = sorted(shared_cache.iterdir())
-    assert cached
-    victim = cached[0]
+def test_corrupt_cache_is_rebuilt(tmp_path, monkeypatch, op200):
+    # A cache of its own, so the test does not depend on the entries that
+    # earlier tests left in the module's shared cache.
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("FRACSING_CACHE", str(cache))
+    assert cli.main(["eigen", "--n-nodes", "200", "-o", str(tmp_path)]) == 0
+    (victim,) = cache.iterdir()
     line, _, payload = victim.read_bytes().partition(b"\n")
     header = json.loads(line)
     no_checksum = {key: val for key, val in header.items() if key != "sha256"}
-    # The checksum covers the payload only, so a bad header must be caught
-    # on its own: no sha256, a JSON list, a non-integer node count.
+    no_dim = {key: val for key, val in header.items() if key != "dim"}
+    # The checksum covers every header field with the matrix, so an edited
+    # field is caught like an edited matrix: no sha256, no dim, another
+    # alpha, a non-integer node count; a JSON list has no fields at all.
     corruptions = [
         b"not an operator payload",
         json.dumps(no_checksum).encode() + b"\n" + payload,
         b"[1, 2]\n" + payload,
         json.dumps({**header, "n_nodes": "abc"}).encode() + b"\n" + payload,
+        json.dumps(no_dim).encode() + b"\n" + payload,
+        json.dumps({**header, "alpha": 0.5}).encode() + b"\n" + payload,
     ]
     for blob in corruptions:
         victim.write_bytes(blob)
@@ -470,17 +481,15 @@ def test_cache_of_an_older_format_is_rebuilt(tmp_path, monkeypatch):
     assert cli.main(SOLVE_ARGS + ["-o", str(tmp_path / "first")]) == 0
     (entry,) = cache.iterdir()
     line, _, payload = entry.read_bytes().partition(b"\n")
-    # Version 4 held far-field entries averaged with their mirrors, version
-    # 3 kernel values of an angular rule, version 2 Kbar times the weights,
-    # version 1 older kernel values.
-    for version in (1, 2, 3, 4):
+    # Versions 1 to 5 held other kernel values or the grid arrays too.
+    for version in (1, 2, 3, 4, 5):
         header = dict(json.loads(line), format_version=version)
         entry.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
         with pytest.raises(ParameterError, match="unsupported operator file version"):
             green.load_operator(str(entry))
         assert cli.main(SOLVE_ARGS + ["-o", str(tmp_path / f"v{version}")]) == 0
         rebuilt = json.loads(entry.read_bytes().partition(b"\n")[0])
-        assert rebuilt["format_version"] == green.FORMAT_VERSION == 5
+        assert rebuilt["format_version"] == green.FORMAT_VERSION == 6
 
 
 def test_cold_solve_leaves_one_cache_file(tmp_path, monkeypatch):
@@ -494,7 +503,17 @@ def test_cold_solve_leaves_one_cache_file(tmp_path, monkeypatch):
 
 def test_exit_codes_for_user_errors(tmp_path, capsys):
     assert cli.main(["frobnicate"]) == 1
-    assert cli.main(["eigen", "--set", "params.alpha"]) == 1
+    # --set and classify --k-reference are gone: argparse rejects them.
+    for argv in (
+        ["eigen", "--set", "params.alpha=0.5"],
+        ["classify", "profile.csv", "--k-reference", "0.1"],
+    ):
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        extra = " ".join(argv[-2:])
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"fracsing: error: unrecognized arguments: {extra}"
+        )
     assert cli.main(["eigen", "--config", str(tmp_path / "none.json")]) == 1
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -517,21 +536,38 @@ def test_exit_codes_for_user_errors(tmp_path, capsys):
 @pytest.mark.parametrize(
     "extra, message",
     [
-        (["--set", "params.dim=abc"], "params.dim must be an integer, got 'abc'"),
-        (["--set", "grid=3"], "grid must be a JSON object, got 3"),
-        (["--set", "grid=3", "--n-nodes", "50"], "grid must be a JSON object, got 3"),
-        (["--set", "grid={}"], "grid.n_nodes is missing"),
-        (["--set", "params.alpha=true"], "params.alpha must be a number, got True"),
-        (["--set", "params.dim=2.5"], "params.dim must be an integer, got 2.5"),
         (
-            ["--set", "tolerances.picard_max_iter=4000"],
+            ["--config", {"params": {"dim": "abc"}}],
+            "params.dim must be an integer, got 'abc'",
+        ),
+        (["--config", {"grid": 3}], "grid must be a JSON object, got 3"),
+        (
+            ["--n-nodes", "50", "--config", {"grid": 3}],
+            "grid must be a JSON object, got 3",
+        ),
+        (
+            ["--config", {"params": {"alpha": True}}],
+            "params.alpha must be a number, got True",
+        ),
+        (
+            ["--config", {"params": {"dim": 2.5}}],
+            "params.dim must be an integer, got 2.5",
+        ),
+        (
+            ["--config", {"tolerances": {"picard_max_iter": 4000}}],
             "unknown key tolerances.picard_max_iter",
         ),
-        (["--set", "tolerances.eig_tl=1e-3"], "unknown key tolerances.eig_tl"),
-        (["--config", {"output": {"formats": ["csv"]}}], "unknown key output.formats"),
-        (["--set", "tolerances.eig_tol=1e-12"], "unknown key tolerances.eig_tol"),
         (
-            ["--set", "tolerances.picard_tol=1e-12"],
+            ["--config", {"tolerances": {"eig_tl": 1e-3}}],
+            "unknown key tolerances.eig_tl",
+        ),
+        (["--config", {"output": {"formats": ["csv"]}}], "unknown key output.formats"),
+        (
+            ["--config", {"tolerances": {"eig_tol": 1e-12}}],
+            "unknown key tolerances.eig_tol",
+        ),
+        (
+            ["--config", {"tolerances": {"picard_tol": 1e-12}}],
             "unknown key tolerances.picard_tol",
         ),
     ],
@@ -541,7 +577,6 @@ def test_exit_codes_for_user_errors(tmp_path, capsys):
         "extra0-params.dim must be an integer, got 'abc'",
         "extra1-grid must be a JSON object, got 3",
         "extra2-grid must be a JSON object, got 3",
-        "extra3-grid.n_nodes is missing",
         "extra4-params.alpha must be a number, got True",
         "extra5-params.dim must be an integer, got 2.5",
         "extra6-unknown key tolerances.picard_max_iter",
@@ -569,8 +604,8 @@ def test_config_values_of_the_wrong_type_exit_1(tmp_path, capsys, extra, message
     "extra, shown",
     [
         (["--seed", "-1"], "-1"),
-        (["--set", "seed=-3"], "-3"),
-        (["--set", "seed=-2.0"], "-2.0"),
+        (["--config", {"seed": -3}], "-3"),
+        (["--config", {"seed": -2.0}], "-2.0"),
         (["--config", {"seed": -1}], "-1"),
     ],
 )

@@ -8,6 +8,7 @@ constants.
 """
 
 import dataclasses
+import json
 import math
 import os
 import sys
@@ -24,6 +25,7 @@ from scipy.special import betainc
 import fracsing.green as green_module
 from fracsing.classify import standard_battery
 from fracsing.core import (
+    GAUSS_PER_CELL,
     ConvergenceError,
     KernelError,
     ParameterError,
@@ -232,7 +234,7 @@ def test_far_field_entries_are_the_sphere_mean_itself(dim, alpha):
     # as _sphere_mean returns it, with no rounding from a symmetrization.
     params = ProblemParams(dim=dim, alpha=alpha)
     op = assemble(default_grid(params, n_nodes=200), params)
-    cells = np.arange(op.n) // op.grid.nodes_per_cell
+    cells = np.arange(op.n) // GAUSS_PER_CELL
     i, j = np.nonzero(np.abs(cells[:, None] - cells) > green_module._N_CORR_CELLS)
     assert i.size == 34592
     kernel = green_module._kernel(dim, alpha)
@@ -507,7 +509,7 @@ def test_correction_samples_match_the_per_cell_loop(dim, alpha):
     grid = default_grid(ProblemParams(dim=dim, alpha=alpha), n_nodes=200)
     gamma = max(3.0, 3.0 / (2.0 * alpha))
     boundary_gamma = max(2.0, 3.0 / (1.0 + alpha))
-    n_cells, q = grid.n_cells, grid.nodes_per_cell
+    n_cells, q = grid.n_cells, GAUSS_PER_CELL
     rows, cells, want = [], [], []
     for i in range(grid.n):
         for c in range(max(0, i // q - 3), min(n_cells, i // q + 4)):
@@ -620,14 +622,56 @@ def test_factor_users_allocate_no_matrix_sized_transients(op400, umin_mid):
 
 
 def test_save_load_roundtrip(tmp_path, op400):
+    # The file holds the matrix only; the grid and the Dirac column are
+    # rebuilt from the header's spec, bit for bit.
     path = os.path.join(tmp_path, "op.bin")
     save_operator(op400, path)
+    assert os.path.getsize(path) > 8 * op400.n**2
+    assert os.path.getsize(path) < 8 * op400.n**2 + 400
     back = load_operator(path)
     assert back.dim == op400.dim and back.alpha == op400.alpha
-    assert np.array_equal(back.matrix, op400.matrix)
-    assert np.array_equal(back.dirac_column, op400.dirac_column)
-    assert np.array_equal(back.grid.nodes, op400.grid.nodes)
-    assert np.array_equal(back.grid.weights, op400.grid.weights)
+    assert back.matrix.tobytes() == op400.matrix.tobytes()
+    assert back.dirac_column.tobytes() == op400.dirac_column.tobytes()
+    for name in ("nodes", "weights", "cell_edges"):
+        assert getattr(back.grid, name).tobytes() == getattr(op400.grid, name).tobytes()
+    for name in ("dim", "grading", "boundary_grading"):
+        assert getattr(back.grid, name) == getattr(op400.grid, name)
+    for arr in (back.matrix, back.dirac_column, back.grid.nodes):
+        assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("format_version", None),
+        ("dim", 3),
+        ("dim", "two"),
+        ("alpha", 0.5),
+        ("alpha", None),
+        ("n_nodes", 396),
+        ("grading", 2.5),
+        ("boundary_grading", 3.0),
+        ("sha256", "0" * 64),
+    ],
+)
+def test_load_rejects_an_edited_header_field(tmp_path, op400, field, value):
+    # One checksum covers every header field and the matrix, so a header
+    # that no longer describes the matrix is refused before it is read.
+    path = os.path.join(tmp_path, "op.bin")
+    save_operator(op400, path)
+    with open(path, "rb") as fh:
+        line, _, payload = fh.read().partition(b"\n")
+    header = dict(json.loads(line))
+    header.pop(field)
+    for edited in (header, dict(header, **{field: value})):
+        with open(path, "wb") as fh:
+            fh.write(json.dumps(edited).encode() + b"\n" + payload)
+        if field == "format_version":
+            match = "unsupported operator file version"
+        else:
+            match = "checksum mismatch"
+        with pytest.raises(ParameterError, match=match):
+            load_operator(path)
 
 
 def test_load_rejects_corrupted_payload(tmp_path, op400):
@@ -662,6 +706,15 @@ def test_load_rejects_truncated_file(tmp_path, op400):
     with open(path, "wb") as fh:
         fh.write(blob[: len(blob) // 2])
     with pytest.raises(ParameterError):
+        load_operator(path)
+
+
+def test_load_rejects_bytes_after_the_matrix(tmp_path, op400):
+    path = os.path.join(tmp_path, "op.bin")
+    save_operator(op400, path)
+    with open(path, "ab") as fh:
+        fh.write(b"\x00" * 3)
+    with pytest.raises(ParameterError, match="checksum mismatch"):
         load_operator(path)
 
 
