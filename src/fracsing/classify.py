@@ -67,8 +67,8 @@ def _make_test_function(op, values, value_at_origin, support, factor):
     then verified against the original samples.
     """
     sqrt_w = np.sqrt(op.grid.weights)
-    # The kept factor is finite (cho_factor checked its input), and so are
-    # the samples: no scan of either.
+    # The kept factor is finite (linalg.cholesky checked its input), and so
+    # are the samples: no scan of either.
     lap = linalg.cho_solve(factor, sqrt_w * values, check_finite=False) / sqrt_w
     back = op.apply(lap)
     scale = float(np.max(np.abs(values)))
@@ -182,7 +182,8 @@ def estimate_k(u, params, op, battery=None):
     ------
     ConvergenceError
         If the relative spread of the estimates around the fit exceeds
-        10% (the profile does not satisfy the identity on this grid).
+        10% or is not a number (the profile does not satisfy the
+        identity on this grid).
     """
     if battery is None:
         battery = standard_battery(op)
@@ -199,7 +200,7 @@ def estimate_k(u, params, op, battery=None):
     resid = ests - design @ coef
     scale = max(abs(coef[0]), float(np.max(np.abs(ests))), 1e-300)
     spread = float(np.max(np.abs(resid))) / scale
-    if spread > _SPREAD_TOL:
+    if not spread <= _SPREAD_TOL:  # a NaN spread is rejected too
         raise ConvergenceError(
             f"pairing estimates spread {spread:.1%} across the battery; "
             f"the profile does not satisfy the identity on this grid"

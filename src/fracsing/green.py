@@ -402,13 +402,11 @@ class GreenOperator(Keeps):
 
     def _factor(self):
         try:
-            factor, _ = linalg.cho_factor(self.symmetrized().T, overwrite_a=True)
+            factor = linalg.cholesky(self.symmetrized().T, overwrite_a=True)
         except linalg.LinAlgError as exc:
             raise ConvergenceError(
                 "symmetrized Green matrix is not positive definite"
             ) from exc
-        for j in range(self.n - 1):
-            factor[j + 1 :, j] = 0.0
         factor.setflags(write=False)
         return factor
 
@@ -501,7 +499,7 @@ def _correction_samples(r, a, b, last, gamma, boundary_gamma):
 
 
 def _worker_count():
-    """Usable cores, capped by OMP_NUM_THREADS (which --threads sets)."""
+    """Usable cores, capped by OMP_NUM_THREADS from the environment."""
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity masks

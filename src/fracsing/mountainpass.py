@@ -637,8 +637,9 @@ def find_second_solution(
     Parameters
     ----------
     params : ProblemParams
-        Must have 0 < k strictly below the extremal value (enforced
-        through strict stability of u_min).
+        k must lie strictly below the extremal value (enforced through
+        strict stability of u_min).  At k = 0, u_min = 0 and the second
+        solution is the ground state w0 of (-Delta)^alpha w = w^p.
     op : GreenOperator
     form : DiscreteHAlphaForm
     u_min : RadialFunction
@@ -663,8 +664,8 @@ def find_second_solution(
         not op's kept Cholesky factor) or u_min lives on another grid
         than op; checked before any computation.
     RegimeError
-        If k <= 0 or u_min is not strictly stable (k at or beyond the
-        extremal value: no second solution exists).
+        If u_min is not strictly stable (k at or beyond the extremal
+        value: no second solution exists).
     SecondSolutionNotFound
         If the search budget is exhausted; carries the search trace.
     """
@@ -676,8 +677,6 @@ def find_second_solution(
         raise ParameterError("the energy form was built on another operator")
     if not np.array_equal(u_min.grid.nodes, op.grid.nodes):
         raise ParameterError("u_min lives on another grid than op")
-    if params.k <= 0.0:
-        raise RegimeError("second solutions require k > 0")
     stab = sigma1(u_min, params, op)
     if not stab.sigma1 > 1.0:
         raise RegimeError(

@@ -137,6 +137,16 @@ def test_estimate_k_flags_profiles_that_solve_nothing(params0, op400, rng):
         estimate_k(junk, params0.with_k(0.0), op400)
 
 
+def test_estimate_k_rejects_non_finite_estimates(usol_005, op400):
+    # A singular coefficient of 1e300 overflows every pairing to NaN; a NaN
+    # spread is rejected, not returned as the estimate.
+    params, u = usol_005
+    huge = RadialFunction(op400.grid, u.values, 1e300, u.singular_exponent)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ConvergenceError, match="spread nan%"):
+            estimate_k(huge, params, op400)
+
+
 def test_estimate_k_needs_three_origin_bumps(usol_005, op400, battery400):
     params, u = usol_005
     with pytest.raises(ParameterError):

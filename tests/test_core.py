@@ -6,7 +6,6 @@ import mpmath
 import numpy as np
 import pytest
 
-import fracsing
 from fracsing.core import (
     ParameterError,
     ProblemParams,
@@ -49,11 +48,6 @@ def test_fundamental_constant_half_order_closed_forms():
     assert fundamental_constant(3, 0.5) == pytest.approx(
         1.0 / (2.0 * math.pi**2), rel=1e-14
     )
-
-
-def test_every_exported_name_resolves():
-    for name in fracsing.__all__:
-        assert getattr(fracsing, name) is not None, name
 
 
 def test_params_validation_rejects_bad_inputs():

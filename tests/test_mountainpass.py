@@ -24,7 +24,6 @@ from fracsing.core import (
     ParameterError,
     ProblemParams,
     RadialFunction,
-    RegimeError,
     SecondSolutionNotFound,
 )
 from fracsing.green import assemble, default_grid
@@ -119,14 +118,14 @@ def test_form_battery_and_rayleigh_share_one_factorisation(
     op400, umin_mid, monkeypatch
 ):
     params, u = umin_mid
-    original = linalg.cho_factor
+    original = linalg.cholesky
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(linalg, "cho_factor", counted)
+    monkeypatch.setattr(linalg, "cholesky", counted)
     op = dataclasses.replace(op400)
     build_form(op)
     standard_battery(op)
@@ -689,18 +688,40 @@ def test_methods_agree_on_the_critical_point(
     assert rows[-1][2] <= 1e-10 < rows[0][2]
 
 
-def test_search_requires_a_source_and_a_known_method(
-    params0, op400, form400, umin_mid, monkeypatch
+def test_second_solution_without_a_source_is_the_ground_state(
+    params0, op400, form400
+):
+    # At k = 0 the minimal solution is 0, and both methods find the ground
+    # state w0 of (-Delta)^alpha w = w^p: smooth at the origin and a weak
+    # solution with no point mass.
+    report = iterate_minimal(params0, op400)
+    assert report.status == "Converged"
+    assert not np.any(report.profile.total)
+    w0 = [
+        find_second_solution(params0, op400, form400, report.profile, method=method)
+        for method in ("MountainPassAlgorithm", "DeflatedNewton")
+    ]
+    for result in w0:
+        assert result.second_solution.singular_coeff == 0.0
+        assert np.array_equal(result.second_solution.total, result.v.values)
+        assert float(np.max(result.v.values)) == pytest.approx(5.03537, rel=1e-5)
+        assert result.energy >= result.level_lower_bound > 0.0
+        identity = verify_weak_identity(result.second_solution, params0, op400)
+        assert identity.max_residual <= 1e-9
+    diff = float(np.max(np.abs(w0[0].v.values - w0[1].v.values)))
+    assert diff <= 1e-8
+    assert w0[0].energy == pytest.approx(w0[1].energy, abs=1e-8)
+
+
+def test_search_requires_a_known_method_and_seed(
+    op400, form400, umin_mid, monkeypatch
 ):
     # Both are rejected before any computation: sigma1 never runs.
     def no_sigma1(*args, **kwargs):
         raise AssertionError("sigma1 ran before the arguments were checked")
 
     monkeypatch.setattr(mountainpass, "sigma1", no_sigma1)
-    _, u_min = umin_mid
-    with pytest.raises(RegimeError):
-        find_second_solution(params0, op400, form400, u_min)
-    params, _ = umin_mid
+    params, u_min = umin_mid
     with pytest.raises(ParameterError, match="unknown method 'bogus'"):
         find_second_solution(params, op400, form400, u_min, method="bogus")
     for seed in (-1, 1.5, None, True, "0"):
