@@ -139,6 +139,8 @@ def pairing(u, xi, params, op):
     RegimeError
         If u carries a point singularity and p is supercritical, where
         u^p is not integrable and the pairing is meaningless.
+    ParameterError
+        If u is negative somewhere, or its pairing is not finite.
     """
     if u.singular_coeff > 0.0 and not params.subcritical:
         raise RegimeError(
@@ -150,9 +152,13 @@ def pairing(u, xi, params, op):
         raise ParameterError("pairing requires a nonnegative profile")
     w = op.grid.weights
     tot_pos = np.maximum(total, 0.0)
-    return float(
-        w @ (total * xi.laplacian_alpha) - w @ (tot_pos**params.p * xi.values)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(
+            w @ (total * xi.laplacian_alpha) - w @ (tot_pos**params.p * xi.values)
+        )
+    if not np.isfinite(value):
+        raise ParameterError(f"the profile's pairing is {value}, not a finite number")
+    return value
 
 
 def estimate_k(u, params, op, battery=None):

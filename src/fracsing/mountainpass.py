@@ -19,8 +19,9 @@ and A itself is never formed (DiscreteHAlphaForm).  The search runs a
 maximize-then-descend path deformation on Green images, whose A-products
 are weighted dots of their densities, with a Newton polish,
 cross-checked by a deflated Newton iteration that removes the trivial
-root v = 0, and certifies the mountain-pass geometry by sampling the
-energy on an A-sphere of verified radius.
+root v = 0 and starts from the energy maximum on the initial ray, and
+certifies the mountain-pass geometry by sampling the energy on an
+A-sphere of verified radius.
 """
 
 from __future__ import annotations
@@ -538,26 +539,21 @@ def _newton(v, u_total, op, params, max_steps, mass=None):
     40 products y - G[f' y], to relative residual 1e-13 in the 2-norm.  J
     is the identity plus a compact operator, so GMRES converges
     superlinearly (Campbell, Ipsen, Kelley & Meyer 1996, BIT 36): on a
-    measured `branch` round (both n=800 operators, 499 steps) a step
-    takes a median of 11 products and at most 29.  A step whose iterate
+    measured `branch` round (both n=800 operators, 222 steps) a step
+    takes a median of 11 products and at most 14.  A step whose iterate
     misses 1e-13 is taken as the cycle leaves it, an inexact Newton step
     (Dembo, Eisenstat & Steihaug 1982, SIAM J. Numer. Anal. 19) that the
-    backtracking guards.  Those are the ill-conditioned steps, cond(J)
-    of 4e4 to 1e7, 14 steps of that round, all in deflated searches:
-    1e-13 lies below their attainable floor, their true relative
-    residual is 1.3e-13 to 6.6e-11 and that of a dense LU solve of J
-    1.0e-13 to 6.5e-11.  The tolerance is tight because at 1e-12 a
-    deflated search of that round that converges (N=3, k = 0.75 k_lo)
-    stagnated instead.  The residual of the accepted line-search trial
-    is the next step's residual; it is not evaluated again.
+    backtracking guards; 1e-13 lies below the attainable floor once
+    cond(J) nears 1e5, on iterates far from a root.  No step of that
+    round, nor of 106 deflated searches on held-out k, misses it by more
+    than rounding.  The residual of the accepted line-search trial is
+    the next step's residual; it is not evaluated again.
 
     The iteration also stops as stagnated once its residual has not
     halved over the last 30 steps.  A deflated search that converges
-    does so quadratically from its basin (on the `branch` operators and
-    a 96-sample grid of k, at most 43 steps, and every 30-step window
-    cuts the residual by a factor of at least 45); one that crawls, with
-    the residual flat for thousands of steps, would spend its whole
-    budget.
+    does so quadratically from its start (on the `branch` operators, in
+    at most 8 steps at 106 held-out k); one that crawls, with the
+    residual flat for thousands of steps, would spend its whole budget.
     """
     name = "Newton polish" if mass is None else "deflated Newton"
     trace = []
@@ -599,29 +595,26 @@ def _newton(v, u_total, op, params, max_steps, mass=None):
     raise SecondSolutionNotFound(f"{name} exhausted {max_steps} steps", trace)
 
 
-def _deflated_newton(u_total, op, form, params, t0):
-    """Deflated Newton from 10 u_min, then, if that start fails, once more
-    from the mountain pass's endpoint t0 * form.ray.
+def _ray_maximum(u_total, form, params, t0):
+    """The ray length t_N in (0, t0) that maximizes E(t * form.ray): the
+    deflated Newton start, as in Choi & McKenna 1993 (Nonlinear Anal. 20).
 
-    Either start alone fails on some k where the other succeeds.  The
-    trace holds the rows of every attempt made, numbered on; so does
-    the error raised when both fail.
+    E(t ray) = t^2/2 - int F(u, t ray) for the positive, A-unit ray, so
+    dE/dt = t - (mass ray) . f(u, t ray) needs no Green product.  F is
+    superquadratic and sigma1 > 1 gives E''(0) > 0, so dE/dt is positive
+    near 0, changes sign once, at the Nehari manifold (Szulkin & Weth
+    2010), and is negative at t0, where E <= 0.  30 halvings on its sign
+    place t_N within t0 / 2^30.
     """
-    trace, failures = [], []
-    for start in (10.0 * u_total, t0 * form.ray):
-        try:
-            vals, rows = _newton(start, u_total, op, params, _MAX_STEPS, form.mass)
-        except SecondSolutionNotFound as exc:
-            vals, rows = None, exc.trace
-            failures.append(str(exc))
-        first = len(trace)
-        trace.extend((first + i, None, r) for i, _, r in rows)
-        if vals is not None:
-            return vals, trace
-    raise SecondSolutionNotFound(
-        f"{failures[0]} from 10 u_min, and {failures[1]} from the ray endpoint",
-        trace,
-    )
+    weighted = form.mass * form.ray
+    lo, hi = 0.0, t0
+    for _ in range(30):
+        t = 0.5 * (lo + hi)
+        if t > float(weighted @ power_increment(u_total, t * form.ray, params.p)):
+            lo = t
+        else:
+            hi = t
+    return 0.5 * (lo + hi)
 
 
 def find_second_solution(
@@ -646,8 +639,8 @@ def find_second_solution(
         Converged minimal solution at params.
     method : str
         "MountainPassAlgorithm" (path deformation + Newton polish) or
-        "DeflatedNewton" (deflated root search started from 10 * u_min,
-        and from the mountain pass's ray endpoint if that start fails).
+        "DeflatedNewton" (deflated root search started from the energy
+        maximum on the mountain pass's ray).
     seed : int
         Non-negative seed of the geometry-certification directions; the
         directions of each seed are built once and kept on the form.
@@ -690,7 +683,8 @@ def find_second_solution(
     if method == "MountainPassAlgorithm":
         vals, trace = _run_mountain_pass(u_total, op, form, params, t0)
     else:
-        vals, trace = _deflated_newton(u_total, op, form, params, t0)
+        start = _ray_maximum(u_total, form, params, t0) * form.ray
+        vals, trace = _newton(start, u_total, op, params, _MAX_STEPS, form.mass)
 
     scale = float(np.max(np.abs(vals)))
     if scale <= 1e-10:

@@ -174,6 +174,24 @@ def test_classify_missing_profile_exits_1(tmp_path):
     assert rc == 1
 
 
+# As an error, a numpy warning on the overflow fails the test.
+@pytest.mark.filterwarnings("error")
+def test_classify_an_overflowing_profile_exits_1_with_one_line(
+    solve_dir, tmp_path, capsys
+):
+    # A singular part of 1e300 overflows u^p in the test-function pairing.
+    first, rest = (solve_dir / "solve.csv").read_text().split("\n", 1)
+    head = json.loads(first[2:])
+    head["singular_coeff"] = 1e300
+    profile = tmp_path / "big.csv"
+    profile.write_text("# " + json.dumps(head) + "\n" + rest)
+    out = tmp_path / "out"
+    assert cli.main(["classify", str(profile), "-o", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "pairing is nan, not a finite number" in line
+    assert not out.exists()
+
+
 def test_classify_rejects_another_grid_before_assembly(
     solve_dir, tmp_path, capsys, monkeypatch
 ):

@@ -36,6 +36,7 @@ from fracsing.mountainpass import (
     _newton,
     _newton_step,
     _pass_geometry,
+    _ray_maximum,
     build_form,
     energy,
     find_second_solution,
@@ -409,7 +410,7 @@ def test_direction_ensemble_is_built_once_per_seed(
 def test_krylov_step_matches_the_lu_step(umin_mid, op400, second_mid):
     params, u_min = umin_mid
     u_total = u_min.total
-    # The deflated-Newton start and the second solution itself.
+    # An iterate far from any root, and the second solution itself.
     for v in (10.0 * u_total, second_mid.v.values):
         resid = _gradient_values(v, u_total, op400, params)
         vp = np.maximum(v, 0.0)
@@ -564,26 +565,64 @@ def test_a_crawling_newton_iteration_stops_as_stagnated(
     assert residuals[30] > 0.5 * residuals[0]
 
 
-def test_deflated_newton_retries_from_the_ray_endpoint(
-    params0, op400, form400, bracket400
+def test_deflated_newton_starts_at_the_energy_maximum_on_the_ray(
+    umin_mid, op400, form400
 ):
-    # At 0.97 k_lo the start 10 u_min stagnates at a residual of about
-    # 1e2; the search from the mountain pass's endpoint t0 ray finds the
-    # mountain-pass solution.
-    params = params0.with_k(0.97 * bracket400.k_lo)
-    u_min = iterate_minimal(params, op400, tol=1e-10, max_iter=4000).profile
-    u_total = u_min.total
-    with pytest.raises(SecondSolutionNotFound, match="stagnated") as info:
-        _newton(10.0 * u_total, u_total, op400, params, 2000, form400.mass)
-    first = info.value.trace
+    # dE/dt along the ray changes sign once, at t_N, where E(t ray) peaks,
+    # and the deflated search's first row is the residual at t_N ray.
+    params, u_min = umin_mid
+    u_total, ray = u_min.total, form400.ray
+    t0 = _negative_endpoint(u_total, form400, params)
+    t_n = _ray_maximum(u_total, form400, params, t0)
+    assert 0.0 < t_n < t0
+    ts = np.linspace(0.0, t0, 401)[1:]
+    slope = [
+        t - float((form400.mass * ray) @ power_increment(u_total, t * ray, params.p))
+        for t in ts
+    ]
+    assert all((d > 0.0) == (t < t_n) for t, d in zip(ts, slope))
+    peak = _energy_values(t_n * ray, u_total, form400, params)
+    assert all(_energy_values(t * ray, u_total, form400, params) <= peak for t in ts)
+    dn = find_second_solution(params, op400, form400, u_min, method="DeflatedNewton")
+    first = _gradient_values(t_n * ray, u_total, op400, params)
+    assert dn.trace[0] == (0, None, float(np.max(np.abs(first))))
+
+
+def test_deflated_newton_at_0_55_k_lo(params0, op400, form400, bracket400):
+    # Here deflated searches from 10 u_min and from the ray endpoint t0 ray
+    # both stagnate at residuals of about 13; from the ray's energy maximum
+    # the search converges in a few rows onto the mountain-pass solution.
+    params = params0.with_k(0.55 * bracket400.k_lo)
+    u_min = iterate_minimal(params, op400).profile
     dn = find_second_solution(params, op400, form400, u_min, method="DeflatedNewton")
     mp = find_second_solution(params, op400, form400, u_min)
+    assert len(dn.trace) <= 8
     assert np.max(np.abs(dn.v.values - mp.v.values)) <= 1e-8
     assert dn.energy >= dn.level_lower_bound
-    # The trace holds both attempts, numbered on.
-    assert [row[0] for row in dn.trace] == list(range(len(dn.trace)))
-    assert dn.trace[: len(first)] == tuple(first)
-    assert len(dn.trace) > len(first)
+
+
+def test_both_methods_agree_at_held_out_k(params0, op400, form400, bracket400):
+    # A fixed grid of k / k_lo that holds none of the bench's samples, on
+    # the desk case and on (3, 0.6, 1.5): at each k both searches succeed
+    # and find the same v.
+    n3 = ProblemParams(dim=3, alpha=0.6, p=1.5, k=0.0)
+    op3 = assemble(default_grid(n3, n_nodes=200), n3)
+    cases = [
+        (params0, op400, form400, bracket400.k_lo),
+        (n3, op3, build_form(op3), find_kstar(n3, op3).k_lo),
+    ]
+    gaps = {}
+    for params, op, form, k_lo in cases:
+        for fraction in (0.05, 0.35, 0.55, 0.61, 0.85, 0.99):
+            at = params.with_k(fraction * k_lo)
+            report = iterate_minimal(at, op)
+            assert report.status == "Converged"
+            mp, dn = (
+                find_second_solution(at, op, form, report.profile, method=method)
+                for method in ("MountainPassAlgorithm", "DeflatedNewton")
+            )
+            gaps[params.dim, fraction] = np.max(np.abs(dn.v.values - mp.v.values))
+    assert max(gaps.values()) <= 1e-8, gaps
 
 
 def test_mountain_pass_finds_its_endpoint_once(umin_mid, op400, form400, monkeypatch):
