@@ -562,7 +562,8 @@ class _Command(NamedTuple):
     """A subcommand: its computation and what the driver does around it.
 
     A supercritical p is rejected up front, with consequence as the reason
-    (no check if None; with point_mass, only when k > 0).  read parses the
+    (no check if None; with point_mass, only when k > 0; with ground_state,
+    at k = 0 against the Sobolev exponent).  read parses the
     input and returns (config built on it, parsed input, the input's
     bytes), which the driver writes verbatim to the file named echo.
     flags are the command's own (flag, argparse options) pairs.
@@ -573,6 +574,7 @@ class _Command(NamedTuple):
     consequence: str | None = None
     flags: tuple = ()
     point_mass: bool = False
+    ground_state: bool = False
     read: Callable | None = None
     echo: str | None = None
 
@@ -605,6 +607,7 @@ _COMMANDS = {
         "second solution above the minimal one",
         "no second solution exists",
         (_METHOD,),
+        ground_state=True,
     ),
     "classify": _Command(
         _classify,
@@ -633,7 +636,7 @@ def _run(name, cfg, args):
     with command and provenance, and with --emit-plots the first table in
     long form as <stem>_long.csv, of kind "<its kind>-long".
     """
-    from .core import RegimeError, write_atomic
+    from .core import write_atomic
     from .picard import first_eigenpair
 
     command = _COMMANDS[name]
@@ -641,13 +644,9 @@ def _run(name, cfg, args):
     if command.read is not None:
         cfg, source, raw = command.read(args)
     params = _problem(cfg)
-    checked = command.consequence and (params.k > 0.0 or not command.point_mass)
-    if checked and not params.subcritical:
-        raise RegimeError(
-            f"supercritical regime: p = {params.p:g} is at or above the "
-            f"critical exponent N/(N - 2 alpha) = {params.critical_p:.6g} "
-            f"for N = {params.dim}, alpha = {params.alpha:g}; {command.consequence}"
-        )
+    if command.consequence and (params.k > 0.0 or not command.point_mass):
+        sourceless = command.ground_state and params.k == 0.0
+        params.check_exponent(command.consequence, sourceless)
     op = _operator(cfg, params)
     eigenpair = first_eigenpair(op)
     prov = _provenance(cfg, params, op, eigenpair["lambda1"])

@@ -158,6 +158,23 @@ class ProblemParams:
         """True iff p < N/(N-2*alpha), the regime admitting k > 0."""
         return self.p < self.critical_p
 
+    def check_exponent(self, consequence, ground_state=False):
+        """Raise RegimeError, with consequence as the reason, unless p lies
+        below N/(N - 2*alpha), or with ground_state below the Sobolev
+        exponent (N + 2*alpha)/(N - 2*alpha): at or above it the problem
+        without a source has no positive solution on a star-shaped domain
+        (Ros-Oton & Serra 2014, ARMA 213)."""
+        name, bound = "critical exponent N/(N - 2 alpha)", self.critical_p
+        if ground_state:
+            name = "Sobolev exponent (N + 2 alpha)/(N - 2 alpha)"
+            bound = (self.dim + 2.0 * self.alpha) / (self.dim - 2.0 * self.alpha)
+        if not self.p < bound:
+            raise RegimeError(
+                f"supercritical regime: p = {self.p:g} is at or above the "
+                f"{name} = {bound:.6g} for N = {self.dim}, "
+                f"alpha = {self.alpha:g}; {consequence}"
+            )
+
     @property
     def singular_exponent(self):
         """Exponent 2*alpha - N of the fundamental-solution profile."""

@@ -15,13 +15,13 @@ are exactly such solutions.  The discrete quadratic form ||v||_alpha^2 is
 realized as v' A v with A the inverse of the weighted Green matrix, which
 makes the A-gradient of E equal to the fixed-point residual
 v - G_alpha[(u+v_+)^p - u^p]: descent directions need no linear solve,
-and A itself is never formed (DiscreteHAlphaForm).  The search runs a
-maximize-then-descend path deformation on Green images, whose A-products
-are weighted dots of their densities, with a Newton polish,
-cross-checked by a deflated Newton iteration that removes the trivial
-root v = 0 and starts from the energy maximum on the initial ray, and
-certifies the mountain-pass geometry by sampling the energy on an
-A-sphere of verified radius.
+and A itself is never formed (DiscreteHAlphaForm).  Both searches end in
+one Newton iteration that deflates the trivial root v = 0.  The
+mountain-pass search starts it from the maximum of a path deformed by 15
+maximize-then-descend steps on Green images, whose A-products are
+weighted dots of their densities; the cross-check starts it from the
+energy maximum on the initial ray.  The pass geometry is certified by
+sampling the energy on an A-sphere of verified radius.
 """
 
 from __future__ import annotations
@@ -54,11 +54,11 @@ _KRYLOV_CAP = 40
 _EPS = float(np.finfo(float).eps)
 # Search settings: floor of the sup-norm residual of the returned critical
 # point (_newton stops at 64 eps max|v| above it, the rounding of large v),
-# gradient A-norm at which the path deformation hands over to the Newton
-# polish, path resolution, and the step budget of each search.
+# path resolution, path maxima the deformation evaluates (it moves all but
+# the last) and the step budget of the Newton iteration.
 _FP_TOL = 1e-10
-_GRAD_TOL = 1e-3
 _PATH_SEGMENTS = 20
+_PATH_STEPS = 15
 _MAX_STEPS = 2000
 # A Newton iteration whose residual has not halved over this many steps
 # is crawling and stops as stagnated (see _newton).
@@ -249,10 +249,10 @@ class MountainPassResult:
     v is the perturbation, energy its E-level, level_lower_bound the
     certified pass level beta, second_solution the profile u + v.  trace
     rows record (step, energy, norm) along the search, with steps
-    numbered 0, 1, 2, ...: a path-deformation row carries the energy of
-    the path maximum and the A-norm of its gradient; a Newton row (the
-    polish after the deformation, and every row of the deflated Newton
-    search) carries None and the sup-norm of the fixed-point residual.
+    numbered 0, 1, 2, ...: a path-deformation row (the first 15 of a
+    mountain-pass search) carries the energy of the path maximum and the
+    A-norm of its gradient; a deflated Newton row, which ends either
+    search, carries None and the sup-norm of the fixed-point residual.
     """
 
     v: RadialFunction
@@ -440,7 +440,9 @@ def _negative_endpoint(u_total, form, params):
 
 def _run_mountain_pass(u_total, op, form, params, t0):
     """Maximize-then-descend path deformation from 0 to the negative-energy
-    endpoint t0 * form.ray, followed by a Newton polish of the path maximum.
+    endpoint t0 * form.ray: it evaluates the path maximum 15 times, moves
+    it after each evaluation but the last unless the Armijo search finds
+    no step, and returns the last maximum and the trace rows.
 
     Beside the path the deformation keeps dens, the densities with
     path[i] = G[dens[i]], so that it makes no solve with the factor; the
@@ -460,10 +462,7 @@ def _run_mountain_pass(u_total, op, form, params, t0):
     path, dens = np.outer(ts, form.ray), np.outer(ts, density)
     inner = slice(1, _PATH_SEGMENTS)
     trace = []
-    v = path[1]
-    best = np.inf
-    stall = 0
-    for step_idx in range(_MAX_STEPS):
+    for step_idx in range(_PATH_STEPS):
         quads = np.einsum("ij,ij->i", dens[inner] * form.mass, path[inner])
         energies = 0.5 * quads - _bulk(path[inner], u_total, form, params)
         j = int(np.argmax(energies)) + 1
@@ -475,23 +474,10 @@ def _run_mountain_pass(u_total, op, form, params, t0):
         grad_sq = float((grad_dens * form.mass) @ grad)
         gnorm = math.sqrt(grad_sq)
         trace.append((step_idx, e_here, gnorm))
-        # The maximum of a continuous path stays above the pass level;
-        # a small gradient at nonpositive energy means the discrete
-        # maximum slid off the barrier, so keep deforming.
-        if gnorm <= _GRAD_TOL and e_here > 0.0:
+        if step_idx == _PATH_STEPS - 1:
             break
-        if e_here < best - 1e-9 * (1.0 + abs(best)):
-            best = e_here
-            stall = 0
-        else:
-            # The moving maximum has hit the resolution limit of the
-            # discrete path; hand the endgame to the Newton polish.
-            stall += 1
-            if stall >= 15:
-                break
         v_sq, cross = float(quads[j - 1]), float((dens[j] * form.mass) @ grad)
         step = 1.0
-        armijo_ok = False
         for _ in range(50):
             trial = v - step * grad
             quad = v_sq - 2.0 * step * cross + step**2 * grad_sq
@@ -501,38 +487,33 @@ def _run_mountain_pass(u_total, op, form, params, t0):
             ):
                 path[j] = trial
                 dens[j] -= step * grad_dens
-                armijo_ok = True
                 break
             step *= 0.5
-        if not armijo_ok:
+        else:
             break
         path, dens = _redistribute(path, dens, form.mass)
-    v, polish_trace = _newton(v, u_total, op, params, 60)
-    start = len(trace)
-    trace.extend((start + i, None, r) for i, _, r in polish_trace)
     return v, trace
 
 
 def _merit(nv2):
-    """Deflation factor m = 1 + 1/||v||_w^2 from nv2 = ||v||_w^2; 1 for None."""
-    if nv2 is None:
-        return 1.0
+    """Deflation factor m = 1 + 1/||v||_w^2 from nv2 = ||v||_w^2."""
     return 1.0 + (1.0 / nv2 if nv2 > 0.0 else np.inf)
 
 
-def _newton(v, u_total, op, params, max_steps, mass=None):
-    """Newton iteration on the fixed-point residual R(v) from v.
+def _newton(v, u_total, op, params, mass, trace):
+    """Deflated Newton iteration on the fixed-point residual R(v) from v.
 
-    Without mass this is the plain polish of a warm start.  With the
-    quadrature weights as mass the trivial root is deflated away
+    mass, the quadrature weights, deflates the trivial root away
     (Farrell, Birkisson & Funke 2015): the merit residual is m(v) R(v)
     with m(v) = 1 + 1/||v||_w^2, the Newton step is the plain step
     rescaled by 1/(1 - grad(m).delta/m), which repels the iteration from
     v = 0, and an iterate that converges onto v = 0 is rejected.  Each
-    step backtracks on the merit residual; trace rows are
-    (step, None, sup-norm residual).  The iteration stops at a sup-norm
-    residual of max(1e-10, 64 eps max|v|): where v is large (p near 1) a
-    few ulps of max|v| exceed 1e-10, and no step can go below them.
+    step backtracks on the merit residual.  The iteration appends its
+    rows (step, None, sup-norm residual) to trace, numbered on from the
+    rows already there, so a failure carries the whole search's trace.
+    It stops at a sup-norm residual of max(1e-10, 64 eps max|v|): where v
+    is large (p near 1) a few ulps of max|v| exceed 1e-10, and no step
+    can go below them.
 
     The plain step solves J delta = -R(v), J = I - G diag(f'(u, v_+)),
     without forming J: one GMRES cycle from zero (_newton_step), at most
@@ -555,26 +536,25 @@ def _newton(v, u_total, op, params, max_steps, mass=None):
     at most 8 steps at 106 held-out k); one that crawls, with the
     residual flat for thousands of steps, would spend its whole budget.
     """
-    name = "Newton polish" if mass is None else "deflated Newton"
-    trace = []
+    first = len(trace)
     resid = _gradient_values(v, u_total, op, params)
-    for it in range(max_steps):
+    for it in range(_MAX_STEPS):
         rnorm = float(np.max(np.abs(resid)))
-        nv2 = None if mass is None else float(mass @ v**2)
-        trace.append((it, None, rnorm))
+        nv2 = float(mass @ v**2)
+        trace.append((first + it, None, rnorm))
         if rnorm <= max(_FP_TOL, 64.0 * _EPS * float(np.max(np.abs(v)))):
-            if nv2 is not None and nv2 <= 1e-16:
+            if nv2 <= 1e-16:
                 raise SecondSolutionNotFound(
                     "deflated iteration collapsed onto the trivial root", trace
                 )
-            return v, trace
-        if it >= _CRAWL_STEPS and rnorm > 0.5 * trace[it - _CRAWL_STEPS][2]:
+            return v
+        if it >= _CRAWL_STEPS and rnorm > 0.5 * trace[-1 - _CRAWL_STEPS][2]:
             raise SecondSolutionNotFound(
-                f"{name} stagnated at residual {rnorm:.3e}", trace
+                f"deflated Newton stagnated at residual {rnorm:.3e}", trace
             )
         delta = _newton_step(v, u_total, op, params, resid)
         merit = _merit(nv2)
-        if nv2 is not None and nv2 > 0.0:
+        if nv2 > 0.0:
             grad_m = -2.0 / nv2**2 * (mass * v)
             denom = 1.0 - float(grad_m @ delta) / merit
             if abs(denom) > 1e-12:
@@ -582,7 +562,7 @@ def _newton(v, u_total, op, params, max_steps, mass=None):
         step = 1.0
         for _ in range(40):
             trial = v + step * delta
-            tmerit = _merit(None if mass is None else float(mass @ trial**2))
+            tmerit = _merit(float(mass @ trial**2))
             tresid = _gradient_values(trial, u_total, op, params)
             if tmerit * float(np.max(np.abs(tresid))) < merit * rnorm:
                 v, resid = trial, tresid
@@ -590,9 +570,9 @@ def _newton(v, u_total, op, params, max_steps, mass=None):
             step *= 0.5
         else:
             raise SecondSolutionNotFound(
-                f"{name} stagnated at residual {rnorm:.3e}", trace
+                f"deflated Newton stagnated at residual {rnorm:.3e}", trace
             )
-    raise SecondSolutionNotFound(f"{name} exhausted {max_steps} steps", trace)
+    raise SecondSolutionNotFound(f"deflated Newton exhausted {_MAX_STEPS} steps", trace)
 
 
 def _ray_maximum(u_total, form, params, t0):
@@ -638,9 +618,9 @@ def find_second_solution(
     u_min : RadialFunction
         Converged minimal solution at params.
     method : str
-        "MountainPassAlgorithm" (path deformation + Newton polish) or
-        "DeflatedNewton" (deflated root search started from the energy
-        maximum on the mountain pass's ray).
+        Where the deflated Newton iteration starts: "MountainPassAlgorithm"
+        at the maximum of the deformed path, "DeflatedNewton" at the
+        energy maximum on the mountain pass's ray.
     seed : int
         Non-negative seed of the geometry-certification directions; the
         directions of each seed are built once and kept on the form.
@@ -658,9 +638,10 @@ def find_second_solution(
         than op; checked before any computation.
     RegimeError
         If u_min is not strictly stable (k at or beyond the extremal
-        value: no second solution exists).
+        value) or, at k = 0, p is at or above the Sobolev exponent
+        (N + 2 alpha)/(N - 2 alpha): no second solution exists.
     SecondSolutionNotFound
-        If the search budget is exhausted; carries the search trace.
+        If no certified critical point is found; carries the trace.
     """
     if method not in ("MountainPassAlgorithm", "DeflatedNewton"):
         raise ParameterError(f"unknown method {method!r}")
@@ -670,6 +651,8 @@ def find_second_solution(
         raise ParameterError("the energy form was built on another operator")
     if not np.array_equal(u_min.grid.nodes, op.grid.nodes):
         raise ParameterError("u_min lives on another grid than op")
+    if params.k == 0.0:
+        params.check_exponent("no second solution exists", ground_state=True)
     stab = sigma1(u_min, params, op)
     if not stab.sigma1 > 1.0:
         raise RegimeError(
@@ -681,17 +664,12 @@ def find_second_solution(
     t0 = _negative_endpoint(u_total, form, params)
 
     if method == "MountainPassAlgorithm":
-        vals, trace = _run_mountain_pass(u_total, op, form, params, t0)
+        start, trace = _run_mountain_pass(u_total, op, form, params, t0)
     else:
-        start = _ray_maximum(u_total, form, params, t0) * form.ray
-        vals, trace = _newton(start, u_total, op, params, _MAX_STEPS, form.mass)
+        start, trace = _ray_maximum(u_total, form, params, t0) * form.ray, []
+    vals = _newton(start, u_total, op, params, form.mass, trace)
 
-    scale = float(np.max(np.abs(vals)))
-    if scale <= 1e-10:
-        raise SecondSolutionNotFound(
-            "search converged to the trivial critical point", trace
-        )
-    if float(np.min(vals)) < -1e-8 * scale:
+    if float(np.min(vals)) < -1e-8 * float(np.max(np.abs(vals))):
         raise SecondSolutionNotFound(
             f"critical point lost nonnegativity (min {np.min(vals):.3e})", trace
         )

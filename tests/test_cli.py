@@ -722,6 +722,29 @@ def test_failed_solve_writes_no_file(tmp_path, monkeypatch):
     assert os.listdir(out) == []
 
 
+def test_mountain_pass_without_a_source_admits_p_below_the_sobolev_exponent(
+    tmp_path, capsys, monkeypatch
+):
+    # At k = 0 the bound is (N + 2 alpha)/(N - 2 alpha) = 7, not
+    # N/(N - 2 alpha) = 4: p = 5 finds the ground state, and p = 7 is
+    # rejected before any operator is built.
+    base = ["mountain-pass", "--k", "0", "--n-nodes", "200"]
+    assert cli.main(base + ["--p", "5", "-o", str(tmp_path / "p5")]) == 0
+    payload = json.loads((tmp_path / "p5" / "mountain_pass.json").read_text())
+    assert payload["energy"] >= payload["level_lower_bound"] > 0.0
+    capsys.readouterr()
+
+    def no_operator(*args, **kwargs):
+        raise AssertionError("an operator was loaded or assembled")
+
+    monkeypatch.setattr(green, "assemble", no_operator)
+    monkeypatch.setattr(green, "load_operator", no_operator)
+    assert cli.main(base + ["--p", "7", "-o", str(tmp_path / "p7")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "p = 7 is at or above the Sobolev exponent" in line
+    assert not (tmp_path / "p7").exists()
+
+
 def test_supercritical_source_exits_2(tmp_path):
     rc = cli.main(
         [

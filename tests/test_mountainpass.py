@@ -24,6 +24,7 @@ from fracsing.core import (
     ParameterError,
     ProblemParams,
     RadialFunction,
+    RegimeError,
     SecondSolutionNotFound,
 )
 from fracsing.green import assemble, default_grid
@@ -528,37 +529,40 @@ def test_krylov_step_is_exact_after_one_product_without_fprime(
     )
 
 
-def test_newton_loop_with_and_without_deflation(umin_mid, op400, form400):
+def test_deflated_newton_loop_exhausts_its_budget_and_rejects_v_zero(
+    umin_mid, op400, form400, monkeypatch
+):
     params, u_min = umin_mid
     u_total = u_min.total
-    start = 10.0 * u_total
-    for mass, name in ((None, "Newton polish"), (form400.mass, "deflated Newton")):
-        message = f"{name} exhausted 1 steps"
-        with pytest.raises(SecondSolutionNotFound, match=message) as info:
-            _newton(start, u_total, op400, params, 1, mass)
-        (row,) = info.value.trace
-        assert row[:2] == (0, None) and row[2] > 1e-10
-    # v = 0 is a root: the polish accepts it, the deflated search rejects it.
+    monkeypatch.setattr(mountainpass, "_MAX_STEPS", 1)
+    message = "deflated Newton exhausted 1 steps"
+    with pytest.raises(SecondSolutionNotFound, match=message) as info:
+        _newton(10.0 * u_total, u_total, op400, params, form400.mass, [])
+    (row,) = info.value.trace
+    assert row[:2] == (0, None) and row[2] > 1e-10
+    # v = 0 is a root of the residual; the deflated loop rejects it.
     zero = np.zeros(op400.n)
-    v, rows = _newton(zero, u_total, op400, params, 5)
-    assert not v.any() and rows == [(0, None, 0.0)]
-    with pytest.raises(SecondSolutionNotFound, match="collapsed onto the trivial root"):
-        _newton(zero, u_total, op400, params, 5, form400.mass)
+    message = "collapsed onto the trivial root"
+    with pytest.raises(SecondSolutionNotFound, match=message) as info:
+        _newton(zero, u_total, op400, params, form400.mass, [])
+    assert info.value.trace == [(0, None, 0.0)]
 
 
 def test_a_crawling_newton_iteration_stops_as_stagnated(
-    umin_mid, op400, monkeypatch
+    umin_mid, op400, form400, monkeypatch
 ):
     # Steps of 1% of the residual cut it by about 1% each, accepted by
     # the line search every time; it halves only after some 70 steps, so
     # the iteration stops after 30 steps instead of its budget of 200.
     params, u_min = umin_mid
     u_total = u_min.total
+    monkeypatch.setattr(mountainpass, "_MAX_STEPS", 200)
     monkeypatch.setattr(
         mountainpass, "_newton_step", lambda v, u, op, params, resid: -0.01 * resid
     )
-    with pytest.raises(SecondSolutionNotFound, match="Newton polish stagnated") as info:
-        _newton(u_total, u_total, op400, params, 200)
+    message = "deflated Newton stagnated"
+    with pytest.raises(SecondSolutionNotFound, match=message) as info:
+        _newton(u_total, u_total, op400, params, form400.mass, [])
     residuals = [row[2] for row in info.value.trace]
     assert len(residuals) == 31
     assert residuals == sorted(residuals, reverse=True)
@@ -599,6 +603,25 @@ def test_deflated_newton_at_0_55_k_lo(params0, op400, form400, bracket400):
     assert len(dn.trace) <= 8
     assert np.max(np.abs(dn.v.values - mp.v.values)) <= 1e-8
     assert dn.energy >= dn.level_lower_bound
+
+
+def test_mountain_pass_ends_off_the_trivial_point_at_n3_alpha04():
+    # The deformed path's maximum (max 2.1) lies far below the second
+    # solution (max 35.7), nearer the trivial root v = 0; the deflated
+    # iteration from it is repelled from v = 0 and finds the solution
+    # that deflated Newton finds from the ray.
+    params = ProblemParams(dim=3, alpha=0.4, p=1.3, k=0.0)
+    op = assemble(default_grid(params, n_nodes=200), params)
+    params = params.with_k(0.97 * find_kstar(params, op).k_lo)
+    u_min = iterate_minimal(params, op).profile
+    form = build_form(op)
+    mp, dn = (
+        find_second_solution(params, op, form, u_min, method=method)
+        for method in ("MountainPassAlgorithm", "DeflatedNewton")
+    )
+    assert sum(row[1] is not None for row in mp.trace) == 15
+    assert np.max(np.abs(mp.v.values - dn.v.values)) <= 1e-8
+    assert mp.energy >= mp.level_lower_bound > 0.0
 
 
 def test_both_methods_agree_at_held_out_k(params0, op400, form400, bracket400):
@@ -684,16 +707,23 @@ def test_second_solution_energy_level(second_mid):
     assert float(np.max(res.v.values)) == pytest.approx(4.046065135890392, rel=1e-8)
 
 
-def test_second_solution_trace_records_the_descent(second_mid):
+def test_second_solution_trace_records_the_descent(
+    second_mid, umin_mid, op400, form400, monkeypatch
+):
+    # 15 path-deformation rows carry the energy of the path maximum; the
+    # deflated Newton rows after them carry none and number on.
     rows = second_mid.trace
-    assert len(rows) >= 2
     assert all(len(row) == 3 for row in rows)
-    steps = [row[0] for row in rows]
-    assert steps == list(range(len(rows)))
-    # Polish tail rows carry no energy but a shrinking residual.
-    tail = [row for row in rows if row[1] is None]
-    assert tail
-    assert tail[-1][2] <= 1e-10
+    assert [row[0] for row in rows] == list(range(len(rows)))
+    assert all(row[1] is not None for row in rows[:15])
+    assert len(rows) > 15 and all(row[1] is None for row in rows[15:])
+    assert rows[-1][2] <= 1e-10
+    # A Newton iteration that fails keeps the deformation's rows.
+    params, u_min = umin_mid
+    monkeypatch.setattr(mountainpass, "_MAX_STEPS", 1)
+    with pytest.raises(SecondSolutionNotFound, match="exhausted 1 steps") as info:
+        find_second_solution(params, op400, form400, u_min, seed=0)
+    assert tuple(info.value.trace) == rows[:16]
 
 
 def test_finite_difference_criticality(second_mid, umin_mid, op400, form400, rng):
@@ -750,6 +780,23 @@ def test_second_solution_without_a_source_is_the_ground_state(
     diff = float(np.max(np.abs(w0[0].v.values - w0[1].v.values)))
     assert diff <= 1e-8
     assert w0[0].energy == pytest.approx(w0[1].energy, abs=1e-8)
+
+
+def test_search_without_a_source_rejects_p_at_the_sobolev_exponent(
+    params0, op400, form400, monkeypatch
+):
+    # No positive solution of (-Delta)^alpha w = w^p exists at or above
+    # (N + 2 alpha)/(N - 2 alpha) = 7 on the ball: the search raises
+    # before it computes, with no RuntimeWarning (an error under pytest).
+    def no_sigma1(*args, **kwargs):
+        raise AssertionError("sigma1 ran before the exponent was checked")
+
+    monkeypatch.setattr(mountainpass, "sigma1", no_sigma1)
+    params = dataclasses.replace(params0, p=12.0)
+    u_min = RadialFunction(op400.grid, np.zeros(op400.n))
+    for method in ("MountainPassAlgorithm", "DeflatedNewton"):
+        with pytest.raises(RegimeError, match="Sobolev exponent .* = 7 "):
+            find_second_solution(params, op400, form400, u_min, method=method)
 
 
 def test_search_requires_a_known_method_and_seed(
