@@ -56,17 +56,20 @@ class Keeps:
     """Mixin for a frozen dataclass that keeps values derived from it.
 
     _memo(key, build) returns build(), computed once per instance and
-    kept under key.  The value lives in the instance __dict__, where
-    functools.cached_property keeps its values, so a frozen instance can
-    hold what is derived from its arrays; the arrays are never written
-    in place, and dataclasses.replace gives a new instance with nothing
-    kept.  If build raises, nothing is kept.
+    kept under key, read-only if an array.  The value lives in the
+    instance __dict__, where functools.cached_property keeps its values,
+    so a frozen instance can hold what is derived from its arrays; the
+    arrays are never written in place, and dataclasses.replace gives a
+    new instance with nothing kept.  If build raises, nothing is kept.
     """
 
     def _memo(self, key, build):
         memo = self.__dict__.setdefault("_kept", {})
         if key not in memo:
-            memo[key] = build()
+            value = build()
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            memo[key] = value
         return memo[key]
 
 
@@ -314,7 +317,7 @@ def _origin_window(grid):
 
 
 @dataclass(frozen=True)
-class RadialFunction:
+class RadialFunction(Keeps):
     """Radial profile sampled on a grid plus an explicit singular part.
 
     The represented function is
@@ -322,7 +325,8 @@ class RadialFunction:
         u(r_i) = values[i] + singular_coeff * r_i**singular_exponent,
 
     so a nonzero singular_coeff carries the r^(2*alpha-N) blow-up exactly
-    instead of sampling it; nonlinear algebra acts on the total.
+    instead of sampling it; nonlinear algebra acts on the total.  It
+    keeps its stability report per p and operator (Keeps, sigma1).
     """
 
     grid: RadialGrid

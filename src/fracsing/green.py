@@ -407,7 +407,6 @@ class GreenOperator(Keeps):
             raise ConvergenceError(
                 "symmetrized Green matrix is not positive definite"
             ) from exc
-        factor.setflags(write=False)
         return factor
 
 
@@ -660,18 +659,23 @@ def measured_c2(params, op):
     """Measured comparison constant sup_r G_alpha[g^p](r) / g(r), g = G_alpha[delta_0].
 
     The finite supremum exists in the subcritical regime and feeds the
-    barrier certificate of the minimal-solution iteration.  Raises
-    RegimeError for a supercritical p and ParameterError if params has
-    another dim or alpha than op.
+    barrier certificate of the minimal-solution iteration.  Its Green
+    product is kept on op (_dirac_power_image), so only the first call
+    per p makes one.  Raises RegimeError for a supercritical p and
+    ParameterError if params has another dim or alpha than op.
     """
     if not params.subcritical:
         raise RegimeError(
             f"composition bound requires p < {params.critical_p:.6g}, got {params.p}"
         )
     op.check_params(params)
-    g = op.dirac_column
-    composed = op.apply(g**params.p)
-    return float(np.max(composed / g))
+    return float(np.max(_dirac_power_image(op, params.p) / op.dirac_column))
+
+
+def _dirac_power_image(op, p):
+    """G_alpha[g^p] at the nodes, g = op.dirac_column: one Green product,
+    kept on op per p; measured_c2 and iterate_minimal's barrier read it."""
+    return op._memo(("dirac_power_image", p), lambda: op.apply(op.dirac_column**p))
 
 
 def _checksum(spec, matrix):

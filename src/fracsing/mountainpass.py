@@ -147,60 +147,56 @@ def build_form(op):
 
 
 def power_increment(s, t, p):
-    """Stable (s + t)^p - s^p for s >= 0 and t >= 0 elementwise.
+    """Stable (s + t)^p - s^p for s >= 0 elementwise, and 0 where t <= 0.
 
     Uses s^p * expm1(p * log1p(t/s)) to avoid cancellation when t << s
     (the relevant regime near the singular axis of the minimal
-    solution).
+    solution), and t^p where s = 0, alone where s is all zero (k = 0).
+    t may be a block of rows against the vector s; s^p is raised once,
+    on s, and np.where picks each entry's branch, so no entry is
+    gathered (the discarded ones may overflow or divide by zero unseen).
     """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
-    s, t = np.broadcast_arrays(s, t)
-    out = np.zeros(s.shape)
-    zero_s = s == 0.0
-    pos = (t > 0.0) & ~zero_s
-    out[pos] = s[pos] ** p * np.expm1(p * np.log1p(t[pos] / s[pos]))
-    out[zero_s & (t > 0.0)] = t[zero_s & (t > 0.0)] ** p
-    return out
+    zero = s == 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = 0.0 if zero.all() else s**p * np.expm1(p * np.log1p(t / s))
+        if zero.any():
+            out = np.where(zero, t**p, out)
+    return np.where(t > 0.0, out, 0.0)
 
 
 def increment_primitive(s, t, p):
-    """Stable F(s,t) = [(s+t)^(p+1) - s^(p+1) - (p+1) s^p t] / (p+1).
+    """Stable F(s,t) = [(s+t)^(p+1) - s^(p+1) - (p+1) s^p t] / (p+1),
+    and 0 where t <= 0.
 
-    The primitive of power_increment in t; for t/s below 1e-3 the
-    leading cancellation is evaluated by its Taylor series in t/s.
+    The primitive of power_increment in t, and run like it on whole
+    arrays; for t/s below 1e-3 the leading cancellation is evaluated by
+    its Taylor series in t/s.
     """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
-    s, t = np.broadcast_arrays(s, t)
-    out = np.zeros(s.shape)
-    tp = np.where(t > 0.0, t, 0.0)
-    zero_s = s == 0.0
-    out[zero_s] = tp[zero_s] ** (p + 1.0) / (p + 1.0)
-    pos = ~zero_s & (tp > 0.0)
-    if np.any(pos):
-        sv, tv = s[pos], tp[pos]
-        tau = tv / sv
-        small = tau < _SERIES_CUTOFF
-        res = np.empty(sv.shape)
-        if np.any(small):
-            ta = tau[small]
+    q = p + 1.0
+    zero = s == 0.0
+    out = 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if not zero.all():
+            tau = t / s
+            tau2 = tau**2
             series = (
                 p / 2.0
-                + p * (p - 1.0) / 6.0 * ta
-                + p * (p - 1.0) * (p - 2.0) / 24.0 * ta**2
+                + p * (p - 1.0) / 6.0 * tau
+                + p * (p - 1.0) * (p - 2.0) / 24.0 * tau2
             )
-            res[small] = sv[small] ** (p + 1.0) * ta**2 * series
-        big = ~small
-        if np.any(big):
-            tb = tau[big]
-            res[big] = (
-                sv[big] ** (p + 1.0)
-                * (np.expm1((p + 1.0) * np.log1p(tb)) - (p + 1.0) * tb)
-                / (p + 1.0)
+            s_q = s**q
+            out = np.where(
+                tau < _SERIES_CUTOFF,
+                s_q * tau2 * series,
+                s_q * (np.expm1(q * np.log1p(tau)) - q * tau) / q,
             )
-        out[pos] = res
-    return out
+        if zero.any():
+            out = np.where(zero, t**q / q, out)
+    return np.where(t > 0.0, out, 0.0)
 
 
 def energy(v, u_min, form, params):
@@ -294,7 +290,6 @@ def _direction_ensemble(op, form, seed):
         block = np.array(dirs)
         y = form.coordinates(block)
         block /= np.sqrt(np.einsum("ij,ij->i", y, y))[:, None]
-        block.setflags(write=False)
         return block
 
     return form._memo(("directions", seed), build)

@@ -17,12 +17,13 @@ the principal Dirichlet eigenpair used by the stability analysis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ConvergenceError, ParameterError, RadialFunction, RegimeError
-from .green import dirac_smooth_remainder, measured_c2
+from .green import _dirac_power_image, dirac_smooth_remainder, measured_c2
 
 _CEILING_FACTOR = 1e6
 _MONOTONE_SLACK = 1e-12
@@ -97,9 +98,13 @@ def barrier_certificate(params, c2_measured):
 
 
 def _source_parts(params, op):
-    """Smooth samples and singular data of k * G_alpha[delta_0]."""
+    """Smooth samples and singular data of k * G_alpha[delta_0], the
+    smooth remainder of G_alpha[delta_0] kept on op."""
     k = params.k
-    source = k * dirac_smooth_remainder(op.grid, params)
+    remainder = op._memo(
+        "dirac_smooth_remainder", lambda: dirac_smooth_remainder(op.grid, params)
+    )
+    source = k * remainder
     if k > 0.0:
         return source, k * params.c_fund, params.singular_exponent
     return source, 0.0, 0.0
@@ -148,9 +153,9 @@ def iterate_minimal(params, op, tol=1e-10, max_iter=8000):
         cert = barrier_certificate(params, measured_c2(params, op))
         certified = cert["certified"]
         if certified and k > 0.0:
-            barrier = (
-                cert["t_star"] * k**params.p * op.apply(g**params.p) + k * g
-            )
+            image = _dirac_power_image(op, params.p)
+            barrier = cert["t_star"] * k**params.p * image + k * g
+            escape = 1e-10 * (1.0 + float(np.max(barrier)))
 
     ceiling = _CEILING_FACTOR * k * float(np.max(g)) if k > 0.0 else np.inf
     sing = sing_coeff * grid.nodes**sing_exp if sing_coeff > 0.0 else 0.0
@@ -161,22 +166,26 @@ def iterate_minimal(params, op, tol=1e-10, max_iter=8000):
     last_step = np.inf
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, max_iter + 1):
-            new_vals = op.apply((vals + sing) ** params.p) + source
+            density = vals + sing
+            density **= params.p
+            new_vals = op.apply(density)
+            new_vals += source
             diff = new_vals - vals
-            step = float(np.max(np.abs(diff)))
-            # vals is finite, so a non-finite new iterate shows in the step.
-            if not np.isfinite(step):
+            rise, fall = float(diff.max()), float(diff.min())
+            # A non-finite iterate shows in an extreme; max|diff| = max(rise, -fall).
+            if not (math.isfinite(rise) and math.isfinite(fall)):
                 status = "Diverged"
                 iterations = n
                 break
+            step = max(rise, -fall)
             peak = float(np.max(np.abs(new_vals)))
-            if float(np.min(diff)) < -_MONOTONE_SLACK * (1.0 + peak):
+            if fall < -_MONOTONE_SLACK * (1.0 + peak):
                 raise ConvergenceError(
                     f"monotonicity lost at iteration {n}: quadrature fault"
                 )
             if barrier is not None:
                 excess = float(np.max(new_vals + sing - barrier))
-                if excess > 1e-10 * (1.0 + float(np.max(barrier))):
+                if excess > escape:
                     raise ConvergenceError(
                         f"certified iterate escaped the barrier by {excess:.3e}"
                     )

@@ -53,6 +53,10 @@ def sigma1(u, params, op):
     """Stability index of u by power iteration on the linearized operator,
     to a relative weighted residual of 1e-12 within 200000 steps.
 
+    The report is kept on u per p and operator, so find_second_solution
+    after its caller's sigma1 does not iterate again; the kept entry holds
+    op, so its id key cannot be reused, and nothing is kept on op.
+
     Parameters
     ----------
     u : RadialFunction
@@ -74,17 +78,14 @@ def sigma1(u, params, op):
     """
     if not u.is_nonnegative(slack=1e-12):
         raise ParameterError("stability index requires a nonnegative profile")
-    grid = op.grid
-    if np.max(np.abs(u.total)) == 0.0:
-        return StabilityReport(
-            sigma1=math.inf,
-            eigfun=RadialFunction.zero(grid),
-            gap=1.0,
-            infinite=True,
-        )
-    mu, x = _power_iteration(op, _linearized_weight(u, params))
-    eigfun = RadialFunction(grid, x)
-    return StabilityReport(sigma1=1.0 / mu, eigfun=eigfun, gap=1.0 - mu)
+
+    def report():
+        if np.max(np.abs(u.total)) == 0.0:
+            return StabilityReport(math.inf, RadialFunction.zero(op.grid), 1.0, True)
+        mu, x = _power_iteration(op, _linearized_weight(u, params))
+        return StabilityReport(1.0 / mu, RadialFunction(op.grid, x), 1.0 - mu)
+
+    return u._memo(("sigma1", params.p, id(op)), lambda: (op, report()))[1]
 
 
 def sigma1_rayleigh(u, params, op):

@@ -239,6 +239,81 @@ def test_increment_primitive_basic_shape(rng):
     )
 
 
+def _masked_power_increment(s, t, p):
+    """The kernel as it was before it ran on whole arrays: each branch
+    evaluated on the entries that a boolean mask gathers."""
+    s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
+    out = np.zeros(s.shape)
+    zero_s = s == 0.0
+    pos = (t > 0.0) & ~zero_s
+    out[pos] = s[pos] ** p * np.expm1(p * np.log1p(t[pos] / s[pos]))
+    out[zero_s & (t > 0.0)] = t[zero_s & (t > 0.0)] ** p
+    return out
+
+
+def _masked_increment_primitive(s, t, p):
+    """The primitive as it was before it ran on whole arrays."""
+    s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
+    out = np.zeros(s.shape)
+    tp = np.where(t > 0.0, t, 0.0)
+    zero_s = s == 0.0
+    out[zero_s] = tp[zero_s] ** (p + 1.0) / (p + 1.0)
+    pos = ~zero_s & (tp > 0.0)
+    sv, tau = s[pos], tp[pos] / s[pos]
+    small = tau < 1e-3
+    res = np.empty(sv.shape)
+    ta, tb = tau[small], tau[~small]
+    series = (
+        p / 2.0
+        + p * (p - 1.0) / 6.0 * ta
+        + p * (p - 1.0) * (p - 2.0) / 24.0 * ta**2
+    )
+    res[small] = sv[small] ** (p + 1.0) * ta**2 * series
+    res[~small] = (
+        sv[~small] ** (p + 1.0)
+        * (np.expm1((p + 1.0) * np.log1p(tb)) - (p + 1.0) * tb)
+        / (p + 1.0)
+    )
+    out[pos] = res
+    return out
+
+
+def _kernel_cases(rng):
+    """(s, t) pairs: vectors and (m, n) blocks against a broadcast s, with
+    s positive, partly zero and all zero, and t at ratios t/s negative,
+    zero, either side of the series cutoff 1e-3 and up to 1e12."""
+    cutoff = 1e-3
+    ratios = np.array(
+        [-5.0, -1.0, -0.5, -0.0, 0.0, 1e-300, 1e-12, 1e-6, 0.999 * cutoff,
+         np.nextafter(cutoff, 0.0), cutoff, np.nextafter(cutoff, 1.0),
+         1.001 * cutoff, 0.3, 1.0, 7.5, 1e6, 1e12]
+    )
+    n = 3 * ratios.size
+    positive = rng.uniform(1e-4, 3.0, n)
+    partly_zero = positive.copy()
+    partly_zero[::4] = 0.0
+    cases = []
+    for s in (positive, partly_zero, np.zeros(n)):
+        scale = np.where(s > 0.0, s, 1.0)
+        vector = np.resize(ratios, n) * scale
+        block = np.array([np.roll(np.resize(ratios, n), i) for i in range(7)]) * scale
+        block *= rng.uniform(0.5, 1.5, block.shape)
+        cases += [(s, vector), (s, block)]
+    return cases
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 2.7, 5.0])
+def test_kernels_equal_the_masked_formulas_bit_for_bit(rng, p):
+    for s, t in _kernel_cases(rng):
+        for kernel, reference in (
+            (power_increment, _masked_power_increment),
+            (increment_primitive, _masked_increment_primitive),
+        ):
+            got, want = kernel(s, t, p), reference(s, t, p)
+            assert got.shape == want.shape == t.shape
+            assert got.tobytes() == want.tobytes(), (kernel.__name__, s[0], t.ndim)
+
+
 def test_increment_primitive_derivative_is_power_increment():
     p = 2.7
     s, t = 1.2, 0.7

@@ -1,14 +1,18 @@
 """Monotone iteration, barrier certificates, extremal bracketing, and the
 principal eigenpair."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import betainc
 
 import fracsing.picard
-from fracsing.core import ParameterError, ProblemParams, RegimeError
+from fracsing.core import ConvergenceError, ParameterError, ProblemParams, RegimeError
 from fracsing.green import (
+    GreenOperator,
+    _dirac_power_image,
     assemble,
     default_grid,
     dirac_profile,
@@ -247,3 +251,88 @@ def test_eigenvalue_decreases_with_order(op400, ophalf):
     lam_high = first_eigenpair(op400)["lambda1"]
     lam_low = first_eigenpair(ophalf)["lambda1"]
     assert lam_low < lam_high
+
+
+def _run_patched(monkeypatch, params, op, after, change):
+    """iterate_minimal on a fresh copy of op whose Picard products are
+    exact for the first `after` iterations and then passed through
+    change; measured_c2's product is kept before the patch, and other
+    operators are untouched."""
+    fresh = dataclasses.replace(op)
+    measured_c2(params, fresh)
+    exact = GreenOperator.apply
+    calls = []
+
+    def apply(self, values):
+        out = exact(self, values)
+        if self is not fresh:
+            return out
+        calls.append(values)
+        return out if len(calls) <= after else change(out)
+
+    monkeypatch.setattr(GreenOperator, "apply", apply)
+    return iterate_minimal(params, fresh)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_step_is_divergence(params0, op200, monkeypatch, bad):
+    # The third product turns one node non-finite: the run stops as
+    # Diverged there and keeps the second iterate and its step.
+    params = params0.with_k(0.5)
+    before = iterate_minimal(params, op200, max_iter=2)
+
+    def poison(out):
+        out[len(out) // 2] = bad
+        return out
+
+    report = _run_patched(monkeypatch, params, op200, 2, poison)
+    assert report.status == "Diverged"
+    assert report.iterations == 3
+    assert report.profile.values.tobytes() == before.profile.values.tobytes()
+    assert report.sup_residual == before.sup_residual
+
+
+def test_decreasing_iterate_loses_monotonicity(params0, op200, monkeypatch):
+    params = params0.with_k(0.5)
+    with pytest.raises(ConvergenceError, match="monotonicity lost at iteration 3"):
+        _run_patched(monkeypatch, params, op200, 2, lambda out: 0.5 * out)
+
+
+def test_certified_run_that_escapes_its_barrier_is_a_fault(
+    params0, op200, monkeypatch
+):
+    # Raised products keep the iterates increasing, but near r = 1, where
+    # the barrier vanishes, the first one already lies above it.
+    params = params0.with_k(0.5 * 0.25 / measured_c2(params0, op200))
+    assert iterate_minimal(params, op200).barrier_certified
+    with pytest.raises(ConvergenceError, match="escaped the barrier"):
+        _run_patched(monkeypatch, params, op200, 0, lambda out: out + 1.0)
+
+
+def test_operator_constants_are_kept(params0, op200, monkeypatch):
+    # measured_c2's product and the source remainder are made once per
+    # operator (the product once per p); a certified run takes its
+    # barrier from the kept product, and the profile stays the same.
+    params = params0.with_k(0.5 * 0.25 / measured_c2(params0, op200))
+    fresh = dataclasses.replace(op200)
+    first = iterate_minimal(params, fresh)
+    assert first.barrier_certified
+
+    def no_remainder(grid, params):
+        raise AssertionError("the remainder was not kept")
+
+    monkeypatch.setattr(fracsing.picard, "dirac_smooth_remainder", no_remainder)
+    exact = GreenOperator.apply
+    products = []
+
+    def counted(self, values):
+        products.append(values)
+        return exact(self, values)
+
+    monkeypatch.setattr(GreenOperator, "apply", counted)
+    again = iterate_minimal(params, fresh)
+    assert len(products) == again.iterations
+    assert again.profile.values.tobytes() == first.profile.values.tobytes()
+    measured_c2(dataclasses.replace(params, p=1.5), fresh)
+    assert len(products) == again.iterations + 1
+    assert not _dirac_power_image(fresh, 1.5).flags.writeable

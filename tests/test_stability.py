@@ -11,7 +11,8 @@ from scipy import linalg
 from fracsing import stability
 from fracsing.core import ParameterError, ProblemParams, RadialFunction
 from fracsing.green import assemble, default_grid
-from fracsing.picard import find_kstar, iterate_minimal
+from fracsing.mountainpass import find_second_solution
+from fracsing.picard import _power_iteration, find_kstar, iterate_minimal
 from fracsing.stability import (
     sigma1,
     sigma1_rayleigh,
@@ -163,3 +164,53 @@ def test_gap_scan_takes_the_bracket_profile_at_k_lo(
     alien = dataclasses.replace(bracket400, profile_lo=RadialFunction.zero(op200.grid))
     with pytest.raises(ParameterError, match="another grid"):
         stability_gap_scan(params0, op400, alien, n_samples=6)
+
+
+def _fresh(u):
+    """A copy of the profile with nothing kept on it."""
+    return RadialFunction(u.grid, u.values, u.singular_coeff, u.singular_exponent)
+
+
+def _count_power_iterations(monkeypatch):
+    calls = []
+
+    def counted(op, c):
+        calls.append(op)
+        return _power_iteration(op, c)
+
+    monkeypatch.setattr(stability, "_power_iteration", counted)
+    return calls
+
+
+def test_index_is_kept_on_the_profile_per_operator_and_p(
+    umin_mid, op400, monkeypatch
+):
+    params, u = umin_mid
+    u = _fresh(u)
+    calls = _count_power_iterations(monkeypatch)
+    first = sigma1(u, params, op400)
+    assert sigma1(u, params, op400) is first
+    assert len(calls) == 1
+
+    # Another operator on the same grid, then another p: each computes.
+    twin = dataclasses.replace(op400)
+    other = sigma1(u, params, twin)
+    assert len(calls) == 2 and calls[-1] is twin
+    assert other.sigma1 == first.sigma1
+    cubic = dataclasses.replace(params, p=3.0)
+    assert sigma1(u, cubic, op400).sigma1 != first.sigma1
+    assert len(calls) == 3
+    assert sigma1(u, params, op400) is first and len(calls) == 3
+
+
+def test_second_solution_search_reuses_the_callers_index(
+    umin_mid, op400, form400, monkeypatch
+):
+    params, u = umin_mid
+    u = _fresh(u)
+    calls = _count_power_iterations(monkeypatch)
+    stab = sigma1(u, params, op400)
+    result = find_second_solution(params, op400, form400, u, seed=0)
+    assert len(calls) == 1
+    assert result.energy >= result.level_lower_bound
+    assert sigma1(u, params, op400) is stab
