@@ -25,7 +25,6 @@ from .core import (
     ConvergenceError,
     KernelError,
     ParameterError,
-    RegimeError,
 )
 
 _SLOPE_TOL = 0.05
@@ -142,10 +141,8 @@ def pairing(u, xi, params, op):
     ParameterError
         If u is negative somewhere, or its pairing is not finite.
     """
-    if u.singular_coeff > 0.0 and not params.subcritical:
-        raise RegimeError(
-            "u^p is not integrable: singular profile in the supercritical regime"
-        )
+    if u.singular_coeff > 0.0:
+        params.check_exponent("u^p of a singular profile is not integrable")
     total = u.total
     scale = float(np.max(np.abs(total)))
     if not u.is_nonnegative(slack=1e-12 * (1.0 + scale)):

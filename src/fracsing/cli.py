@@ -56,13 +56,6 @@ _SETTINGS = (
     _Setting("grid.n_nodes", 400, ("--n-nodes",), "grid size"),
     _Setting("grid.grading", 2.0, ("--grading",), "origin grading exponent"),
     _Setting(
-        "tolerances.bracket_tol",
-        1e-3,
-        ("--bracket-tol",),
-        "relative bracket width target",
-        ("kstar", "stability", "bifurcation"),
-    ),
-    _Setting(
         "scan.n_samples",
         8,
         ("--n-samples",),
@@ -374,13 +367,6 @@ class _Result(NamedTuple):
     code: int = 0
 
 
-def _bracket(job):
-    from .picard import find_kstar
-
-    tol = float(job.cfg["tolerances.bracket_tol"])
-    return find_kstar(job.params, job.op, bracket_tol=tol)
-
-
 def _solve(job):
     from .picard import iterate_minimal
 
@@ -416,7 +402,9 @@ def _solve(job):
 
 
 def _kstar(job):
-    bracket = _bracket(job)
+    from .picard import find_kstar
+
+    bracket = find_kstar(job.params, job.op)
     k_lo, k_hi = bracket.k_lo, bracket.k_hi
     width = (k_hi - k_lo) / k_lo
     columns = ("k_lo", "k_hi", "relative_width")
@@ -428,9 +416,10 @@ def _kstar(job):
 
 
 def _stability(job):
+    from .picard import find_kstar
     from .stability import stability_gap_scan
 
-    bracket = _bracket(job)
+    bracket = find_kstar(job.params, job.op)
     n_samples = int(job.cfg["scan.n_samples"])
     scan = stability_gap_scan(job.params, job.op, bracket, n_samples=n_samples)
     rows = scan.rows()
@@ -517,14 +506,14 @@ def _bifurcation(job):
 
     from .core import ParameterError, RegimeError, SecondSolutionNotFound
     from .mountainpass import build_form, find_second_solution
-    from .picard import iterate_minimal
+    from .picard import find_kstar, iterate_minimal
     from .stability import sigma1
 
     n_samples, seed = int(job.cfg["scan.n_samples"]), int(job.cfg["seed"])
     if n_samples < 1:
         raise ParameterError(f"scan.n_samples must be at least 1, got {n_samples}")
     params, op = job.params, job.op
-    bracket = _bracket(job)
+    bracket = find_kstar(params, op)
     form = build_form(op)
     ks = np.linspace(0.1, 0.95, n_samples) * bracket.k_lo
     weights = op.grid.weights

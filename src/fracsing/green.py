@@ -72,7 +72,6 @@ from .core import (
     ParameterError,
     ProblemParams,
     RadialGrid,
-    RegimeError,
     fundamental_constant,
     make_grid,
     surface_area,
@@ -664,10 +663,7 @@ def measured_c2(params, op):
     per p makes one.  Raises RegimeError for a supercritical p and
     ParameterError if params has another dim or alpha than op.
     """
-    if not params.subcritical:
-        raise RegimeError(
-            f"composition bound requires p < {params.critical_p:.6g}, got {params.p}"
-        )
+    params.check_exponent("G_alpha[g^p] is infinite")
     op.check_params(params)
     return float(np.max(_dirac_power_image(op, params.p) / op.dirac_column))
 

@@ -400,16 +400,15 @@ def _redistribute(path, dens, mass):
     trivial critical point.  path[i] = G[dens[i]], so a segment's squared
     A-norm is the pairing of its two differences (clamped at zero, where
     a vanishing one may round below), and the same linear interpolation
-    resamples both arrays, so the returned pair keeps that relation.
+    resamples both arrays, so the returned pair keeps that relation.  The
+    end vertices 0 and t0 * form.ray never move, and t0 >= 1, so the
+    total A-arc length is at least 1.
     """
     m = len(path) - 1
     steps, step_dens = np.diff(path, axis=0), np.diff(dens, axis=0)
     seg = np.sqrt(np.maximum(np.einsum("ij,ij->i", step_dens * mass, steps), 0.0))
     arcs = np.concatenate(([0.0], np.cumsum(seg)))
-    total = arcs[-1]
-    if total <= 0.0:
-        return path, dens
-    targets = np.linspace(0.0, total, m + 1)[1:m]
+    targets = np.linspace(0.0, arcs[-1], m + 1)[1:m]
     i = np.minimum(np.searchsorted(arcs, targets, side="right") - 1, m - 1)
     frac = np.divide(targets - arcs[i], seg[i], out=np.zeros(m - 1), where=seg[i] > 0.0)
     frac = frac[:, None]
@@ -436,21 +435,19 @@ def _negative_endpoint(u_total, form, params):
 def _run_mountain_pass(u_total, op, form, params, t0):
     """Maximize-then-descend path deformation from 0 to the negative-energy
     endpoint t0 * form.ray: it evaluates the path maximum 15 times, moves
-    it after each evaluation but the last unless the Armijo search finds
-    no step, and returns the last maximum and the trace rows.
+    it after each evaluation but the last, and returns the last maximum
+    and the trace rows.
 
     Beside the path the deformation keeps dens, the densities with
     path[i] = G[dens[i]], so that it makes no solve with the factor; the
     rows start as t_i times the constant density of form.ray.  At
     v = G[g] the gradient is v - G[f] = G[g - f], f the power increment
-    it computes, so an accepted step moves only vertex j, to v - s grad,
-    and its density to g - s (g - f); _redistribute resamples both
-    arrays with one interpolation.  Path energies, ||grad||_A^2 and each
-    line-search trial energy
-
-        ||v - s grad||_A^2 = (w g).v - 2 s (w g).grad + s^2 (w (g - f)).grad
-
-    are weighted dots, O(mn) or O(n).
+    it computes, so a move takes only vertex j to v - grad, the Picard
+    image G[f], and subtracts g - f from its density; _redistribute
+    resamples both arrays with one interpolation.  F(u, .) is convex, so
+    E(v - grad) <= E(v) - ||grad||_A^2 / 2 and the move needs no line
+    search.  Path energies and ||grad||_A^2 are weighted dots, O(mn) or
+    O(n).
     """
     ts = np.linspace(0.0, 1.0, _PATH_SEGMENTS + 1) * t0
     density = np.full(op.n, 1.0 / float(form.mass @ form.ray))
@@ -462,30 +459,15 @@ def _run_mountain_pass(u_total, op, form, params, t0):
         energies = 0.5 * quads - _bulk(path[inner], u_total, form, params)
         j = int(np.argmax(energies)) + 1
         v = path[j].copy()
-        e_here = float(energies[j - 1])
         f = power_increment(u_total, np.maximum(v, 0.0), params.p)
         grad = v - op.apply(f)
         grad_dens = dens[j] - f
-        grad_sq = float((grad_dens * form.mass) @ grad)
-        gnorm = math.sqrt(grad_sq)
-        trace.append((step_idx, e_here, gnorm))
+        gnorm = math.sqrt(float((grad_dens * form.mass) @ grad))
+        trace.append((step_idx, float(energies[j - 1]), gnorm))
         if step_idx == _PATH_STEPS - 1:
             break
-        v_sq, cross = float(quads[j - 1]), float((dens[j] * form.mass) @ grad)
-        step = 1.0
-        for _ in range(50):
-            trial = v - step * grad
-            quad = v_sq - 2.0 * step * cross + step**2 * grad_sq
-            if (
-                0.5 * quad - float(_bulk(trial, u_total, form, params))
-                <= e_here - 1e-4 * step * gnorm**2
-            ):
-                path[j] = trial
-                dens[j] -= step * grad_dens
-                break
-            step *= 0.5
-        else:
-            break
+        path[j] = v - grad
+        dens[j] -= grad_dens
         path, dens = _redistribute(path, dens, form.mass)
     return v, trace
 
@@ -549,11 +531,11 @@ def _newton(v, u_total, op, params, mass, trace):
             )
         delta = _newton_step(v, u_total, op, params, resid)
         merit = _merit(nv2)
-        if nv2 > 0.0:
-            grad_m = -2.0 / nv2**2 * (mass * v)
-            denom = 1.0 - float(grad_m @ delta) / merit
-            if abs(denom) > 1e-12:
-                delta = delta / denom
+        # nv2 > 0: R(0) = 0, so an iterate with w.v^2 = 0 has stopped above.
+        grad_m = -2.0 / nv2**2 * (mass * v)
+        denom = 1.0 - float(grad_m @ delta) / merit
+        if abs(denom) > 1e-12:
+            delta = delta / denom
         step = 1.0
         for _ in range(40):
             trial = v + step * delta

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConvergenceError, ParameterError, RadialFunction, RegimeError
+from .core import ConvergenceError, RadialFunction
 from .green import _dirac_power_image, dirac_smooth_remainder, measured_c2
 
 _CEILING_FACTOR = 1e6
@@ -67,7 +67,7 @@ def barrier_certificate(params, c2_measured):
     Parameters
     ----------
     params : ProblemParams
-        Problem data; must be subcritical.
+        Problem data; a p at or above N/(N - 2 alpha) raises RegimeError.
     c2_measured : float
         Measured comparison constant sup G_alpha[g^p]/g.
 
@@ -76,24 +76,15 @@ def barrier_certificate(params, c2_measured):
     dict
         {"certified": bool, "t_star": float} with t_star = (p/(p-1))^p.
         Certified means c2 k^(p-1) <= (1/p)((p-1)/p)^(p-1), which closes
-        the barrier inequality (c2 t k^(p-1) + 1)^p <= t at t = t_star.
+        the barrier inequality (c2 t k^(p-1) + 1)^p <= t at t = t_star:
+        then c2 t_star k^(p-1) + 1 <= p/(p-1), with equality at the
+        threshold.
     """
-    if not params.subcritical:
-        raise RegimeError(
-            f"barrier requires p < {params.critical_p:.6g}, got {params.p}"
-        )
+    params.check_exponent("the barrier G_alpha[g^p] is infinite")
     p, k = params.p, params.k
     t_star = (p / (p - 1.0)) ** p
     threshold = (1.0 / p) * ((p - 1.0) / p) ** (p - 1.0)
     certified = bool(c2_measured * k ** (p - 1.0) <= threshold)
-    if certified and k > 0.0:
-        # Closure of the barrier inequality at t_star; fails only on a
-        # genuine numerical fault, not at the threshold boundary.
-        closure = (c2_measured * t_star * k ** (p - 1.0) + 1.0) ** p
-        if closure > t_star * (1.0 + 1e-9):
-            raise ConvergenceError(
-                f"barrier closure violated: {closure:.12g} > {t_star:.12g}"
-            )
     return {"certified": certified, "t_star": t_star}
 
 
@@ -136,6 +127,9 @@ def iterate_minimal(params, op, tol=1e-10, max_iter=8000):
     ------
     ParameterError
         If k < 0 or params has another dim or alpha than the operator.
+    RegimeError
+        If k > 0 and p is at or above N/(N - 2 alpha), where no solution
+        with a point mass exists; k = 0 is admitted at any p.
     ConvergenceError
         If an iterate loses nodewise monotonicity or, on a certified
         run, escapes the supersolution barrier: both indicate a
@@ -143,6 +137,8 @@ def iterate_minimal(params, op, tol=1e-10, max_iter=8000):
     """
     op.check_params(params)
     k = params.k
+    if k > 0.0:
+        params.check_exponent("no solution with a point mass exists")
     grid = op.grid
     g = op.dirac_column
     source, sing_coeff, sing_exp = _source_parts(params, op)
@@ -209,7 +205,7 @@ def iterate_minimal(params, op, tol=1e-10, max_iter=8000):
     )
 
 
-def find_kstar(params_without_k, op, bracket_tol=1e-3):
+def find_kstar(params_without_k, op):
     """Bracket the extremal source strength k* by bisection on whether a
     default iterate_minimal run, the rule solve runs with, converges.
 
@@ -219,20 +215,17 @@ def find_kstar(params_without_k, op, bracket_tol=1e-3):
         Problem data; the k field is ignored.
     op : GreenOperator
         Assembled operator.
-    bracket_tol : float
-        Relative stop, > 0: the bracket is refined until
-        k_hi - k_lo <= bracket_tol * k_lo, or until its midpoint is no
-        longer strictly inside it (the float resolution of k).
 
     Returns
     -------
     KStarBracket
+        Refined until k_hi - k_lo <= 1e-3 k_lo.
 
     Raises
     ------
     ParameterError
-        If bracket_tol is not positive, or (checked after the regime)
-        params has another dim or alpha than the operator.
+        If (checked after the regime) params has another dim or alpha
+        than the operator.
     RegimeError
         For supercritical exponents (k* = 0: no positive k admits a
         solution).
@@ -241,14 +234,8 @@ def find_kstar(params_without_k, op, bracket_tol=1e-3):
         divergence is found under repeated doubling (both indicate
         numerical faults).
     """
-    if not bracket_tol > 0.0:
-        raise ParameterError(f"bracket_tol must be positive, got {bracket_tol}")
     params = params_without_k
-    if not params.subcritical:
-        raise RegimeError(
-            f"extremal bracketing requires p < {params.critical_p:.6g}, "
-            f"got {params.p}"
-        )
+    params.check_exponent("the extremal source strength is undefined")
     p = params.p
     c2 = measured_c2(params, op)
     k_p = (1.0 / (c2 * p)) ** (1.0 / (p - 1.0)) * (p - 1.0) / p
@@ -277,10 +264,8 @@ def find_kstar(params_without_k, op, bracket_tol=1e-3):
     if k_hi is None:
         raise ConvergenceError("no divergence found while doubling k")
 
-    while k_hi - k_lo > bracket_tol * k_lo:
+    while k_hi - k_lo > 1e-3 * k_lo:
         mid = 0.5 * (k_lo + k_hi)
-        if not k_lo < mid < k_hi:
-            break
         ok, report = probe(mid)
         if ok:
             k_lo, profile_lo = mid, report.profile

@@ -6,8 +6,10 @@ documented exit codes, cache self-healing, and byte-level determinism
 of the emitted files.
 """
 
+import importlib.util
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -17,7 +19,7 @@ import scipy.linalg
 
 import fracsing.picard
 from fracsing import cli, green
-from fracsing.core import ConvergenceError, ParameterError
+from fracsing.core import ConvergenceError, ParameterError, SecondSolutionNotFound
 from fracsing.picard import first_eigenpair
 
 
@@ -428,6 +430,34 @@ def test_bifurcation_table(tmp_path):
     assert np.all(data[finite, 3] > data[finite, 1])
 
 
+def test_bifurcation_keeps_the_row_of_a_failed_search(tmp_path, monkeypatch):
+    # A second-solution search that fails leaves NaN in its row's
+    # second-branch columns; the minimal branch there and the other rows
+    # are computed, and the command exits 0.
+    import fracsing.mountainpass
+
+    real = fracsing.mountainpass.find_second_solution
+    calls = []
+
+    def second_search_fails(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise SecondSolutionNotFound("no critical point found")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(
+        fracsing.mountainpass, "find_second_solution", second_search_fails
+    )
+    argv = ["bifurcation", "--n-nodes", "200", "--n-samples", "3"]
+    assert cli.main([*argv, "-o", str(tmp_path)]) == 0
+    assert len(calls) == 3
+    data = _data(tmp_path / "bifurcation.csv")
+    assert data.shape == (3, 6)
+    # Columns: k, u_norm, sigma1, w_norm, energy, beta.
+    assert np.all(np.isfinite(data[1, :3])) and np.all(np.isnan(data[1, 3:]))
+    assert np.all(np.isfinite(data[[0, 2]]))
+
+
 def test_emit_plots_writes_long_format(tmp_path):
     rc = cli.main(
         ["eigen", "--n-nodes", "200", "--emit-plots", "-o", str(tmp_path)]
@@ -568,20 +598,20 @@ def test_exit_codes_for_user_errors(tmp_path, capsys):
         ),
         (
             ["--config", {"tolerances": {"picard_max_iter": 4000}}],
-            "unknown key tolerances.picard_max_iter",
+            "unknown key tolerances",
         ),
         (
             ["--config", {"tolerances": {"eig_tl": 1e-3}}],
-            "unknown key tolerances.eig_tl",
+            "unknown key tolerances",
         ),
         (["--config", {"output": {"formats": ["csv"]}}], "unknown key output.formats"),
         (
             ["--config", {"tolerances": {"eig_tol": 1e-12}}],
-            "unknown key tolerances.eig_tol",
+            "unknown key tolerances",
         ),
         (
             ["--config", {"tolerances": {"picard_tol": 1e-12}}],
-            "unknown key tolerances.picard_tol",
+            "unknown key tolerances",
         ),
     ],
     # Explicit ids, spelt as the positional ids the cases were first listed
@@ -649,8 +679,6 @@ def test_negative_seed_exits_1_before_any_operator(
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["kstar", "--bracket-tol", "0"], "bracket_tol must be positive, got 0.0"),
-        (["kstar", "--bracket-tol", "-1"], "bracket_tol must be positive, got -1.0"),
         (
             ["bifurcation", "--n-samples", "0"],
             "scan.n_samples must be at least 1, got 0",
@@ -659,6 +687,12 @@ def test_negative_seed_exits_1_before_any_operator(
             ["bifurcation", "--n-samples", "-1"],
             "scan.n_samples must be at least 1, got -1",
         ),
+    ],
+    # Explicit ids, spelt as the positional ids the cases were first listed
+    # under, so a case deleted anywhere renames no other.
+    ids=[
+        "argv2-scan.n_samples must be at least 1, got 0",
+        "argv3-scan.n_samples must be at least 1, got -1",
     ],
 )
 def test_out_of_range_settings_exit_1(tmp_path, capsys, argv, message):
@@ -760,3 +794,24 @@ def test_supercritical_source_exits_2(tmp_path):
         ]
     )
     assert rc == 2
+
+
+def test_every_benchmark_command_line_parses():
+    # The benchmark's CLI session runs these command lines, with the
+    # placeholders filled and --n-nodes and --seed appended; a flag it
+    # passes that the parser lost would fail here, not in a benchmark run.
+    bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
+    sys.path.insert(0, str(bench))
+    try:
+        spec = importlib.util.spec_from_file_location("bench_run", bench / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+    finally:
+        sys.path.remove(str(bench))
+    values = {"solve_k": repr(run.W.CLI_SOLVE_K), "mp_k": repr(run.W.CLI_MP_K)}
+    parser = cli._build_parser()
+    assert run.CLI_STEPS
+    for name, _, argv in run.CLI_STEPS:
+        argv = [a.format(**values) for a in argv] + ["--n-nodes", "400", "--seed", "0"]
+        cfg = cli._build_config(parser.parse_args(argv))
+        assert (cfg["grid.n_nodes"], cfg["seed"]) == (400, 0), name

@@ -372,10 +372,8 @@ def _pairings(dens, rows, mass):
 
 
 def test_block_energies_match_the_vector_loop(umin_mid, op400, form400, rng):
-    # The deformation's energies from the kept densities g of its Green
-    # images v = G[g]: a path vertex from the pairing (w g).v, and a
-    # line-search trial v - s grad, grad = G[g - f], from the expansion
-    # (w g).v - 2 s (w g).grad + s^2 (w (g - f)).grad.
+    # The deformation's energies of path vertices v = G[g] from the
+    # pairing (w g).v of their kept densities g.
     params, u_min = umin_mid
     u_total = u_min.total
     w = form400.mass
@@ -386,14 +384,6 @@ def test_block_energies_match_the_vector_loop(umin_mid, op400, form400, rng):
     # where both evaluations carry the rounding of the cancelled terms.
     quad = 0.5 * np.array([_a_norm(form400, x) ** 2 for x in block])
     assert np.all(np.abs(got - loop) <= 1e-13 * quad)
-    for v, g in zip(block[:19], dens[:19]):
-        f = power_increment(u_total, np.maximum(v, 0.0), params.p)
-        grad = v - op400.apply(f)
-        v_sq, cross, g_sq = (w * g) @ v, (w * g) @ grad, (w * (g - f)) @ grad
-        for step in (1.0, 0.125, 2.0**-10):
-            kept = v_sq - step * (2.0 * cross - step * g_sq)
-            direct = _a_norm(form400, v - step * grad) ** 2
-            assert abs(kept - direct) <= 1e-13 * (v_sq + step**2 * g_sq)
 
 
 def test_block_norms_match_the_vector_loop(umin_mid, op400, form400, rng):
@@ -436,6 +426,53 @@ def test_kept_densities_follow_the_deformed_path(
         assert dens.shape == path.shape
         images = np.array([op400.apply(g) for g in dens])
         assert np.max(np.abs(images - path)) <= 1e-13 * np.max(np.abs(path))
+
+
+@pytest.fixture(scope="module")
+def n3_case():
+    """(3, 0.6, 1.5) at n = 200: its parameters without k, operator, form
+    and the lower edge of its k* bracket."""
+    params = ProblemParams(dim=3, alpha=0.6, p=1.5, k=0.0)
+    op = assemble(default_grid(params, n_nodes=200), params)
+    return params, op, build_form(op), find_kstar(params, op).k_lo
+
+
+@pytest.mark.parametrize("case", ["desk", "n3"])
+def test_every_deformation_move_lowers_the_energy_by_half_the_gradient(
+    request, case, monkeypatch
+):
+    # F(u, .) is convex, so the move of the path maximum v to its Picard
+    # image v - grad lowers E by at least ||grad||_A^2 / 2: the move needs
+    # no line search.  E and ||grad||_A come from the energy coordinates,
+    # a triangular solve, not from the densities the deformation pairs.
+    if case == "desk":
+        params, u_min = request.getfixturevalue("umin_mid")
+        op, form = request.getfixturevalue("op400"), request.getfixturevalue("form400")
+    else:
+        params, op, form, k_lo = request.getfixturevalue("n3_case")
+        params = params.with_k(0.5 * k_lo)
+        u_min = iterate_minimal(params, op).profile
+    u_total = u_min.total
+    t0 = _negative_endpoint(u_total, form, params)
+    paths = [np.outer(np.linspace(0.0, 1.0, 21) * t0, form.ray)]
+    moved = []
+    real = mountainpass._redistribute
+
+    def recorded(path, dens, mass):
+        moved.append(path.copy())
+        out = real(path, dens, mass)
+        paths.append(out[0].copy())
+        return out
+
+    monkeypatch.setattr(mountainpass, "_redistribute", recorded)
+    find_second_solution(params, op, form, u_min, seed=0)
+    assert len(moved) == 14
+    for before, after in zip(paths, moved):
+        (j,) = np.flatnonzero(np.any(after != before, axis=1))
+        v, new = before[j], after[j]
+        grad_sq = _a_norm(form, _gradient_values(v, u_total, op, params)) ** 2
+        e_v, e_new = (_energy_values(x, u_total, form, params) for x in (v, new))
+        assert e_new <= e_v - 0.5 * grad_sq + 1e-13 * _a_norm(form, v) ** 2
 
 
 def test_deformation_makes_no_solve(umin_mid, op400, form400, monkeypatch):
@@ -699,16 +736,13 @@ def test_mountain_pass_ends_off_the_trivial_point_at_n3_alpha04():
     assert mp.energy >= mp.level_lower_bound > 0.0
 
 
-def test_both_methods_agree_at_held_out_k(params0, op400, form400, bracket400):
+def test_both_methods_agree_at_held_out_k(
+    params0, op400, form400, bracket400, n3_case
+):
     # A fixed grid of k / k_lo that holds none of the bench's samples, on
     # the desk case and on (3, 0.6, 1.5): at each k both searches succeed
     # and find the same v.
-    n3 = ProblemParams(dim=3, alpha=0.6, p=1.5, k=0.0)
-    op3 = assemble(default_grid(n3, n_nodes=200), n3)
-    cases = [
-        (params0, op400, form400, bracket400.k_lo),
-        (n3, op3, build_form(op3), find_kstar(n3, op3).k_lo),
-    ]
+    cases = [(params0, op400, form400, bracket400.k_lo), n3_case]
     gaps = {}
     for params, op, form, k_lo in cases:
         for fraction in (0.05, 0.35, 0.55, 0.61, 0.85, 0.99):

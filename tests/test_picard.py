@@ -165,16 +165,28 @@ def test_bracket_edges_are_default_solves_near_p_one():
     assert lo.profile.singular_coeff == bracket.profile_lo.singular_coeff
 
 
-def test_wider_tolerance_gives_enclosing_bracket(params0, op400, bracket400):
-    wide = find_kstar(params0, op400, bracket_tol=1e-2)
-    assert wide.k_lo <= bracket400.k_lo + 1e-12
-    assert wide.k_hi >= bracket400.k_hi - 1e-12
-    assert wide.k_hi - wide.k_lo <= 1e-2 * wide.k_lo
-
-
 def test_bracket_rejects_supercritical(op400):
     with pytest.raises(RegimeError):
         find_kstar(ProblemParams(dim=2, alpha=0.6, p=6.0, k=0.0), op400)
+
+
+@pytest.mark.parametrize("k", [1e-6, 1e-3, 1e-2])
+def test_point_mass_at_a_supercritical_p_is_rejected(op200, k):
+    # At p = 5 >= N/(N - 2 alpha) = 4 no solution with a point mass
+    # exists, though the iteration would report one converged after one
+    # or two steps; without a source the iterate stays zero.  The
+    # constant and the bracket are rejected by the same rule.
+    params = ProblemParams(dim=2, alpha=0.75, p=5.0, k=k)
+    message = r"critical exponent N/\(N - 2 alpha\) = 4 for N = 2"
+    with pytest.raises(RegimeError, match=message + ".*point mass"):
+        iterate_minimal(params, op200)
+    for call in (measured_c2, find_kstar):
+        with pytest.raises(RegimeError, match=message):
+            call(params, op200)
+    with pytest.raises(RegimeError, match=message):
+        barrier_certificate(params, 1.0)
+    report = iterate_minimal(params.with_k(0.0), op200)
+    assert report.status == "Converged" and not report.barrier_certified
 
 
 @pytest.mark.parametrize(
@@ -193,24 +205,6 @@ def test_params_of_another_operator_are_rejected(params, op200):
         iterate_minimal(params, op200)
     with pytest.raises(ParameterError, match=message):
         find_kstar(params, op200)
-
-
-@pytest.mark.parametrize("bracket_tol", [0.0, -1.0, float("nan")])
-def test_bracket_tolerance_must_be_positive(params0, op200, bracket_tol):
-    with pytest.raises(ParameterError, match="bracket_tol must be positive"):
-        find_kstar(params0, op200, bracket_tol=bracket_tol)
-
-
-def test_bracket_below_float_resolution_ends(params0, op200, monkeypatch):
-    # The bisection stops once the midpoint rounds onto an edge; the
-    # small probe budget only keeps the run short.
-    def short(params, op):
-        return iterate_minimal(params, op, max_iter=100)
-
-    monkeypatch.setattr(fracsing.picard, "iterate_minimal", short)
-    bracket = find_kstar(params0, op200, bracket_tol=1e-20)
-    assert bracket.k_lo < bracket.k_hi
-    assert 0.5 * (bracket.k_lo + bracket.k_hi) in (bracket.k_lo, bracket.k_hi)
 
 
 def test_extremal_solution_at_lower_edge(params0, op400, bracket400):
