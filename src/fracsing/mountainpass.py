@@ -42,16 +42,12 @@ from .core import (
     SecondSolutionNotFound,
 )
 from .green import symv
-from .picard import first_eigenpair
+from .picard import _EPS, _gmres, first_eigenpair
 from .stability import sigma1
 
 _SERIES_CUTOFF = 1e-3
 # Largest accepted condition number of the symmetrized Green matrix.
 _COND_CAP = 1e12
-# GMRES settings of the Newton step (see _newton).
-_KRYLOV_RTOL = 1e-13
-_KRYLOV_CAP = 40
-_EPS = float(np.finfo(float).eps)
 # Search settings: floor of the sup-norm residual of the returned critical
 # point (_newton stops at 64 eps max|v| above it, the rounding of large v),
 # path resolution, path maxima the deformation evaluates (it moves all but
@@ -309,10 +305,13 @@ def _pass_geometry(u_total, form, params, c24, dirs, e_norm):
 
     holds for each sampled direction, so beta is a certified-by-
     sampling lower bound for the pass level.  Each radius is tested on
-    the whole block at once: F acts elementwise, so each row's remainder
-    is the one a test of that direction alone would give, and a radius
+    the rows of the block that failed the last one: F acts elementwise,
+    so each row's remainder is the one a test of that direction alone
+    would give, and F(u, t)/t^2 is nondecreasing in t (f(u, .) is convex
+    with f(u, 0) = 0), so a row's remainder over sigma^2 is nondecreasing
+    in sigma and a row that passes at sigma passes at sigma/2.  A radius
     passes exactly when no row exceeds its target, as when the
-    directions are tried one by one until the first failure.  The chosen
+    directions are tried one by one until the first failure; the chosen
     radius, and with it beta, is therefore the same.
     """
     p = params.p
@@ -322,8 +321,8 @@ def _pass_geometry(u_total, form, params, c24, dirs, e_norm):
         target = 0.25 * c24 * sigma**2
         dp = np.maximum(sigma * dirs, 0.0)
         rem = increment_primitive(u_total, dp, p) - quad_coeff * dp**2
-        rem = np.einsum("ij,j->i", rem, form.mass)
-        if not np.any(rem > target):
+        dirs = dirs[np.einsum("ij,j->i", rem, form.mass) > target]
+        if not len(dirs):
             return sigma, target
         sigma *= 0.5
     raise SecondSolutionNotFound(
@@ -333,62 +332,11 @@ def _pass_geometry(u_total, form, params, c24, dirs, e_norm):
 
 def _newton_step(v, u_total, op, params, resid):
     """Newton direction for J delta = -resid, J = I - G diag(f'), with
-    f' = p (u + v_+)^(p-1) [v > 0]: the iterate of one GMRES cycle from
-    zero (Saad & Schultz 1986), whether or not it met the tolerance (see
-    _newton).
-
-    Each Arnoldi column costs one product y - G[f' y] and is
-    orthogonalised by classical Gram-Schmidt run twice (Giraud, Langou
-    & Rozloznik 2005), two matrix-vector products against the basis per
-    pass.  The cycle stops when the rotated residual |g_(j+1)| falls to
-    1e-13 ||resid|| or at a happy breakdown (the new column vanishes to
-    eps of its norm before orthogonalisation: the Krylov space is
-    invariant and the iterate exact); no product follows the cycle.
-    """
+    f' = p (u + v_+)^(p-1) [v > 0]: the iterate of one GMRES cycle
+    (picard._gmres), whether or not it met the tolerance (see _newton).
+    Each Arnoldi column costs one product y - G[f' y]."""
     fprime = params.p * (u_total + np.maximum(v, 0.0)) ** (params.p - 1.0) * (v > 0.0)
-    beta = float(np.linalg.norm(resid))
-    basis = np.empty((_KRYLOV_CAP + 1, resid.size))
-    np.multiply(resid, -1.0 / beta, out=basis[0])
-    g = [beta]
-    columns = []
-    rotations = []
-    for j in range(_KRYLOV_CAP):
-        w = basis[j] - op.apply(fprime * basis[j])
-        before = float(np.linalg.norm(w))
-        # prior' is a Fortran-ordered view: gemv with trans=1 gives the
-        # projections prior w, without it the combination prior' h.
-        prior = basis[: j + 1].T
-        h = blas.dgemv(1.0, prior, w, trans=1)
-        w -= blas.dgemv(1.0, prior, h)
-        again = blas.dgemv(1.0, prior, w, trans=1)
-        w -= blas.dgemv(1.0, prior, again)
-        h += again
-        after = float(np.linalg.norm(w))
-        breakdown = after <= _EPS * before
-        if not breakdown:
-            np.multiply(w, 1.0 / after, out=basis[j + 1])
-        col = h.tolist()
-        sub = 0.0 if breakdown else after
-        for k, (c, s) in enumerate(rotations):
-            col[k], col[k + 1] = (
-                c * col[k] + s * col[k + 1],
-                c * col[k + 1] - s * col[k],
-            )
-        diag = math.hypot(col[j], sub)
-        c, s = col[j] / diag, sub / diag
-        col[j] = diag
-        rotations.append((c, s))
-        columns.append(col)
-        g.append(-s * g[j])
-        g[j] *= c
-        if abs(g[j + 1]) <= _KRYLOV_RTOL * beta or breakdown:
-            break
-    m = len(columns)
-    y = [0.0] * m
-    for i in range(m - 1, -1, -1):
-        acc = g[i] - sum(columns[k][i] * y[k] for k in range(i + 1, m))
-        y[i] = acc / columns[i][i]
-    return blas.dgemv(1.0, basis[:m].T, y)
+    return _gmres(lambda y: y - op.apply(fprime * y), -resid)[0]
 
 
 def _redistribute(path, dens, mass):
@@ -400,7 +348,8 @@ def _redistribute(path, dens, mass):
     trivial critical point.  path[i] = G[dens[i]], so a segment's squared
     A-norm is the pairing of its two differences (clamped at zero, where
     a vanishing one may round below), and the same linear interpolation
-    resamples both arrays, so the returned pair keeps that relation.  The
+    resamples both arrays in place, so they keep that relation: every
+    interior row is gathered and interpolated before any is written.  The
     end vertices 0 and t0 * form.ray never move, and t0 >= 1, so the
     total A-arc length is at least 1.
     """
@@ -412,10 +361,8 @@ def _redistribute(path, dens, mass):
     i = np.minimum(np.searchsorted(arcs, targets, side="right") - 1, m - 1)
     frac = np.divide(targets - arcs[i], seg[i], out=np.zeros(m - 1), where=seg[i] > 0.0)
     frac = frac[:, None]
-    new_path, new_dens = path.copy(), dens.copy()
-    new_path[1:m] = path[i] + frac * steps[i]
-    new_dens[1:m] = dens[i] + frac * step_dens[i]
-    return new_path, new_dens
+    path[1:m] = path[i] + frac * steps[i]
+    dens[1:m] = dens[i] + frac * step_dens[i]
 
 
 def _negative_endpoint(u_total, form, params):
@@ -444,10 +391,10 @@ def _run_mountain_pass(u_total, op, form, params, t0):
     v = G[g] the gradient is v - G[f] = G[g - f], f the power increment
     it computes, so a move takes only vertex j to v - grad, the Picard
     image G[f], and subtracts g - f from its density; _redistribute
-    resamples both arrays with one interpolation.  F(u, .) is convex, so
-    E(v - grad) <= E(v) - ||grad||_A^2 / 2 and the move needs no line
-    search.  Path energies and ||grad||_A^2 are weighted dots, O(mn) or
-    O(n).
+    resamples both arrays in place with one interpolation.  F(u, .) is
+    convex, so E(v - grad) <= E(v) - ||grad||_A^2 / 2 and the move needs
+    no line search.  Path energies and ||grad||_A^2 are weighted dots,
+    O(mn) or O(n).
     """
     ts = np.linspace(0.0, 1.0, _PATH_SEGMENTS + 1) * t0
     density = np.full(op.n, 1.0 / float(form.mass @ form.ray))
@@ -468,7 +415,7 @@ def _run_mountain_pass(u_total, op, form, params, t0):
             break
         path[j] = v - grad
         dens[j] -= grad_dens
-        path, dens = _redistribute(path, dens, form.mass)
+        _redistribute(path, dens, form.mass)
     return v, trace
 
 
@@ -494,7 +441,8 @@ def _newton(v, u_total, op, params, mass, trace):
 
     The plain step solves J delta = -R(v), J = I - G diag(f'(u, v_+)),
     without forming J: one GMRES cycle from zero (_newton_step), at most
-    40 products y - G[f' y], to relative residual 1e-13 in the 2-norm.  J
+    40 products y - G[f' y], to relative residual 1e-13 in the 2-norm;
+    the loop reads the step alone, not the cycle's relative residual.  J
     is the identity plus a compact operator, so GMRES converges
     superlinearly (Campbell, Ipsen, Kelley & Meyer 1996, BIT 36): on a
     measured `branch` round (both n=800 operators, 222 steps) a step

@@ -10,9 +10,11 @@ With g = G_alpha[delta_0] and the measured comparison constant
 c2 = sup G_alpha[g^p]/g, the profile w_t = t k^p G_alpha[g^p] + k g is a
 supersolution barrier whenever (c2 t k^(p-1) + 1)^p <= t, which a simple
 threshold on c2 k^(p-1) guarantees at t = (p/(p-1))^p; certified runs are
-checked against the barrier nodewise.  Bisection on the convergence
-indicator brackets k*, and power iteration on the Green matrix supplies
-the principal Dirichlet eigenpair used by the stability analysis.
+checked against the barrier nodewise.  k* is the discrete fold of the
+minimal branch, solved for by Newton's method on the Moore-Spence system
+with the GMRES cycle that every Newton step of the package shares
+(_gmres), and power iteration on the Green matrix supplies the principal
+Dirichlet eigenpair used by the stability analysis.
 """
 
 from __future__ import annotations
@@ -21,12 +23,23 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas
 
 from .core import ConvergenceError, RadialFunction
 from .green import _dirac_power_image, dirac_smooth_remainder, measured_c2
 
 _CEILING_FACTOR = 1e6
 _MONOTONE_SLACK = 1e-12
+# GMRES settings of every Newton step (_gmres).
+_KRYLOV_RTOL = 1e-13
+_KRYLOV_CAP = 40
+_EPS = float(np.finfo(float).eps)
+# find_kstar: k_lo lies this far below the fold, relative; the fold and
+# the k_lo solve stop at this relative sup-norm residual, within this
+# many Newton steps.
+_KSTAR_OFFSET = 5e-4
+_NEWTON_RTOL = 1e-12
+_NEWTON_STEPS = 20
 
 
 @dataclass(frozen=True)
@@ -48,12 +61,15 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class KStarBracket:
-    """Bisection bracket for the extremal source strength k*.
+    """The extremal source strength k* and a certified minimal solution
+    just below it.
 
-    k_lo is the largest tested k whose default iterate_minimal run
-    converged, k_hi the smallest whose run did not (near p = 1 it may run
-    out of iterations rather than diverge); profile_lo is the profile of
-    the run at k_lo, bit for bit.
+    k_hi is the discrete fold of the minimal branch, which is k* on the
+    operator; k_lo = k_hi (1 - 5e-4), and profile_lo is the minimal
+    solution at k_lo, solved for by Newton and certified by sigma1 > 1,
+    which find_kstar keeps on it.  Near the fold Picard's contraction
+    rate tends to 1, so a default iterate_minimal run at k_lo may end
+    with MaxIterations although the solution exists.
     """
 
     k_lo: float
@@ -206,8 +222,21 @@ def iterate_minimal(params, op, tol=1e-10, max_iter=8000):
 
 
 def find_kstar(params_without_k, op):
-    """Bracket the extremal source strength k* by bisection on whether a
-    default iterate_minimal run, the rule solve runs with, converges.
+    """The extremal source strength k* as the discrete fold of the minimal
+    branch.
+
+    Default iterate_minimal probes at the certified lower bound k_p and
+    at its doublings find k_a, the last that converges, so that the run
+    at 2 k_a fails and k* lies in (k_a, 2 k_a].  From the profile at k_a
+    and its sigma1 eigenfunction, Newton's method solves the fold system
+    of Moore & Spence (1980, SIAM J. Numer. Anal. 17) for (v, phi, k)
+    (_fold).  A positive phi makes the fold k*: f is strictly convex, so
+    the extremal solution is the only semi-stable one.  k_lo lies 5e-4
+    below the fold, and its profile is a Newton solve from the fold's
+    normal-form predictor (_lower_edge).  sigma1 > 1 there certifies it
+    as the minimal solution: T = G diag(f'(u)) has spectral radius
+    1/sigma1 < 1, and w = u - u_min >= 0 satisfies
+    w <= T w <= T^m w -> 0 by convexity, so u = u_min.
 
     Parameters
     ----------
@@ -219,7 +248,7 @@ def find_kstar(params_without_k, op):
     Returns
     -------
     KStarBracket
-        Refined until k_hi - k_lo <= 1e-3 k_lo.
+        k_hi the fold, k_lo = k_hi (1 - 5e-4), with its profile.
 
     Raises
     ------
@@ -230,49 +259,233 @@ def find_kstar(params_without_k, op):
         For supercritical exponents (k* = 0: no positive k admits a
         solution).
     ConvergenceError
-        If the probe at the certified lower bound k_p fails or no
-        divergence is found under repeated doubling (both indicate
-        numerical faults).
+        If the probe at the certified lower bound k_p fails, no
+        divergence is found under repeated doubling, the fold or the
+        k_lo solve does not converge in 20 Newton steps (the message
+        quotes the last GMRES relative residual), the fold leaves
+        (k_a, 2 k_a], phi is not positive, or sigma1 <= 1 at k_lo.
     """
+    from .stability import sigma1  # stability imports this module
+
     params = params_without_k
     params.check_exponent("the extremal source strength is undefined")
     p = params.p
     c2 = measured_c2(params, op)
     k_p = (1.0 / (c2 * p)) ** (1.0 / (p - 1.0)) * (p - 1.0) / p
 
-    def probe(k):
-        report = iterate_minimal(params.with_k(k), op)
-        return report.status == "Converged", report
-
-    ok, report = probe(k_p)
-    if not ok:
+    report = iterate_minimal(params.with_k(k_p), op)
+    if report.status != "Converged":
         raise ConvergenceError(
             f"iteration failed at the certified bound k_p = {k_p:.6g}"
         )
-    k_lo, profile_lo = k_p, report.profile
-
-    k_hi = None
-    k = k_p
+    k_a, profile = k_p, report.profile
     for _ in range(60):
-        k *= 2.0
-        ok, report = probe(k)
-        if ok:
-            k_lo, profile_lo = k, report.profile
-        else:
-            k_hi = k
+        report = iterate_minimal(params.with_k(2.0 * k_a), op)
+        if report.status != "Converged":
             break
-    if k_hi is None:
+        k_a, profile = 2.0 * k_a, report.profile
+    else:
         raise ConvergenceError("no divergence found while doubling k")
 
-    while k_hi - k_lo > 1e-3 * k_lo:
-        mid = 0.5 * (k_lo + k_hi)
-        ok, report = probe(mid)
-        if ok:
-            k_lo, profile_lo = mid, report.profile
-        else:
-            k_hi = mid
+    phi = sigma1(profile, params.with_k(k_a), op).eigfun.values
+    k_f, v, phi = _fold(params, op, k_a, profile.values, phi)
+    if not k_a < k_f <= 2.0 * k_a:
+        raise ConvergenceError(
+            f"fold k = {k_f:.6g} left the doubling bracket "
+            f"({k_a:.6g}, {2.0 * k_a:.6g}]"
+        )
+    if not np.all(phi > 0.0):
+        raise ConvergenceError("fold direction phi is not positive at every node")
+    k_lo = k_f * (1.0 - _KSTAR_OFFSET)
+    profile_lo = _lower_edge(params, op, k_f, k_lo, v, phi)
+    stab = sigma1(profile_lo, params.with_k(k_lo), op)
+    if not stab.sigma1 > 1.0:
+        raise ConvergenceError(
+            f"the solution at k_lo = {k_lo:.6g} is not strictly stable "
+            f"(sigma1 = {stab.sigma1:.6g})"
+        )
+    return KStarBracket(k_lo=k_lo, k_hi=k_f, profile_lo=profile_lo)
 
-    return KStarBracket(k_lo=k_lo, k_hi=k_hi, profile_lo=profile_lo)
+
+def _unit_source(params, op):
+    """(R, S): the smooth remainder and the singular part of
+    G_alpha[delta_0] at the nodes, so that u = v + k S for smooth part v
+    and F(v, k) = v - G[u^p] - k R is the residual of the iteration."""
+    remainder, c_fund, exponent = _source_parts(params.with_k(1.0), op)
+    return remainder, c_fund * op.grid.nodes**exponent
+
+
+def _fold(params, op, k, v, phi):
+    """Newton's method on the Moore-Spence fold system
+
+        F(v, k) = 0,   J phi = phi - G[f'(u) phi] = 0,   l . phi = c,
+
+    f(u) = u^p, u = v + k S, from (v, phi, k); returns (k, v, phi) at
+    the fold.  l is w phi / ||w phi|| at the start, where phi is scaled
+    to the 2-norm of v, and l . phi keeps its start value: GMRES
+    minimizes the 2-norm of the whole residual, so the phi rows must
+    weigh like the v rows (near p = 1, where v reaches 1e10 and more, a
+    unit phi is lost in rounding).  For the same reason the k unknown is
+    scaled by the 2-norm of its column -(G[f'(u) S] + R), without which
+    GMRES stalls on N = 3 operators.  A product with the bordered
+    Jacobian takes two Green products:
+
+        [dv - G[f' du] - dk R,  dphi - G[f' dphi + f'' phi du],  l . dphi]
+
+    with du = dv + dk S.
+    """
+    p = params.p
+    n = op.n
+    remainder, sing = _unit_source(params, op)
+    ell = op.grid.weights * phi
+    ell /= np.linalg.norm(ell)
+    phi = phi * (np.linalg.norm(v) / np.linalg.norm(phi))
+    size = ell @ phi
+    x = np.concatenate((v, phi, [k]))
+
+    def system(x):
+        v, phi, k = x[:n], x[n:-1], x[-1]
+        u = v + k * sing
+        f1 = p * u ** (p - 1.0)
+        f2 = (p - 1.0) * f1 / u
+        resid = np.concatenate(
+            (
+                v - op.apply(u**p) - k * remainder,
+                phi - op.apply(f1 * phi),
+                [ell @ phi - size],
+            )
+        )
+        error = max(
+            np.max(np.abs(resid[:n])) / np.max(np.abs(v)),
+            np.max(np.abs(resid[n:-1])) / np.max(np.abs(phi)),
+            abs(resid[-1]) / size,
+        )
+        column = op.apply(f1 * sing) + remainder
+        scale = np.linalg.norm(column)
+
+        def matvec(y):
+            dk = y[-1] / scale
+            du = y[:n] + dk * sing
+            return np.concatenate(
+                (
+                    y[:n] - op.apply(f1 * du) - dk * remainder,
+                    y[n:-1] - op.apply(f1 * y[n:-1] + f2 * phi * du),
+                    [ell @ y[n:-1]],
+                )
+            )
+
+        unit = np.ones(x.size)
+        unit[-1] = 1.0 / scale
+        return resid, error, matvec, unit
+
+    x = _newton_krylov(system, x, "the fold")
+    return float(x[-1]), x[:n], x[n:-1]
+
+
+def _lower_edge(params, op, k_f, k_lo, v, phi):
+    """The minimal solution at k_lo below the fold (k_f, v, phi), as a
+    RadialFunction: Newton's method on F(., k_lo) = 0 from the normal-form
+    predictor v - a phi, with a^2 = 2 (k_f - k_lo) psi . (G[f' S] + R) /
+    psi . G[f'' phi^2] and psi = w f' phi the left null vector of J."""
+    p = params.p
+    remainder, sing = _unit_source(params, op)
+    u = v + k_f * sing
+    f1 = p * u ** (p - 1.0)
+    psi = op.grid.weights * f1 * phi
+    rise = psi @ (op.apply(f1 * sing) + remainder)
+    bend = psi @ op.apply((p - 1.0) * f1 / u * phi**2)
+    a = math.sqrt(2.0 * (k_f - k_lo) * rise / bend)
+
+    def system(v):
+        u = v + k_lo * sing
+        resid = v - op.apply(u**p) - k_lo * remainder
+        fprime = p * u ** (p - 1.0)
+        error = np.max(np.abs(resid)) / np.max(np.abs(v))
+        return resid, error, lambda y: y - op.apply(fprime * y), 1.0
+
+    v = _newton_krylov(system, v - a * phi, "the solve at k_lo")
+    return RadialFunction(op.grid, v, k_lo * params.c_fund, params.singular_exponent)
+
+
+def _newton_krylov(system, x, name):
+    """Newton's method on system(x) = (residual, error, matvec, unit): stop
+    once error, the relative sup-norm residual, is at most 1e-12, else
+    step by x += unit * y with matvec(y) = -residual solved by _gmres, so
+    unit scales the unknowns.  Raises ConvergenceError, naming name, the
+    last error and the last GMRES relative residual, after 20 steps or
+    at a non-finite error."""
+    relres = math.nan
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            resid, error, matvec, unit = system(x)
+            if error <= _NEWTON_RTOL:
+                return x
+            if not math.isfinite(error):
+                break
+            step, relres = _gmres(matvec, -resid)
+            x = x + unit * step
+    raise ConvergenceError(
+        f"Newton's method for {name} did not converge in {_NEWTON_STEPS} steps: "
+        f"relative residual {error:.3e}, last GMRES relative residual {relres:.3e}"
+    )
+
+
+def _gmres(matvec, rhs):
+    """One GMRES cycle from zero for matvec(x) = rhs (Saad & Schultz 1986):
+    (x, relres), the iterate whether or not it met the tolerance, and its
+    rotated residual relative to ||rhs||.
+
+    Each Arnoldi column costs one matvec and is orthogonalised by
+    classical Gram-Schmidt run twice (Giraud, Langou & Rozloznik 2005),
+    two matrix-vector products against the basis per pass.  The cycle
+    stops when the rotated residual |g_(j+1)| falls to 1e-13 ||rhs||,
+    after 40 columns, or at a happy breakdown (the new column vanishes to
+    eps of its norm before orthogonalisation: the Krylov space is
+    invariant and the iterate exact); no matvec follows the cycle.
+    """
+    beta = float(np.linalg.norm(rhs))
+    basis = np.empty((_KRYLOV_CAP + 1, rhs.size))
+    np.multiply(rhs, 1.0 / beta, out=basis[0])
+    g = [beta]
+    columns = []
+    rotations = []
+    for j in range(_KRYLOV_CAP):
+        w = matvec(basis[j])
+        before = float(np.linalg.norm(w))
+        # prior' is a Fortran-ordered view: gemv with trans=1 gives the
+        # projections prior w, without it the combination prior' h.
+        prior = basis[: j + 1].T
+        h = blas.dgemv(1.0, prior, w, trans=1)
+        w -= blas.dgemv(1.0, prior, h)
+        again = blas.dgemv(1.0, prior, w, trans=1)
+        w -= blas.dgemv(1.0, prior, again)
+        h += again
+        after = float(np.linalg.norm(w))
+        breakdown = after <= _EPS * before
+        if not breakdown:
+            np.multiply(w, 1.0 / after, out=basis[j + 1])
+        col = h.tolist()
+        sub = 0.0 if breakdown else after
+        for k, (c, s) in enumerate(rotations):
+            col[k], col[k + 1] = (
+                c * col[k] + s * col[k + 1],
+                c * col[k + 1] - s * col[k],
+            )
+        diag = math.hypot(col[j], sub)
+        c, s = col[j] / diag, sub / diag
+        col[j] = diag
+        rotations.append((c, s))
+        columns.append(col)
+        g.append(-s * g[j])
+        g[j] *= c
+        if abs(g[j + 1]) <= _KRYLOV_RTOL * beta or breakdown:
+            break
+    m = len(columns)
+    y = [0.0] * m
+    for i in range(m - 1, -1, -1):
+        acc = g[i] - sum(columns[k][i] * y[k] for k in range(i + 1, m))
+        y[i] = acc / columns[i][i]
+    return blas.dgemv(1.0, basis[:m].T, y), abs(g[m]) / beta
 
 
 def _power_iteration(op, c):

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import blas
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .core import ConvergenceError, ParameterError, RadialFunction
 from .picard import _power_iteration, iterate_minimal
@@ -121,6 +120,10 @@ def sigma1_rayleigh(u, params, op):
     and it shares no iteration with that route, which applies the Green
     matrix itself, so the two remain independent cross-checks.
 
+    scipy.sparse.linalg is imported on the first call, not with the
+    module: the stability, mountain-pass and bifurcation commands never
+    call this route.
+
     Parameters
     ----------
     u : RadialFunction
@@ -132,6 +135,8 @@ def sigma1_rayleigh(u, params, op):
     -------
     float
     """
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
     if not u.is_nonnegative(slack=1e-12):
         raise ParameterError("stability index requires a nonnegative profile")
     if np.max(np.abs(u.total)) == 0.0:
@@ -157,7 +162,7 @@ class StabilityScan:
 
     Row j pairs ks[j] with the index sigma1s[j] and gap 1 - 1/sigma1.
     slope is the least-squares slope of gap against
-    kstar^((p-1)/p) - k^((p-1)/p) (kstar taken as the bracket midpoint),
+    kstar^((p-1)/p) - k^((p-1)/p) (kstar the bracket's k_hi, the fold),
     the coordinate in which the gap admits a linear lower bound.
     """
 
@@ -180,10 +185,11 @@ def stability_gap_scan(params_without_k, op, bracket, n_samples=8):
         Problem data; the k field is ignored.
     op : GreenOperator
     bracket : KStarBracket
-        Bracket from the extremal bisection on op; samples run from one
-        tenth of k_lo up to k_lo.  The samples below k_lo are default
-        iterate_minimal runs, like the bracket's probes; the k_lo sample
-        is the bracket's profile_lo, so it is not solved again.
+        find_kstar's result on op; samples run from one tenth of k_lo up
+        to k_lo.  The samples below k_lo are default iterate_minimal
+        runs; the k_lo sample is the bracket's profile_lo, so it is not
+        solved again, and its sigma1 is the certificate find_kstar kept
+        on it, so it is not iterated again.
     n_samples : int
         Number of samples, at least 4.
 
@@ -227,8 +233,7 @@ def stability_gap_scan(params_without_k, op, bracket, n_samples=8):
     if np.max(drops) > 1e-9 * np.max(sigmas):
         raise ConvergenceError("sigma1 is not nonincreasing along the scan")
 
-    kstar = 0.5 * (bracket.k_lo + bracket.k_hi)
     q = (params.p - 1.0) / params.p
-    x = kstar**q - ks**q
+    x = bracket.k_hi**q - ks**q
     slope = float(np.polyfit(x, gaps, 1)[0])
     return StabilityScan(ks=ks, sigma1s=sigmas, gaps=gaps, slope=slope)

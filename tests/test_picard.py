@@ -1,4 +1,4 @@
-"""Monotone iteration, barrier certificates, extremal bracketing, and the
+"""Monotone iteration, barrier certificates, the extremal fold, and the
 principal eigenpair."""
 
 import dataclasses
@@ -9,7 +9,14 @@ from scipy.integrate import quad
 from scipy.special import betainc
 
 import fracsing.picard
-from fracsing.core import ConvergenceError, ParameterError, ProblemParams, RegimeError
+from fracsing import stability
+from fracsing.core import (
+    ConvergenceError,
+    ParameterError,
+    ProblemParams,
+    RadialFunction,
+    RegimeError,
+)
 from fracsing.green import (
     GreenOperator,
     _dirac_power_image,
@@ -132,8 +139,7 @@ def test_barrier_certificate_threshold(params0, op400):
 def test_bracket_invariants(params0, op400, bracket400):
     br = bracket400
     assert isinstance(br, KStarBracket)
-    assert br.k_lo < br.k_hi
-    assert br.k_hi - br.k_lo <= 1e-3 * br.k_lo
+    assert br.k_lo == br.k_hi * (1.0 - 5e-4)
     c2 = measured_c2(params0, op400)
     p = params0.p
     k_p = (1.0 / (c2 * p)) ** (1.0 / (p - 1.0)) * (p - 1.0) / p
@@ -142,27 +148,198 @@ def test_bracket_invariants(params0, op400, bracket400):
 
 
 def test_bracket_edges_behave_as_recorded(params0, op400, bracket400):
-    # The lower edge converges under the default rule, the upper edge
-    # does not; this re-runs the probes independently of the bisection.
+    # On the desk case the default rule converges at the lower edge, and
+    # not at the fold itself, where Picard's contraction rate is 1.
     lo = iterate_minimal(params0.with_k(bracket400.k_lo), op400)
     assert lo.status == "Converged"
     hi = iterate_minimal(params0.with_k(bracket400.k_hi), op400)
     assert hi.status != "Converged"
 
 
-def test_bracket_edges_are_default_solves_near_p_one():
-    # Near p = 1 the iterates converge slowly close to k*, so a probe
-    # budget below the default one puts k_hi where a default solve
-    # still converges.  The matrix does not depend on p.
+def _operator(params, n):
+    return assemble(default_grid(params, n_nodes=n), params)
+
+
+@pytest.fixture(scope="module")
+def near_p_one():
+    """(2, 0.75, 1.1) on 120 nodes, where Picard's contraction rate tends
+    to 1 near k*: parameters, operator and find_kstar's result."""
     params = ProblemParams(dim=2, alpha=0.75, p=1.1)
-    op = assemble(default_grid(params, n_nodes=120), params)
+    op = _operator(params, 120)
+    return params, op, find_kstar(params, op)
+
+
+def test_fold_is_where_a_long_picard_run_turns_near_p_one(near_p_one):
+    # k_hi is the fold: a long run converges 1e-4 below it and diverges
+    # 1e-4 above it.  No fixed Picard budget places that turn, because
+    # the contraction rate tends to 1 there.
+    params, op, bracket = near_p_one
+    below = params.with_k(bracket.k_hi * (1.0 - 1e-4))
+    assert iterate_minimal(below, op, max_iter=200000).status == "Converged"
+    above = params.with_k(bracket.k_hi * (1.0 + 1e-4))
+    assert iterate_minimal(above, op, max_iter=200000).status == "Diverged"
+
+
+@pytest.mark.parametrize("case", ["desk", "near_p_one"])
+def test_lower_edge_is_the_certified_minimal_solution(request, case):
+    # profile_lo is a Newton solve, certified by sigma1 > 1.  A long
+    # Picard run at k_lo matches it; near p = 1 the default rule runs out
+    # of iterations there.
+    if case == "desk":
+        params = request.getfixturevalue("params0")
+        op = request.getfixturevalue("op400")
+        bracket = request.getfixturevalue("bracket400")
+    else:
+        params, op, bracket = request.getfixturevalue(case)
+    u = bracket.profile_lo
+    assert sigma1(u, params, op).sigma1 > 1.0
+    pk = params.with_k(bracket.k_lo)
+    long = iterate_minimal(pk, op, max_iter=400000)
+    assert long.status == "Converged"
+    assert long.profile.singular_coeff == u.singular_coeff
+    gap = np.max(np.abs(long.profile.values - u.values))
+    assert gap <= 1e-8 * np.max(np.abs(u.values))
+    if case == "near_p_one":
+        assert iterate_minimal(pk, op).status == "MaxIterations"
+
+
+def _dense_fold(params, op, k, v, phi):
+    """The fold k by Newton's method on the Moore-Spence system with its
+    dense (2n+1) Jacobian, built from the matrix, from (v, phi, k)."""
+    n, p = op.n, params.p
+    green = op.matrix * op.grid.weights[None, :]
+    remainder = dirac_smooth_remainder(op.grid, params)
+    sing = params.c_fund * op.grid.nodes**params.singular_exponent
+    ell = op.grid.weights * phi
+    phi = phi / (ell @ phi)
+    eye = np.eye(n)
+    for _ in range(30):
+        u = v + k * sing
+        f1 = p * u ** (p - 1.0)
+        f2 = p * (p - 1.0) * u ** (p - 2.0)
+        resid = np.concatenate(
+            (v - green @ u**p - k * remainder, phi - green @ (f1 * phi), [ell @ phi - 1.0])
+        )
+        jac = np.zeros((2 * n + 1, 2 * n + 1))
+        jac[:n, :n] = eye - green * f1
+        jac[:n, -1] = -(green @ (f1 * sing) + remainder)
+        jac[n:-1, :n] = -green * (f2 * phi)
+        jac[n:-1, n:-1] = eye - green * f1
+        jac[n:-1, -1] = -green @ (f2 * phi * sing)
+        jac[-1, n:-1] = ell
+        step = np.linalg.solve(jac, -resid)
+        v, phi, k = v + step[:n], phi + step[n:-1], k + step[-1]
+        if abs(step[-1]) <= 1e-14 * k:
+            return k
+    raise AssertionError("dense fold Newton did not converge")
+
+
+@pytest.mark.parametrize(
+    "case",
+    [(2, 0.75, 2.0, 200), (3, 0.6, 1.5, 200), (2, 0.75, 1.02, 120)],
+    ids=["desk", "n3", "p-near-one"],
+)
+def test_fold_matches_the_dense_moore_spence_newton(case, op200):
+    # The dense route starts from Picard at 0.9 k_lo and the top
+    # eigenvector of its dense linearisation.  At p = 1.02, k* is about
+    # 1.9e24 and v as large, far above the unit scale of phi.
+    dim, alpha, p, n = case
+    params = ProblemParams(dim=dim, alpha=alpha, p=p)
+    op = op200 if n == 200 and dim == 2 else _operator(params, n)
     bracket = find_kstar(params, op)
-    hi = iterate_minimal(params.with_k(bracket.k_hi), op)
-    assert hi.status != "Converged"
-    lo = iterate_minimal(params.with_k(bracket.k_lo), op)
-    assert lo.status == "Converged"
-    assert lo.profile.values.tobytes() == bracket.profile_lo.values.tobytes()
-    assert lo.profile.singular_coeff == bracket.profile_lo.singular_coeff
+    pk = params.with_k(0.9 * bracket.k_lo)
+    u = iterate_minimal(pk, op).profile
+    lin = op.matrix * (op.grid.weights * p * u.total ** (p - 1.0))[None, :]
+    evals, evecs = np.linalg.eig(lin)
+    top = np.real(evecs[:, np.argmax(np.real(evals))])
+    k_dense = _dense_fold(params, op, pk.k, u.values, top * np.sign(top[0]))
+    assert bracket.k_hi == pytest.approx(k_dense, rel=1e-10)
+
+
+def test_fold_newton_out_of_budget_is_a_typed_error(params0, op200, monkeypatch):
+    monkeypatch.setattr(fracsing.picard, "_NEWTON_STEPS", 2)
+    message = (
+        r"Newton's method for the fold did not converge in 2 steps: relative "
+        r"residual \S+, last GMRES relative residual \d\.\d{3}e-\d+"
+    )
+    with pytest.raises(ConvergenceError, match=message):
+        find_kstar(params0, op200)
+
+
+def test_fold_outside_the_doubling_bracket_is_a_typed_error(op200, monkeypatch):
+    # Probes above k_p report MaxIterations, as a budget too short for a
+    # slow but convergent run would.  At p = 1.5, k_p is 0.46 k*, so the
+    # fold lies above 2 k_p; find_kstar does not fall back to bisection.
+    params = ProblemParams(dim=2, alpha=0.75, p=1.5)
+    real = fracsing.picard.iterate_minimal
+    ks = []
+
+    def short(params, op, **kwargs):
+        report = real(params, op, **kwargs)
+        ks.append(params.k)
+        if params.k > ks[0]:
+            return dataclasses.replace(report, status="MaxIterations")
+        return report
+
+    monkeypatch.setattr(fracsing.picard, "iterate_minimal", short)
+    with pytest.raises(ConvergenceError, match="left the doubling bracket"):
+        find_kstar(params, op200)
+    assert len(ks) == 2
+
+
+def _patched_sigma1(monkeypatch, change):
+    """Pass each sigma1 report find_kstar reads through change(report,
+    call number)."""
+    real = stability.sigma1
+    calls = []
+
+    def patched(u, params, op):
+        calls.append(u)
+        return change(real(u, params, op), len(calls))
+
+    monkeypatch.setattr(stability, "sigma1", patched)
+    return calls
+
+
+def test_fold_direction_of_one_sign_is_required(params0, op200, monkeypatch):
+    # From the negated eigenfunction Newton reaches the same fold with
+    # phi < 0 (the system is odd in phi and l), which is rejected.
+    def negate(report, call):
+        return dataclasses.replace(
+            report, eigfun=RadialFunction(op200.grid, -report.eigfun.values)
+        )
+
+    calls = _patched_sigma1(monkeypatch, negate)
+    with pytest.raises(ConvergenceError, match="phi is not positive"):
+        find_kstar(params0, op200)
+    assert len(calls) == 1
+
+
+def test_lower_edge_without_certificate_is_a_typed_error(params0, op200, monkeypatch):
+    def semi_stable(report, call):
+        return dataclasses.replace(report, sigma1=1.0) if call == 2 else report
+
+    calls = _patched_sigma1(monkeypatch, semi_stable)
+    with pytest.raises(ConvergenceError, match=r"not strictly stable \(sigma1 = 1\)"):
+        find_kstar(params0, op200)
+    assert len(calls) == 2
+
+
+def test_fold_and_lower_edge_reuse_one_gmres_cycle(params0, op200, monkeypatch):
+    # Every Newton step of find_kstar is one call of the shared cycle,
+    # which returns its iterate and its relative residual.
+    real = fracsing.picard._gmres
+    residuals = []
+
+    def recorded(matvec, rhs):
+        x, relres = real(matvec, rhs)
+        residuals.append(relres)
+        return x, relres
+
+    monkeypatch.setattr(fracsing.picard, "_gmres", recorded)
+    find_kstar(params0, op200)
+    assert 4 <= len(residuals) <= 12
+    assert all(0.0 <= r < 1e-10 for r in residuals)
 
 
 def test_bracket_rejects_supercritical(op400):

@@ -139,14 +139,19 @@ def test_scan_endpoints_bracket_semistability(params0, op400, bracket400):
 def test_gap_scan_takes_the_bracket_profile_at_k_lo(
     params0, op200, op400, bracket400, monkeypatch
 ):
-    # Reference: every sample solved from zero by the default rule, the
-    # k_lo sample included.
+    # Reference: every sample below k_lo solved from zero by the default
+    # rule.  The k_lo sample is the bracket's profile, whose sigma1 is the
+    # certificate find_kstar kept on it: the scan solves and iterates for
+    # the other samples only.
     ks = np.linspace(0.1 * bracket400.k_lo, bracket400.k_lo, 6)
     reports = []
-    for k in ks:
+    for k in ks[:-1]:
         pk = params0.with_k(float(k))
         report = iterate_minimal(pk, op400)
         reports.append(sigma1(report.profile, pk, op400))
+    kept = sigma1(bracket400.profile_lo, params0, op400)
+    reports.append(kept)
+    assert kept.sigma1 > 1.0
 
     calls = []
 
@@ -155,11 +160,13 @@ def test_gap_scan_takes_the_bracket_profile_at_k_lo(
         return iterate_minimal(*args, **kwargs)
 
     monkeypatch.setattr(stability, "iterate_minimal", counted)
+    power = _count_power_iterations(monkeypatch)
     scan = stability_gap_scan(params0, op400, bracket400, n_samples=6)
-    assert len(calls) == 5
+    assert len(calls) == len(power) == 5
     assert scan.ks.tobytes() == ks.tobytes()
     assert scan.sigma1s.tobytes() == np.array([r.sigma1 for r in reports]).tobytes()
     assert scan.gaps.tobytes() == np.array([r.gap for r in reports]).tobytes()
+    assert sigma1(bracket400.profile_lo, params0, op400) is kept
 
     alien = dataclasses.replace(bracket400, profile_lo=RadialFunction.zero(op200.grid))
     with pytest.raises(ParameterError, match="another grid"):
