@@ -504,7 +504,8 @@ def _eigen(job):
 def _bifurcation(job):
     import numpy as np
 
-    from .core import ParameterError, RegimeError, SecondSolutionNotFound
+    from .core import ConvergenceError, ParameterError, RegimeError
+    from .core import SecondSolutionNotFound
     from .mountainpass import build_form, find_second_solution
     from .picard import find_kstar, iterate_minimal
     from .stability import sigma1
@@ -527,6 +528,10 @@ def _bifurcation(job):
     for k in ks:
         pk = params.with_k(float(k))
         urep = iterate_minimal(pk, op)
+        if urep.status != "Converged":
+            raise ConvergenceError(
+                f"minimal solution at k = {k:.6g} ended with {urep.status}"
+            )
         sig = sigma1(urep.profile, pk, op).sigma1
         try:
             res = find_second_solution(pk, op, form, urep.profile, seed=seed)

@@ -35,8 +35,8 @@ _KRYLOV_RTOL = 1e-13
 _KRYLOV_CAP = 40
 _EPS = float(np.finfo(float).eps)
 # find_kstar: k_lo lies this far below the fold, relative; the fold and
-# the k_lo solve stop at this relative sup-norm residual, within this
-# many Newton steps.
+# the k_lo solve stop at this relative residual (nodewise at k_lo),
+# within this many Newton steps.
 _KSTAR_OFFSET = 5e-4
 _NEWTON_RTOL = 1e-12
 _NEWTON_STEPS = 20
@@ -66,10 +66,11 @@ class KStarBracket:
 
     k_hi is the discrete fold of the minimal branch, which is k* on the
     operator; k_lo = k_hi (1 - 5e-4), and profile_lo is the minimal
-    solution at k_lo, solved for by Newton and certified by sigma1 > 1,
-    which find_kstar keeps on it.  Near the fold Picard's contraction
-    rate tends to 1, so a default iterate_minimal run at k_lo may end
-    with MaxIterations although the solution exists.
+    solution at k_lo, solved for by Newton's method from Picard's first
+    iterate and certified by sigma1 > 1, which find_kstar keeps on it.
+    Near the fold Picard's contraction rate tends to 1, so a default
+    iterate_minimal run at k_lo may end with MaxIterations although the
+    solution exists.
     """
 
     k_lo: float
@@ -230,13 +231,14 @@ def find_kstar(params_without_k, op):
     at 2 k_a fails and k* lies in (k_a, 2 k_a].  From the profile at k_a
     and its sigma1 eigenfunction, Newton's method solves the fold system
     of Moore & Spence (1980, SIAM J. Numer. Anal. 17) for (v, phi, k)
-    (_fold).  A positive phi makes the fold k*: f is strictly convex, so
-    the extremal solution is the only semi-stable one.  k_lo lies 5e-4
-    below the fold, and its profile is a Newton solve from the fold's
-    normal-form predictor (_lower_edge).  sigma1 > 1 there certifies it
-    as the minimal solution: T = G diag(f'(u)) has spectral radius
-    1/sigma1 < 1, and w = u - u_min >= 0 satisfies
-    w <= T w <= T^m w -> 0 by convexity, so u = u_min.
+    (_fold).  A positive phi makes the fold k*, wherever it lies: f is
+    strictly convex, so the extremal solution is the only semi-stable
+    one.  k_lo lies 5e-4 below the fold, and its profile is a Newton
+    solve from Picard's first iterate, which rises at every node
+    (_lower_edge).  sigma1 > 1 there certifies it as the minimal
+    solution: T = G diag(f'(u)) has spectral radius 1/sigma1 < 1, and
+    w = u - u_min >= 0 satisfies w <= T w <= T^m w -> 0 by convexity,
+    so u = u_min.
 
     Parameters
     ----------
@@ -262,8 +264,9 @@ def find_kstar(params_without_k, op):
         If the probe at the certified lower bound k_p fails, no
         divergence is found under repeated doubling, the fold or the
         k_lo solve does not converge in 20 Newton steps (the message
-        quotes the last GMRES relative residual), the fold leaves
-        (k_a, 2 k_a], phi is not positive, or sigma1 <= 1 at k_lo.
+        quotes the last GMRES relative residual) or meets a non-finite
+        residual (the message names the step), phi is not positive, or
+        sigma1 <= 1 at k_lo.
     """
     from .stability import sigma1  # stability imports this module
 
@@ -288,16 +291,11 @@ def find_kstar(params_without_k, op):
         raise ConvergenceError("no divergence found while doubling k")
 
     phi = sigma1(profile, params.with_k(k_a), op).eigfun.values
-    k_f, v, phi = _fold(params, op, k_a, profile.values, phi)
-    if not k_a < k_f <= 2.0 * k_a:
-        raise ConvergenceError(
-            f"fold k = {k_f:.6g} left the doubling bracket "
-            f"({k_a:.6g}, {2.0 * k_a:.6g}]"
-        )
+    k_f, phi = _fold(params, op, k_a, profile.values, phi)
     if not np.all(phi > 0.0):
         raise ConvergenceError("fold direction phi is not positive at every node")
     k_lo = k_f * (1.0 - _KSTAR_OFFSET)
-    profile_lo = _lower_edge(params, op, k_f, k_lo, v, phi)
+    profile_lo = _lower_edge(params, op, k_lo)
     stab = sigma1(profile_lo, params.with_k(k_lo), op)
     if not stab.sigma1 > 1.0:
         raise ConvergenceError(
@@ -307,28 +305,21 @@ def find_kstar(params_without_k, op):
     return KStarBracket(k_lo=k_lo, k_hi=k_f, profile_lo=profile_lo)
 
 
-def _unit_source(params, op):
-    """(R, S): the smooth remainder and the singular part of
-    G_alpha[delta_0] at the nodes, so that u = v + k S for smooth part v
-    and F(v, k) = v - G[u^p] - k R is the residual of the iteration."""
-    remainder, c_fund, exponent = _source_parts(params.with_k(1.0), op)
-    return remainder, c_fund * op.grid.nodes**exponent
-
-
 def _fold(params, op, k, v, phi):
     """Newton's method on the Moore-Spence fold system
 
         F(v, k) = 0,   J phi = phi - G[f'(u) phi] = 0,   l . phi = c,
 
-    f(u) = u^p, u = v + k S, from (v, phi, k); returns (k, v, phi) at
-    the fold.  l is w phi / ||w phi|| at the start, where phi is scaled
-    to the 2-norm of v, and l . phi keeps its start value: GMRES
-    minimizes the 2-norm of the whole residual, so the phi rows must
-    weigh like the v rows (near p = 1, where v reaches 1e10 and more, a
-    unit phi is lost in rounding).  For the same reason the k unknown is
-    scaled by the 2-norm of its column -(G[f'(u) S] + R), without which
-    GMRES stalls on N = 3 operators.  A product with the bordered
-    Jacobian takes two Green products:
+    f(u) = u^p, u = v + k S, F(v, k) = v - G[f(u)] - k R, with R and S
+    the smooth remainder and the singular part of G_alpha[delta_0], from
+    (v, phi, k); returns (k, phi) at the fold.  l is w phi / ||w phi||
+    at the start, where phi is scaled to the 2-norm of v, and l . phi
+    keeps its start value: GMRES minimizes the 2-norm of the whole
+    residual, so the phi rows must weigh like the v rows (near p = 1,
+    where v reaches 1e10 and more, a unit phi is lost in rounding).  For
+    the same reason the k unknown is scaled by the 2-norm of its column
+    -(G[f'(u) S] + R), without which GMRES stalls on N = 3 operators.
+    A product with the bordered Jacobian takes two Green products:
 
         [dv - G[f' du] - dk R,  dphi - G[f' dphi + f'' phi du],  l . dphi]
 
@@ -336,7 +327,8 @@ def _fold(params, op, k, v, phi):
     """
     p = params.p
     n = op.n
-    remainder, sing = _unit_source(params, op)
+    remainder, c_fund, exponent = _source_parts(params.with_k(1.0), op)
+    sing = c_fund * op.grid.nodes**exponent
     ell = op.grid.weights * phi
     ell /= np.linalg.norm(ell)
     phi = phi * (np.linalg.norm(v) / np.linalg.norm(phi))
@@ -379,49 +371,48 @@ def _fold(params, op, k, v, phi):
         return resid, error, matvec, unit
 
     x = _newton_krylov(system, x, "the fold")
-    return float(x[-1]), x[:n], x[n:-1]
+    return float(x[-1]), x[n:-1]
 
 
-def _lower_edge(params, op, k_f, k_lo, v, phi):
-    """The minimal solution at k_lo below the fold (k_f, v, phi), as a
-    RadialFunction: Newton's method on F(., k_lo) = 0 from the normal-form
-    predictor v - a phi, with a^2 = 2 (k_f - k_lo) psi . (G[f' S] + R) /
-    psi . G[f'' phi^2] and psi = w f' phi the left null vector of J."""
+def _lower_edge(params, op, k_lo):
+    """The minimal solution at k_lo, as a RadialFunction: Newton's method
+    on F(., k_lo) = 0 from Picard's first iterate k_lo G_alpha[delta_0],
+    stopped once max_i |F_i| / u_i <= 1e-12.  The start is a subsolution,
+    G >= 0 and f is convex, so every iterate rises nodewise to u_min
+    while G diag(f'(u_min)) has spectral radius below 1 (Ortega &
+    Rheinboldt 1970, section 13.3)."""
     p = params.p
-    remainder, sing = _unit_source(params, op)
-    u = v + k_f * sing
-    f1 = p * u ** (p - 1.0)
-    psi = op.grid.weights * f1 * phi
-    rise = psi @ (op.apply(f1 * sing) + remainder)
-    bend = psi @ op.apply((p - 1.0) * f1 / u * phi**2)
-    a = math.sqrt(2.0 * (k_f - k_lo) * rise / bend)
+    source, coeff, exponent = _source_parts(params.with_k(k_lo), op)
+    sing = coeff * op.grid.nodes**exponent
 
     def system(v):
-        u = v + k_lo * sing
-        resid = v - op.apply(u**p) - k_lo * remainder
+        u = v + sing
+        resid = v - op.apply(u**p) - source
         fprime = p * u ** (p - 1.0)
-        error = np.max(np.abs(resid)) / np.max(np.abs(v))
+        error = np.max(np.abs(resid) / u)
         return resid, error, lambda y: y - op.apply(fprime * y), 1.0
 
-    v = _newton_krylov(system, v - a * phi, "the solve at k_lo")
-    return RadialFunction(op.grid, v, k_lo * params.c_fund, params.singular_exponent)
+    v = _newton_krylov(system, source, "the solve at k_lo")
+    return RadialFunction(op.grid, v, coeff, exponent)
 
 
 def _newton_krylov(system, x, name):
     """Newton's method on system(x) = (residual, error, matvec, unit): stop
-    once error, the relative sup-norm residual, is at most 1e-12, else
-    step by x += unit * y with matvec(y) = -residual solved by _gmres, so
-    unit scales the unknowns.  Raises ConvergenceError, naming name, the
-    last error and the last GMRES relative residual, after 20 steps or
-    at a non-finite error."""
-    relres = math.nan
+    once error, a relative residual, is at most 1e-12, else step by
+    x += unit * y with matvec(y) = -residual solved by _gmres, so unit
+    scales the unknowns.  Raises ConvergenceError, naming name: after 20
+    steps, quoting the last error and the last GMRES relative residual,
+    or at a non-finite error, naming the number of steps taken."""
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        for _ in range(_NEWTON_STEPS):
+        for taken in range(_NEWTON_STEPS):
             resid, error, matvec, unit = system(x)
             if error <= _NEWTON_RTOL:
                 return x
             if not math.isfinite(error):
-                break
+                raise ConvergenceError(
+                    f"Newton's method for {name} met a non-finite residual "
+                    f"after {taken} steps"
+                )
             step, relres = _gmres(matvec, -resid)
             x = x + unit * step
     raise ConvergenceError(

@@ -6,6 +6,7 @@ documented exit codes, cache self-healing, and byte-level determinism
 of the emitted files.
 """
 
+import dataclasses
 import importlib.util
 import json
 import os
@@ -456,6 +457,36 @@ def test_bifurcation_keeps_the_row_of_a_failed_search(tmp_path, monkeypatch):
     # Columns: k, u_norm, sigma1, w_norm, energy, beta.
     assert np.all(np.isfinite(data[1, :3])) and np.all(np.isnan(data[1, 3:]))
     assert np.all(np.isfinite(data[[0, 2]]))
+
+
+def test_bifurcation_on_an_unconverged_minimal_solution_exits_2(
+    tmp_path, capsys, monkeypatch
+):
+    # Every Picard run after the k* bracket, that is every sample's,
+    # reports MaxIterations; no row is built on such a profile.
+    real_kstar = fracsing.picard.find_kstar
+    real_solve = fracsing.picard.iterate_minimal
+    brackets = []
+
+    def kstar(*args):
+        brackets.append(real_kstar(*args))
+        return brackets[-1]
+
+    def stalled(params, op, **kwargs):
+        report = real_solve(params, op, **kwargs)
+        return dataclasses.replace(report, status="MaxIterations") if brackets else report
+
+    monkeypatch.setattr(fracsing.picard, "find_kstar", kstar)
+    monkeypatch.setattr(fracsing.picard, "iterate_minimal", stalled)
+    out = tmp_path / "out"
+    argv = ["bifurcation", "--n-nodes", "200", "--n-samples", "3", "-o", str(out)]
+    assert cli.main(argv) == 2
+    k = 0.1 * brackets[0].k_lo
+    assert capsys.readouterr().err.splitlines() == [
+        f"fracsing bifurcation: minimal solution at k = {k:.6g} ended with "
+        "MaxIterations"
+    ]
+    assert not (out / "bifurcation.csv").exists()
 
 
 def test_emit_plots_writes_long_format(tmp_path):

@@ -203,6 +203,63 @@ def test_lower_edge_is_the_certified_minimal_solution(request, case):
         assert iterate_minimal(pk, op).status == "MaxIterations"
 
 
+@pytest.mark.parametrize(
+    "case", [(2, 0.9, 1.5306), (2, 0.9, 1.4463), (2, 0.95, 3.1356), (2, 0.9, 3.5633)]
+)
+def test_lower_edge_is_certified_where_u_vanishes_at_the_boundary(case):
+    # Near r = 1, u vanishes while S = c_fund r^(2 alpha - N) does not,
+    # and u^p is NaN unless every Newton iterate keeps u positive there.
+    params = ProblemParams(dim=case[0], alpha=case[1], p=case[2])
+    op = _operator(params, 120)
+    bracket = find_kstar(params, op)
+    assert bracket.profile_lo.is_nonnegative()
+    assert sigma1(bracket.profile_lo, params.with_k(bracket.k_lo), op).sigma1 > 1.0
+
+
+def test_lower_edge_stops_relative_to_u_at_each_node():
+    # At N = 5 and p near 1, max|v| is 2e23 while u falls to 4e8 near
+    # r = 1: only a stop relative to u at each node pins the boundary.
+    params = ProblemParams(dim=5, alpha=0.25, p=1.0267)
+    op = _operator(params, 120)
+    bracket = find_kstar(params, op)
+    u = bracket.profile_lo
+    long = iterate_minimal(params.with_k(bracket.k_lo), op, max_iter=200000)
+    assert long.status == "Converged"
+    gap = np.abs(long.profile.values - u.values) / u.total
+    assert np.max(gap) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "case",
+    [None, (2, 0.75, 1.02), (2, 0.9, 1.5306)],
+    ids=["desk", "p-near-one", "steep"],
+)
+def test_lower_edge_iterates_rise_at_every_node(case, params0, op200, monkeypatch):
+    # Newton's method from a subsolution of a convex problem, here
+    # Picard's first iterate, climbs monotonically to the minimal solution.
+    if case is None:
+        params, op = params0, op200
+    else:
+        params = ProblemParams(dim=case[0], alpha=case[1], p=case[2])
+        op = _operator(params, 120)
+    real = fracsing.picard._newton_krylov
+    iterates = []
+
+    def recorded(system, x, name):
+        def seen(x):
+            if name == "the solve at k_lo":
+                iterates.append(x)
+            return system(x)
+
+        return real(seen, x, name)
+
+    monkeypatch.setattr(fracsing.picard, "_newton_krylov", recorded)
+    k_lo = find_kstar(params, op).k_lo
+    assert np.array_equal(iterates[0], k_lo * dirac_smooth_remainder(op.grid, params))
+    assert len(iterates) >= 3
+    assert np.all(np.diff(iterates, axis=0) >= 0.0)
+
+
 def _dense_fold(params, op, k, v, phi):
     """The fold k by Newton's method on the Moore-Spence system with its
     dense (2n+1) Jacobian, built from the matrix, from (v, phi, k)."""
@@ -266,11 +323,12 @@ def test_fold_newton_out_of_budget_is_a_typed_error(params0, op200, monkeypatch)
         find_kstar(params0, op200)
 
 
-def test_fold_outside_the_doubling_bracket_is_a_typed_error(op200, monkeypatch):
+def test_fold_above_the_doubling_bracket_is_k_star(op200, monkeypatch):
     # Probes above k_p report MaxIterations, as a budget too short for a
     # slow but convergent run would.  At p = 1.5, k_p is 0.46 k*, so the
-    # fold lies above 2 k_p; find_kstar does not fall back to bisection.
+    # fold lies above 2 k_p; a positive phi still makes it k*.
     params = ProblemParams(dim=2, alpha=0.75, p=1.5)
+    fold = find_kstar(params, op200).k_hi
     real = fracsing.picard.iterate_minimal
     ks = []
 
@@ -282,9 +340,19 @@ def test_fold_outside_the_doubling_bracket_is_a_typed_error(op200, monkeypatch):
         return report
 
     monkeypatch.setattr(fracsing.picard, "iterate_minimal", short)
-    with pytest.raises(ConvergenceError, match="left the doubling bracket"):
-        find_kstar(params, op200)
+    bracket = find_kstar(params, op200)
     assert len(ks) == 2
+    assert bracket.k_hi > 2.0 * ks[0]
+    assert bracket.k_hi == pytest.approx(fold, rel=1e-12)
+
+
+def test_fold_that_turns_non_finite_names_the_step():
+    # On 120 nodes the fold's Newton error reads 0.80, then 1.90, then
+    # NaN.
+    params = ProblemParams(dim=3, alpha=0.95, p=2.6417)
+    message = r"^Newton's method for the fold met a non-finite residual after 2 steps$"
+    with pytest.raises(ConvergenceError, match=message):
+        find_kstar(params, _operator(params, 120))
 
 
 def _patched_sigma1(monkeypatch, change):
@@ -338,7 +406,8 @@ def test_fold_and_lower_edge_reuse_one_gmres_cycle(params0, op200, monkeypatch):
 
     monkeypatch.setattr(fracsing.picard, "_gmres", recorded)
     find_kstar(params0, op200)
-    assert 4 <= len(residuals) <= 12
+    # Measured: 13 calls, 5 for the fold and 8 for the solve at k_lo.
+    assert 12 <= len(residuals) <= 15
     assert all(0.0 <= r < 1e-10 for r in residuals)
 
 
