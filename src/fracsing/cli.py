@@ -359,28 +359,27 @@ class _Table(NamedTuple):
 
 class _Result(NamedTuple):
     """A command's CSV tables, the first its main one, JSON payload (less
-    command and provenance), stdout lines and exit code."""
+    command and provenance) and stdout lines."""
 
     tables: list
     payload: dict
     lines: list
-    code: int = 0
 
 
 def _solve(job):
-    from .picard import iterate_minimal
+    from .green import measured_c2
+    from .picard import barrier_certificate, minimal_solution
 
-    report = iterate_minimal(job.params, job.op)
-    profile, converged = report.profile, report.status == "Converged"
+    params, op = job.params, job.op
+    profile = minimal_solution(params, op)
+    certified = params.subcritical and barrier_certificate(
+        params, measured_c2(params, op)
+    )["certified"]
+    classification = _classification_payload(profile, params, op)
     lines = [
-        f"solve: {report.status} after {report.iterations} iterations, "
-        f"sup residual {report.sup_residual:.3e}, "
-        f"barrier certified: {report.barrier_certified}"
+        f"solve: minimal solution by Newton's method, barrier certified: {certified}",
+        f"classification: {classification['verdict']}",
     ]
-    classification = None
-    if converged:
-        classification = _classification_payload(profile, job.params, job.op)
-        lines.append(f"classification: {classification['verdict']}")
     r, total, smooth = profile.grid.nodes, profile.total, profile.values
     singular = 0.0 * r
     if profile.singular_coeff > 0.0:
@@ -391,14 +390,8 @@ def _solve(job):
     }
     rows = list(zip(r, total, smooth, singular))
     table = _Table("solve.csv", "profile", _PROFILE_COLUMNS, rows, header)
-    payload = {
-        "status": report.status,
-        "iterations": report.iterations,
-        "sup_residual": report.sup_residual,
-        "barrier_certified": report.barrier_certified,
-        "classification": classification,
-    }
-    return _Result([table], payload, lines, 0 if converged else 2)
+    payload = {"barrier_certified": certified, "classification": classification}
+    return _Result([table], payload, lines)
 
 
 def _kstar(job):
@@ -435,22 +428,16 @@ def _stability(job):
 
 def _mountain_pass(job):
     from .classify import verify_weak_identity
-    from .core import ConvergenceError
     from .mountainpass import build_form, find_second_solution
-    from .picard import iterate_minimal
+    from .picard import minimal_solution
 
-    urep = iterate_minimal(job.params, job.op)
-    if urep.status != "Converged":
-        raise ConvergenceError(
-            f"minimal solution did not converge (status {urep.status}); "
-            f"is k inside the existence range?"
-        )
+    u_min = minimal_solution(job.params, job.op)
     method, form = job.args.method, build_form(job.op)
     result = find_second_solution(
-        job.params, job.op, form, urep.profile, method=method, seed=int(job.cfg["seed"])
+        job.params, job.op, form, u_min, method=method, seed=int(job.cfg["seed"])
     )
     identity = verify_weak_identity(result.second_solution, job.params, job.op)
-    r, u_total = job.op.grid.nodes, urep.profile.total
+    r, u_total = job.op.grid.nodes, u_min.total
     w_total = result.second_solution.total
     v = result.v.values
     rows = list(zip(r, u_total, v, w_total))
@@ -504,10 +491,9 @@ def _eigen(job):
 def _bifurcation(job):
     import numpy as np
 
-    from .core import ConvergenceError, ParameterError, RegimeError
-    from .core import SecondSolutionNotFound
+    from .core import ParameterError, RegimeError, SecondSolutionNotFound
     from .mountainpass import build_form, find_second_solution
-    from .picard import find_kstar, iterate_minimal
+    from .picard import find_kstar, minimal_solution
     from .stability import sigma1
 
     n_samples, seed = int(job.cfg["scan.n_samples"]), int(job.cfg["seed"])
@@ -527,20 +513,16 @@ def _bifurcation(job):
     rows = []
     for k in ks:
         pk = params.with_k(float(k))
-        urep = iterate_minimal(pk, op)
-        if urep.status != "Converged":
-            raise ConvergenceError(
-                f"minimal solution at k = {k:.6g} ended with {urep.status}"
-            )
-        sig = sigma1(urep.profile, pk, op).sigma1
+        u_min = minimal_solution(pk, op)
+        sig = sigma1(u_min, pk, op).sigma1
         try:
-            res = find_second_solution(pk, op, form, urep.profile, seed=seed)
+            res = find_second_solution(pk, op, form, u_min, seed=seed)
             w_norm = branch_norm(res.second_solution)
             energy = res.energy
             beta = res.level_lower_bound
         except (SecondSolutionNotFound, RegimeError):
             w_norm = energy = beta = float("nan")
-        rows.append((float(k), branch_norm(urep.profile), sig, w_norm, energy, beta))
+        rows.append((float(k), branch_norm(u_min), sig, w_norm, energy, beta))
     columns = ["k", "u_norm", "sigma1", "w_norm", "energy", "beta"]
     payload = dict(k_lo=bracket.k_lo, k_hi=bracket.k_hi, columns=columns, rows=rows)
     line = (
@@ -582,7 +564,7 @@ _METHOD = (
 _COMMANDS = {
     "solve": _Command(
         _solve,
-        "minimal solution via monotone iteration",
+        "minimal solution by Newton's method from Picard's first iterate",
         "no solution with a point mass exists (Dirac data forces k = 0)",
         point_mass=True,
     ),
@@ -620,7 +602,7 @@ _COMMANDS = {
 
 
 def _run(name, cfg, args):
-    """Run one subcommand and write its outputs; returns the exit code.
+    """Run one subcommand and write its outputs.
 
     The command only computes.  Before it, the driver checks the regime,
     loads the operator and measures the provenance, including the first
@@ -661,7 +643,6 @@ def _run(name, cfg, args):
         _write_long_csv(stem + "_long.csv", header, first)
     for line in result.lines:
         print(line)
-    return result.code
 
 
 def _add_common(sp, name):
@@ -716,7 +697,7 @@ def main(argv=None):
     from .core import ConvergenceError, KernelError, ParameterError, RegimeError
 
     try:
-        return _run(args.command, cfg, args)
+        _run(args.command, cfg, args)
     except (RegimeError, ConvergenceError) as exc:
         print(f"fracsing {args.command}: {exc}", file=sys.stderr)
         return 2
@@ -726,6 +707,7 @@ def main(argv=None):
     except OSError as exc:
         print(f"fracsing {args.command}: I/O error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Monotone iteration for the minimal solution and the extremal source bound.
+"""Minimal solutions, the monotone iteration and the extremal source bound.
 
 The minimal solution of (-Delta)^alpha u = u^p + k delta_0 on the unit
 ball is the increasing limit of the iterates
@@ -9,12 +9,13 @@ which converge exactly for source strengths k up to an extremal value k*.
 With g = G_alpha[delta_0] and the measured comparison constant
 c2 = sup G_alpha[g^p]/g, the profile w_t = t k^p G_alpha[g^p] + k g is a
 supersolution barrier whenever (c2 t k^(p-1) + 1)^p <= t, which a simple
-threshold on c2 k^(p-1) guarantees at t = (p/(p-1))^p; certified runs are
-checked against the barrier nodewise.  k* is the discrete fold of the
-minimal branch, solved for by Newton's method on the Moore-Spence system
-with the GMRES cycle that every Newton step of the package shares
-(_gmres), and power iteration on the Green matrix supplies the principal
-Dirichlet eigenpair used by the stability analysis.
+threshold on c2 k^(p-1) guarantees at t = (p/(p-1))^p; certified runs
+are checked against the barrier nodewise.  The package's callers solve by
+Newton's method from v_0 instead (minimal_solution).  k* is the discrete
+fold of the minimal branch, solved for by Newton's method on the
+Moore-Spence system with the GMRES cycle that every Newton step of the
+package shares (_gmres), and power iteration on the Green matrix
+supplies the principal Dirichlet eigenpair used by the stability analysis.
 """
 
 from __future__ import annotations
@@ -25,31 +26,35 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas
 
-from .core import ConvergenceError, RadialFunction
+from .core import ConvergenceError, RadialFunction, RegimeError
 from .green import _dirac_power_image, dirac_smooth_remainder, measured_c2
 
-_CEILING_FACTOR = 1e6
 _MONOTONE_SLACK = 1e-12
 # GMRES settings of every Newton step (_gmres).
 _KRYLOV_RTOL = 1e-13
 _KRYLOV_CAP = 40
 _EPS = float(np.finfo(float).eps)
-# find_kstar: k_lo lies this far below the fold, relative; the fold and
-# the k_lo solve stop at this relative residual (nodewise at k_lo),
-# within this many Newton steps.
+# find_kstar: k_lo lies this far below the fold, relative; every Newton
+# solve stops at this relative residual, within this many steps.
 _KSTAR_OFFSET = 5e-4
 _NEWTON_RTOL = 1e-12
 _NEWTON_STEPS = 20
+# minimal_solution: a Newton step below -_FALL_SLACK u_i at a node i
+# certifies k >= k*.  Measured: step/u >= -6.0e-11 below k* (rounding;
+# a 120-case sweep at n <= 200, -2.6e-12 on the desk case at n = 800);
+# the first fall at (1 + 1e-6) k* >= 1.7e-3 (both bench operators and
+# p = 1.1).  1e-6 keeps 1.7e4 above the rounding, the wider margin as a
+# false "at or above k*" is the graver fault, and 1.7e3 below the fall.
+_FALL_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of the monotone iteration.
+    """Outcome of the monotone iteration (iterate_minimal).
 
     status is "Converged", "Diverged", or "MaxIterations"; sup_residual
-    is the final sup-norm step between consecutive total profiles (for a
-    diverged run, the last finite step); profile is the final iterate
-    (for a diverged run, the last iterate before blow-up was detected).
+    is the final sup-norm step between consecutive total profiles and
+    profile the final iterate (for a diverged run, the last finite ones).
     """
 
     status: str
@@ -65,12 +70,9 @@ class KStarBracket:
     just below it.
 
     k_hi is the discrete fold of the minimal branch, which is k* on the
-    operator; k_lo = k_hi (1 - 5e-4), and profile_lo is the minimal
-    solution at k_lo, solved for by Newton's method from Picard's first
-    iterate and certified by sigma1 > 1, which find_kstar keeps on it.
-    Near the fold Picard's contraction rate tends to 1, so a default
-    iterate_minimal run at k_lo may end with MaxIterations although the
-    solution exists.
+    operator; k_lo = k_hi (1 - 5e-4), and profile_lo is
+    minimal_solution at k_lo, certified by sigma1 > 1, which find_kstar
+    keeps on it.
     """
 
     k_lo: float
@@ -119,7 +121,8 @@ def _source_parts(params, op):
 
 
 def iterate_minimal(params, op, tol=1e-10, max_iter=8000):
-    """Run the monotone iteration for the minimal solution.
+    """Run the paper's monotone iteration for the minimal solution, the
+    reference that minimal_solution is checked against.
 
     Parameters
     ----------
@@ -129,16 +132,15 @@ def iterate_minimal(params, op, tol=1e-10, max_iter=8000):
         Assembled Green operator on a compatible grid.
     tol, max_iter : float, int
         Stop once the sup-norm step between total profiles is at most tol,
-        within max_iter iterations.  The defaults are the one rule of the
-        package: find_kstar, stability_gap_scan and the CLI solve by them.
+        within max_iter iterations.  A step bounds the error only by
+        tol / (1 - 1/sigma1), which grows without bound near k*.
 
     Returns
     -------
     SolveReport
-        Converged when the step drops to tol; Diverged when the smooth
-        part exceeds a ceiling of 1e6 times the source scale or a step is
-        not finite; otherwise MaxIterations.  A slow but convergent run,
-        as near k* for p close to 1, is not cut short by its growth.
+        Converged when the step drops to tol; Diverged when a step is not
+        finite; otherwise MaxIterations.  A slow but convergent run, as
+        near k* for p close to 1, is not cut short by its growth.
 
     Raises
     ------
@@ -170,7 +172,6 @@ def iterate_minimal(params, op, tol=1e-10, max_iter=8000):
             barrier = cert["t_star"] * k**params.p * image + k * g
             escape = 1e-10 * (1.0 + float(np.max(barrier)))
 
-    ceiling = _CEILING_FACTOR * k * float(np.max(g)) if k > 0.0 else np.inf
     sing = sing_coeff * grid.nodes**sing_exp if sing_coeff > 0.0 else 0.0
 
     vals = source.copy()
@@ -208,9 +209,6 @@ def iterate_minimal(params, op, tol=1e-10, max_iter=8000):
             if step <= tol:
                 status = "Converged"
                 break
-            if peak > ceiling:
-                status = "Diverged"
-                break
 
     profile = RadialFunction(grid, vals, sing_coeff, sing_exp)
     return SolveReport(
@@ -226,16 +224,15 @@ def find_kstar(params_without_k, op):
     """The extremal source strength k* as the discrete fold of the minimal
     branch.
 
-    Default iterate_minimal probes at the certified lower bound k_p and
-    at its doublings find k_a, the last that converges, so that the run
-    at 2 k_a fails and k* lies in (k_a, 2 k_a].  From the profile at k_a
-    and its sigma1 eigenfunction, Newton's method solves the fold system
-    of Moore & Spence (1980, SIAM J. Numer. Anal. 17) for (v, phi, k)
-    (_fold).  A positive phi makes the fold k*, wherever it lies: f is
-    strictly convex, so the extremal solution is the only semi-stable
-    one.  k_lo lies 5e-4 below the fold, and its profile is a Newton
-    solve from Picard's first iterate, which rises at every node
-    (_lower_edge).  sigma1 > 1 there certifies it as the minimal
+    minimal_solution probes at the certified lower bound k_p and at its
+    doublings find k_a, the last below k*: the probe at 2 k_a is the
+    first whose Newton step falls, so k* lies in (k_a, 2 k_a].  From the
+    profile at k_a and its sigma1 eigenfunction, Newton's method solves
+    the fold system of Moore & Spence (1980, SIAM J. Numer. Anal. 17)
+    for (v, phi, k) (_fold).  A positive phi makes the fold k*, wherever
+    it lies: f is strictly convex, so the extremal solution is the only
+    semi-stable one.  k_lo lies 5e-4 below the fold, and its profile is
+    minimal_solution there.  sigma1 > 1 certifies it as the minimal
     solution: T = G diag(f'(u)) has spectral radius 1/sigma1 < 1, and
     w = u - u_min >= 0 satisfies w <= T w <= T^m w -> 0 by convexity,
     so u = u_min.
@@ -261,12 +258,9 @@ def find_kstar(params_without_k, op):
         For supercritical exponents (k* = 0: no positive k admits a
         solution).
     ConvergenceError
-        If the probe at the certified lower bound k_p fails, no
-        divergence is found under repeated doubling, the fold or the
-        k_lo solve does not converge in 20 Newton steps (the message
-        quotes the last GMRES relative residual) or meets a non-finite
-        residual (the message names the step), phi is not positive, or
-        sigma1 <= 1 at k_lo.
+        If k_p leaves the double range (the message names log10 k_p), 60
+        doublings stay below k*, a Newton solve fails (_newton_krylov),
+        phi is not positive, or sigma1 <= 1 at k_lo.
     """
     from .stability import sigma1  # stability imports this module
 
@@ -274,19 +268,22 @@ def find_kstar(params_without_k, op):
     params.check_exponent("the extremal source strength is undefined")
     p = params.p
     c2 = measured_c2(params, op)
-    k_p = (1.0 / (c2 * p)) ** (1.0 / (p - 1.0)) * (p - 1.0) / p
-
-    report = iterate_minimal(params.with_k(k_p), op)
-    if report.status != "Converged":
+    # k_p = (1/(c2 p))^(1/(p-1)) (p-1)/p overflows near p = 1: take its log.
+    log10_k_p = math.log10((p - 1.0) / p) - math.log10(c2 * p) / (p - 1.0)
+    if not -307.0 < log10_k_p < 308.0:
         raise ConvergenceError(
-            f"iteration failed at the certified bound k_p = {k_p:.6g}"
+            f"the certified lower bound k_p = 10^{log10_k_p:.6g} "
+            f"leaves the double range"
         )
-    k_a, profile = k_p, report.profile
+    k_p = 10.0**log10_k_p
+
+    k_a, profile = k_p, minimal_solution(params.with_k(k_p), op)
     for _ in range(60):
-        report = iterate_minimal(params.with_k(2.0 * k_a), op)
-        if report.status != "Converged":
+        try:
+            above = minimal_solution(params.with_k(2.0 * k_a), op)
+        except RegimeError:
             break
-        k_a, profile = 2.0 * k_a, report.profile
+        k_a, profile = 2.0 * k_a, above
     else:
         raise ConvergenceError("no divergence found while doubling k")
 
@@ -295,7 +292,7 @@ def find_kstar(params_without_k, op):
     if not np.all(phi > 0.0):
         raise ConvergenceError("fold direction phi is not positive at every node")
     k_lo = k_f * (1.0 - _KSTAR_OFFSET)
-    profile_lo = _lower_edge(params, op, k_lo)
+    profile_lo = minimal_solution(params.with_k(k_lo), op)
     stab = sigma1(profile_lo, params.with_k(k_lo), op)
     if not stab.sigma1 > 1.0:
         raise ConvergenceError(
@@ -374,25 +371,47 @@ def _fold(params, op, k, v, phi):
     return float(x[-1]), x[n:-1]
 
 
-def _lower_edge(params, op, k_lo):
-    """The minimal solution at k_lo, as a RadialFunction: Newton's method
-    on F(., k_lo) = 0 from Picard's first iterate k_lo G_alpha[delta_0],
-    stopped once max_i |F_i| / u_i <= 1e-12.  The start is a subsolution,
-    G >= 0 and f is convex, so every iterate rises nodewise to u_min
-    while G diag(f'(u_min)) has spectral radius below 1 (Ortega &
-    Rheinboldt 1970, section 13.3)."""
+def minimal_solution(params, op):
+    """The minimal solution at params.k, as a RadialFunction (zero at
+    k = 0): the one route to it of find_kstar, stability_gap_scan and the
+    CLI.  Newton's method on F(v) = v - G[(v + k S)^p] - k R = 0, R and S
+    the smooth and singular parts of G_alpha[delta_0], from Picard's
+    first iterate k R, stopped once max_i |F_i| / u_i <= 1e-12.  The start
+    is a subsolution, G >= 0 and u^p is convex, so while G diag(f'(u)) has
+    spectral radius below 1 every iterate rises nodewise to u_min, which
+    exists exactly when k < k* (Ortega & Rheinboldt 1970, section 13.3).
+
+    Raises ParameterError if params has another dim or alpha than op;
+    RegimeError if k > 0 and p >= N/(N - 2 alpha), or once a step falls
+    below -1e-6 u_i at some node i, which certifies k >= k* (the message
+    names the step and its fall); ConvergenceError as _newton_krylov.
+    """
+    op.check_params(params)
+    k = params.k
+    if k == 0.0:
+        return RadialFunction.zero(op.grid)
+    params.check_exponent("no solution with a point mass exists")
     p = params.p
-    source, coeff, exponent = _source_parts(params.with_k(k_lo), op)
+    source, coeff, exponent = _source_parts(params, op)
     sing = coeff * op.grid.nodes**exponent
+    iterates = []
 
     def system(v):
         u = v + sing
+        if iterates:
+            fall = float(np.min((v - iterates[-1]) / (iterates[-1] + sing)))
+            if fall < -_FALL_SLACK:
+                raise RegimeError(
+                    f"k = {k:.6g} is at or above k*: Newton step {len(iterates)} "
+                    f"falls by {-fall:.3g} of u at a node"
+                )
+        iterates.append(v)
         resid = v - op.apply(u**p) - source
         fprime = p * u ** (p - 1.0)
         error = np.max(np.abs(resid) / u)
         return resid, error, lambda y: y - op.apply(fprime * y), 1.0
 
-    v = _newton_krylov(system, source, "the solve at k_lo")
+    v = _newton_krylov(system, source, f"the minimal solution at k = {k:.6g}")
     return RadialFunction(op.grid, v, coeff, exponent)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import blas
 
 from .core import ConvergenceError, ParameterError, RadialFunction
-from .picard import _power_iteration, iterate_minimal
+from .picard import _power_iteration, minimal_solution
 
 
 @dataclass(frozen=True)
@@ -186,10 +186,10 @@ def stability_gap_scan(params_without_k, op, bracket, n_samples=8):
     op : GreenOperator
     bracket : KStarBracket
         find_kstar's result on op; samples run from one tenth of k_lo up
-        to k_lo.  The samples below k_lo are default iterate_minimal
-        runs; the k_lo sample is the bracket's profile_lo, so it is not
-        solved again, and its sigma1 is the certificate find_kstar kept
-        on it, so it is not iterated again.
+        to k_lo.  The samples below k_lo are minimal_solution solves;
+        the k_lo sample is the bracket's profile_lo, so it is not solved
+        again, and its sigma1 is the certificate find_kstar kept on it,
+        so it is not iterated again.
     n_samples : int
         Number of samples, at least 4.
 
@@ -202,6 +202,9 @@ def stability_gap_scan(params_without_k, op, bracket, n_samples=8):
     ParameterError
         If n_samples < 4, or bracket.profile_lo lives on another grid
         than op.
+    RegimeError
+        If a sample's solve finds k at or above k* (a bracket from
+        another problem).
     ConvergenceError
         If a sampled solve fails to converge or sigma1 increases along
         k beyond roundoff tolerance (the index must be nonincreasing).
@@ -220,12 +223,7 @@ def stability_gap_scan(params_without_k, op, bracket, n_samples=8):
         if j == n_samples - 1:
             profile = bracket.profile_lo
         else:
-            report = iterate_minimal(pk, op)
-            if report.status != "Converged":
-                raise ConvergenceError(
-                    f"scan solve at k = {k:.6g} ended with {report.status}"
-                )
-            profile = report.profile
+            profile = minimal_solution(pk, op)
         rep = sigma1(profile, pk, op)
         sigmas[j] = rep.sigma1
         gaps[j] = rep.gap

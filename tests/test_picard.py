@@ -33,6 +33,7 @@ from fracsing.picard import (
     find_kstar,
     first_eigenpair,
     iterate_minimal,
+    minimal_solution,
 )
 from fracsing.stability import sigma1
 
@@ -180,26 +181,36 @@ def test_fold_is_where_a_long_picard_run_turns_near_p_one(near_p_one):
     assert iterate_minimal(above, op, max_iter=200000).status == "Diverged"
 
 
-@pytest.mark.parametrize("case", ["desk", "near_p_one"])
-def test_lower_edge_is_the_certified_minimal_solution(request, case):
-    # profile_lo is a Newton solve, certified by sigma1 > 1.  A long
-    # Picard run at k_lo matches it; near p = 1 the default rule runs out
-    # of iterations there.
+@pytest.mark.parametrize(
+    "case, fraction",
+    [
+        pytest.param(
+            case, fraction, id=case if fraction == 1.0 else f"{case}-{fraction}k_lo"
+        )
+        for fraction in (1.0, 0.1, 0.5, 0.9)
+        for case in ("desk", "near_p_one")
+    ],
+)
+def test_lower_edge_is_the_certified_minimal_solution(request, case, fraction):
+    # profile_lo, and minimal_solution at the scan's fractions of k_lo,
+    # are Newton solves; sigma1 > 1 certifies each.  A long Picard run
+    # matches them; near p = 1 the default rule runs out of iterations
+    # at k_lo.
     if case == "desk":
         params = request.getfixturevalue("params0")
         op = request.getfixturevalue("op400")
         bracket = request.getfixturevalue("bracket400")
     else:
         params, op, bracket = request.getfixturevalue(case)
-    u = bracket.profile_lo
-    assert sigma1(u, params, op).sigma1 > 1.0
-    pk = params.with_k(bracket.k_lo)
+    pk = params.with_k(fraction * bracket.k_lo)
+    u = bracket.profile_lo if fraction == 1.0 else minimal_solution(pk, op)
+    assert sigma1(u, pk, op).sigma1 > 1.0
     long = iterate_minimal(pk, op, max_iter=400000)
     assert long.status == "Converged"
     assert long.profile.singular_coeff == u.singular_coeff
     gap = np.max(np.abs(long.profile.values - u.values))
     assert gap <= 1e-8 * np.max(np.abs(u.values))
-    if case == "near_p_one":
+    if case == "near_p_one" and fraction == 1.0:
         assert iterate_minimal(pk, op).status == "MaxIterations"
 
 
@@ -243,18 +254,22 @@ def test_lower_edge_iterates_rise_at_every_node(case, params0, op200, monkeypatc
         params = ProblemParams(dim=case[0], alpha=case[1], p=case[2])
         op = _operator(params, 120)
     real = fracsing.picard._newton_krylov
-    iterates = []
+    runs = []
 
     def recorded(system, x, name):
+        runs.append((name, []))
+
         def seen(x):
-            if name == "the solve at k_lo":
-                iterates.append(x)
+            runs[-1][1].append(x)
             return system(x)
 
         return real(seen, x, name)
 
     monkeypatch.setattr(fracsing.picard, "_newton_krylov", recorded)
     k_lo = find_kstar(params, op).k_lo
+    # The solve at k_lo is find_kstar's last Newton run.
+    name, iterates = runs[-1]
+    assert name == f"the minimal solution at k = {k_lo:.6g}"
     assert np.array_equal(iterates[0], k_lo * dirac_smooth_remainder(op.grid, params))
     assert len(iterates) >= 3
     assert np.all(np.diff(iterates, axis=0) >= 0.0)
@@ -314,7 +329,15 @@ def test_fold_matches_the_dense_moore_spence_newton(case, op200):
 
 
 def test_fold_newton_out_of_budget_is_a_typed_error(params0, op200, monkeypatch):
-    monkeypatch.setattr(fracsing.picard, "_NEWTON_STEPS", 2)
+    # The probes take Newton steps too, so the budget shrinks for the fold
+    # alone.
+    real = fracsing.picard._fold
+
+    def short(*args):
+        monkeypatch.setattr(fracsing.picard, "_NEWTON_STEPS", 2)
+        return real(*args)
+
+    monkeypatch.setattr(fracsing.picard, "_fold", short)
     message = (
         r"Newton's method for the fold did not converge in 2 steps: relative "
         r"residual \S+, last GMRES relative residual \d\.\d{3}e-\d+"
@@ -324,24 +347,24 @@ def test_fold_newton_out_of_budget_is_a_typed_error(params0, op200, monkeypatch)
 
 
 def test_fold_above_the_doubling_bracket_is_k_star(op200, monkeypatch):
-    # Probes above k_p report MaxIterations, as a budget too short for a
-    # slow but convergent run would.  At p = 1.5, k_p is 0.46 k*, so the
-    # fold lies above 2 k_p; a positive phi still makes it k*.
+    # The first doubling probe reports k >= k* although it lies below.
+    # At p = 1.5, k_p is 0.46 k*, so the fold lies above 2 k_p; a
+    # positive phi still makes it k*.
     params = ProblemParams(dim=2, alpha=0.75, p=1.5)
     fold = find_kstar(params, op200).k_hi
-    real = fracsing.picard.iterate_minimal
+    real = fracsing.picard.minimal_solution
     ks = []
 
-    def short(params, op, **kwargs):
-        report = real(params, op, **kwargs)
+    def short(params, op):
         ks.append(params.k)
-        if params.k > ks[0]:
-            return dataclasses.replace(report, status="MaxIterations")
-        return report
+        if len(ks) == 2:
+            raise RegimeError("k is at or above k*")
+        return real(params, op)
 
-    monkeypatch.setattr(fracsing.picard, "iterate_minimal", short)
+    monkeypatch.setattr(fracsing.picard, "minimal_solution", short)
     bracket = find_kstar(params, op200)
-    assert len(ks) == 2
+    # k_p, 2 k_p, then k_lo.
+    assert len(ks) == 3 and ks[1] == 2.0 * ks[0]
     assert bracket.k_hi > 2.0 * ks[0]
     assert bracket.k_hi == pytest.approx(fold, rel=1e-12)
 
@@ -406,8 +429,10 @@ def test_fold_and_lower_edge_reuse_one_gmres_cycle(params0, op200, monkeypatch):
 
     monkeypatch.setattr(fracsing.picard, "_gmres", recorded)
     find_kstar(params0, op200)
-    # Measured: 13 calls, 5 for the fold and 8 for the solve at k_lo.
-    assert 12 <= len(residuals) <= 15
+    # Measured: 19 calls, 4 for the probe at k_p, 2 for the probe at
+    # 2 k_p, whose second step falls, 5 for the fold and 8 for the solve
+    # at k_lo.
+    assert 18 <= len(residuals) <= 21
     assert all(0.0 <= r < 1e-10 for r in residuals)
 
 

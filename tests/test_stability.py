@@ -12,7 +12,12 @@ from fracsing import stability
 from fracsing.core import ParameterError, ProblemParams, RadialFunction
 from fracsing.green import assemble, default_grid
 from fracsing.mountainpass import find_second_solution
-from fracsing.picard import _power_iteration, find_kstar, iterate_minimal
+from fracsing.picard import (
+    _power_iteration,
+    find_kstar,
+    iterate_minimal,
+    minimal_solution,
+)
 from fracsing.stability import (
     sigma1,
     sigma1_rayleigh,
@@ -139,27 +144,26 @@ def test_scan_endpoints_bracket_semistability(params0, op400, bracket400):
 def test_gap_scan_takes_the_bracket_profile_at_k_lo(
     params0, op200, op400, bracket400, monkeypatch
 ):
-    # Reference: every sample below k_lo solved from zero by the default
-    # rule.  The k_lo sample is the bracket's profile, whose sigma1 is the
+    # Reference: every sample below k_lo solved by minimal_solution.  The
+    # k_lo sample is the bracket's profile, whose sigma1 is the
     # certificate find_kstar kept on it: the scan solves and iterates for
     # the other samples only.
     ks = np.linspace(0.1 * bracket400.k_lo, bracket400.k_lo, 6)
     reports = []
     for k in ks[:-1]:
         pk = params0.with_k(float(k))
-        report = iterate_minimal(pk, op400)
-        reports.append(sigma1(report.profile, pk, op400))
+        reports.append(sigma1(minimal_solution(pk, op400), pk, op400))
     kept = sigma1(bracket400.profile_lo, params0, op400)
     reports.append(kept)
     assert kept.sigma1 > 1.0
 
     calls = []
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(args)
-        return iterate_minimal(*args, **kwargs)
+        return minimal_solution(*args)
 
-    monkeypatch.setattr(stability, "iterate_minimal", counted)
+    monkeypatch.setattr(stability, "minimal_solution", counted)
     power = _count_power_iterations(monkeypatch)
     scan = stability_gap_scan(params0, op400, bracket400, n_samples=6)
     assert len(calls) == len(power) == 5
