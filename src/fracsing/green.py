@@ -105,11 +105,16 @@ _SUB_X, _SUB_W = np.polynomial.legendre.leggauss(10)
 _N_CORR_CELLS = 3
 
 # Kernel evaluations in `assemble` run on blocks of this many node pairs
-# (or near-diagonal samples), one pool.map task each, which bounds each
-# worker's temporaries.  Each entry is reduced over its own row of
-# quadrature points by the same operations wherever the blocks start, so
-# any block size gives the same bits.
-_BLOCK_SIZE = 4096
+# (or near-diagonal samples), one pool.map task each; fewer, larger blocks
+# mean fewer NumPy calls, and so fewer hand-overs of the GIL between the
+# workers.  Within a block, each NumPy pass of the tau rule takes whole
+# entries and at most _PASS_POINTS quadrature points (one entry at least),
+# which bounds each worker's temporaries whatever the block size.  Each
+# entry is reduced over its own row of points by the same operations
+# however the entries are split, so any block size and point cap give the
+# same bits.
+_BLOCK_SIZE = 8192
+_PASS_POINTS = 49152
 
 
 def _sub_rule():
@@ -188,28 +193,41 @@ def _tau_integral(d2, q2, a2, kernel):
 
     M is _sphere_mean_integrand(tau, d2, q2), with d2 > 0 elementwise.
     The Gauss-Jacobi rule covers [0, min(d2, a2)] and, where a2 > d2,
-    panels in ln tau cover the rest; entries are grouped by their panel
-    count.  Each entry's points form one row, reduced by a row sum whose
-    result does not depend on the row's position (a BLAS product would).
+    panels in ln tau cover the rest.  Entries are sorted once by panel
+    count (stably), so each count is one contiguous run, and every pass
+    takes whole entries of one run, at most _PASS_POINTS points.  Each
+    entry's points form one row, reduced by a row sum whose result does
+    not depend on the row's position (a BLAS product would).
     """
     alpha = kernel.alpha
-    t_lo = np.minimum(d2, a2)
-    f = _sphere_mean_integrand(
-        t_lo[:, None] * kernel.jacobi_t, d2[:, None], q2[:, None], kernel.dim
-    )
-    out = (f * kernel.jacobi_w).sum(axis=1) * t_lo**alpha
-    log_span = np.zeros_like(t_lo)
+    log_span = np.zeros_like(d2)
     above = a2 > d2
     log_span[above] = np.log(a2[above] / d2[above])
     n_panels = np.ceil(log_span / _PANEL_LOG_LENGTH).astype(int)
-    for m in np.unique(n_panels[above]):
-        idx = np.flatnonzero(n_panels == m)
+    order = np.argsort(n_panels, kind="stable")
+    d2, q2, log_span, n_panels = (x[order] for x in (d2, q2, log_span, n_panels))
+    t_lo = np.minimum(d2, a2[order])
+    out = np.empty_like(t_lo)
+    step = max(1, _PASS_POINTS // _JACOBI_POINTS)
+    for lo in range(0, out.size, step):
+        s = slice(lo, lo + step)
+        tau = t_lo[s, None] * kernel.jacobi_t
+        f = _sphere_mean_integrand(tau, d2[s, None], q2[s, None], kernel.dim)
+        out[s] = (f * kernel.jacobi_w).sum(axis=1) * t_lo[s] ** alpha
+    counts, starts = np.unique(n_panels, return_index=True)
+    for m, first, end in zip(counts, starts, [*starts[1:], out.size]):
+        if m == 0:
+            continue
         u, w = _panel_rule(int(m))
-        tau = t_lo[idx, None] * np.exp(log_span[idx, None] * u)
-        f = _sphere_mean_integrand(tau, d2[idx, None], q2[idx, None], kernel.dim)
-        f *= tau**alpha
-        out[idx] += (f * w).sum(axis=1) * log_span[idx]
-    return kernel.kappa * out
+        step = max(1, _PASS_POINTS // u.size)
+        for lo in range(first, end, step):
+            s = slice(lo, min(lo + step, end))
+            tau = t_lo[s, None] * np.exp(log_span[s, None] * u)
+            f = _sphere_mean_integrand(tau, d2[s, None], q2[s, None], kernel.dim)
+            f *= tau**alpha
+            out[s] += (f * w).sum(axis=1) * log_span[s]
+    out[order] = kernel.kappa * out
+    return out
 
 
 def _sphere_mean(r, s, kernel):
@@ -338,8 +356,9 @@ class GreenOperator(Keeps):
     """Dense Nystrom discretization of the ball Green operator.
 
     matrix[i, j] is the sphere-averaged kernel Kbar(r_i, r_j), exactly
-    symmetric, entrywise nonnegative (assemble clips it at zero, and
-    load_operator rejects a negative entry) and read-only; with w the
+    symmetric, entrywise finite and nonnegative (assemble rejects a
+    non-finite value and clips at zero, and load_operator rejects a
+    negative or non-finite entry) and read-only; with w the
     grid weights for the volume measure, (matrix * w) @ f(nodes)
     approximates G_alpha[f] at the nodes, and apply forms it as one
     symmetric product, matrix @ (w * f).
@@ -713,7 +732,8 @@ def load_operator(path):
     make_grid and the Dirac column by dirac_profile, the calls that
     assemble makes, so every array is bit for bit the saved operator's.
     Raises ParameterError for anything but a current operator file, and
-    for a kernel matrix with a negative entry (GreenOperator's invariant).
+    for a kernel matrix with a negative or non-finite entry
+    (GreenOperator's invariant).
     """
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -739,8 +759,10 @@ def load_operator(path):
         boundary_grading=spec["boundary_grading"],
     )
     matrix = np.frombuffer(payload, dtype=np.float64).reshape(grid.n, grid.n).copy()
-    if matrix.min() < 0.0:
-        raise ParameterError(f"operator file {path} has a negative kernel entry")
+    if not (matrix.min() >= 0.0 and np.isfinite(matrix.max())):
+        raise ParameterError(
+            f"operator file {path} has a negative or non-finite kernel entry"
+        )
     return _with_dirac_column(matrix, grid, params)
 
 

@@ -262,33 +262,65 @@ def test_apply_positivity_preserving(op400, rng):
         assert np.all(op400.apply(f) >= 0.0)
 
 
-def _assemble_with(monkeypatch, params, grid, workers, block):
+def _assemble_with(
+    monkeypatch, params, grid, workers, block, points=green_module._PASS_POINTS
+):
     monkeypatch.setenv("OMP_NUM_THREADS", str(workers))
     monkeypatch.setattr(green_module, "_BLOCK_SIZE", block)
+    monkeypatch.setattr(green_module, "_PASS_POINTS", points)
     return assemble(grid, params)
 
 
-def test_assembly_is_byte_identical_for_any_workers_and_blocks(
-    monkeypatch, params0, op200
+@pytest.mark.parametrize("dim, alpha", [(2, 0.75), (2, 0.3), (3, 0.4)])
+def test_assembly_is_byte_identical_for_any_workers_blocks_and_passes(
+    monkeypatch, dim, alpha
 ):
-    # One block holding every pair and sample is the flat evaluation the
-    # blocks replace.  1000 and 4096 leave a partial last block at n=200,
-    # and blocks need not start at a multiple of any vector width.
-    ref = _assemble_with(monkeypatch, params0, op200.grid, 1, 10**9).matrix
+    # One block and one pass holding every pair and sample is the flat
+    # evaluation the blocks replace.  1000 and 4096 leave a partial last
+    # block at n=200, and blocks need not start at a multiple of any vector
+    # width.  (2, 0.3) takes the steep correction grading and (3, 0.4) the
+    # N > 2 integrand.
+    params = ProblemParams(dim=dim, alpha=alpha)
+    grid = default_grid(params, n_nodes=200)
+    ref = _assemble_with(monkeypatch, params, grid, 1, 10**9, 10**9).matrix
     for workers in (1, 2):
-        for block in (1000, 4096):
-            got = _assemble_with(monkeypatch, params0, op200.grid, workers, block)
+        for block in (1000, 4096, 8192):
+            got = _assemble_with(monkeypatch, params, grid, workers, block)
             assert got.matrix.tobytes() == ref.tobytes(), (workers, block)
+    # Point caps from one entry per pass (every entry has at least 12
+    # points) through part of a panel run to one pass per block.
+    for points in (1, 1000, 10**9):
+        got = _assemble_with(monkeypatch, params, grid, 2, 8192, points)
+        assert got.matrix.tobytes() == ref.tobytes(), points
     # More workers than cores, switching threads as often as possible: a
     # lost or torn write into the shared matrix would change its bytes.
     monkeypatch.setattr(green_module, "_worker_count", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = _assemble_with(monkeypatch, params0, op200.grid, 8, 257)
+        got = _assemble_with(monkeypatch, params, grid, 8, 257)
     finally:
         sys.setswitchinterval(interval)
     assert got.matrix.tobytes() == ref.tobytes()
+
+
+def test_assembly_makes_few_integrand_passes(monkeypatch, params0, op400):
+    # Each integrand call holds the GIL between NumPy calls, so many small
+    # passes make the workers take turns.  Sorted, point-capped tasks of
+    # 8192 entries need 239 calls at n=400; 4096-entry blocks split into
+    # one gathered group per panel count needed 392.
+    calls = []
+    original = green_module._sphere_mean_integrand
+
+    def counting(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(green_module, "_sphere_mean_integrand", counting)
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    got = assemble(op400.grid, params0)
+    assert got.matrix.tobytes() == op400.matrix.tobytes()
+    assert len(calls) == 239
 
 
 def test_kernel_error_names_the_lowest_failing_pair(monkeypatch, params0, op200):
@@ -686,15 +718,17 @@ def test_load_rejects_corrupted_payload(tmp_path, op400):
         load_operator(path)
 
 
-def test_load_rejects_a_negative_kernel_entry(tmp_path, op400):
-    # The assembled kernel is nonnegative, which build_form's 1-norm
-    # relies on; a file that breaks it is refused, checksum or not.
-    assert np.min(op400.matrix) >= 0.0
+@pytest.mark.parametrize("bad", [-1e-300, np.nan, np.inf])
+def test_load_rejects_a_negative_or_non_finite_kernel_entry(tmp_path, op400, bad):
+    # The assembled kernel is finite and nonnegative, which build_form's
+    # 1-norm and every product rely on; a file that breaks it is refused,
+    # checksum or not.  A NaN fails both min() < 0 and max() < 0.
+    assert np.min(op400.matrix) >= 0.0 and np.all(np.isfinite(op400.matrix))
     matrix = op400.matrix.copy()
-    matrix[3, 5] = matrix[5, 3] = -1e-300
+    matrix[3, 5] = matrix[5, 3] = bad
     path = os.path.join(tmp_path, "op.bin")
     save_operator(dataclasses.replace(op400, matrix=matrix), path)
-    with pytest.raises(ParameterError, match="negative kernel entry"):
+    with pytest.raises(ParameterError, match="negative or non-finite kernel entry"):
         load_operator(path)
 
 
