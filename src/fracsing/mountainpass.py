@@ -16,7 +16,8 @@ realized as v' A v with A the inverse of the weighted Green matrix, which
 makes the A-gradient of E equal to the fixed-point residual
 v - G_alpha[(u+v_+)^p - u^p]: descent directions need no linear solve,
 and A itself is never formed (DiscreteHAlphaForm).  Both searches end in
-one Newton iteration that deflates the trivial root v = 0.  The
+one Newton iteration that deflates the trivial root v = 0, run by the
+package's one Newton loop (picard._newton_krylov).  The
 mountain-pass search starts it from the maximum of a path deformed by 15
 maximize-then-descend steps on Green images, whose A-products are
 weighted dots of their densities; the cross-check starts it from the
@@ -42,23 +43,19 @@ from .core import (
     SecondSolutionNotFound,
 )
 from .green import symv
-from .picard import _EPS, _gmres, first_eigenpair
+from .picard import _EPS, _newton_krylov, first_eigenpair
 from .stability import sigma1
 
 _SERIES_CUTOFF = 1e-3
 # Largest accepted condition number of the symmetrized Green matrix.
 _COND_CAP = 1e12
 # Search settings: floor of the sup-norm residual of the returned critical
-# point (_newton stops at 64 eps max|v| above it, the rounding of large v),
-# path resolution, path maxima the deformation evaluates (it moves all but
-# the last) and the step budget of the Newton iteration.
+# point (_deflated_newton stops at 64 eps max|v| above it, the rounding of
+# large v), path resolution and path maxima the deformation evaluates (it
+# moves all but the last).
 _FP_TOL = 1e-10
 _PATH_SEGMENTS = 20
 _PATH_STEPS = 15
-_MAX_STEPS = 2000
-# A Newton iteration whose residual has not halved over this many steps
-# is crawling and stops as stagnated (see _newton).
-_CRAWL_STEPS = 30
 
 
 @dataclass(frozen=True)
@@ -330,15 +327,6 @@ def _pass_geometry(u_total, form, params, c24, dirs, e_norm):
     )
 
 
-def _newton_step(v, u_total, op, params, resid):
-    """Newton direction for J delta = -resid, J = I - G diag(f'), with
-    f' = p (u + v_+)^(p-1) [v > 0]: the iterate of one GMRES cycle
-    (picard._gmres), whether or not it met the tolerance (see _newton).
-    Each Arnoldi column costs one product y - G[f' y]."""
-    fprime = params.p * (u_total + np.maximum(v, 0.0)) ** (params.p - 1.0) * (v > 0.0)
-    return _gmres(lambda y: y - op.apply(fprime * y), -resid)[0]
-
-
 def _redistribute(path, dens, mass):
     """Resample a polyline, one vertex per row, to equal A-arc-length spacing.
 
@@ -419,85 +407,67 @@ def _run_mountain_pass(u_total, op, form, params, t0):
     return v, trace
 
 
-def _merit(nv2):
-    """Deflation factor m = 1 + 1/||v||_w^2 from nv2 = ||v||_w^2."""
-    return 1.0 + (1.0 / nv2 if nv2 > 0.0 else np.inf)
+def _deflated_newton(v, u_total, op, params, mass, trace):
+    """Deflated Newton's method on the fixed-point residual R(v) from v, a
+    system of picard._newton_krylov (Farrell, Birkisson & Funke 2015).
 
-
-def _newton(v, u_total, op, params, mass, trace):
-    """Deflated Newton iteration on the fixed-point residual R(v) from v.
-
-    mass, the quadrature weights, deflates the trivial root away
-    (Farrell, Birkisson & Funke 2015): the merit residual is m(v) R(v)
-    with m(v) = 1 + 1/||v||_w^2, the Newton step is the plain step
-    rescaled by 1/(1 - grad(m).delta/m), which repels the iteration from
-    v = 0, and an iterate that converges onto v = 0 is rejected.  Each
-    step backtracks on the merit residual.  The iteration appends its
-    rows (step, None, sup-norm residual) to trace, numbered on from the
-    rows already there, so a failure carries the whole search's trace.
-    It stops at a sup-norm residual of max(1e-10, 64 eps max|v|): where v
-    is large (p near 1) a few ulps of max|v| exceed 1e-10, and no step
-    can go below them.
-
-    The plain step solves J delta = -R(v), J = I - G diag(f'(u, v_+)),
-    without forming J: one GMRES cycle from zero (_newton_step), at most
-    40 products y - G[f' y], to relative residual 1e-13 in the 2-norm;
-    the loop reads the step alone, not the cycle's relative residual.  J
-    is the identity plus a compact operator, so GMRES converges
-    superlinearly (Campbell, Ipsen, Kelley & Meyer 1996, BIT 36): on a
-    measured `branch` round (both n=800 operators, 222 steps) a step
-    takes a median of 11 products and at most 14.  A step whose iterate
-    misses 1e-13 is taken as the cycle leaves it, an inexact Newton step
-    (Dembo, Eisenstat & Steihaug 1982, SIAM J. Numer. Anal. 19) that the
-    backtracking guards; 1e-13 lies below the attainable floor once
-    cond(J) nears 1e5, on iterates far from a root.  No step of that
-    round, nor of 106 deflated searches on held-out k, misses it by more
-    than rounding.  The residual of the accepted line-search trial is
-    the next step's residual; it is not evaluated again.
-
-    The iteration also stops as stagnated once its residual has not
-    halved over the last 30 steps.  A deflated search that converges
-    does so quadratically from its start (on the `branch` operators, in
-    at most 8 steps at 106 held-out k); one that crawls, with the
-    residual flat for thousands of steps, would spend its whole budget.
+    The merit is m(v) max|R(v)|, m(v) = 1 + 1/||v||_w^2 with mass the
+    weights w.  The plain step of J = I - G diag(f'),
+    f' = p (u + v_+)^(p-1) [v > 0], is rescaled by
+    1/(1 - grad(m).delta/m), which repels v = 0, then halved up to 40
+    times until the merit falls; the accepted trial's residual is the
+    next step's.  Each step appends (step, None, max|R|) to trace,
+    numbered on.  The search stops at max|R| <= max(1e-10, 64 eps max|v|),
+    as no step gets below a few ulps of a large v (p near 1), and rejects
+    a stop at v = 0.  Every failure, the loop's ConvergenceError
+    included, raises SecondSolutionNotFound with the trace.
     """
-    first = len(trace)
     resid = _gradient_values(v, u_total, op, params)
-    for it in range(_MAX_STEPS):
+
+    def system(v):
         rnorm = float(np.max(np.abs(resid)))
-        nv2 = float(mass @ v**2)
-        trace.append((first + it, None, rnorm))
-        if rnorm <= max(_FP_TOL, 64.0 * _EPS * float(np.max(np.abs(v)))):
-            if nv2 <= 1e-16:
-                raise SecondSolutionNotFound(
-                    "deflated iteration collapsed onto the trivial root", trace
-                )
-            return v
-        if it >= _CRAWL_STEPS and rnorm > 0.5 * trace[-1 - _CRAWL_STEPS][2]:
+        nv2 = mass @ v**2
+        trace.append((len(trace), None, rnorm))
+        stop = rnorm <= max(_FP_TOL, 64.0 * _EPS * float(np.max(np.abs(v))))
+        if stop and nv2 <= 1e-16:
+            raise SecondSolutionNotFound(
+                "deflated iteration collapsed onto the trivial root", trace
+            )
+        vp = np.maximum(v, 0.0)
+        fprime = params.p * (u_total + vp) ** (params.p - 1.0) * (v > 0.0)
+
+        def advance(delta):
+            nonlocal resid
+            merit = 1.0 + 1.0 / nv2
+            # nv2 > 0: R(0) = 0, so an iterate with w.v^2 = 0 has stopped.
+            grad_m = -2.0 / nv2**2 * (mass * v)
+            denom = 1.0 - float(grad_m @ delta) / merit
+            if abs(denom) > 1e-12:
+                delta = delta / denom
+            step = 1.0
+            for _ in range(40):
+                trial = v + step * delta
+                resid = _gradient_values(trial, u_total, op, params)
+                # A numpy scalar under the loop's errstate: inf at w.trial^2 = 0.
+                tmerit = 1.0 + 1.0 / (mass @ trial**2)
+                if tmerit * float(np.max(np.abs(resid))) < merit * rnorm:
+                    return trial
+                step *= 0.5
             raise SecondSolutionNotFound(
                 f"deflated Newton stagnated at residual {rnorm:.3e}", trace
             )
-        delta = _newton_step(v, u_total, op, params, resid)
-        merit = _merit(nv2)
-        # nv2 > 0: R(0) = 0, so an iterate with w.v^2 = 0 has stopped above.
-        grad_m = -2.0 / nv2**2 * (mass * v)
-        denom = 1.0 - float(grad_m @ delta) / merit
-        if abs(denom) > 1e-12:
-            delta = delta / denom
-        step = 1.0
-        for _ in range(40):
-            trial = v + step * delta
-            tmerit = _merit(float(mass @ trial**2))
-            tresid = _gradient_values(trial, u_total, op, params)
-            if tmerit * float(np.max(np.abs(tresid))) < merit * rnorm:
-                v, resid = trial, tresid
-                break
-            step *= 0.5
-        else:
-            raise SecondSolutionNotFound(
-                f"deflated Newton stagnated at residual {rnorm:.3e}", trace
-            )
-    raise SecondSolutionNotFound(f"deflated Newton exhausted {_MAX_STEPS} steps", trace)
+
+        error = 0.0 if stop else rnorm
+        return resid, error, lambda y: y - op.apply(fprime * y), advance
+
+    try:
+        return _newton_krylov(system, v, "the second solution")
+    except SecondSolutionNotFound:
+        raise
+    except ConvergenceError as exc:
+        raise SecondSolutionNotFound(
+            f"deflated Newton failed at residual {trace[-1][2]:.3e}", trace
+        ) from exc
 
 
 def _ray_maximum(u_total, form, params, t0):
@@ -592,7 +562,7 @@ def find_second_solution(
         start, trace = _run_mountain_pass(u_total, op, form, params, t0)
     else:
         start, trace = _ray_maximum(u_total, form, params, t0) * form.ray, []
-    vals = _newton(start, u_total, op, params, form.mass, trace)
+    vals = _deflated_newton(start, u_total, op, params, form.mass, trace)
 
     if float(np.min(vals)) < -1e-8 * float(np.max(np.abs(vals))):
         raise SecondSolutionNotFound(

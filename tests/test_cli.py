@@ -156,7 +156,7 @@ def test_solve_at_k_lo_converges_near_p_one(kstar_cases, tmp_path, monkeypatch):
     assert np.array_equal(smooth, bracket.profile_lo.values)
 
 
-@pytest.mark.parametrize("factor", [1.0002, 1.01])
+@pytest.mark.parametrize("factor", [1.0 + 1e-8, 1.0002, 1.01])
 @pytest.mark.parametrize("case", ["desk", "n3", "p-near-one"])
 @pytest.mark.parametrize("command", ["solve", "mountain-pass"])
 def test_above_k_star_is_a_regime_error(

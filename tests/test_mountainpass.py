@@ -29,12 +29,11 @@ from fracsing.core import (
 from fracsing.green import assemble, default_grid
 from fracsing.mountainpass import (
     _bulk,
+    _deflated_newton,
     _direction_ensemble,
     _energy_values,
     _gradient_values,
     _negative_endpoint,
-    _newton,
-    _newton_step,
     _pass_geometry,
     _ray_maximum,
     build_form,
@@ -517,6 +516,19 @@ def test_direction_ensemble_is_built_once_per_seed(
     assert _direction_ensemble(op400, form, 1).tobytes() != first.tobytes()
 
 
+def _jacobian_product(v, u_total, op, params):
+    """y -> y - G[f' y], f' = p (u + v_+)^(p-1) [v > 0]: the deflated
+    search's Newton matrix J applied through the operator."""
+    fprime = params.p * (u_total + np.maximum(v, 0.0)) ** (params.p - 1.0) * (v > 0.0)
+    return lambda y: y - op.apply(fprime * y)
+
+
+def _krylov_step(v, u_total, op, params, resid):
+    """The plain Newton step of the deflated search: one picard._gmres
+    cycle on J delta = -resid."""
+    return picard._gmres(_jacobian_product(v, u_total, op, params), -resid)[0]
+
+
 def test_krylov_step_matches_the_lu_step(umin_mid, op400, second_mid):
     params, u_min = umin_mid
     u_total = u_min.total
@@ -528,15 +540,14 @@ def test_krylov_step_matches_the_lu_step(umin_mid, op400, second_mid):
         weighted = op400.grid.weights * fprime
         jac = np.eye(op400.n) - op400.matrix * weighted[None, :]
         lu = np.linalg.solve(jac, -resid)
-        got = _newton_step(v, u_total, op400, params, resid)
+        got = _krylov_step(v, u_total, op400, params, resid)
         assert np.max(np.abs(got - lu)) <= 1e-11 * np.max(np.abs(lu))
 
 
 def _krylov_relative_residual(v, u_total, op, params, resid, delta):
     """||J delta + resid|| / ||resid|| with J = I - G diag(f') applied
     through the operator, as the Newton step defines it."""
-    fprime = params.p * (u_total + np.maximum(v, 0.0)) ** (params.p - 1.0) * (v > 0.0)
-    jdelta = delta - op.apply(fprime * delta)
+    jdelta = _jacobian_product(v, u_total, op, params)(delta)
     return float(np.linalg.norm(jdelta + resid) / np.linalg.norm(resid))
 
 
@@ -554,24 +565,25 @@ def test_missed_krylov_tolerance_keeps_the_gmres_iterate(
     # its iterate is the step; no dense solve stands behind it.
     monkeypatch.setattr(picard, "_KRYLOV_CAP", 5)
     steps = []
-    real_step = mountainpass._newton_step
+    real_gmres = picard._gmres
 
-    def recorded(v, u_total, op, params, resid):
-        delta = real_step(v, u_total, op, params, resid)
-        steps.append((v, u_total, op, params, resid, delta))
-        return delta
+    def recorded(matvec, rhs):
+        delta, relres = real_gmres(matvec, rhs)
+        steps.append((matvec, rhs, delta))
+        return delta, relres
 
     def no_dense_solve(*args, **kwargs):
         raise AssertionError("dense solve of the Newton system")
 
-    monkeypatch.setattr(mountainpass, "_newton_step", recorded)
+    monkeypatch.setattr(picard, "_gmres", recorded)
     monkeypatch.setattr(np.linalg, "solve", no_dense_solve)
     for method, ref in refs.items():
         got = find_second_solution(params, op400, form400, u_min, method=method, seed=0)
         assert np.max(np.abs(got.v.values - ref.v.values)) <= 1e-10
     assert steps
-    for step in steps:
-        assert _krylov_relative_residual(*step) > picard._KRYLOV_RTOL
+    for matvec, rhs, delta in steps:
+        missed = np.linalg.norm(matvec(delta) - rhs) / np.linalg.norm(rhs)
+        assert missed > picard._KRYLOV_RTOL
 
 
 def _count_products(monkeypatch, op):
@@ -605,15 +617,15 @@ def test_krylov_products_are_the_arnoldi_columns(
     for v, resid in cases:
         monkeypatch.setattr(picard, "_KRYLOV_CAP", cap)
         products.clear()
-        delta = _newton_step(v, u_total, op400, params, resid)
+        delta = _krylov_step(v, u_total, op400, params, resid)
         columns = len(products)
         assert 1 < columns <= cap
         assert _krylov_relative_residual(v, u_total, op400, params, resid, delta) <= 1e-12
         monkeypatch.setattr(picard, "_KRYLOV_CAP", columns)
-        assert _newton_step(v, u_total, op400, params, resid).tobytes() == delta.tobytes()
+        assert _krylov_step(v, u_total, op400, params, resid).tobytes() == delta.tobytes()
         monkeypatch.setattr(picard, "_KRYLOV_CAP", columns - 1)
         products.clear()
-        short = _newton_step(v, u_total, op400, params, resid)
+        short = _krylov_step(v, u_total, op400, params, resid)
         assert len(products) == columns - 1
         assert (
             _krylov_relative_residual(v, u_total, op400, params, resid, short)
@@ -631,7 +643,7 @@ def test_krylov_step_is_exact_after_one_product_without_fprime(
     v = -np.ones(op400.n)
     resid = rng.standard_normal(op400.n)
     products = _count_products(monkeypatch, op400)
-    delta = _newton_step(v, u_min.total, op400, params, resid)
+    delta = _krylov_step(v, u_min.total, op400, params, resid)
     assert len(products) == 1
     assert np.max(np.abs(delta + resid)) <= 4.0 * np.finfo(float).eps * np.max(
         np.abs(resid)
@@ -641,41 +653,50 @@ def test_krylov_step_is_exact_after_one_product_without_fprime(
 def test_deflated_newton_loop_exhausts_its_budget_and_rejects_v_zero(
     umin_mid, op400, form400, monkeypatch
 ):
+    # The deflated search runs on the shared Newton loop, whose budget
+    # error it turns into SecondSolutionNotFound with the trace.
     params, u_min = umin_mid
     u_total = u_min.total
-    monkeypatch.setattr(mountainpass, "_MAX_STEPS", 1)
-    message = "deflated Newton exhausted 1 steps"
-    with pytest.raises(SecondSolutionNotFound, match=message) as info:
-        _newton(10.0 * u_total, u_total, op400, params, form400.mass, [])
+    monkeypatch.setattr(picard, "_NEWTON_STEPS", 1)
+    with pytest.raises(SecondSolutionNotFound) as info:
+        _deflated_newton(10.0 * u_total, u_total, op400, params, form400.mass, [])
     (row,) = info.value.trace
     assert row[:2] == (0, None) and row[2] > 1e-10
-    # v = 0 is a root of the residual; the deflated loop rejects it.
+    assert str(info.value) == f"deflated Newton failed at residual {row[2]:.3e}"
+    assert "did not converge in 1 steps" in str(info.value.__cause__)
+    # v = 0 is a root of the residual; the deflated search rejects it.
     zero = np.zeros(op400.n)
     message = "collapsed onto the trivial root"
     with pytest.raises(SecondSolutionNotFound, match=message) as info:
-        _newton(zero, u_total, op400, params, form400.mass, [])
+        _deflated_newton(zero, u_total, op400, params, form400.mass, [])
     assert info.value.trace == [(0, None, 0.0)]
 
 
-def test_a_crawling_newton_iteration_stops_as_stagnated(
-    umin_mid, op400, form400, monkeypatch
+def test_a_search_that_cannot_converge_ends_after_the_shared_budget(
+    umin_mid, op400, form400, second_mid, monkeypatch
 ):
-    # Steps of 1% of the residual cut it by about 1% each, accepted by
-    # the line search every time; it halves only after some 70 steps, so
-    # the iteration stops after 30 steps instead of its budget of 200.
+    # Steps of 1% of the Newton step cut the residual by about 1% each,
+    # accepted by the line search every time, so the search cannot
+    # converge: it ends after the 20 Newton steps of every solve, as
+    # SecondSolutionNotFound that keeps the 15 path-deformation rows.
     params, u_min = umin_mid
-    u_total = u_min.total
-    monkeypatch.setattr(mountainpass, "_MAX_STEPS", 200)
-    monkeypatch.setattr(
-        mountainpass, "_newton_step", lambda v, u, op, params, resid: -0.01 * resid
-    )
-    message = "deflated Newton stagnated"
-    with pytest.raises(SecondSolutionNotFound, match=message) as info:
-        _newton(u_total, u_total, op400, params, form400.mass, [])
-    residuals = [row[2] for row in info.value.trace]
-    assert len(residuals) == 31
+    real = picard._gmres
+
+    def one_percent(matvec, rhs):
+        step, relres = real(matvec, rhs)
+        return 0.01 * step, relres
+
+    monkeypatch.setattr(picard, "_gmres", one_percent)
+    with pytest.raises(SecondSolutionNotFound, match="deflated Newton failed") as info:
+        find_second_solution(params, op400, form400, u_min, seed=0)
+    assert type(info.value) is SecondSolutionNotFound
+    rows = info.value.trace
+    assert len(rows) == 15 + picard._NEWTON_STEPS == 35
+    assert tuple(rows[:15]) == second_mid.trace[:15]
+    residuals = [row[2] for row in rows[15:]]
+    assert all(row[1] is None for row in rows[15:])
     assert residuals == sorted(residuals, reverse=True)
-    assert residuals[30] > 0.5 * residuals[0]
+    assert residuals[-1] > 0.5 * residuals[0]
 
 
 def test_deflated_newton_starts_at_the_energy_maximum_on_the_ray(
@@ -826,8 +847,8 @@ def test_second_solution_trace_records_the_descent(
     assert rows[-1][2] <= 1e-10
     # A Newton iteration that fails keeps the deformation's rows.
     params, u_min = umin_mid
-    monkeypatch.setattr(mountainpass, "_MAX_STEPS", 1)
-    with pytest.raises(SecondSolutionNotFound, match="exhausted 1 steps") as info:
+    monkeypatch.setattr(picard, "_NEWTON_STEPS", 1)
+    with pytest.raises(SecondSolutionNotFound, match="failed at residual") as info:
         find_second_solution(params, op400, form400, u_min, seed=0)
     assert tuple(info.value.trace) == rows[:16]
 

@@ -25,6 +25,12 @@ def _sources():
     return files
 
 
+def _called(node):
+    """The name a call node calls, bare or as an attribute."""
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+
+
 def _is_dense(node, aliases):
     """Whether an expression is one of the dense operands or a view of one."""
     if isinstance(node, ast.Name):
@@ -34,9 +40,7 @@ def _is_dense(node, aliases):
     if isinstance(node, ast.Subscript):
         return _is_dense(node.value, aliases)
     if isinstance(node, ast.Call):
-        func = node.func
-        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-        return name in _DENSE_CALLS
+        return _called(node) in _DENSE_CALLS
     return False
 
 
@@ -98,6 +102,43 @@ def test_no_numpy_product_with_a_dense_operand():
             for line, operands in _numpy_products(tree, aliases)
         )
     assert found == []
+
+
+def test_every_newton_step_runs_in_one_loop():
+    # One Newton loop serves the fold, every minimal solution and the
+    # deflated second-solution search: only picard._newton_krylov calls
+    # the GMRES cycle, and mountainpass.py writes its Newton rows
+    # (step, None, residual) from a system of that loop, never from a
+    # loop of its own.
+    callers = set()
+    for path in _sources():
+        for func in ast.parse(path.read_text()).body:
+            callers.update(
+                (path.name, getattr(func, "name", None))
+                for node in ast.walk(func)
+                if isinstance(node, ast.Call) and _called(node) == "_gmres"
+            )
+    assert callers == {("picard.py", "_newton_krylov")}
+    (path,) = (path for path in _sources() if path.name == "mountainpass.py")
+    tree = ast.parse(path.read_text())
+    loops = [node for node in ast.walk(tree) if isinstance(node, (ast.For, ast.While))]
+    newton_rows = [
+        loop.lineno
+        for loop in loops
+        for node in ast.walk(loop)
+        if isinstance(node, ast.Call)
+        and _called(node) == "append"
+        and node.args
+        and isinstance(node.args[0], ast.Tuple)
+        and len(node.args[0].elts) == 3
+        and isinstance(node.args[0].elts[1], ast.Constant)
+        and node.args[0].elts[1].value is None
+    ]
+    assert newton_rows == []
+    assert any(
+        isinstance(node, ast.Call) and _called(node) == "_newton_krylov"
+        for node in ast.walk(tree)
+    )
 
 
 def test_the_product_guard_sees_views_and_aliases():
