@@ -21,9 +21,11 @@ Gauss-Jacobi rule with weight tau^(alpha-1) on [0, min((r-s)^2, a2)] and
 Gauss-Legendre panels in ln tau from there up to a2; in ln tau the
 integrand is analytic in a strip of half-width pi, so panels of a fixed
 length in ln tau resolve it on every scale of |r-s|.  The point kernel
-is the same integral with P = Q = |x-y|^2.  This module evaluates the
-kernel pointwise and sphere-reduced, and assembles a dense Nystrom
-matrix for the solution operator
+is the same integral with P = Q = |x-y|^2, and so are the Dirac column
+G(x, 0) and its smooth remainder: every Green value of the module comes
+from this one rule.  This module evaluates the kernel pointwise and
+sphere-reduced, and assembles a dense Nystrom matrix for the solution
+operator
 
     G_alpha[f](r) = int_0^1 K(r,s) f(s) s^(N-1) ds,   K = |S^(N-1)| Kbar,
 
@@ -54,6 +56,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -62,7 +65,6 @@ from typing import NamedTuple
 import numpy as np
 from scipy import linalg
 from scipy.linalg import blas
-from scipy.special import beta, betainc, roots_jacobi
 
 from .core import (
     GAUSS_PER_CELL,
@@ -78,12 +80,14 @@ from .core import (
     write_atomic,
 )
 
-# Version 6 stores the grid spec (dim, alpha, n_nodes, grading,
+# Version 7 stores the grid spec (dim, alpha, n_nodes, grading,
 # boundary_grading) in the header and the kernel matrix alone after it,
 # under one checksum of both; the grid and the Dirac column are rebuilt
-# from the spec.  Version 5 stored those arrays too and checked the
-# payload only.
-FORMAT_VERSION = 6
+# from the spec.  Version 6 had the same layout, with kernel values from
+# scipy's Gauss-Jacobi rule, which differ from the Golub-Welsch rule's in
+# the last bits; version 5 stored the arrays too and checked the payload
+# only.
+FORMAT_VERSION = 7
 
 # The tau rule: Gauss-Jacobi points for the tau^(alpha-1) endpoint, and
 # Gauss-Legendre panels of at most _PANEL_LOG_LENGTH in ln tau above it.
@@ -92,7 +96,7 @@ FORMAT_VERSION = 6
 # rho = 4.4 for a panel, the strip half-width pi over half the panel
 # length.  12 points each hold the kernel within 1e-13 relative of
 # 30-digit quadrature for N = 2..5 and alpha in [0.05, 0.95] (rounding and
-# scipy's Jacobi weights give about 2e-14 of that).
+# the Golub-Welsch weights give about 2e-14 of that).
 _JACOBI_POINTS = 12
 _PANEL_X, _PANEL_W = np.polynomial.legendre.leggauss(12)
 _PANEL_LOG_LENGTH = 3.0
@@ -133,30 +137,37 @@ _SUB_T, _SUB_TW = _sub_rule()
 
 class _Kernel(NamedTuple):
     """Green kernel data of one (N, alpha): kappa and the Gauss-Jacobi rule
-    on (0, 1) for the weight t^(alpha-1)."""
+    on (0, 1) for the weight t^(exponent-1)."""
 
     dim: int
-    alpha: float
+    exponent: float
     kappa: float
     jacobi_t: np.ndarray
     jacobi_w: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
-def _kernel(dim, alpha):
-    """Kernel data for (N, alpha); memoised, and shared read-only by every
-    caller for the process."""
-    x, w = roots_jacobi(_JACOBI_POINTS, 0.0, alpha - 1.0)
-    nodes, weights = 0.5 * (x + 1.0), w * 0.5**alpha
+def _kernel(dim, alpha, exponent=None):
+    """Kernel data for (N, alpha), with the rule for exponent c (alpha by
+    default); memoised, and shared read-only by every caller for the process.
+
+    The rule is Golub & Welsch's (1969, Math. Comp. 23): its nodes are the
+    eigenvalues of the Jacobi matrix of the weight (1+x)^(c-1) on (-1, 1),
+    mapped to t = (1+x)/2, and its weights the squared first components of
+    the eigenvectors times the mass 1/c of t^(c-1) on (0, 1).
+    """
+    c = alpha if exponent is None else exponent
+    b, k = c - 1.0, np.arange(1.0, _JACOBI_POINTS)
+    # The k = 0 diagonal entry b^2 / (b (b + 2)) is reduced (0/0 at c = 1).
+    diag = np.concatenate([[b / (b + 2.0)], b * b / ((2 * k + b) * (2 * k + b + 2))])
+    off = 2 * k * (k + b) / (2 * k + b) / np.sqrt((2 * k + b) ** 2 - 1.0)
+    x, vectors = linalg.eigh_tridiagonal(diag, off)
+    nodes, weights = 0.5 * (x + 1.0), vectors[0] ** 2 / c
     for arr in (nodes, weights):
         arr.setflags(write=False)
-    return _Kernel(
-        dim,
-        alpha,
-        fundamental_constant(dim, alpha) / beta(alpha, dim / 2.0 - alpha),
-        nodes,
-        weights,
-    )
+    half = dim / 2.0
+    inv_beta = math.gamma(half) / (math.gamma(alpha) * math.gamma(half - alpha))
+    return _Kernel(dim, c, fundamental_constant(dim, alpha) * inv_beta, nodes, weights)
 
 
 @functools.lru_cache(maxsize=None)
@@ -189,7 +200,7 @@ def _sphere_mean_integrand(tau, d2, q2, dim):
 
 
 def _tau_integral(d2, q2, a2, kernel):
-    """kappa * int_0^{a2} tau^(alpha-1) M(tau) dtau over flat arrays.
+    """kappa * int_0^{a2} tau^(c-1) M(tau) dtau over flat arrays, c = kernel.exponent.
 
     M is _sphere_mean_integrand(tau, d2, q2), with d2 > 0 elementwise.
     The Gauss-Jacobi rule covers [0, min(d2, a2)] and, where a2 > d2,
@@ -199,7 +210,7 @@ def _tau_integral(d2, q2, a2, kernel):
     entry's points form one row, reduced by a row sum whose result does
     not depend on the row's position (a BLAS product would).
     """
-    alpha = kernel.alpha
+    c = kernel.exponent
     log_span = np.zeros_like(d2)
     above = a2 > d2
     log_span[above] = np.log(a2[above] / d2[above])
@@ -213,7 +224,7 @@ def _tau_integral(d2, q2, a2, kernel):
         s = slice(lo, lo + step)
         tau = t_lo[s, None] * kernel.jacobi_t
         f = _sphere_mean_integrand(tau, d2[s, None], q2[s, None], kernel.dim)
-        out[s] = (f * kernel.jacobi_w).sum(axis=1) * t_lo[s] ** alpha
+        out[s] = (f * kernel.jacobi_w).sum(axis=1) * t_lo[s] ** c
     counts, starts = np.unique(n_panels, return_index=True)
     for m, first, end in zip(counts, starts, [*starts[1:], out.size]):
         if m == 0:
@@ -224,7 +235,7 @@ def _tau_integral(d2, q2, a2, kernel):
             s = slice(lo, min(lo + step, end))
             tau = t_lo[s, None] * np.exp(log_span[s, None] * u)
             f = _sphere_mean_integrand(tau, d2[s, None], q2[s, None], kernel.dim)
-            f *= tau**alpha
+            f *= tau**c
             out[s] += (f * w).sum(axis=1) * log_span[s]
     out[order] = kernel.kappa * out
     return out
@@ -301,43 +312,36 @@ def radial_kernel(r, s, params):
 def dirac_profile(grid, params):
     """Exact column G(r e1, 0): the operator applied to the unit Dirac mass.
 
-    Closed form c_fund * r^(2*alpha-N) * I_{1-r^2}(alpha, N/2-alpha),
-    evaluated through the complementary identity 1 - I_{r^2}(N/2-alpha,
-    alpha) for small r, where the direct incomplete beta at argument
-    1 - r^2 loses relative accuracy.
+    The point kernel at y = 0, |x-y|^2 = r^2 and a2 = 1 - r^2, by the
+    tau rule.  1 - r^2 is formed as (1-r)(1+r): 1 - r*r has a relative
+    error of up to 1e-16 / (1-r), which costs the column up to 3e-10 on
+    the default grid at alpha = 0.1.
 
-    Origin approach: the ratio to c_fund * r^(2*alpha-N) is
-    1 - I_{r^2}(N/2-alpha, alpha), which approaches 1 from below with
-    deficit lead * r^(N-2*alpha) * (1 + O(r^2)), where
+    Origin approach: the ratio to c_fund * r^(2*alpha-N) approaches 1 from
+    below with deficit lead * r^(N-2*alpha) * (1 + O(r^2)), where
     lead = Gamma(N/2) / ((N/2-alpha) Gamma(alpha) Gamma(N/2-alpha)).
     """
-    c_fund = fundamental_constant(params.dim, params.alpha)
-    alpha = params.alpha
-    b = params.dim / 2.0 - alpha
     r = grid.nodes
-    rr = r * r
-    beta_factor = np.where(
-        rr <= 0.5,
-        1.0 - betainc(b, alpha, rr),
-        betainc(alpha, b, 1.0 - rr),
-    )
-    return c_fund * r**params.singular_exponent * beta_factor
+    a2 = (1.0 - r) * (1.0 + r)
+    return _tau_integral(r * r, r * r, a2, _kernel(params.dim, params.alpha))
 
 
 def dirac_smooth_remainder(grid, params):
     """Bounded remainder G(r e1, 0) - c_fund * r^(2*alpha-N).
 
-    Computed through the complementary incomplete-beta identity as
-    -c_fund * r^(2*alpha-N) * I_{r^2}(N/2-alpha, alpha), which avoids the
-    catastrophic cancellation of subtracting two blow-ups near r = 0.
+    c_fund * r^(2*alpha-N) is the Riesz integral over every tau > 0, so
+    the remainder is minus its tail over tau > 1 - r^2.  tau = 1/sigma
+    turns the tail into
+
+        kappa r^(-N) int_0^{1/(1-r^2)} sigma^(c-1) (1/r^2 + sigma)^(-N/2) dsigma,
+
+    c = N/2 - alpha: the tau rule with exponent c, which has no
+    cancellation of two blow-ups as r -> 0 (1 - r^2 as in dirac_profile).
     """
-    c_fund = fundamental_constant(params.dim, params.alpha)
     r = grid.nodes
-    return (
-        -c_fund
-        * r**params.singular_exponent
-        * betainc(params.dim / 2.0 - params.alpha, params.alpha, r * r)
-    )
+    inv, sigma_max = r**-2.0, 1.0 / ((1.0 - r) * (1.0 + r))
+    kernel = _kernel(params.dim, params.alpha, params.dim / 2.0 - params.alpha)
+    return -(r**-params.dim) * _tau_integral(inv, inv, sigma_max, kernel)
 
 
 def symv(matrix, x):

@@ -171,6 +171,62 @@ def test_dirac_profile_origin_approach(params0):
     assert np.max(np.abs(ratio[small] - predicted)) <= 1e-6
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.75, 0.95])
+def test_dirac_columns_match_the_incomplete_beta_route(dim, alpha):
+    # The closed forms c_fund r^(2 alpha-N) I_{1-r^2}(alpha, b) and
+    # -c_fund r^(2 alpha-N) I_{r^2}(b, alpha), b = N/2 - alpha, through
+    # scipy's betainc, each on the side of r^2 = 1/2 where it takes the
+    # smaller argument (by I_x(a, b) = 1 - I_{1-x}(b, a) on the other).
+    # 1 - r^2 is (1-r)(1+r): 1 - r*r, with a relative error of up to
+    # 1e-16 / (1-r), would cost both routes up to 3e-10 at alpha = 0.1.
+    params = ProblemParams(dim=dim, alpha=alpha)
+    grid = default_grid(params, n_nodes=200)
+    b = dim / 2.0 - alpha
+    r = grid.nodes
+    rr, gap = r * r, (1.0 - r) * (1.0 + r)
+    small = rr <= 0.5
+    singular = params.c_fund * r**params.singular_exponent
+    column = singular * np.where(
+        small, 1.0 - betainc(b, alpha, rr), betainc(alpha, b, gap)
+    )
+    remainder = -singular * np.where(
+        small, betainc(b, alpha, rr), 1.0 - betainc(alpha, b, gap)
+    )
+    for got, want in (
+        (dirac_profile(grid, params), column),
+        (dirac_smooth_remainder(grid, params), remainder),
+    ):
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "dim, alpha", [(2, 0.75), (2, 0.1), (2, 0.95), (3, 0.5), (5, 0.3)]
+)
+def test_dirac_smooth_remainder_matches_the_30_digit_tail(dim, alpha):
+    # Minus the tail kappa int_{1-r^2}^inf tau^(alpha-1) (r^2 + tau)^(-N/2)
+    # dtau of the Riesz integral, by tanh-sinh quadrature in u = ln tau,
+    # where the integrand decays like exp(-(N/2 - alpha) u).
+    params = ProblemParams(dim=dim, alpha=alpha)
+    radii = np.array([1e-8, 1e-4, 0.5, 1.0 - 1e-6])
+    grid = dataclasses.replace(make_grid(16, dim=dim), nodes=radii)
+    got = dirac_smooth_remainder(grid, params)
+    with mpmath.workdps(30):
+        a, half = mpmath.mpf(alpha), mpmath.mpf(dim) / 2
+        kappa = mpmath.gamma(half - a) / (
+            4**a * mpmath.pi**half * mpmath.gamma(a) * mpmath.beta(a, half - a)
+        )
+        for r, value in zip(radii, got):
+            rr = mpmath.mpf(float(r)) ** 2
+            lo = mpmath.log(1 - rr)
+            tail = mpmath.quad(
+                lambda u: mpmath.exp(a * u) * (rr + mpmath.exp(u)) ** (-half),
+                [lo, lo + 8, mpmath.inf],
+            )
+            want = float(-kappa * tail)
+            assert abs(value - want) <= 1e-13 * abs(want), (r, value, want)
+
+
 def test_dirac_smooth_remainder_is_exact_complement(params0):
     grid = make_grid(200, dim=2)
     g = dirac_profile(grid, params0)
@@ -307,20 +363,25 @@ def test_assembly_is_byte_identical_for_any_workers_blocks_and_passes(
 def test_assembly_makes_few_integrand_passes(monkeypatch, params0, op400):
     # Each integrand call holds the GIL between NumPy calls, so many small
     # passes make the workers take turns.  Sorted, point-capped tasks of
-    # 8192 entries need 239 calls at n=400; 4096-entry blocks split into
-    # one gathered group per panel count needed 392.
+    # 8192 entries need 239 calls on the pool threads at n=400; 4096-entry
+    # blocks split into one gathered group per panel count needed 392.
+    # The Dirac column takes its own passes on the calling thread.
     calls = []
     original = green_module._sphere_mean_integrand
 
     def counting(*args):
-        calls.append(None)
+        calls.append(threading.current_thread().name)
         return original(*args)
 
     monkeypatch.setattr(green_module, "_sphere_mean_integrand", counting)
     monkeypatch.setenv("OMP_NUM_THREADS", "2")
     got = assemble(op400.grid, params0)
     assert got.matrix.tobytes() == op400.matrix.tobytes()
-    assert len(calls) == 239
+    assert got.dirac_column.tobytes() == op400.dirac_column.tobytes()
+    pool = [name for name in calls if name.startswith("fracsing-assemble")]
+    assert len(pool) == 239
+    assert calls.count(threading.main_thread().name) == 9
+    assert len(calls) == 239 + 9
 
 
 def test_kernel_error_names_the_lowest_failing_pair(monkeypatch, params0, op200):
@@ -457,21 +518,6 @@ def test_point_kernel_near_the_diagonal_where_betainc_is_off(params0):
         assert point_kernel(x, y, params0) == pytest.approx(
             _kernel_oracle(x, y, params0), rel=1e-13
         )
-
-
-def test_assembly_evaluates_betainc_only_for_the_source_column(monkeypatch, op200):
-    count = [0]
-
-    def counting(a, b, z):
-        count[0] += np.broadcast(a, b, z).size
-        return betainc(a, b, z)
-
-    monkeypatch.setattr(green_module, "betainc", counting)
-    monkeypatch.setenv("OMP_NUM_THREADS", "1")
-    assemble(op200.grid, ProblemParams(dim=2, alpha=0.75))
-    # dirac_profile's two branches over the nodes; kernel values take the
-    # tau rule.
-    assert 0 < count[0] <= 4 * op200.n
 
 
 def _lagrange_loop(pts, nodes4):

@@ -31,6 +31,15 @@ def _called(node):
     return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
 
 
+def _imported(node):
+    """Dotted names an import statement loads, with each imported member."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+    return []
+
+
 def _is_dense(node, aliases):
     """Whether an expression is one of the dense operands or a view of one."""
     if isinstance(node, ast.Name):
@@ -101,6 +110,21 @@ def test_no_numpy_product_with_a_dense_operand():
             f"{path.name}:{line}: {', '.join(ast.unparse(op) for op in operands)}"
             for line, operands in _numpy_products(tree, aliases)
         )
+    assert found == []
+
+
+def test_no_source_imports_scipy_special():
+    # Every Green value, the Dirac column included, comes from the tau rule
+    # (fracsing.green), so no module needs scipy.special.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in _sources()
+        for node in ast.walk(ast.parse(path.read_text()))
+        if any(
+            name == "scipy.special" or name.startswith("scipy.special.")
+            for name in _imported(node)
+        )
+    ]
     assert found == []
 
 
