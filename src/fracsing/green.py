@@ -20,12 +20,11 @@ angular quadrature and no special function.  It is evaluated by a
 Gauss-Jacobi rule with weight tau^(alpha-1) on [0, min((r-s)^2, a2)] and
 Gauss-Legendre panels in ln tau from there up to a2; in ln tau the
 integrand is analytic in a strip of half-width pi, so panels of a fixed
-length in ln tau resolve it on every scale of |r-s|.  The point kernel
-is the same integral with P = Q = |x-y|^2, and so are the Dirac column
-G(x, 0) and its smooth remainder: every Green value of the module comes
-from this one rule.  This module evaluates the kernel pointwise and
-sphere-reduced, and assembles a dense Nystrom matrix for the solution
-operator
+length in ln tau resolve it on every scale of |r-s|.  With
+P = Q = |x-y|^2 the same integral is the point kernel, and so are the
+Dirac column G(x, 0) and its smooth remainder: every Green value of the
+module comes from this one rule.  This module assembles a dense Nystrom
+matrix of the sphere-reduced kernel for the solution operator
 
     G_alpha[f](r) = int_0^1 K(r,s) f(s) s^(N-1) ds,   K = |S^(N-1)| Kbar,
 
@@ -248,65 +247,6 @@ def _sphere_mean(r, s, kernel):
     """
     a2 = (1.0 - r * r) * (1.0 - s * s)
     return _tau_integral((r - s) ** 2, (r + s) ** 2, a2, kernel)
-
-
-def point_kernel(x, y, params):
-    """Green function G(x,y) of the unit ball evaluated at two points.
-
-    Parameters
-    ----------
-    x, y : array_like
-        Points in the open unit ball of R^params.dim, x != y.
-    params : ProblemParams
-        Supplies dim and alpha.
-
-    Returns
-    -------
-    float
-        G(x,y) > 0; symmetric in (x,y); vanishes as |y| -> 1.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (params.dim,) or y.shape != (params.dim,):
-        raise ParameterError(
-            f"points must be vectors of length {params.dim}, got {x.shape}, {y.shape}"
-        )
-    nx2 = float(x @ x)
-    ny2 = float(y @ y)
-    if nx2 >= 1.0 or ny2 >= 1.0:
-        raise ParameterError("points must lie in the open unit ball")
-    diff = x - y
-    rho2 = np.array([float(diff @ diff)])
-    if rho2[0] == 0.0:
-        raise ParameterError("kernel is singular at coincident points")
-    a2 = np.array([(1.0 - nx2) * (1.0 - ny2)])
-    return float(_tau_integral(rho2, rho2, a2, _kernel(params.dim, params.alpha))[0])
-
-
-def radial_kernel(r, s, params):
-    """Sphere-reduced kernel K(r,s) = int_{|w|=1} G(r e1, s w) dsigma(w).
-
-    For radial densities f the operator acts as
-    G_alpha[f](r) = int_0^1 K(r,s) f(s) s^(N-1) ds.  K is symmetric and
-    nonnegative and vanishes as s -> 1.  On the diagonal r = s it is
-    finite only for alpha > 1/2, and never needed there: assembly
-    integrates the cells around the diagonal by product integration, so
-    coincident radii raise KernelError at every alpha.
-    """
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    if r_arr.shape != s_arr.shape:
-        raise ParameterError("r and s must have matching shapes")
-    if np.any(r_arr <= 0.0) or np.any(r_arr >= 1.0) or np.any(s_arr <= 0.0) or np.any(
-        s_arr >= 1.0
-    ):
-        raise ParameterError("radii must lie strictly inside (0,1)")
-    if np.any(r_arr == s_arr):
-        raise KernelError("sphere-reduced kernel is not evaluated at coincident radii")
-    out = surface_area(params.dim) * _sphere_mean(
-        r_arr, s_arr, _kernel(params.dim, params.alpha)
-    )
-    return float(out[0]) if np.isscalar(r) or np.asarray(r).ndim == 0 else out
 
 
 def dirac_profile(grid, params):
@@ -534,14 +474,15 @@ def _worker_count():
 def assemble(grid, params):
     """Assemble the dense Nystrom matrix of the Green operator.
 
-    Off-diagonal entries come from the sphere-reduced kernel at node
-    pairs.  Rows are then corrected on the diagonal cell and its
-    neighbors by product integration: the density is replaced by its
-    cubic interpolant on the cell's own nodes and the kernel mass is
-    integrated by a quadrature graded into the |r-s|^(2*alpha-1) cusp,
-    and stored divided by the column weights.  Only these entries differ
-    from their mirrors; they are exactly symmetrized, and every other
-    entry is the kernel value itself.  Entries are clipped at zero (the
+    Each entry has one owner.  Node pairs more than _N_CORR_CELLS cells
+    apart take the sphere-reduced kernel itself.  The band of the
+    diagonal cell and its _N_CORR_CELLS neighbors on each side belongs
+    to product integration, and no kernel value is computed there: the
+    density is replaced by its cubic interpolant on the cell's own nodes
+    and the kernel mass is integrated by a quadrature graded into the
+    |r-s|^(2*alpha-1) cusp, and stored divided by the column weights.
+    Only these entries differ from their mirrors, and they are exactly
+    symmetrized.  Entries are clipped at zero (the
     clipped mass is checked to be negligible), and evaluation failures
     are reported with the lowest failing node pair.  The operator keeps
     this symmetric matrix; the weights are applied to the density
@@ -566,16 +507,20 @@ def assemble(grid, params):
     n = grid.n
     kbar = np.zeros((n, n))
 
-    # Node pairs i < j in row-major order; row i starts at flat index
-    # row_start[i].  Each block writes its pairs and their mirrors.
-    n_pairs = n * (n - 1) // 2
-    first_rows = np.arange(n - 1)
-    row_start = first_rows * (n - 1) - first_rows * (first_rows - 1) // 2
+    # Node pairs i < j more than _N_CORR_CELLS cells apart, in row-major
+    # order: row i starts at column first[i] and at flat index
+    # row_start[i].  Each block writes its pairs and their mirrors; the
+    # correction below owns every entry of the band it skips.
+    q = GAUSS_PER_CELL
+    first = (np.arange(n) // q + _N_CORR_CELLS + 1) * q
+    first = first[first < n]
+    row_start = np.concatenate([[0], np.cumsum(n - first)])
+    n_pairs = int(row_start[-1])
 
     def kernel_block(start):
         k = np.arange(start, min(start + _BLOCK_SIZE, n_pairs))
         i = np.searchsorted(row_start, k, side="right") - 1
-        j = k - row_start[i] + i + 1
+        j = k - row_start[i] + first[i]
         vals = _sphere_mean(nodes[i], nodes[j], kernel)
         bad = np.flatnonzero(~np.isfinite(vals))
         if bad.size:
@@ -585,10 +530,9 @@ def assemble(grid, params):
         kbar[i, j] = vals
         kbar[j, i] = vals
 
-    # Product-integration correction: replace the columns of the cells
-    # around each row's diagonal cell.  The samples of all (row, cell)
-    # pairs are laid end to end and evaluated in blocks like the pairs.
-    q = GAUSS_PER_CELL
+    # Product-integration correction: the columns of the cells around
+    # each row's diagonal cell.  The samples of all (row, cell) pairs are
+    # laid end to end and evaluated in blocks like the pairs.
     n_cells = grid.n_cells
     edges = grid.cell_edges
     reach = np.arange(-_N_CORR_CELLS, _N_CORR_CELLS + 1)

@@ -32,6 +32,7 @@ from fracsing.core import (
     ProblemParams,
     _origin_window,
     make_grid,
+    surface_area,
 )
 from fracsing.green import (
     assemble,
@@ -40,14 +41,30 @@ from fracsing.green import (
     dirac_smooth_remainder,
     load_operator,
     measured_c2,
-    point_kernel,
-    radial_kernel,
     save_operator,
 )
 from fracsing.mountainpass import build_form
 from fracsing.stability import sigma1_rayleigh
 
 mpmath.mp.dps = 40
+
+
+def _point_kernel(x, y, params):
+    """G(x, y) by the tau rule in its P = Q = |x-y|^2 form, the route of
+    the Dirac columns."""
+    diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    rho2 = np.array([float(diff @ diff)])
+    a2 = np.array([(1.0 - float(x @ x)) * (1.0 - float(y @ y))])
+    kernel = green_module._kernel(params.dim, params.alpha)
+    return float(green_module._tau_integral(rho2, rho2, a2, kernel)[0])
+
+
+def _radial_kernel(r, s, params):
+    """K(r, s) = |S^(N-1)| Kbar(r, s), Kbar by _sphere_mean as assemble
+    evaluates it."""
+    kernel = green_module._kernel(params.dim, params.alpha)
+    kbar = green_module._sphere_mean(np.array([r]), np.array([s]), kernel)[0]
+    return surface_area(params.dim) * float(kbar)
 
 
 def _kernel_oracle(x, y, params):
@@ -71,7 +88,7 @@ def test_point_kernel_matches_high_precision_route(params0):
         ([0.9, 0.3], [0.85, 0.25]),
     ]
     for x, y in pairs:
-        got = point_kernel(np.array(x), np.array(y), params0)
+        got = _point_kernel(np.array(x), np.array(y), params0)
         assert got == pytest.approx(_kernel_oracle(x, y, params0), rel=1e-12)
 
 
@@ -85,7 +102,7 @@ def test_point_kernel_half_order_elementary_form(params_half):
         d = float(np.linalg.norm(x - y))
         r0 = (1.0 - float(x @ x)) * (1.0 - float(y @ y)) / d**2
         expected = math.atan(math.sqrt(r0)) / (math.pi**2 * d)
-        assert point_kernel(x, y, params_half) == pytest.approx(expected, rel=1e-12)
+        assert _point_kernel(x, y, params_half) == pytest.approx(expected, rel=1e-12)
 
 
 def test_point_kernel_symmetry_and_boundary_decay(params0, rng):
@@ -94,12 +111,12 @@ def test_point_kernel_symmetry_and_boundary_decay(params0, rng):
         y = rng.uniform(-0.6, 0.6, 2)
         if np.allclose(x, y):
             continue
-        assert point_kernel(x, y, params0) == pytest.approx(
-            point_kernel(y, x, params0), rel=1e-12
+        assert _point_kernel(x, y, params0) == pytest.approx(
+            _point_kernel(y, x, params0), rel=1e-12
         )
     # kernel vanishes as the source approaches the boundary sphere.
-    near = point_kernel(np.array([0.999, 0.0]), np.array([0.2, 0.0]), params0)
-    far = point_kernel(np.array([0.6, 0.0]), np.array([0.2, 0.0]), params0)
+    near = _point_kernel(np.array([0.999, 0.0]), np.array([0.2, 0.0]), params0)
+    far = _point_kernel(np.array([0.6, 0.0]), np.array([0.2, 0.0]), params0)
     assert 0.0 < near < 0.05 * far
 
 
@@ -110,23 +127,15 @@ def test_radial_kernel_matches_angular_quadrature(params0):
     def oracle(r, s):
         def integrand(theta):
             y = np.array([s * math.cos(theta), s * math.sin(theta)])
-            return point_kernel(np.array([r, 0.0]), y, params0)
+            return _point_kernel(np.array([r, 0.0]), y, params0)
 
         val, err = quad(integrand, 0.0, 2.0 * math.pi, limit=400)
         return val
 
     for r, s in [(0.5, 0.3), (0.1, 0.7), (0.45, 0.5), (0.5, 0.498)]:
-        assert radial_kernel(r, s, params0) == pytest.approx(
+        assert _radial_kernel(r, s, params0) == pytest.approx(
             oracle(r, s), rel=1e-8
         )
-
-
-def test_radial_kernel_rejects_coincident_radii(params0, params_half):
-    for params in (params0, params_half):
-        with pytest.raises(KernelError, match="coincident radii"):
-            radial_kernel(0.5, 0.5, params)
-        with pytest.raises(KernelError, match="coincident radii"):
-            radial_kernel(np.array([0.2, 0.5]), np.array([0.3, 0.5]), params)
 
 
 def test_coarse_grid_has_no_origin_window(params0):
@@ -363,8 +372,10 @@ def test_assembly_is_byte_identical_for_any_workers_blocks_and_passes(
 def test_assembly_makes_few_integrand_passes(monkeypatch, params0, op400):
     # Each integrand call holds the GIL between NumPy calls, so many small
     # passes make the workers take turns.  Sorted, point-capped tasks of
-    # 8192 entries need 239 calls on the pool threads at n=400; 4096-entry
-    # blocks split into one gathered group per panel count needed 392.
+    # 8192 entries need 215 calls on the pool threads at n=400 (239 while
+    # the node pairs of the near-diagonal band were evaluated too);
+    # 4096-entry blocks split into one gathered group per panel count
+    # needed 392.
     # The Dirac column takes its own passes on the calling thread.
     calls = []
     original = green_module._sphere_mean_integrand
@@ -379,15 +390,15 @@ def test_assembly_makes_few_integrand_passes(monkeypatch, params0, op400):
     assert got.matrix.tobytes() == op400.matrix.tobytes()
     assert got.dirac_column.tobytes() == op400.dirac_column.tobytes()
     pool = [name for name in calls if name.startswith("fracsing-assemble")]
-    assert len(pool) == 239
+    assert len(pool) == 215
     assert calls.count(threading.main_thread().name) == 9
-    assert len(calls) == 239 + 9
+    assert len(calls) == 215 + 9
 
 
 def test_kernel_error_names_the_lowest_failing_pair(monkeypatch, params0, op200):
     nodes = op200.grid.nodes
-    # Flat pair indices 1079 and 18684: blocks 1 and 18 of 1024 pairs.
-    low, high = (5, 100), (150, 160)
+    # Flat pair indices 996 and 16654: blocks 0 and 16 of 1024 pairs.
+    low, high = (5, 100), (150, 170)
     high_failed = threading.Event()
     original = green_module._sphere_mean
 
@@ -420,11 +431,82 @@ def test_failed_assembly_leaves_no_pool_thread(monkeypatch, params0, op200):
 
     monkeypatch.setattr(green_module, "_sphere_mean", failing)
     before = set(threading.enumerate())
-    with pytest.raises(KernelError, match=r"node pair \(0, 1\)"):
+    # Row 0's first pair outside the near-diagonal band.
+    with pytest.raises(KernelError, match=r"node pair \(0, 16\)"):
         _assemble_with(monkeypatch, params0, op200.grid, 2, 1024)
     assert callers and threading.main_thread() not in callers
     assert not any(t.is_alive() for t in callers)
     assert set(threading.enumerate()) <= before
+
+
+def test_assembly_evaluates_each_entry_once(monkeypatch, params0, op400):
+    # Each entry has one owner: the kernel at the node pairs more than
+    # _N_CORR_CELLS cells apart, product integration on the band.  So
+    # 79800 - 5304 = 74496 node pairs reach _sphere_mean at n=400, each
+    # once, and no correction sample falls on a node.
+    nodes = op400.grid.nodes
+    found = []
+    original = green_module._sphere_mean
+
+    def recording(r, s, *args):
+        on_nodes = np.isin(s, nodes)
+        found.append(np.searchsorted(nodes, [r[on_nodes], s[on_nodes]]))
+        return original(r, s, *args)
+
+    monkeypatch.setattr(green_module, "_sphere_mean", recording)
+    got = _assemble_with(monkeypatch, params0, op400.grid, 2, 8192)
+    assert got.matrix.tobytes() == op400.matrix.tobytes()
+    i, j = np.concatenate(found, axis=1)
+    assert i.size == np.unique(i * op400.n + j).size == 74496
+    assert np.all(i < j)
+    cells = np.arange(op400.n) // GAUSS_PER_CELL
+    assert np.min(cells[j] - cells[i]) == green_module._N_CORR_CELLS + 1
+
+
+def _poison_corrections(monkeypatch, op, change):
+    """Route every near-diagonal sample value through change(r, vals)."""
+    nodes = op.grid.nodes
+    original = green_module._sphere_mean
+
+    def poisoned(r, s, *args):
+        vals = original(r, s, *args)
+        samples = ~np.isin(s, nodes)
+        vals[samples] = change(r[samples], vals[samples])
+        return vals
+
+    monkeypatch.setattr(green_module, "_sphere_mean", poisoned)
+
+
+def test_non_finite_correction_sample_names_its_row(monkeypatch, params0, op200):
+    row = op200.grid.nodes[37]
+    _poison_corrections(
+        monkeypatch, op200, lambda r, vals: np.where(r == row, np.nan, vals)
+    )
+    with pytest.raises(KernelError, match="near the diagonal at row 37,"):
+        _assemble_with(monkeypatch, params0, op200.grid, 2, 1024)
+
+
+@pytest.mark.parametrize("share", [0.5, 2.0])
+def test_negative_corrected_mass_is_clipped_or_refused(
+    monkeypatch, params0, op200, share
+):
+    # Scaling every near-diagonal sample by -eps turns each band entry
+    # into -eps times the parent's, whose negative mass is eps times the
+    # band's sum; the matrix scale is the largest entry off the band.  At
+    # half the 1e-8 tolerance the band is clipped to zero, at twice it
+    # assembly refuses.
+    cells = np.arange(op200.n) // GAUSS_PER_CELL
+    band = np.abs(cells[:, None] - cells) <= green_module._N_CORR_CELLS
+    eps = share * 1e-8 * op200.matrix[~band].max() / op200.matrix[band].sum()
+    _poison_corrections(monkeypatch, op200, lambda r, vals: -eps * vals)
+    if share > 1.0:
+        with pytest.raises(KernelError, match="negative kernel mass"):
+            _assemble_with(monkeypatch, params0, op200.grid, 2, 1024)
+        return
+    got = _assemble_with(monkeypatch, params0, op200.grid, 2, 1024).matrix
+    assert np.all(got[band] == 0.0)
+    assert got[~band].tobytes() == op200.matrix[~band].tobytes()
+    assert np.array_equal(got, got.T) and got.min() == 0.0
 
 
 def test_assembly_peak_memory_is_bounded(monkeypatch, params0, op400):
@@ -503,7 +585,7 @@ def test_radial_kernel_matches_30_digit_quadrature(dim):
             r = rng.uniform(0.01, 0.99)
             s = r + gap if r + gap < 1.0 else r - gap
             exact = surf * _mp_sphere_mean(r, s, dim, alpha)
-            got = radial_kernel(r, s, params)
+            got = _radial_kernel(r, s, params)
             assert abs(got - exact) <= 1e-13 * exact, (alpha, r, s)
 
 
@@ -515,7 +597,7 @@ def test_point_kernel_near_the_diagonal_where_betainc_is_off(params0):
     x = np.array([0.3, 0.2])
     for gap in (1e-5, 1e-6, 1e-7, 1e-8):
         y = x + np.array([gap, -0.5 * gap])
-        assert point_kernel(x, y, params0) == pytest.approx(
+        assert _point_kernel(x, y, params0) == pytest.approx(
             _kernel_oracle(x, y, params0), rel=1e-13
         )
 

@@ -16,16 +16,18 @@ from fracsing.core import (
     ProblemParams,
     RadialFunction,
     RegimeError,
+    surface_area,
 )
 from fracsing.green import (
     GreenOperator,
     _dirac_power_image,
+    _kernel,
+    _sphere_mean,
     assemble,
     default_grid,
     dirac_profile,
     dirac_smooth_remainder,
     measured_c2,
-    radial_kernel,
 )
 from fracsing.picard import (
     KStarBracket,
@@ -85,10 +87,13 @@ def test_first_correction_matches_direct_quadrature(params0, op400):
         frac = 1.0 - betainc(b, a, s * s)
         return c_fund * s ** params.singular_exponent * frac
 
+    kernel, surf = _kernel(params.dim, a), surface_area(params.dim)
+
     def oracle(r):
         def integrand(s):
             density = (params.k * g_exact(s)) ** params.p
-            return radial_kernel(r, s, params) * density * s ** (params.dim - 1)
+            kbar = _sphere_mean(np.array([r]), np.array([s]), kernel)[0]
+            return surf * kbar * density * s ** (params.dim - 1)
 
         lo, _ = quad(integrand, 0.0, r, limit=400)
         hi, _ = quad(integrand, r, 1.0, limit=400)

@@ -25,6 +25,13 @@ def _sources():
     return files
 
 
+def _bench_sources():
+    bench = pathlib.Path(fracsing.__file__).parents[2] / "bench"
+    files = sorted(bench.glob("*.py"))
+    assert files
+    return files
+
+
 def _called(node):
     """The name a call node calls, bare or as an attribute."""
     func = node.func
@@ -111,6 +118,42 @@ def test_no_numpy_product_with_a_dense_operand():
             for line, operands in _numpy_products(tree, aliases)
         )
     assert found == []
+
+
+def _referenced(tree):
+    """Names each top-level statement references, as a name or an
+    attribute, leaving out a definition's references to itself."""
+    found = set()
+    for stmt in tree.body:
+        own = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            name = getattr(node, "id", None) if isinstance(node, ast.Name) else None
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            if name is not None and name != own:
+                found.add(name)
+    return found
+
+
+def test_every_public_definition_has_a_caller():
+    # A public function or class that only the tests call is API that
+    # nothing needs: each must be referenced from code
+    # outside its own definition, in src/ or bench/.
+    definitions = set()
+    referenced = set()
+    for path in _sources() + _bench_sources():
+        tree = ast.parse(path.read_text())
+        referenced |= _referenced(tree)
+        if path in _sources():
+            definitions.update(
+                (path.name, node.name)
+                for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")
+            )
+    assert len(definitions) > 40
+    unused = sorted(f"{name}:{fn}" for name, fn in definitions if fn not in referenced)
+    assert unused == []
 
 
 def test_no_source_imports_scipy_special():
