@@ -79,14 +79,14 @@ from .core import (
     write_atomic,
 )
 
-# Version 7 stores the grid spec (dim, alpha, n_nodes, grading,
+# Version 8 stores the grid spec (dim, alpha, n_nodes, grading,
 # boundary_grading) in the header and the kernel matrix alone after it,
 # under one checksum of both; the grid and the Dirac column are rebuilt
-# from the spec.  Version 6 had the same layout, with kernel values from
-# scipy's Gauss-Jacobi rule, which differ from the Golub-Welsch rule's in
-# the last bits; version 5 stored the arrays too and checked the payload
-# only.
-FORMAT_VERSION = 7
+# from the spec.  Versions 7 and 6 had the same layout, with kernel values
+# that differ in the last bits: 7 formed 1 - r^2 as 1 - r*r, and 6 took
+# scipy's Gauss-Jacobi rule in place of the Golub-Welsch rule; version 5
+# stored the arrays too and checked the payload only.
+FORMAT_VERSION = 8
 
 # The tau rule: Gauss-Jacobi points for the tau^(alpha-1) endpoint, and
 # Gauss-Legendre panels of at most _PANEL_LOG_LENGTH in ln tau above it.
@@ -243,9 +243,13 @@ def _tau_integral(d2, q2, a2, kernel):
 def _sphere_mean(r, s, kernel):
     """Mean of G(r e1, s w) over w on the unit sphere, Kbar(r, s).
 
-    Vectorized over flat arrays with r != s elementwise.
+    Vectorized over flat arrays with r != s elementwise.  1 - r^2 is
+    formed as (1-r)(1+r), as in dirac_profile: 1 - r*r has a relative
+    error of up to 1e-16 / (1-r), which cost the kernel up to 3e-11 at
+    the last nodes of the default grids.  Each factor is rounded before
+    the two are multiplied, so Kbar(r, s) and Kbar(s, r) agree bit for bit.
     """
-    a2 = (1.0 - r * r) * (1.0 - s * s)
+    a2 = ((1.0 - r) * (1.0 + r)) * ((1.0 - s) * (1.0 + s))
     return _tau_integral((r - s) ** 2, (r + s) ** 2, a2, kernel)
 
 

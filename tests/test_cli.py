@@ -612,15 +612,15 @@ def test_cache_of_an_older_format_is_rebuilt(tmp_path, monkeypatch):
     assert cli.main(SOLVE_ARGS + ["-o", str(tmp_path / "first")]) == 0
     (entry,) = cache.iterdir()
     line, _, payload = entry.read_bytes().partition(b"\n")
-    # Versions 1 to 6 held other kernel values or the grid arrays too.
-    for version in (1, 2, 3, 4, 5, 6):
+    # Versions 1 to 7 held other kernel values or the grid arrays too.
+    for version in (1, 2, 3, 4, 5, 6, 7):
         header = dict(json.loads(line), format_version=version)
         entry.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
         with pytest.raises(ParameterError, match="unsupported operator file version"):
             green.load_operator(str(entry))
         assert cli.main(SOLVE_ARGS + ["-o", str(tmp_path / f"v{version}")]) == 0
         rebuilt = json.loads(entry.read_bytes().partition(b"\n")[0])
-        assert rebuilt["format_version"] == green.FORMAT_VERSION == 7
+        assert rebuilt["format_version"] == green.FORMAT_VERSION == 8
 
 
 def test_cold_solve_leaves_one_cache_file(tmp_path, monkeypatch):

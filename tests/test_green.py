@@ -8,6 +8,7 @@ constants.
 """
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -573,20 +574,30 @@ def test_sphere_mean_closed_form_matches_the_angular_average():
             assert got == pytest.approx(float(want), rel=1e-14), (dim, r, s, tau)
 
 
+# (alpha, n) of default grids whose last three nodes the kernel test
+# adds, per dimension.
+_LAST_NODE_GRIDS = {2: ((0.3, 200), (0.75, 400)), 3: ((0.4, 800),)}
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
 def test_radial_kernel_matches_30_digit_quadrature(dim):
     # |r - s| log-uniform from 1e-15 (correction samples sit 4 ulp from
-    # their node) to 0.3.
+    # their node) to 0.3, and each pair of the last three nodes of default
+    # grids, where forming 1 - r^2 as 1 - r*r cost up to 3e-11.
     rng = np.random.default_rng(dim)
     surf = float(2 * mpmath.pi ** (mpmath.mpf(dim) / 2) / mpmath.gamma(dim / 2))
+    cases = []
     for alpha in (0.05, 0.3, 0.4, 0.6, 0.75, 0.9):
-        params = ProblemParams(dim=dim, alpha=alpha)
         for gap in 10.0 ** rng.uniform(-15.0, math.log10(0.3), 3):
             r = rng.uniform(0.01, 0.99)
-            s = r + gap if r + gap < 1.0 else r - gap
-            exact = surf * _mp_sphere_mean(r, s, dim, alpha)
-            got = _radial_kernel(r, s, params)
-            assert abs(got - exact) <= 1e-13 * exact, (alpha, r, s)
+            cases.append((alpha, r, r + gap if r + gap < 1.0 else r - gap))
+    for alpha, n in _LAST_NODE_GRIDS.get(dim, ()):
+        last = default_grid(ProblemParams(dim=dim, alpha=alpha), n_nodes=n).nodes[-3:]
+        cases += [(alpha, r, s) for r, s in itertools.combinations(last.tolist(), 2)]
+    for alpha, r, s in cases:
+        exact = surf * _mp_sphere_mean(r, s, dim, alpha)
+        got = _radial_kernel(r, s, ProblemParams(dim=dim, alpha=alpha))
+        assert abs(got - exact) <= 1e-13 * exact, (alpha, r, s)
 
 
 def test_point_kernel_near_the_diagonal_where_betainc_is_off(params0):
