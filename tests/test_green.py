@@ -492,8 +492,8 @@ def test_negative_corrected_mass_is_clipped_or_refused(
     monkeypatch, params0, op200, share
 ):
     # Scaling every near-diagonal sample by -eps turns each band entry
-    # into -eps times the parent's, whose negative mass is eps times the
-    # band's sum; the matrix scale is the largest entry off the band.  At
+    # into -eps times its unpoisoned value, so the negative mass is eps
+    # times the band's sum; the matrix scale is the largest entry off the band.  At
     # half the 1e-8 tolerance the band is clipped to zero, at twice it
     # assembly refuses.
     cells = np.arange(op200.n) // GAUSS_PER_CELL
