@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -321,7 +322,7 @@ def _classification_payload(profile, params, op):
     if params.subcritical or profile.singular_coeff == 0.0:
         battery = standard_battery(op)
         k_est = estimate_k(profile, params, op, battery)
-        residual = verify_weak_identity(profile, params, op, battery).max_residual
+        residual = verify_weak_identity(profile, params, op, battery)
     ref = k_est if k_est is not None and k_est > 0.0 else None
     report = asymptotic_fit(profile, params, k_reference=ref)
     return {
@@ -367,14 +368,13 @@ class _Result(NamedTuple):
 
 
 def _solve(job):
-    from .green import measured_c2
-    from .picard import barrier_certificate, minimal_solution
+    from .picard import log10_k_p, minimal_solution
 
     params, op = job.params, job.op
     profile = minimal_solution(params, op)
-    certified = params.subcritical and barrier_certificate(
-        params, measured_c2(params, op)
-    )["certified"]
+    certified = params.subcritical and (
+        params.k == 0.0 or math.log10(params.k) <= log10_k_p(params, op)
+    )
     classification = _classification_payload(profile, params, op)
     lines = [
         f"solve: minimal solution by Newton's method, barrier certified: {certified}",
@@ -453,7 +453,7 @@ def _mountain_pass(job):
         "energy": result.energy,
         "level_lower_bound": result.level_lower_bound,
         "v_max": float(v.max()),
-        "weak_identity_residual": identity.max_residual,
+        "weak_identity_residual": identity,
     }
     line = (
         f"mountain-pass ({method}): energy {result.energy:.6g} >= "

@@ -192,33 +192,6 @@ def increment_primitive(s, t, p):
     return np.where(t > 0.0, out, 0.0)
 
 
-def energy(v, u_min, form, params):
-    """Shifted-problem energy E(v) at a bounded perturbation profile.
-
-    Parameters
-    ----------
-    v : RadialFunction
-        Perturbation; must carry no singular part.
-    u_min : RadialFunction
-        Converged minimal solution for the same params.
-    form : DiscreteHAlphaForm
-    params : ProblemParams
-
-    Returns
-    -------
-    float
-        E(v); exactly 0.0 at v = 0.
-    """
-    if v.singular_coeff != 0.0:
-        raise ParameterError("energy perturbations must be bounded profiles")
-    return _energy_values(v.values, u_min.total, form, params)
-
-
-def _energy_values(vals, u_total, form, params):
-    y = form.coordinates(vals)
-    return 0.5 * float(y @ y) - float(_bulk(vals, u_total, form, params))
-
-
 def _bulk(vals, u_total, form, params):
     """int F(u, v_+) for a nodal vector, or for each row of a block."""
     bulk = increment_primitive(u_total, np.maximum(vals, 0.0), params.p)

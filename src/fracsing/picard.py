@@ -8,11 +8,11 @@ ball is the increasing limit of the iterates
 which converge exactly for source strengths k up to an extremal value k*.
 With g = G_alpha[delta_0] and the measured comparison constant
 c2 = sup G_alpha[g^p]/g, the profile w_t = t k^p G_alpha[g^p] + k g is a
-supersolution barrier whenever (c2 t k^(p-1) + 1)^p <= t, which a simple
-threshold on c2 k^(p-1) guarantees at t = (p/(p-1))^p; certified runs
-are checked against the barrier nodewise.  The package's callers solve by
-Newton's method from v_0 instead (minimal_solution).  k* is the discrete
-fold of the minimal branch, solved for by Newton's method on the
+supersolution barrier whenever (c2 t k^(p-1) + 1)^p <= t, which holds at
+t = (p/(p-1))^p for every k up to the threshold k_p (log10_k_p); runs at
+such k are checked against the barrier nodewise.  The package's callers
+solve by Newton's method from v_0 instead (minimal_solution).  k* is the
+discrete fold of the minimal branch, solved for by Newton's method on the
 Moore-Spence system, in the Newton loop that every Newton solve of the
 package shares (_newton_krylov, one GMRES cycle _gmres a step), and
 power iteration on the Green matrix supplies the principal Dirichlet
@@ -53,15 +53,13 @@ _FALL_SLACK = 1e-6
 class SolveReport:
     """Outcome of the monotone iteration (iterate_minimal).
 
-    status is "Converged", "Diverged", or "MaxIterations"; sup_residual
-    is the final sup-norm step between consecutive total profiles and
-    profile the final iterate (for a diverged run, the last finite ones).
+    status is "Converged", "Diverged", or "MaxIterations", iterations the
+    number of steps taken, and profile the final iterate (for a diverged
+    run, the last finite one).
     """
 
     status: str
     iterations: int
-    sup_residual: float
-    barrier_certified: bool
     profile: RadialFunction
 
 
@@ -81,31 +79,18 @@ class KStarBracket:
     profile_lo: RadialFunction
 
 
-def barrier_certificate(params, c2_measured):
-    """Decide whether the closed supersolution barrier applies.
-
-    Parameters
-    ----------
-    params : ProblemParams
-        Problem data; a p at or above N/(N - 2 alpha) raises RegimeError.
-    c2_measured : float
-        Measured comparison constant sup G_alpha[g^p]/g.
-
-    Returns
-    -------
-    dict
-        {"certified": bool, "t_star": float} with t_star = (p/(p-1))^p.
-        Certified means c2 k^(p-1) <= (1/p)((p-1)/p)^(p-1), which closes
-        the barrier inequality (c2 t k^(p-1) + 1)^p <= t at t = t_star:
-        then c2 t_star k^(p-1) + 1 <= p/(p-1), with equality at the
-        threshold.
+def log10_k_p(params, op):
+    """log10 of k_p = (1/(c2 p))^(1/(p-1)) (p-1)/p, c2 = measured_c2(params,
+    op), the largest source strength at which the closed supersolution
+    barrier applies: k <= k_p exactly when c2 k^(p-1) <=
+    (1/p)((p-1)/p)^(p-1), which closes the barrier inequality
+    (c2 t k^(p-1) + 1)^p <= t at t = (p/(p-1))^p.  In logs, because k_p
+    overflows a double near p = 1; params.k is ignored.  Raises as
+    measured_c2: RegimeError for a p at or above N/(N - 2 alpha).
     """
-    params.check_exponent("the barrier G_alpha[g^p] is infinite")
-    p, k = params.p, params.k
-    t_star = (p / (p - 1.0)) ** p
-    threshold = (1.0 / p) * ((p - 1.0) / p) ** (p - 1.0)
-    certified = bool(c2_measured * k ** (p - 1.0) <= threshold)
-    return {"certified": certified, "t_star": t_star}
+    p = params.p
+    c2 = measured_c2(params, op)
+    return math.log10((p - 1.0) / p) - math.log10(c2 * p) / (p - 1.0)
 
 
 def _source_parts(params, op):
@@ -151,8 +136,8 @@ def iterate_minimal(params, op, tol=1e-10, max_iter=8000):
         If k > 0 and p is at or above N/(N - 2 alpha), where no solution
         with a point mass exists; k = 0 is admitted at any p.
     ConvergenceError
-        If an iterate loses nodewise monotonicity or, on a certified
-        run, escapes the supersolution barrier: both indicate a
+        If an iterate loses nodewise monotonicity or, on a run at
+        0 < k <= k_p, escapes the supersolution barrier: both indicate a
         quadrature fault rather than a mathematical outcome.
     """
     op.check_params(params)
@@ -163,22 +148,18 @@ def iterate_minimal(params, op, tol=1e-10, max_iter=8000):
     g = op.dirac_column
     source, sing_coeff, sing_exp = _source_parts(params, op)
 
-    certified = False
     barrier = None
-    if params.subcritical:
-        cert = barrier_certificate(params, measured_c2(params, op))
-        certified = cert["certified"]
-        if certified and k > 0.0:
-            image = _dirac_power_image(op, params.p)
-            barrier = cert["t_star"] * k**params.p * image + k * g
-            escape = 1e-10 * (1.0 + float(np.max(barrier)))
+    if k > 0.0 and math.log10(k) <= log10_k_p(params, op):
+        p = params.p
+        image = _dirac_power_image(op, p)
+        barrier = (p / (p - 1.0)) ** p * k**p * image + k * g
+        escape = 1e-10 * (1.0 + float(np.max(barrier)))
 
     sing = sing_coeff * grid.nodes**sing_exp if sing_coeff > 0.0 else 0.0
 
     vals = source.copy()
     status = "MaxIterations"
     iterations = 0
-    last_step = np.inf
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, max_iter + 1):
             density = vals + sing
@@ -205,20 +186,13 @@ def iterate_minimal(params, op, tol=1e-10, max_iter=8000):
                         f"certified iterate escaped the barrier by {excess:.3e}"
                     )
             vals = new_vals
-            last_step = step
             iterations = n
             if step <= tol:
                 status = "Converged"
                 break
 
     profile = RadialFunction(grid, vals, sing_coeff, sing_exp)
-    return SolveReport(
-        status=status,
-        iterations=iterations,
-        sup_residual=float(last_step) if np.isfinite(last_step) else 0.0,
-        barrier_certified=certified,
-        profile=profile,
-    )
+    return SolveReport(status=status, iterations=iterations, profile=profile)
 
 
 def find_kstar(params_without_k, op):
@@ -267,16 +241,13 @@ def find_kstar(params_without_k, op):
 
     params = params_without_k
     params.check_exponent("the extremal source strength is undefined")
-    p = params.p
-    c2 = measured_c2(params, op)
-    # k_p = (1/(c2 p))^(1/(p-1)) (p-1)/p overflows near p = 1: take its log.
-    log10_k_p = math.log10((p - 1.0) / p) - math.log10(c2 * p) / (p - 1.0)
-    if not -307.0 < log10_k_p < 308.0:
+    log_k_p = log10_k_p(params, op)
+    if not -307.0 < log_k_p < 308.0:
         raise ConvergenceError(
-            f"the certified lower bound k_p = 10^{log10_k_p:.6g} "
+            f"the certified lower bound k_p = 10^{log_k_p:.6g} "
             f"leaves the double range"
         )
-    k_p = 10.0**log10_k_p
+    k_p = 10.0**log_k_p
 
     k_a, profile = k_p, minimal_solution(params.with_k(k_p), op)
     for _ in range(60):

@@ -33,14 +33,13 @@ class StabilityReport:
 
     gap is 1 - 1/sigma1, the relative coercivity margin of the
     quadratic form at the minimizing direction.  For u identically zero
-    the form has no competitor: infinite is set, sigma1 is +inf and
-    eigfun is the zero profile.
+    the form has no competitor: sigma1 is +inf, gap 1 and eigfun the
+    zero profile.
     """
 
     sigma1: float
     eigfun: RadialFunction
     gap: float
-    infinite: bool = False
 
 
 def _linearized_weight(u, params):
@@ -80,7 +79,7 @@ def sigma1(u, params, op):
 
     def report():
         if np.max(np.abs(u.total)) == 0.0:
-            return StabilityReport(math.inf, RadialFunction.zero(op.grid), 1.0, True)
+            return StabilityReport(math.inf, RadialFunction.zero(op.grid), 1.0)
         mu, x = _power_iteration(op, _linearized_weight(u, params))
         return StabilityReport(1.0 / mu, RadialFunction(op.grid, x), 1.0 - mu)
 

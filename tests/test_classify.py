@@ -56,15 +56,13 @@ def test_smoothstep_is_a_clamped_ramp():
 def test_battery_shapes_and_supports(op400, battery400):
     assert len(battery400) == 4
     r = op400.grid.nodes
-    origins = [xi for xi in battery400 if xi.value_at_origin != 0.0]
-    assert len(origins) == 3
-    assert sorted(xi.support[1] for xi in origins) == [0.2, 0.35, 0.5]
-    annulus = next(xi for xi in battery400 if xi.value_at_origin == 0.0)
-    assert annulus.support == (0.3, 0.8)
-    assert np.all(annulus.values[(r < 0.3) | (r > 0.8)] == 0.0)
-    for xi in battery400:
-        outside = r > xi.support[1]
-        assert np.all(xi.values[outside] == 0.0)
+    assert [xi.value_at_origin for xi in battery400] == [1.0, 1.0, 1.0, 0.0]
+    supports = [(0.0, 0.2), (0.0, 0.35), (0.0, 0.5), (0.3, 0.8)]
+    for xi, (lo, hi) in zip(battery400, supports):
+        assert np.all(xi.values[(r < lo) | (r > hi)] == 0.0)
+        if lo == 0.0:
+            # An origin bump is a plateau at xi(0) out to half its support.
+            assert np.all(xi.values[r < 0.5 * hi] == 1.0)
         assert np.all(xi.values >= 0.0)
         # The attached fractional Laplacian reproduces the bump.
         back = op400.apply(xi.laplacian_alpha)
@@ -97,6 +95,12 @@ def test_pairing_is_local(usol_005, op400, battery400):
     params, u = usol_005
     annulus = battery400[3]
     assert abs(pairing(u, annulus, params, op400)) <= 1e-6
+
+
+def test_pairing_rejects_a_negative_profile(params0, op400, battery400):
+    dip = RadialFunction(op400.grid, np.full(op400.n, -1e-3))
+    with pytest.raises(ParameterError, match="requires a nonnegative profile"):
+        pairing(dip, battery400[0], params0, op400)
 
 
 def test_pairing_rejects_supercritical_singularities(op400):

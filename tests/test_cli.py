@@ -696,6 +696,7 @@ def test_exit_codes_for_user_errors(tmp_path, capsys):
             ["--config", {"tolerances": {"picard_tol": 1e-12}}],
             "unknown key tolerances",
         ),
+        (["--config", [{"seed": 1}]], "config file must contain a JSON object"),
     ],
     # Explicit ids, spelt as the positional ids the cases were first listed
     # under, so a case inserted anywhere renames no other.
@@ -710,12 +711,13 @@ def test_exit_codes_for_user_errors(tmp_path, capsys):
         "extra8-unknown key output.formats",
         "extra9-unknown key tolerances.eig_tol",
         "extra10-unknown key tolerances.picard_tol",
+        "extra11-config file must contain a JSON object",
     ],
 )
 def test_config_values_of_the_wrong_type_exit_1(tmp_path, capsys, extra, message):
     extra = list(extra)
-    if isinstance(extra[-1], dict):
-        # A dict stands for a --config file holding it.
+    if isinstance(extra[-1], (dict, list)):
+        # A dict or list stands for a --config file holding it.
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(extra[-1]))
         extra[-1] = str(cfg)

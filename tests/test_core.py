@@ -1,6 +1,7 @@
 """Constants, parameter validation, grids, and radial profiles."""
 
 import math
+import os
 
 import mpmath
 import numpy as np
@@ -13,6 +14,7 @@ from fracsing.core import (
     fundamental_constant,
     make_grid,
     surface_area,
+    write_atomic,
 )
 
 mpmath.mp.dps = 40
@@ -124,6 +126,20 @@ def test_grid_rejects_bad_sizes():
 
 
 @pytest.mark.parametrize(
+    "options, message",
+    [
+        ({"grading": 0.5}, "^grading must be >= 1, got 0.5"),
+        ({"boundary_grading": 0.5}, "^boundary_grading must be >= 1, got 0.5"),
+        ({"dim": 1}, "^dimension must be an integer >= 2, got 1"),
+    ],
+    ids=["grading", "boundary-grading", "dim-1"],
+)
+def test_grid_rejects_flat_gradings_and_dimension_one(options, message):
+    with pytest.raises(ParameterError, match=message):
+        make_grid(400, **options)
+
+
+@pytest.mark.parametrize(
     "dim, n_nodes, grading, boundary_grading",
     [(3, 1600, 6.67, 6.67), (2, 400, 2.0, 20.0)],
     ids=["3-0.6-grading-6.67-n1600", "2-0.05-n400"],
@@ -151,6 +167,8 @@ def test_radial_function_validation():
     with pytest.raises(ParameterError):
         RadialFunction(grid, np.ones(grid.n), singular_coeff=1.0,
                        singular_exponent=0.5)
+    with pytest.raises(ParameterError, match=r"values shape \(39,\) does not match"):
+        RadialFunction(grid, np.ones(grid.n - 1))
 
 
 def test_radial_function_nonnegativity_slack():
@@ -161,3 +179,28 @@ def test_radial_function_nonnegativity_slack():
     assert not u.is_nonnegative()
     assert u.is_nonnegative(slack=1e-12)
     assert RadialFunction.zero(grid).is_nonnegative()
+
+
+@pytest.mark.parametrize("fail", ["write", "replace"])
+def test_a_failed_atomic_write_keeps_the_old_file_and_no_temporary(
+    tmp_path, monkeypatch, fail
+):
+    # A str cannot be written to the binary temporary file; a failed rename
+    # stands for a full disk or a vanished directory.
+    target = tmp_path / "out.json"
+    target.write_bytes(b"old bytes")
+    data = b"new bytes"
+    if fail == "write":
+        data = "not bytes"
+        error = TypeError
+    else:
+        error = OSError
+
+        def no_replace(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", no_replace)
+    with pytest.raises(error):
+        write_atomic(str(target), data)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["out.json"]
+    assert target.read_bytes() == b"old bytes"

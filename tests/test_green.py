@@ -891,6 +891,16 @@ def test_load_rejects_bytes_after_the_matrix(tmp_path, op400):
         load_operator(path)
 
 
+def test_assembly_rejects_a_grid_of_another_dimension(params0, monkeypatch):
+    def no_kernel(*args):
+        raise AssertionError("the kernel was built before the grid was checked")
+
+    monkeypatch.setattr(green_module, "_kernel", no_kernel)
+    grid = make_grid(16, dim=3)
+    with pytest.raises(ParameterError, match="grid dimension 3 does not match"):
+        assemble(grid, params0)
+
+
 def test_default_grid_follows_params(params0):
     grid = default_grid(params0, n_nodes=240)
     assert grid.n == 240

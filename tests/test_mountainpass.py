@@ -17,7 +17,7 @@ from scipy import linalg
 from scipy.linalg import blas
 
 from fracsing import mountainpass, picard
-from fracsing.classify import standard_battery, verify_weak_identity
+from fracsing.classify import pairing, standard_battery, verify_weak_identity
 from fracsing.core import (
     ConvergenceError,
     ParameterError,
@@ -31,13 +31,11 @@ from fracsing.mountainpass import (
     _bulk,
     _deflated_newton,
     _direction_ensemble,
-    _energy_values,
     _gradient_values,
     _negative_endpoint,
     _pass_geometry,
     _ray_maximum,
     build_form,
-    energy,
     find_second_solution,
     increment_primitive,
     power_increment,
@@ -52,6 +50,12 @@ def _a_norm(form, x):
     """A-norm of a nodal vector: the 2-norm of its energy coordinates."""
     y = form.coordinates(x)
     return math.sqrt(y @ y)
+
+
+def _energy(vals, u_total, form, params):
+    """Shifted energy E(v) = 1/2 ||v||_A^2 - int F(u, v_+) of a nodal vector."""
+    y = form.coordinates(vals)
+    return 0.5 * float(y @ y) - float(_bulk(vals, u_total, form, params))
 
 
 # ---------------------------------------------------------------- form
@@ -98,7 +102,7 @@ def test_form_norms_and_energies_match_the_reference_matrix(
         quad = float(v @ stiffness400 @ v)
         assert abs(_a_norm(form400, v) ** 2 - quad) <= 1e-13 * quad
         direct = 0.5 * quad - float(_bulk(v, u_min.total, form400, params))
-        energy_v = _energy_values(v, u_min.total, form400, params)
+        energy_v = _energy(v, u_min.total, form400, params)
         assert abs(energy_v - direct) <= 1e-13 * 0.5 * quad
 
 
@@ -326,20 +330,6 @@ def test_increment_primitive_derivative_is_power_increment():
 # ------------------------------------------------------------- energy
 
 
-def test_energy_is_exactly_zero_at_the_origin(umin_mid, op400, form400):
-    params, u_min = umin_mid
-    assert energy(RadialFunction.zero(op400.grid), u_min, form400, params) == 0.0
-
-
-def test_energy_rejects_singular_perturbations(umin_mid, op400, form400):
-    params, u_min = umin_mid
-    bad = RadialFunction(
-        op400.grid, np.ones(op400.n), singular_coeff=0.1, singular_exponent=-0.5
-    )
-    with pytest.raises(ParameterError):
-        energy(bad, u_min, form400, params)
-
-
 def test_ray_endpoint_has_nonpositive_energy(umin_mid, op400, form400):
     params, u_min = umin_mid
     t0 = _negative_endpoint(u_min.total, form400, params)
@@ -347,8 +337,8 @@ def test_ray_endpoint_has_nonpositive_energy(umin_mid, op400, form400):
     assert _a_norm(form400, ray) == pytest.approx(1.0, rel=1e-12)
     base = op400.apply(np.ones(op400.n))
     assert np.max(np.abs(ray - base / _a_norm(form400, base))) <= 1e-15 * np.max(ray)
-    assert _energy_values(t0 * ray, u_min.total, form400, params) <= 0.0
-    assert _energy_values(0.5 * t0 * ray, u_min.total, form400, params) > 0.0
+    assert _energy(t0 * ray, u_min.total, form400, params) <= 0.0
+    assert _energy(0.5 * t0 * ray, u_min.total, form400, params) > 0.0
 
 
 def _probe_block(u_min, op, form, params, rng):
@@ -376,7 +366,7 @@ def test_block_energies_match_the_vector_loop(umin_mid, op400, form400, rng):
     u_total = u_min.total
     w = form400.mass
     block, dens = _probe_block(u_min, op400, form400, params, rng)
-    loop = np.array([_energy_values(x, u_total, form400, params) for x in block])
+    loop = np.array([_energy(x, u_total, form400, params) for x in block])
     got = 0.5 * _pairings(dens, block, w) - _bulk(block, u_total, form400, params)
     # Relative to the quadratic part: E itself crosses zero along the ray,
     # where both evaluations carry the rounding of the cancelled terms.
@@ -467,7 +457,7 @@ def test_every_deformation_move_lowers_the_energy_by_half_the_gradient(
         (j,) = np.flatnonzero(np.any(after != before, axis=1))
         v, new = before[j], after[j]
         grad_sq = _a_norm(form, _gradient_values(v, u_total, op, params)) ** 2
-        e_v, e_new = (_energy_values(x, u_total, form, params) for x in (v, new))
+        e_v, e_new = (_energy(x, u_total, form, params) for x in (v, new))
         assert e_new <= e_v - 0.5 * grad_sq + 1e-13 * _a_norm(form, v) ** 2
 
 
@@ -715,8 +705,8 @@ def test_deflated_newton_starts_at_the_energy_maximum_on_the_ray(
         for t in ts
     ]
     assert all((d > 0.0) == (t < t_n) for t, d in zip(ts, slope))
-    peak = _energy_values(t_n * ray, u_total, form400, params)
-    assert all(_energy_values(t * ray, u_total, form400, params) <= peak for t in ts)
+    peak = _energy(t_n * ray, u_total, form400, params)
+    assert all(_energy(t * ray, u_total, form400, params) <= peak for t in ts)
     dn = find_second_solution(params, op400, form400, u_min, method="DeflatedNewton")
     first = _gradient_values(t_n * ray, u_total, op400, params)
     assert dn.trace[0] == (0, None, float(np.max(np.abs(first))))
@@ -861,8 +851,8 @@ def test_finite_difference_criticality(second_mid, umin_mid, op400, form400, rng
     for _ in range(50):
         d = rng.standard_normal(op400.n)
         d /= _a_norm(form400, d)
-        e_plus = _energy_values(v + h * d, u_min.total, form400, params)
-        e_minus = _energy_values(v - h * d, u_min.total, form400, params)
+        e_plus = _energy(v + h * d, u_min.total, form400, params)
+        e_minus = _energy(v - h * d, u_min.total, form400, params)
         assert abs(e_plus - e_minus) / (2.0 * h) <= 1e-5
 
 
@@ -903,7 +893,7 @@ def test_second_solution_without_a_source_is_the_ground_state(
         assert float(np.max(result.v.values)) == pytest.approx(5.03537, rel=1e-5)
         assert result.energy >= result.level_lower_bound > 0.0
         identity = verify_weak_identity(result.second_solution, params0, op400)
-        assert identity.max_residual <= 1e-9
+        assert identity <= 1e-9
     diff = float(np.max(np.abs(w0[0].v.values - w0[1].v.values)))
     assert diff <= 1e-8
     assert w0[0].energy == pytest.approx(w0[1].energy, abs=1e-8)
@@ -960,6 +950,22 @@ def test_search_rejects_a_form_of_another_operator(
                 find_second_solution(params, op400, form, u_min, method=method)
     with pytest.raises(ParameterError, match="built on another operator"):
         find_second_solution(params, dataclasses.replace(op400), form400, u_min)
+
+
+def test_search_rejects_a_minimal_solution_that_is_not_strictly_stable(
+    params0, op200
+):
+    # Four times the desk-case minimal solution at k = 1.2 has sigma1 =
+    # 0.946 (1.89 at twice it): no pass geometry exists around it.
+    params = params0.with_k(1.2)
+    u = picard.minimal_solution(params, op200)
+    scaled = RadialFunction(
+        op200.grid, 4.0 * u.values, 4.0 * u.singular_coeff, u.singular_exponent
+    )
+    form = build_form(op200)
+    for method in ("MountainPassAlgorithm", "DeflatedNewton"):
+        with pytest.raises(RegimeError, match=r"not strictly stable \(sigma1 = 0.94"):
+            find_second_solution(params, op200, form, scaled, method=method)
 
 
 def test_search_rejects_a_minimal_solution_of_another_grid(
@@ -1026,7 +1032,7 @@ def test_pass_geometry_certificate_holds_on_the_sample(
     # Certified level: the energy on the sigma0-sphere stays above beta
     # for every sampled direction.
     for d in dirs:
-        e_val = _energy_values(sigma0 * d, u_min.total, form400, params)
+        e_val = _energy(sigma0 * d, u_min.total, form400, params)
         assert e_val >= beta - 1e-8 * (1.0 + abs(beta))
 
 
@@ -1074,22 +1080,23 @@ def test_block_certificate_matches_the_direction_loop(
 
 def test_weak_identity_of_the_minimal_solution(umin_mid, op400):
     params, u_min = umin_mid
-    report = verify_weak_identity(u_min, params, op400)
-    assert len(report.rows) == 4
-    assert report.max_residual <= 1e-6
-    assert report.max_residual <= 0.02 * params.k
-    annulus = [row for row in report.rows if row[2] == 0.0]
+    battery = standard_battery(op400)
+    assert len(battery) == 4
+    residual = verify_weak_identity(u_min, params, op400, battery)
+    assert residual <= 1e-6
+    assert residual <= 0.02 * params.k
+    annulus = [xi for xi in battery if xi.value_at_origin == 0.0]
     assert annulus
-    for _, val, _, _ in annulus:
-        assert abs(val) <= 1e-6
+    for xi in annulus:
+        assert abs(pairing(u_min, xi, params, op400)) <= 1e-6
 
 
 def test_weak_identity_of_the_second_solution(second_mid, umin_mid, op400):
     params, _ = umin_mid
-    report = verify_weak_identity(second_mid.second_solution, params, op400)
-    assert report.max_residual <= 0.02 * max(params.k, 1.0)
+    residual = verify_weak_identity(second_mid.second_solution, params, op400)
+    assert residual <= 0.02 * max(params.k, 1.0)
 
 
 def test_weak_identity_of_zero_without_source(params0, op400):
-    report = verify_weak_identity(RadialFunction.zero(op400.grid), params0, op400)
-    assert report.max_residual == 0.0
+    zero = RadialFunction.zero(op400.grid)
+    assert verify_weak_identity(zero, params0, op400) == 0.0

@@ -1,7 +1,8 @@
-"""Monotone iteration, barrier certificates, the extremal fold, and the
-principal eigenpair."""
+"""Monotone iteration, the barrier threshold k_p, the extremal fold, and
+the principal eigenpair."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -31,10 +32,10 @@ from fracsing.green import (
 )
 from fracsing.picard import (
     KStarBracket,
-    barrier_certificate,
     find_kstar,
     first_eigenpair,
     iterate_minimal,
+    log10_k_p,
     minimal_solution,
 )
 from fracsing.stability import sigma1
@@ -43,7 +44,6 @@ from fracsing.stability import sigma1
 def test_zero_source_gives_zero_solution(params0, op400):
     report = iterate_minimal(params0, op400, tol=1e-10)
     assert report.status == "Converged"
-    assert report.sup_residual == 0.0
     assert np.all(report.profile.total == 0.0)
     assert report.profile.singular_coeff == 0.0
 
@@ -52,8 +52,13 @@ def test_small_source_converges_with_certificate(params0, op400):
     params = params0.with_k(0.05)
     report = iterate_minimal(params, op400, tol=1e-10)
     assert report.status == "Converged"
-    assert report.barrier_certified
-    assert report.sup_residual <= 1e-10
+    assert math.log10(params.k) <= log10_k_p(params, op400)
+    # One more step of the iteration moves the converged profile by at
+    # most the stop tolerance.
+    u = report.profile
+    source = params.k * dirac_smooth_remainder(op400.grid, params)
+    step = source + op400.apply(u.total**params.p) - u.values
+    assert np.max(np.abs(step)) <= 1e-10
     assert report.profile.is_nonnegative()
     assert report.profile.singular_coeff == pytest.approx(
         0.05 * params.c_fund, rel=1e-14
@@ -129,17 +134,14 @@ def test_slow_growth_near_p_one_is_not_divergence(op200):
     assert sigma1(report.profile, params, op200).sigma1 > 1.0
 
 
-def test_barrier_certificate_threshold(params0, op400):
+def test_log10_k_p_is_the_barrier_threshold(params0, op400):
     c2 = measured_c2(params0, op400)
-    k_edge = 0.25 / c2  # p = 2: certified iff c2 * k <= 1/4
-    ok = barrier_certificate(params0.with_k(0.9 * k_edge), c2)
-    assert ok["certified"] and ok["t_star"] == pytest.approx(4.0)
-    bad = barrier_certificate(params0.with_k(1.1 * k_edge), c2)
-    assert not bad["certified"]
+    k_edge = 0.25 / c2  # p = 2: the barrier applies iff c2 * k <= 1/4
+    log_k_p = log10_k_p(params0, op400)
+    assert math.log10(0.9 * k_edge) <= log_k_p
+    assert not math.log10(1.1 * k_edge) <= log_k_p
     with pytest.raises(RegimeError):
-        barrier_certificate(
-            ProblemParams(dim=2, alpha=0.6, p=6.0, k=0.01), c2
-        )
+        log10_k_p(ProblemParams(dim=2, alpha=0.6, p=6.0, k=0.01), op400)
 
 
 def test_bracket_invariants(params0, op400, bracket400):
@@ -456,13 +458,11 @@ def test_point_mass_at_a_supercritical_p_is_rejected(op200, k):
     message = r"critical exponent N/\(N - 2 alpha\) = 4 for N = 2"
     with pytest.raises(RegimeError, match=message + ".*point mass"):
         iterate_minimal(params, op200)
-    for call in (measured_c2, find_kstar):
+    for call in (measured_c2, log10_k_p, find_kstar):
         with pytest.raises(RegimeError, match=message):
             call(params, op200)
-    with pytest.raises(RegimeError, match=message):
-        barrier_certificate(params, 1.0)
     report = iterate_minimal(params.with_k(0.0), op200)
-    assert report.status == "Converged" and not report.barrier_certified
+    assert report.status == "Converged" and not np.any(report.profile.total)
 
 
 @pytest.mark.parametrize(
@@ -547,7 +547,7 @@ def _run_patched(monkeypatch, params, op, after, change):
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_non_finite_step_is_divergence(params0, op200, monkeypatch, bad):
     # The third product turns one node non-finite: the run stops as
-    # Diverged there and keeps the second iterate and its step.
+    # Diverged there and keeps the second iterate.
     params = params0.with_k(0.5)
     before = iterate_minimal(params, op200, max_iter=2)
 
@@ -559,7 +559,6 @@ def test_non_finite_step_is_divergence(params0, op200, monkeypatch, bad):
     assert report.status == "Diverged"
     assert report.iterations == 3
     assert report.profile.values.tobytes() == before.profile.values.tobytes()
-    assert report.sup_residual == before.sup_residual
 
 
 def test_decreasing_iterate_loses_monotonicity(params0, op200, monkeypatch):
@@ -574,7 +573,8 @@ def test_certified_run_that_escapes_its_barrier_is_a_fault(
     # Raised products keep the iterates increasing, but near r = 1, where
     # the barrier vanishes, the first one already lies above it.
     params = params0.with_k(0.5 * 0.25 / measured_c2(params0, op200))
-    assert iterate_minimal(params, op200).barrier_certified
+    assert math.log10(params.k) <= log10_k_p(params, op200)
+    assert iterate_minimal(params, op200).status == "Converged"
     with pytest.raises(ConvergenceError, match="escaped the barrier"):
         _run_patched(monkeypatch, params, op200, 0, lambda out: out + 1.0)
 
@@ -586,7 +586,7 @@ def test_operator_constants_are_kept(params0, op200, monkeypatch):
     params = params0.with_k(0.5 * 0.25 / measured_c2(params0, op200))
     fresh = dataclasses.replace(op200)
     first = iterate_minimal(params, fresh)
-    assert first.barrier_certified
+    assert math.log10(params.k) <= log10_k_p(params, fresh)
 
     def no_remainder(grid, params):
         raise AssertionError("the remainder was not kept")

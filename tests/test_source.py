@@ -120,18 +120,53 @@ def test_no_numpy_product_with_a_dense_operand():
     assert found == []
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _bound(scope):
+    """Names a function binds in its own scope: its arguments, and each
+    name it assigns, including loop and comprehension targets."""
+    args = scope.args
+    bound = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    bound.update(a.arg for a in (args.vararg, args.kwarg) if a is not None)
+    stack = list(scope.body) if isinstance(scope.body, list) else [scope.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+    return bound
+
+
 def _referenced(tree):
-    """Names each top-level statement references, as a name or an
-    attribute, leaving out a definition's references to itself."""
+    """Names a module reads as a module-level definition, leaving out a
+    definition's references to itself: a bare name that no enclosing
+    function binds, or an attribute read from a name that an import
+    binds, as picard.find_kstar after `from fracsing import picard`."""
+    imported = {
+        alias.asname or alias.name.partition(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
     found = set()
+
+    def visit(node, own, bound):
+        if isinstance(node, _SCOPES):
+            bound = bound | _bound(node)
+        name = None
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = None if node.id in bound else node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            name = node.attr if node.value.id in imported else None
+        if name is not None and name != own:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, own, bound)
+
     for stmt in tree.body:
-        own = getattr(stmt, "name", None)
-        for node in ast.walk(stmt):
-            name = getattr(node, "id", None) if isinstance(node, ast.Name) else None
-            if isinstance(node, ast.Attribute):
-                name = node.attr
-            if name is not None and name != own:
-                found.add(name)
+        visit(stmt, getattr(stmt, "name", None), frozenset())
     return found
 
 
@@ -154,6 +189,30 @@ def test_every_public_definition_has_a_caller():
     assert len(definitions) > 40
     unused = sorted(f"{name}:{fn}" for name, fn in definitions if fn not in referenced)
     assert unused == []
+
+
+def test_the_caller_guard_skips_local_names_and_foreign_attributes():
+    # A name that an enclosing function binds, or an attribute of
+    # anything but an imported name, calls no module-level definition.
+    unseen = [
+        "def f():\n    energy = 1\n    return energy",
+        "def f(energy):\n    return energy",
+        "def f(xs):\n    return [energy for energy in xs]",
+        "def f(xs):\n    for energy in xs:\n        print(energy)",
+        "def f():\n    energy = 1\n    return lambda: energy",
+        "def f(report):\n    return report.energy",
+        "def energy(n):\n    return energy(n - 1)",
+    ]
+    for text in unseen:
+        assert "energy" not in _referenced(ast.parse(text)), text
+    seen = [
+        "def f(x):\n    return energy(x)",
+        "from fracsing import mountainpass\nmountainpass.energy",
+        "def f():\n    from fracsing import mountainpass\n    return mountainpass.energy",
+        "import fracsing.mountainpass as mp\nmp.energy",
+    ]
+    for text in seen:
+        assert "energy" in _referenced(ast.parse(text)), text
 
 
 def test_no_source_imports_scipy_special():

@@ -9,7 +9,12 @@ import pytest
 from scipy import linalg
 
 from fracsing import stability
-from fracsing.core import ParameterError, ProblemParams, RadialFunction
+from fracsing.core import (
+    ConvergenceError,
+    ParameterError,
+    ProblemParams,
+    RadialFunction,
+)
 from fracsing.green import assemble, default_grid
 from fracsing.mountainpass import find_second_solution
 from fracsing.picard import (
@@ -40,7 +45,7 @@ def test_index_matches_dense_solve(umin_mid, op400):
     params, u = umin_mid
     report = sigma1(u, params, op400)
     assert report.sigma1 == pytest.approx(_dense_sigma1(u, params, op400), rel=1e-8)
-    assert not report.infinite
+    assert not math.isinf(report.sigma1)
     assert report.gap == pytest.approx(1.0 - 1.0 / report.sigma1, rel=1e-12)
     assert np.all(report.eigfun.values > 0.0)
 
@@ -114,8 +119,41 @@ def test_index_scales_inversely_for_quadratic_nonlinearity(umin_mid, op400):
 
 def test_zero_profile_reports_infinite_index(params0, op400):
     report = sigma1(RadialFunction.zero(op400.grid), params0, op400)
-    assert report.infinite
     assert math.isinf(report.sigma1)
+    assert report.gap == 1.0 and not np.any(report.eigfun.values)
+
+
+@pytest.mark.parametrize(
+    "route, nodes, message",
+    [
+        (sigma1, [-1.0] * 4, "requires a nonnegative profile"),
+        (sigma1_rayleigh, [-1.0] * 4, "requires a nonnegative profile"),
+        (sigma1_rayleigh, [0.0] * 4, "needs a nontrivial profile"),
+        (sigma1_rayleigh, [1.0, 1.0, 0.0, 1.0], "weight vanishes at a node"),
+    ],
+    ids=["negative", "rayleigh-negative", "rayleigh-zero", "rayleigh-zero-weight"],
+)
+def test_index_routes_reject_profiles_they_cannot_take(
+    params0, op200, route, nodes, message
+):
+    # nodes is the profile's pattern, repeated over the grid.
+    u = RadialFunction(op200.grid, np.resize(nodes, op200.n))
+    with pytest.raises(ParameterError, match=message):
+        route(u, params0, op200)
+
+
+def test_gap_scan_needs_four_samples(params0, op400, bracket400):
+    with pytest.raises(ParameterError, match="at least 4 samples, got 3"):
+        stability_gap_scan(params0, op400, bracket400, n_samples=3)
+
+
+def test_gap_scan_rejects_a_rising_index(params0, op400, bracket400, monkeypatch):
+    def rising(u, params, op):
+        return stability.StabilityReport(1.0 + params.k, u, 0.0)
+
+    monkeypatch.setattr(stability, "sigma1", rising)
+    with pytest.raises(ConvergenceError, match="not nonincreasing"):
+        stability_gap_scan(params0, op400, bracket400, n_samples=4)
 
 
 def test_gap_scan_shape_and_monotonicity(params0, op400, bracket400):
