@@ -124,22 +124,23 @@ def test_zero_profile_reports_infinite_index(params0, op400):
 
 
 @pytest.mark.parametrize(
-    "route, nodes, message",
+    "route, level, zero_node, message",
     [
-        (sigma1, [-1.0] * 4, "requires a nonnegative profile"),
-        (sigma1_rayleigh, [-1.0] * 4, "requires a nonnegative profile"),
-        (sigma1_rayleigh, [0.0] * 4, "needs a nontrivial profile"),
-        (sigma1_rayleigh, [1.0, 1.0, 0.0, 1.0], "weight vanishes at a node"),
+        (sigma1, -1.0, None, "requires a nonnegative profile"),
+        (sigma1_rayleigh, -1.0, None, "requires a nonnegative profile"),
+        (sigma1_rayleigh, 0.0, None, "needs a nontrivial profile"),
+        (sigma1_rayleigh, 1.0, 7, "weight vanishes at a node"),
     ],
     ids=["negative", "rayleigh-negative", "rayleigh-zero", "rayleigh-zero-weight"],
 )
 def test_index_routes_reject_profiles_they_cannot_take(
-    params0, op200, route, nodes, message
+    params0, op200, route, level, zero_node, message
 ):
-    # nodes is the profile's pattern, repeated over the grid.
-    u = RadialFunction(op200.grid, np.resize(nodes, op200.n))
+    values = np.full(op200.n, level)
+    if zero_node is not None:
+        values[zero_node] = 0.0
     with pytest.raises(ParameterError, match=message):
-        route(u, params0, op200)
+        route(RadialFunction(op200.grid, values), params0, op200)
 
 
 def test_gap_scan_needs_four_samples(params0, op400, bracket400):
