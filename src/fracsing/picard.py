@@ -13,10 +13,10 @@ t = (p/(p-1))^p for every k up to the threshold k_p (log10_k_p); runs at
 such k are checked against the barrier nodewise.  The package's callers
 solve by Newton's method from v_0 instead (minimal_solution).  k* is the
 discrete fold of the minimal branch, solved for by Newton's method on the
-Moore-Spence system, in the Newton loop that every Newton solve of the
-package shares (_newton_krylov, one GMRES cycle _gmres a step), and
+Moore-Spence system from k_p, in the Newton loop that every Newton solve
+of the package shares (_newton_krylov, one GMRES cycle _gmres a step), and
 power iteration on the Green matrix supplies the principal Dirichlet
-eigenpair used by the stability analysis.
+eigenpair that starts the fold and the stability analysis.
 """
 
 from __future__ import annotations
@@ -199,13 +199,11 @@ def find_kstar(params_without_k, op):
     """The extremal source strength k* as the discrete fold of the minimal
     branch.
 
-    minimal_solution probes at the certified lower bound k_p and at its
-    doublings find k_a, the last below k*: the probe at 2 k_a is the
-    first whose Newton step falls, so k* lies in (k_a, 2 k_a].  From the
-    profile at k_a and its sigma1 eigenfunction, Newton's method solves
-    the fold system of Moore & Spence (1980, SIAM J. Numer. Anal. 17)
-    for (v, phi, k) (_fold).  A positive phi makes the fold k*, wherever
-    it lies: f is strictly convex, so the extremal solution is the only
+    From minimal_solution at the certified lower bound k_p and the
+    operator's first eigenfunction (first_eigenpair), Newton's method
+    solves the fold system of Moore & Spence (1980, SIAM J. Numer. Anal.
+    17) in w = v/k and mu = k^(p-1) (_fold).  A positive phi makes the
+    fold k*: f is strictly convex, so the extremal solution is the only
     semi-stable one.  k_lo lies 5e-4 below the fold, and its profile is
     minimal_solution there.  sigma1 > 1 certifies it as the minimal
     solution: T = G diag(f'(u)) has spectral radius 1/sigma1 < 1, and
@@ -233,9 +231,9 @@ def find_kstar(params_without_k, op):
         For supercritical exponents (k* = 0: no positive k admits a
         solution).
     ConvergenceError
-        If k_p leaves the double range (the message names log10 k_p), 60
-        doublings stay below k*, a Newton solve fails (_newton_krylov),
-        phi is not positive, or sigma1 <= 1 at k_lo.
+        If k_p or the fold's k leaves the double range (the message
+        names log10 k_p or log10 k*), a Newton solve fails
+        (_newton_krylov), phi is not positive, or sigma1 <= 1 at k_lo.
     """
     from .stability import sigma1  # stability imports this module
 
@@ -248,21 +246,15 @@ def find_kstar(params_without_k, op):
             f"leaves the double range"
         )
     k_p = 10.0**log_k_p
-
-    k_a, profile = k_p, minimal_solution(params.with_k(k_p), op)
-    for _ in range(60):
-        try:
-            above = minimal_solution(params.with_k(2.0 * k_a), op)
-        except RegimeError:
-            break
-        k_a, profile = 2.0 * k_a, above
-    else:
-        raise ConvergenceError("no divergence found while doubling k")
-
-    phi = sigma1(profile, params.with_k(k_a), op).eigfun.values
-    k_f, phi = _fold(params, op, k_a, profile.values, phi)
+    v = minimal_solution(params.with_k(k_p), op).values
+    phi1 = first_eigenpair(op)["phi1"].values
+    mu, phi = _fold(params, op, k_p ** (params.p - 1.0), v / k_p, phi1)
     if not np.all(phi > 0.0):
         raise ConvergenceError("fold direction phi is not positive at every node")
+    log_k = math.log10(mu) / (params.p - 1.0)
+    if not log_k < 308.0:
+        raise ConvergenceError(f"the fold k* = 10^{log_k:.6g} leaves the double range")
+    k_f = mu ** (1.0 / (params.p - 1.0))
     k_lo = k_f * (1.0 - _KSTAR_OFFSET)
     profile_lo = minimal_solution(params.with_k(k_lo), op)
     stab = sigma1(profile_lo, params.with_k(k_lo), op)
@@ -274,25 +266,25 @@ def find_kstar(params_without_k, op):
     return KStarBracket(k_lo=k_lo, k_hi=k_f, profile_lo=profile_lo)
 
 
-def _fold(params, op, k, v, phi):
-    """Newton's method on the Moore-Spence fold system
+def _fold(params, op, mu, w, phi):
+    """Newton's method on the Moore-Spence fold system in w = v/k and
+    mu = k^(p-1), from (w, phi, mu); returns (mu, phi) at the fold:
 
-        F(v, k) = 0,   J phi = phi - G[f'(u) phi] = 0,   l . phi = c,
+        w - mu G[f(s)] - R = 0,   phi - mu G[f'(s) phi] = 0,   l . phi = c,
 
-    f(u) = u^p, u = v + k S, F(v, k) = v - G[f(u)] - k R, with R and S
-    the smooth remainder and the singular part of G_alpha[delta_0], from
-    (v, phi, k); returns (k, phi) at the fold.  l is w phi / ||w phi||
-    at the start, where phi is scaled to the 2-norm of v, and l . phi
-    keeps its start value: GMRES minimizes the 2-norm of the whole
-    residual, so the phi rows must weigh like the v rows (near p = 1,
-    where v reaches 1e10 and more, a unit phi is lost in rounding).  For
-    the same reason the k unknown is scaled by the 2-norm of its column
-    -(G[f'(u) S] + R), without which GMRES stalls on N = 3 operators.
-    A product with the bordered Jacobian takes two Green products:
+    f(s) = s^p, s = w + S = u/k, R and S the smooth remainder and the
+    singular part of G_alpha[delta_0], so every unknown stays of the
+    order of R however large k* is.  l is w phi / ||w phi|| at the start,
+    where phi is scaled to the 2-norm of w, and l . phi keeps its start
+    value: GMRES minimizes the 2-norm of the whole residual, so the phi
+    rows must weigh like the w rows, and the mu unknown is scaled by the
+    2-norm of its column -(G[f(s)], G[f'(s) phi]), which the residual has
+    computed.  Each step is halved until mu stays positive and at most
+    doubles and s stays positive at every node.  A product with the
+    bordered Jacobian takes two Green products:
 
-        [dv - G[f' du] - dk R,  dphi - G[f' dphi + f'' phi du],  l . dphi]
-
-    with du = dv + dk S.
+        [dw - mu G[f' dw] - dmu G[f],
+         dphi - mu G[f' dphi + f'' phi dw] - dmu G[f' phi],  l . dphi].
     """
     p = params.p
     n = op.n
@@ -300,44 +292,45 @@ def _fold(params, op, k, v, phi):
     sing = c_fund * op.grid.nodes**exponent
     ell = op.grid.weights * phi
     ell /= np.linalg.norm(ell)
-    phi = phi * (np.linalg.norm(v) / np.linalg.norm(phi))
+    phi = phi * (np.linalg.norm(w) / np.linalg.norm(phi))
     size = ell @ phi
-    x = np.concatenate((v, phi, [k]))
+    x = np.concatenate((w, phi, [mu]))
 
     def system(x):
-        v, phi, k = x[:n], x[n:-1], x[-1]
-        u = v + k * sing
-        f1 = p * u ** (p - 1.0)
-        f2 = (p - 1.0) * f1 / u
+        w, phi, mu = x[:n], x[n:-1], x[-1]
+        s = w + sing
+        f1 = p * s ** (p - 1.0)
+        f2 = (p - 1.0) * f1 / s
+        image, bend = op.apply(s**p), op.apply(f1 * phi)
         resid = np.concatenate(
-            (
-                v - op.apply(u**p) - k * remainder,
-                phi - op.apply(f1 * phi),
-                [ell @ phi - size],
-            )
+            (w - mu * image - remainder, phi - mu * bend, [ell @ phi - size])
         )
         error = max(
-            np.max(np.abs(resid[:n])) / np.max(np.abs(v)),
+            np.max(np.abs(resid[:n])) / np.max(np.abs(w)),
             np.max(np.abs(resid[n:-1])) / np.max(np.abs(phi)),
             abs(resid[-1]) / size,
         )
-        column = op.apply(f1 * sing) + remainder
-        scale = np.linalg.norm(column)
+        scale = math.hypot(np.linalg.norm(image), np.linalg.norm(bend))
 
         def matvec(y):
-            dk = y[-1] / scale
-            du = y[:n] + dk * sing
+            dmu, dw, dphi = y[-1] / scale, y[:n], y[n:-1]
             return np.concatenate(
                 (
-                    y[:n] - op.apply(f1 * du) - dk * remainder,
-                    y[n:-1] - op.apply(f1 * y[n:-1] + f2 * phi * du),
-                    [ell @ y[n:-1]],
+                    dw - mu * op.apply(f1 * dw) - dmu * image,
+                    dphi - mu * op.apply(f1 * dphi + f2 * phi * dw) - dmu * bend,
+                    [ell @ dphi],
                 )
             )
 
-        unit = np.ones(x.size)
-        unit[-1] = 1.0 / scale
-        return resid, error, matvec, lambda y: x + unit * y
+        def advance(y):
+            step = np.append(y[:-1], y[-1] / scale)
+            while np.all(np.isfinite(step)) and not (
+                0.0 < mu + step[-1] <= 2.0 * mu and np.all(w + step[:n] > -sing)
+            ):
+                step *= 0.5
+            return x + step
+
+        return resid, error, matvec, advance
 
     x = _newton_krylov(system, x, "the fold")
     return float(x[-1]), x[n:-1]
@@ -393,7 +386,8 @@ def _newton_krylov(system, x, name):
     solves matvec(y) = -residual by one _gmres cycle and moves to
     x = advance(y).  Raises ConvergenceError, naming name: after 20
     steps, quoting the last error and the last GMRES relative residual,
-    or at a non-finite error, naming the number of steps taken.
+    or, naming the steps taken, at a non-finite error or a residual
+    whose squared 2-norm (_gmres divides by it) leaves (0, inf).
 
     The step is the cycle's iterate whether or not it met 1e-13, an
     inexact Newton step (Dembo, Eisenstat & Steihaug 1982).  Each
@@ -401,7 +395,7 @@ def _newton_krylov(system, x, name):
     fold, so GMRES converges superlinearly (Campbell, Ipsen, Kelley &
     Meyer 1996): over a round on both n = 800 bench operators a step
     takes a median (maximum) of 8 (13) products for a minimal solution,
-    14.5 (18) for the fold and 11 (14) for the deflated search, and every
+    14 (19) for the fold and 11 (14) for the deflated search, and every
     cycle met 1e-13."""
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         for taken in range(_NEWTON_STEPS):
@@ -412,6 +406,11 @@ def _newton_krylov(system, x, name):
                 raise ConvergenceError(
                     f"Newton's method for {name} met a non-finite residual "
                     f"after {taken} steps"
+                )
+            if not 0.0 < float(resid @ resid) < math.inf:
+                raise ConvergenceError(
+                    f"Newton's method for {name} met a residual whose 2-norm "
+                    f"leaves the double range after {taken} steps"
                 )
             step, relres = _gmres(matvec, -resid)
             x = advance(step)

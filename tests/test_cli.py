@@ -184,6 +184,29 @@ def test_k_p_beyond_double_range_is_a_typed_error(tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
+def test_a_residual_norm_beyond_double_range_exits_2_with_one_line(tmp_path, capsys):
+    # At k = 1e100 the first residual's squared 2-norm overflows, which
+    # the GMRES cycle would divide by.
+    out = tmp_path / "out"
+    argv = ["solve", "--k", "1e100", "--n-nodes", "120", "-o", str(out)]
+    assert cli.main(argv) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == (
+        "fracsing solve: Newton's method for the minimal solution at k = 1e+100 "
+        "met a residual whose 2-norm leaves the double range after 0 steps"
+    )
+    assert not out.exists()
+
+
+def test_kstar_near_p_one_runs_the_fold_from_k_p(tmp_path):
+    # k_p is 4.4e6 and k* 1.9e28, where 60 doublings of k_p fell short.
+    argv = ["kstar", "--alpha", "0.5", "--p", "1.01", "--n-nodes", "120"]
+    assert cli.main([*argv, "-o", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "kstar.json").read_text())
+    assert payload["k_hi"] == pytest.approx(1.93483e28, rel=1e-5)
+    assert payload["k_lo"] == pytest.approx(payload["k_hi"] * (1.0 - 5e-4), rel=1e-15)
+
+
 def test_solve_reruns_are_byte_identical(solve_dir):
     before = {
         name: (solve_dir / name).read_bytes()

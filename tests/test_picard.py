@@ -315,13 +315,20 @@ def _dense_fold(params, op, k, v, phi):
 
 @pytest.mark.parametrize(
     "case",
-    [(2, 0.75, 2.0, 200), (3, 0.6, 1.5, 200), (2, 0.75, 1.02, 120)],
-    ids=["desk", "n3", "p-near-one"],
+    [
+        (2, 0.75, 2.0, 200),
+        (3, 0.95, 2.6417, 120),
+        (3, 0.6, 1.5, 200),
+        (2, 0.75, 1.02, 120),
+    ],
+    ids=["desk", "steep-n3", "n3", "p-near-one"],
 )
 def test_fold_matches_the_dense_moore_spence_newton(case, op200):
     # The dense route starts from Picard at 0.9 k_lo and the top
     # eigenvector of its dense linearisation.  At p = 1.02, k* is about
-    # 1.9e24 and v as large, far above the unit scale of phi.
+    # 1.9e24 and v as large, far above the unit scale of phi.  At
+    # (3, 0.95, 2.6417) on 120 nodes an unguarded Newton step in k sent
+    # u below 0, where u^p is NaN.
     dim, alpha, p, n = case
     params = ProblemParams(dim=dim, alpha=alpha, p=p)
     op = op200 if n == 200 and dim == 2 else _operator(params, n)
@@ -353,36 +360,27 @@ def test_fold_newton_out_of_budget_is_a_typed_error(params0, op200, monkeypatch)
         find_kstar(params0, op200)
 
 
-def test_fold_above_the_doubling_bracket_is_k_star(op200, monkeypatch):
-    # The first doubling probe reports k >= k* although it lies below.
-    # At p = 1.5, k_p is 0.46 k*, so the fold lies above 2 k_p; a
-    # positive phi still makes it k*.
-    params = ProblemParams(dim=2, alpha=0.75, p=1.5)
-    fold = find_kstar(params, op200).k_hi
-    real = fracsing.picard.minimal_solution
-    ks = []
+def test_fold_that_turns_non_finite_names_the_step(params0, op200, monkeypatch):
+    # The fold's Newton error is spoiled at its third evaluation, after 2
+    # steps; every other solve runs as it is.
+    real = fracsing.picard._newton_krylov
 
-    def short(params, op):
-        ks.append(params.k)
-        if len(ks) == 2:
-            raise RegimeError("k is at or above k*")
-        return real(params, op)
+    def spoiled(system, x, name):
+        calls = []
 
-    monkeypatch.setattr(fracsing.picard, "minimal_solution", short)
-    bracket = find_kstar(params, op200)
-    # k_p, 2 k_p, then k_lo.
-    assert len(ks) == 3 and ks[1] == 2.0 * ks[0]
-    assert bracket.k_hi > 2.0 * ks[0]
-    assert bracket.k_hi == pytest.approx(fold, rel=1e-12)
+        def counted(x):
+            resid, error, matvec, advance = system(x)
+            calls.append(x)
+            if name == "the fold" and len(calls) == 3:
+                error = math.nan
+            return resid, error, matvec, advance
 
+        return real(counted, x, name)
 
-def test_fold_that_turns_non_finite_names_the_step():
-    # On 120 nodes the fold's Newton error reads 0.80, then 1.90, then
-    # NaN.
-    params = ProblemParams(dim=3, alpha=0.95, p=2.6417)
+    monkeypatch.setattr(fracsing.picard, "_newton_krylov", spoiled)
     message = r"^Newton's method for the fold met a non-finite residual after 2 steps$"
     with pytest.raises(ConvergenceError, match=message):
-        find_kstar(params, _operator(params, 120))
+        find_kstar(params0, op200)
 
 
 def _patched_sigma1(monkeypatch, change):
@@ -401,26 +399,29 @@ def _patched_sigma1(monkeypatch, change):
 
 def test_fold_direction_of_one_sign_is_required(params0, op200, monkeypatch):
     # From the negated eigenfunction Newton reaches the same fold with
-    # phi < 0 (the system is odd in phi and l), which is rejected.
-    def negate(report, call):
-        return dataclasses.replace(
-            report, eigfun=RadialFunction(op200.grid, -report.eigfun.values)
-        )
+    # phi < 0 (the system is odd in phi and l), which is rejected before
+    # the certificate at k_lo.
+    real = fracsing.picard.first_eigenpair
 
-    calls = _patched_sigma1(monkeypatch, negate)
+    def negated(op):
+        pair = real(op)
+        return {**pair, "phi1": RadialFunction(op.grid, -pair["phi1"].values)}
+
+    monkeypatch.setattr(fracsing.picard, "first_eigenpair", negated)
+    calls = _patched_sigma1(monkeypatch, lambda report, call: report)
     with pytest.raises(ConvergenceError, match="phi is not positive"):
         find_kstar(params0, op200)
-    assert len(calls) == 1
+    assert len(calls) == 0
 
 
 def test_lower_edge_without_certificate_is_a_typed_error(params0, op200, monkeypatch):
     def semi_stable(report, call):
-        return dataclasses.replace(report, sigma1=1.0) if call == 2 else report
+        return dataclasses.replace(report, sigma1=1.0) if call == 1 else report
 
     calls = _patched_sigma1(monkeypatch, semi_stable)
     with pytest.raises(ConvergenceError, match=r"not strictly stable \(sigma1 = 1\)"):
         find_kstar(params0, op200)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_fold_and_lower_edge_reuse_one_gmres_cycle(params0, op200, monkeypatch):
@@ -436,10 +437,9 @@ def test_fold_and_lower_edge_reuse_one_gmres_cycle(params0, op200, monkeypatch):
 
     monkeypatch.setattr(fracsing.picard, "_gmres", recorded)
     find_kstar(params0, op200)
-    # Measured: 19 calls, 4 for the probe at k_p, 2 for the probe at
-    # 2 k_p, whose second step falls, 5 for the fold and 8 for the solve
-    # at k_lo.
-    assert 18 <= len(residuals) <= 21
+    # Measured: 17 calls, 4 for the solve at k_p, 5 for the fold and 8
+    # for the solve at k_lo.
+    assert 16 <= len(residuals) <= 19
     assert all(0.0 <= r < 1e-10 for r in residuals)
 
 
