@@ -32,7 +32,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -368,13 +367,11 @@ class _Result(NamedTuple):
 
 
 def _solve(job):
-    from .picard import log10_k_p, minimal_solution
+    from .picard import minimal_solution, within_barrier
 
     params, op = job.params, job.op
     profile = minimal_solution(params, op)
-    certified = params.subcritical and (
-        params.k == 0.0 or math.log10(params.k) <= log10_k_p(params, op)
-    )
+    certified = params.subcritical and within_barrier(params, op)
     classification = _classification_payload(profile, params, op)
     lines = [
         f"solve: minimal solution by Newton's method, barrier certified: {certified}",

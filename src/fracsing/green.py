@@ -629,9 +629,9 @@ def measured_c2(params, op):
     """Measured comparison constant sup_r G_alpha[g^p](r) / g(r), g = G_alpha[delta_0].
 
     The finite supremum exists in the subcritical regime and sets the
-    barrier threshold k_p of the monotone iteration (log10_k_p).  Its Green
-    product is kept on op (_dirac_power_image), so only the first call
-    per p makes one.  Raises RegimeError for a supercritical p and
+    barrier threshold k_p of the monotone iteration (within_barrier).
+    Its Green product is kept on op (_dirac_power_image), so only the
+    first call per p makes one.  Raises RegimeError for a supercritical p and
     ParameterError if params has another dim or alpha than op.
     """
     params.check_exponent("G_alpha[g^p] is infinite")

@@ -9,14 +9,15 @@ which converge exactly for source strengths k up to an extremal value k*.
 With g = G_alpha[delta_0] and the measured comparison constant
 c2 = sup G_alpha[g^p]/g, the profile w_t = t k^p G_alpha[g^p] + k g is a
 supersolution barrier whenever (c2 t k^(p-1) + 1)^p <= t, which holds at
-t = (p/(p-1))^p for every k up to the threshold k_p (log10_k_p); runs at
-such k are checked against the barrier nodewise.  The package's callers
-solve by Newton's method from v_0 instead (minimal_solution).  k* is the
-discrete fold of the minimal branch, solved for by Newton's method on the
-Moore-Spence system from k_p, in the Newton loop that every Newton solve
-of the package shares (_newton_krylov, one GMRES cycle _gmres a step), and
-power iteration on the Green matrix supplies the principal Dirichlet
-eigenpair that starts the fold and the stability analysis.
+t = (p/(p-1))^p for every k up to the threshold k_p (within_barrier);
+runs at such k are checked against the barrier nodewise.  The callers
+solve by Newton's method in w = v/k and mu = k^(p-1) (minimal_solution).
+k* is the discrete fold of the minimal branch, solved for by Newton's
+method on the Moore-Spence system from mu_p = k_p^(p-1), in the Newton
+loop that every Newton solve of the package shares (_newton_krylov, one
+GMRES cycle _gmres a step), and power iteration on the Green matrix
+supplies the principal Dirichlet eigenpair that starts the fold and the
+stability analysis.
 """
 
 from __future__ import annotations
@@ -79,31 +80,28 @@ class KStarBracket:
     profile_lo: RadialFunction
 
 
-def log10_k_p(params, op):
-    """log10 of k_p = (1/(c2 p))^(1/(p-1)) (p-1)/p, c2 = measured_c2(params,
-    op), the largest source strength at which the closed supersolution
-    barrier applies: k <= k_p exactly when c2 k^(p-1) <=
-    (1/p)((p-1)/p)^(p-1), which closes the barrier inequality
-    (c2 t k^(p-1) + 1)^p <= t at t = (p/(p-1))^p.  In logs, because k_p
-    overflows a double near p = 1; params.k is ignored.  Raises as
-    measured_c2: RegimeError for a p at or above N/(N - 2 alpha).
-    """
+def _mu_p(params, op):
+    """k_p^(p-1) = ((p-1)/p)^(p-1) / (c2 p), c2 = measured_c2(params, op)."""
     p = params.p
-    c2 = measured_c2(params, op)
-    return math.log10((p - 1.0) / p) - math.log10(c2 * p) / (p - 1.0)
+    return ((p - 1.0) / p) ** (p - 1.0) / (measured_c2(params, op) * p)
 
 
-def _source_parts(params, op):
-    """Smooth samples and singular data of k * G_alpha[delta_0], the
-    smooth remainder of G_alpha[delta_0] kept on op."""
+def within_barrier(params, op):
+    """Whether params.k <= k_p, where the closed supersolution barrier
+    applies: k^(p-1) <= mu_p (_mu_p) closes (c2 t k^(p-1) + 1)^p <= t at
+    t = (p/(p-1))^p.  Compared as (p-1) ln k <= ln mu_p, as k^(p-1) can
+    overflow.  True at k = 0; at k > 0 raises as measured_c2."""
     k = params.k
+    return k == 0.0 or (params.p - 1.0) * math.log(k) <= math.log(_mu_p(params, op))
+
+
+def _dirac_parts(params, op):
+    """R and S, the smooth remainder of G_alpha[delta_0] (kept on op) and
+    its singular part c_fund r^(2 alpha - N), at the nodes."""
     remainder = op._memo(
         "dirac_smooth_remainder", lambda: dirac_smooth_remainder(op.grid, params)
     )
-    source = k * remainder
-    if k > 0.0:
-        return source, k * params.c_fund, params.singular_exponent
-    return source, 0.0, 0.0
+    return remainder, params.c_fund * op.grid.nodes**params.singular_exponent
 
 
 def iterate_minimal(params, op, tol=1e-10, max_iter=8000):
@@ -146,16 +144,17 @@ def iterate_minimal(params, op, tol=1e-10, max_iter=8000):
         params.check_exponent("no solution with a point mass exists")
     grid = op.grid
     g = op.dirac_column
-    source, sing_coeff, sing_exp = _source_parts(params, op)
+    source = k * _dirac_parts(params, op)[0]
 
     barrier = None
-    if k > 0.0 and math.log10(k) <= log10_k_p(params, op):
+    if k > 0.0 and within_barrier(params, op):
         p = params.p
         image = _dirac_power_image(op, p)
         barrier = (p / (p - 1.0)) ** p * k**p * image + k * g
         escape = 1e-10 * (1.0 + float(np.max(barrier)))
 
-    sing = sing_coeff * grid.nodes**sing_exp if sing_coeff > 0.0 else 0.0
+    sing_coeff, sing_exp = k * params.c_fund, params.singular_exponent
+    sing = sing_coeff * grid.nodes**sing_exp
 
     vals = source.copy()
     status = "MaxIterations"
@@ -199,11 +198,11 @@ def find_kstar(params_without_k, op):
     """The extremal source strength k* as the discrete fold of the minimal
     branch.
 
-    From minimal_solution at the certified lower bound k_p and the
-    operator's first eigenfunction (first_eigenpair), Newton's method
-    solves the fold system of Moore & Spence (1980, SIAM J. Numer. Anal.
-    17) in w = v/k and mu = k^(p-1) (_fold).  A positive phi makes the
-    fold k*: f is strictly convex, so the extremal solution is the only
+    From _minimal_w at mu_p = k_p^(p-1), k_p the certified lower bound,
+    and the operator's first eigenfunction (first_eigenpair), Newton's
+    method solves the fold system of Moore & Spence (1980, SIAM J. Numer.
+    Anal. 17) in w = v/k and mu = k^(p-1) (_fold).  A positive phi makes
+    the fold k*: f is strictly convex, so the extremal solution is the only
     semi-stable one.  k_lo lies 5e-4 below the fold, and its profile is
     minimal_solution there.  sigma1 > 1 certifies it as the minimal
     solution: T = G diag(f'(u)) has spectral radius 1/sigma1 < 1, and
@@ -231,24 +230,17 @@ def find_kstar(params_without_k, op):
         For supercritical exponents (k* = 0: no positive k admits a
         solution).
     ConvergenceError
-        If k_p or the fold's k leaves the double range (the message
-        names log10 k_p or log10 k*), a Newton solve fails
-        (_newton_krylov), phi is not positive, or sigma1 <= 1 at k_lo.
+        If the fold's k (naming log10 k*) or the profile at k_lo leaves
+        the double range, a Newton solve fails (_newton_krylov), phi is
+        not positive, or sigma1 <= 1 at k_lo.
     """
     from .stability import sigma1  # stability imports this module
 
     params = params_without_k
     params.check_exponent("the extremal source strength is undefined")
-    log_k_p = log10_k_p(params, op)
-    if not -307.0 < log_k_p < 308.0:
-        raise ConvergenceError(
-            f"the certified lower bound k_p = 10^{log_k_p:.6g} "
-            f"leaves the double range"
-        )
-    k_p = 10.0**log_k_p
-    v = minimal_solution(params.with_k(k_p), op).values
-    phi1 = first_eigenpair(op)["phi1"].values
-    mu, phi = _fold(params, op, k_p ** (params.p - 1.0), v / k_p, phi1)
+    mu_p = _mu_p(params, op)
+    w = _minimal_w(params, op, mu_p, "k = k_p")
+    mu, phi = _fold(params, op, mu_p, w, first_eigenpair(op)["phi1"].values)
     if not np.all(phi > 0.0):
         raise ConvergenceError("fold direction phi is not positive at every node")
     log_k = math.log10(mu) / (params.p - 1.0)
@@ -288,8 +280,7 @@ def _fold(params, op, mu, w, phi):
     """
     p = params.p
     n = op.n
-    remainder, c_fund, exponent = _source_parts(params.with_k(1.0), op)
-    sing = c_fund * op.grid.nodes**exponent
+    remainder, sing = _dirac_parts(params, op)
     ell = op.grid.weights * phi
     ell /= np.linalg.norm(ell)
     phi = phi * (np.linalg.norm(w) / np.linalg.norm(phi))
@@ -339,45 +330,56 @@ def _fold(params, op, mu, w, phi):
 def minimal_solution(params, op):
     """The minimal solution at params.k, as a RadialFunction (zero at
     k = 0): the one route to it of find_kstar, stability_gap_scan and the
-    CLI.  Newton's method on F(v) = v - G[(v + k S)^p] - k R = 0, R and S
-    the smooth and singular parts of G_alpha[delta_0], from Picard's
-    first iterate k R, stopped once max_i |F_i| / u_i <= 1e-12.  The start
-    is a subsolution, G >= 0 and u^p is convex, so while G diag(f'(u)) has
-    spectral radius below 1 every iterate rises nodewise to u_min, which
-    exists exactly when k < k* (Ortega & Rheinboldt 1970, section 13.3).
-
-    Raises ParameterError if params has another dim or alpha than op;
-    RegimeError if k > 0 and p >= N/(N - 2 alpha), or once a step falls
-    below -1e-6 u_i at some node i, which certifies k >= k* (the message
-    names the step and its fall); ConvergenceError as _newton_krylov.
-    """
+    CLI, k (w + S) with w = _minimal_w at mu = k^(p-1).  Raises as
+    _minimal_w, ParameterError if params has another dim or alpha than op,
+    RegimeError if k > 0 and p >= N/(N - 2 alpha), and ConvergenceError
+    naming k where k (w + S) leaves the double range."""
     op.check_params(params)
     k = params.k
     if k == 0.0:
         return RadialFunction.zero(op.grid)
     params.check_exponent("no solution with a point mass exists")
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = _minimal_w(params, op, np.power(k, params.p - 1.0), f"k = {k:.6g}")
+        if not np.all(np.isfinite(k * (w + _dirac_parts(params, op)[1]))):
+            raise ConvergenceError(
+                f"the minimal solution at k = {k:.6g} leaves the double range"
+            )
+    return RadialFunction(op.grid, k * w, k * params.c_fund, params.singular_exponent)
+
+
+def _minimal_w(params, op, mu, at):
+    """w = v/k of the minimal solution at mu = k^(p-1), `at` naming k in
+    messages: Newton's method on F(w) = w - mu G[(w + S)^p] - R = 0 (the
+    residual in v over k, so no test depends on the scale of k), R and S
+    the smooth and singular parts of G_alpha[delta_0], from Picard's first
+    iterate R, stopped once max_i |F_i| / (w + S)_i <= 1e-12.  The start
+    is a subsolution, G >= 0 and u^p is convex, so while G diag(f'(u)) has
+    spectral radius below 1 every iterate rises nodewise to u_min, which
+    exists exactly when k < k* (Ortega & Rheinboldt 1970, section 13.3).
+    Raises RegimeError once a step falls below -1e-6 (w + S)_i at a node,
+    which certifies k >= k* (naming the step and its fall), and
+    ConvergenceError as _newton_krylov."""
     p = params.p
-    source, coeff, exponent = _source_parts(params, op)
-    sing = coeff * op.grid.nodes**exponent
+    remainder, sing = _dirac_parts(params, op)
     iterates = []
 
-    def system(v):
-        u = v + sing
+    def system(w):
+        s = w + sing
         if iterates:
-            fall = float(np.min((v - iterates[-1]) / (iterates[-1] + sing)))
+            fall = float(np.min((w - iterates[-1]) / (iterates[-1] + sing)))
             if fall < -_FALL_SLACK:
                 raise RegimeError(
-                    f"k = {k:.6g} is at or above k*: Newton step {len(iterates)} "
+                    f"{at} is at or above k*: Newton step {len(iterates)} "
                     f"falls by {-fall:.3g} of u at a node"
                 )
-        iterates.append(v)
-        resid = v - op.apply(u**p) - source
-        fprime = p * u ** (p - 1.0)
-        error = np.max(np.abs(resid) / u)
-        return resid, error, lambda y: y - op.apply(fprime * y), lambda y: v + y
+        iterates.append(w)
+        resid = w - mu * op.apply(s**p) - remainder
+        fprime = mu * p * s ** (p - 1.0)
+        error = np.max(np.abs(resid) / s)
+        return resid, error, lambda y: y - op.apply(fprime * y), lambda y: w + y
 
-    v = _newton_krylov(system, source, f"the minimal solution at k = {k:.6g}")
-    return RadialFunction(op.grid, v, coeff, exponent)
+    return _newton_krylov(system, remainder, f"the minimal solution at {at}")
 
 
 def _newton_krylov(system, x, name):

@@ -7,8 +7,10 @@ Run from the root of a checkout:
 
 It prints one row per case: the case, its outcome (solved, or the error's
 class and message head, marked untyped unless it is a FracsingError),
-k_hi, the Green products find_kstar made and its wall time, then the
-solved count of each set.  With --json it also writes the rows to FILE.
+k_hi, sigma1 at k_lo (the certificate find_kstar kept on profile_lo, read
+without another power iteration), the Green products find_kstar made and
+its wall time, then the solved count of each set.  With --json it also
+writes the rows to FILE.
 
 The sets:
 
@@ -26,7 +28,7 @@ import json
 import random
 import time
 
-from fracsing import picard
+from fracsing import picard, stability
 from fracsing.core import FracsingError, ProblemParams
 from fracsing.green import GreenOperator, assemble, default_grid
 
@@ -59,8 +61,9 @@ def log_uniform_cases():
 
 
 def run_case(case):
-    """find_kstar on one case: a dict with the case, its outcome, k_hi (None
-    unless solved), the Green products and the wall time of find_kstar."""
+    """find_kstar on one case: a dict with the case, its outcome, k_hi and
+    sigma1_lo (None unless solved), the Green products and the wall time of
+    find_kstar."""
     dim, alpha, p, n = case
     params = ProblemParams(dim=dim, alpha=alpha, p=p)
     op = assemble(default_grid(params, n_nodes=n), params)
@@ -71,11 +74,11 @@ def run_case(case):
         products[0] += 1
         return apply(self, values)
 
-    k_hi = None
+    bracket = None
     GreenOperator.apply = counted
     start = time.perf_counter()
     try:
-        k_hi = picard.find_kstar(params, op).k_hi
+        bracket = picard.find_kstar(params, op)
         outcome = "solved"
     except FracsingError as exc:
         outcome = f"{type(exc).__name__}: {str(exc)[:60]}"
@@ -84,10 +87,16 @@ def run_case(case):
     finally:
         GreenOperator.apply = apply
     wall = time.perf_counter() - start
+    k_hi = sigma1_lo = None
+    if bracket is not None:
+        k_hi = bracket.k_hi
+        pk = params.with_k(bracket.k_lo)
+        sigma1_lo = stability.sigma1(bracket.profile_lo, pk, op).sigma1
     return {
         "case": list(case),
         "outcome": outcome,
         "k_hi": k_hi,
+        "sigma1_lo": sigma1_lo,
         "products": products[0],
         "wall_s": round(wall, 4),
     }
@@ -110,9 +119,11 @@ def main():
         for case in cases:
             row = run_case(case)
             rows.append(row)
-            k_hi = "-" if row["k_hi"] is None else f"{row['k_hi']:.13g}"
+            k_hi = sigma1_lo = "-"
+            if row["k_hi"] is not None:
+                k_hi, sigma1_lo = f"{row['k_hi']:.13g}", f"{row['sigma1_lo']:.6f}"
             print(
-                f"{name:16} {str(tuple(case)):26} {k_hi:>20} "
+                f"{name:16} {str(tuple(case)):26} {k_hi:>20} {sigma1_lo:>9} "
                 f"{row['products']:6d} {row['wall_s']:7.3f}  {row['outcome']}",
                 flush=True,
             )

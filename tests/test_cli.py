@@ -172,27 +172,56 @@ def test_above_k_star_is_a_regime_error(
     assert not out.exists()
 
 
-def test_k_p_beyond_double_range_is_a_typed_error(tmp_path, capsys):
-    # At p = 1.002, c2 = 0.1403 and k_p = (1/(c2 p))^(1/(p-1)) (p-1)/p,
-    # whose power alone overflowed.
+def test_a_fold_beyond_double_range_is_a_typed_error(tmp_path, capsys):
+    # At p = 1.002, k_p = 10^423.3 lies beyond the double range, but
+    # mu_p = k_p^(p-1) does not: the fold runs and its k* is the limit.
     argv = ["kstar", "--dim", "5", "--alpha", "0.9", "--p", "1.002", "--n-nodes", "120"]
     assert cli.main([*argv, "-o", str(tmp_path)]) == 2
     assert capsys.readouterr().err == (
-        "fracsing kstar: the certified lower bound k_p = 10^423.333 "
-        "leaves the double range\n"
+        "fracsing kstar: the fold k* = 10^578.58 leaves the double range\n"
     )
     assert os.listdir(tmp_path) == []
 
 
-def test_a_residual_norm_beyond_double_range_exits_2_with_one_line(tmp_path, capsys):
-    # At k = 1e100 the first residual's squared 2-norm overflows, which
-    # the GMRES cycle would divide by.
+def test_a_minimal_solution_beyond_double_range_exits_2_with_one_line(
+    tmp_path, capsys
+):
+    # The fold k* is 2.0e307, so the profile at k_lo overflows; no
+    # RuntimeWarning comes before the typed error.
+    argv = ["kstar", "--dim", "4", "--alpha", "0.5", "--p", "1.001737"]
+    assert cli.main([*argv, "--n-nodes", "120", "-o", str(tmp_path)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == (
+        "fracsing kstar: the minimal solution at k = 2.02373e+307 "
+        "leaves the double range"
+    )
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_solve_far_above_k_star_is_the_certified_verdict(tmp_path, capsys):
+    # k = 1e100 is about 4e99 k* on the desk case; in w = v/k the first
+    # residual stays in the double range and the first step falls.
     out = tmp_path / "out"
     argv = ["solve", "--k", "1e100", "--n-nodes", "120", "-o", str(out)]
     assert cli.main(argv) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert line == (
-        "fracsing solve: Newton's method for the minimal solution at k = 1e+100 "
+        "fracsing solve: k = 1e+100 is at or above k*: Newton step 1 falls "
+        "by 0.5 of u at a node"
+    )
+    assert not out.exists()
+
+
+def test_a_residual_norm_beyond_double_range_exits_2_with_one_line(tmp_path, capsys):
+    # At k = 1e150 and p = 3, mu = k^(p-1) = 1e300 and the first
+    # residual's squared 2-norm overflows, which the GMRES cycle would
+    # divide by.
+    out = tmp_path / "out"
+    argv = ["solve", "--k", "1e150", "--p", "3", "--n-nodes", "120", "-o", str(out)]
+    assert cli.main(argv) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == (
+        "fracsing solve: Newton's method for the minimal solution at k = 1e+150 "
         "met a residual whose 2-norm leaves the double range after 0 steps"
     )
     assert not out.exists()
@@ -205,6 +234,17 @@ def test_kstar_near_p_one_runs_the_fold_from_k_p(tmp_path):
     payload = json.loads((tmp_path / "kstar.json").read_text())
     assert payload["k_hi"] == pytest.approx(1.93483e28, rel=1e-5)
     assert payload["k_lo"] == pytest.approx(payload["k_hi"] * (1.0 - 5e-4), rel=1e-15)
+
+
+def test_kstar_runs_where_a_residual_in_v_would_overflow(tmp_path):
+    # k_p is 3.5e163, where the squared 2-norm of a residual in v
+    # overflowed; in w = v/k the solve at mu_p and the fold do not see
+    # the scale.
+    argv = ["kstar", "--alpha", "0.75", "--p", "1.002", "--n-nodes", "120"]
+    assert cli.main([*argv, "-o", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "kstar.json").read_text())
+    assert payload["k_lo"] == pytest.approx(1.53928e255, rel=1e-5)
+    assert payload["k_hi"] == pytest.approx(1.54005e255, rel=1e-5)
 
 
 def test_solve_reruns_are_byte_identical(solve_dir):

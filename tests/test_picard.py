@@ -35,8 +35,8 @@ from fracsing.picard import (
     find_kstar,
     first_eigenpair,
     iterate_minimal,
-    log10_k_p,
     minimal_solution,
+    within_barrier,
 )
 from fracsing.stability import sigma1
 
@@ -52,7 +52,7 @@ def test_small_source_converges_with_certificate(params0, op400):
     params = params0.with_k(0.05)
     report = iterate_minimal(params, op400, tol=1e-10)
     assert report.status == "Converged"
-    assert math.log10(params.k) <= log10_k_p(params, op400)
+    assert within_barrier(params, op400)
     # One more step of the iteration moves the converged profile by at
     # most the stop tolerance.
     u = report.profile
@@ -134,14 +134,16 @@ def test_slow_growth_near_p_one_is_not_divergence(op200):
     assert sigma1(report.profile, params, op200).sigma1 > 1.0
 
 
-def test_log10_k_p_is_the_barrier_threshold(params0, op400):
+def test_within_barrier_is_the_barrier_threshold(params0, op400):
     c2 = measured_c2(params0, op400)
     k_edge = 0.25 / c2  # p = 2: the barrier applies iff c2 * k <= 1/4
-    log_k_p = log10_k_p(params0, op400)
-    assert math.log10(0.9 * k_edge) <= log_k_p
-    assert not math.log10(1.1 * k_edge) <= log_k_p
+    assert within_barrier(params0.with_k(0.9 * k_edge), op400)
+    assert not within_barrier(params0.with_k(1.1 * k_edge), op400)
+    assert within_barrier(params0.with_k(0.0), op400)
+    # At p = 3, k^(p-1) = 1e400 overflows a double; the test compares logs.
+    assert not within_barrier(dataclasses.replace(params0, p=3.0, k=1e200), op400)
     with pytest.raises(RegimeError):
-        log10_k_p(ProblemParams(dim=2, alpha=0.6, p=6.0, k=0.01), op400)
+        within_barrier(ProblemParams(dim=2, alpha=0.6, p=6.0, k=0.01), op400)
 
 
 def test_bracket_invariants(params0, op400, bracket400):
@@ -234,6 +236,17 @@ def test_lower_edge_is_certified_where_u_vanishes_at_the_boundary(case):
     assert sigma1(bracket.profile_lo, params.with_k(bracket.k_lo), op).sigma1 > 1.0
 
 
+def test_fold_starts_where_k_p_underflows_the_residual_norm():
+    # k_p = 7.3e-204 here: a residual of that order has a squared 2-norm
+    # that underflows to 0, but the solve at mu_p = k_p^(p-1) and the
+    # fold run in w = v/k, which does not see the scale.
+    params = ProblemParams(dim=2, alpha=0.25, p=1.000652)
+    op = _operator(params, 120)
+    bracket = find_kstar(params, op)
+    assert bracket.k_hi == pytest.approx(3.96505e193, rel=1e-5)
+    assert bracket.profile_lo.is_nonnegative()
+
+
 def test_lower_edge_stops_relative_to_u_at_each_node():
     # At N = 5 and p near 1, max|v| is 2e23 while u falls to 4e8 near
     # r = 1: only a stop relative to u at each node pins the boundary.
@@ -254,7 +267,8 @@ def test_lower_edge_stops_relative_to_u_at_each_node():
 )
 def test_lower_edge_iterates_rise_at_every_node(case, params0, op200, monkeypatch):
     # Newton's method from a subsolution of a convex problem, here
-    # Picard's first iterate, climbs monotonically to the minimal solution.
+    # Picard's first iterate, climbs monotonically to the minimal solution;
+    # the iterates are w = v/k, so the first is the remainder R itself.
     if case is None:
         params, op = params0, op200
     else:
@@ -277,7 +291,7 @@ def test_lower_edge_iterates_rise_at_every_node(case, params0, op200, monkeypatc
     # The solve at k_lo is find_kstar's last Newton run.
     name, iterates = runs[-1]
     assert name == f"the minimal solution at k = {k_lo:.6g}"
-    assert np.array_equal(iterates[0], k_lo * dirac_smooth_remainder(op.grid, params))
+    assert np.array_equal(iterates[0], dirac_smooth_remainder(op.grid, params))
     assert len(iterates) >= 3
     assert np.all(np.diff(iterates, axis=0) >= 0.0)
 
@@ -458,7 +472,7 @@ def test_point_mass_at_a_supercritical_p_is_rejected(op200, k):
     message = r"critical exponent N/\(N - 2 alpha\) = 4 for N = 2"
     with pytest.raises(RegimeError, match=message + ".*point mass"):
         iterate_minimal(params, op200)
-    for call in (measured_c2, log10_k_p, find_kstar):
+    for call in (measured_c2, within_barrier, find_kstar):
         with pytest.raises(RegimeError, match=message):
             call(params, op200)
     report = iterate_minimal(params.with_k(0.0), op200)
@@ -573,7 +587,7 @@ def test_certified_run_that_escapes_its_barrier_is_a_fault(
     # Raised products keep the iterates increasing, but near r = 1, where
     # the barrier vanishes, the first one already lies above it.
     params = params0.with_k(0.5 * 0.25 / measured_c2(params0, op200))
-    assert math.log10(params.k) <= log10_k_p(params, op200)
+    assert within_barrier(params, op200)
     assert iterate_minimal(params, op200).status == "Converged"
     with pytest.raises(ConvergenceError, match="escaped the barrier"):
         _run_patched(monkeypatch, params, op200, 0, lambda out: out + 1.0)
@@ -586,7 +600,7 @@ def test_operator_constants_are_kept(params0, op200, monkeypatch):
     params = params0.with_k(0.5 * 0.25 / measured_c2(params0, op200))
     fresh = dataclasses.replace(op200)
     first = iterate_minimal(params, fresh)
-    assert math.log10(params.k) <= log10_k_p(params, fresh)
+    assert within_barrier(params, fresh)
 
     def no_remainder(grid, params):
         raise AssertionError("the remainder was not kept")
