@@ -146,10 +146,12 @@ class ProblemParams:
 
     def __post_init__(self):
         _check_order(self.dim, self.alpha)
-        if not self.p > 1.0:
-            raise ParameterError(f"exponent p must exceed 1, got {self.p}")
-        if not self.k >= 0.0:
-            raise ParameterError(f"source strength k must be >= 0, got {self.k}")
+        if not 1.0 < self.p < math.inf:
+            raise ParameterError(f"exponent p must be finite and > 1, got {self.p}")
+        if not 0.0 <= self.k < math.inf:
+            raise ParameterError(
+                f"source strength k must be finite and >= 0, got {self.k}"
+            )
 
     @property
     def critical_p(self):

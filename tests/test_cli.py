@@ -397,6 +397,29 @@ def test_a_grid_below_double_precision_exits_1_before_assembly(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "extra, shown",
+    [
+        (["--p", "inf", "--k", "0"], "exponent p must be finite and > 1, got inf"),
+        (["--k", "inf"], "source strength k must be finite and >= 0, got inf"),
+    ],
+)
+def test_a_non_finite_p_or_k_exits_1_before_assembly(
+    tmp_path, capsys, monkeypatch, extra, shown
+):
+    # An infinite p used to write "p": Infinity, which is not JSON, into
+    # solve.json; an infinite k ended in a non-finite residual (exit 2).
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an operator was loaded or assembled")
+
+    monkeypatch.setattr(green, "assemble", unreachable)
+    monkeypatch.setattr(green, "load_operator", unreachable)
+    out = tmp_path / "out"
+    assert cli.main(["solve", *extra, "--n-nodes", "60", "-o", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"fracsing solve: {shown}"]
+    assert not out.exists()
+
+
 def test_eigen_runs_one_power_iteration(tmp_path, monkeypatch):
     calls = []
 

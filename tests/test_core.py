@@ -63,6 +63,10 @@ def test_params_validation_rejects_bad_inputs():
         ProblemParams(dim=2, alpha=0.75, p=1.0, k=0.0)
     with pytest.raises(ParameterError):
         ProblemParams(dim=2, alpha=0.75, p=2.0, k=-0.1)
+    # An infinite p or k passed the old "p > 1" and "k >= 0" tests.
+    for p, k in ((math.inf, 0.0), (2.0, math.inf), (math.nan, 0.0), (2.0, math.nan)):
+        with pytest.raises(ParameterError, match="must be finite"):
+            ProblemParams(dim=2, alpha=0.75, p=p, k=k)
 
 
 def test_params_derived_quantities():

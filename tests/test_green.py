@@ -370,6 +370,32 @@ def test_assembly_is_byte_identical_for_any_workers_blocks_and_passes(
     assert got.matrix.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_assembly_reduces_in_chunks_of_whole_pairs(
+    monkeypatch, params0, op400, workers
+):
+    # The correction samples are reduced in chunks of whole (row, cell)
+    # pairs of about _BLOCK_SIZE samples.  A block of 7 is smaller than any
+    # pair's samples, so each chunk is one pair; 10**9 takes every sample
+    # in one chunk.  Both give the bytes of the default blocks.
+    sizes = []
+    original = green_module._lagrange_rows
+
+    def recording(pts, cell_nodes):
+        sizes.append(pts.size)
+        return original(pts, cell_nodes)
+
+    monkeypatch.setattr(green_module, "_lagrange_rows", recording)
+    cells = np.arange(op400.n) // GAUSS_PER_CELL
+    reach = np.abs(cells[:, None] - np.arange(op400.grid.n_cells))
+    n_pairs = np.count_nonzero(reach <= green_module._N_CORR_CELLS)
+    for block, chunks in ((7, n_pairs), (10**9, 1)):
+        sizes.clear()
+        got = _assemble_with(monkeypatch, params0, op400.grid, workers, block)
+        assert got.matrix.tobytes() == op400.matrix.tobytes(), block
+        assert len(sizes) == chunks and min(sizes) > 7, block
+
+
 def test_assembly_makes_few_integrand_passes(monkeypatch, params0, op400):
     # Each integrand call holds the GIL between NumPy calls, so many small
     # passes make the workers take turns.  Sorted, point-capped tasks of
@@ -520,6 +546,22 @@ def test_assembly_peak_memory_is_bounded(monkeypatch, params0, op400):
         tracemalloc.stop()
     # About 70 MB when every pair was evaluated in one flat batch.
     assert peak <= 40 * 2**20
+
+
+def test_assembly_transient_memory_is_small_beside_the_matrix(
+    monkeypatch, params0, op800
+):
+    # Reducing the correction samples in one pass kept (samples, 4)
+    # temporaries: 14.8 MiB beyond the matrix at n=800, 29.6 at n=1600.
+    # In chunks, the transient beyond the matrix is about 9.5 MiB here.
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    tracemalloc.start()
+    try:
+        assemble(op800.grid, params0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= op800.matrix.nbytes + 12 * 2**20
 
 
 def _mp_sphere_mean(r, s, dim, alpha):
